@@ -1,6 +1,6 @@
 """Uplink cell-free massive MIMO simulator on a daisy-chained radio stripe."""
 
-from .baselines import MrFusionAccumulator, centralized_lmmse_l4, mr_l2_sinr
+from .baselines import MrFusionAccumulator, centralized_lmmse_l4
 from .channel import (
     ChannelEstimateSet, EstimationStatistics, PilotObservation, draw_channels,
     estimation_statistics, mmse_estimate, simulate_pilot_phase,
@@ -22,8 +22,7 @@ from .scenario import (
     pathloss_db,
 )
 from .stripe import (
-    AugmentedSideInfo, PayloadRealization, StageState, StripeRun,
-    build_augmented_moments, combiner_first_ap, combiner_stage, run_stripe,
+    PayloadRealization, StageState, StripeRun, combiner_stage, run_stripe,
     stage_update,
 )
 

@@ -13,41 +13,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .channel import ChannelEstimateSet
+from .channel import ChannelEstimateSet, herm
 
 
 def centralized_lmmse_l4(
     est: ChannelEstimateSet, powers: np.ndarray, sigma2: float
 ) -> np.ndarray:
-    """Per-UE conditional SINR of the fully centralized receiver, shape (K,).
+    """Per-UE conditional SINR of the fully centralized receiver, shape (..., K).
 
     Combiners are LMMSE on the stacked estimates; the SINR charges the
     estimation errors through the per-UE block-diagonal error covariance.
     """
-    K, L, N = est.hhat.shape
-    Hs = est.hhat.reshape(K, L * N).T                      # (LN, K) stacked estimates
+    *batch, K, L, N = est.hhat.shape
+    Hs = est.hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)  # (..., LN, K) stacked estimates
 
-    B = (Hs * powers) @ Hs.conj().T
-    err_sum = np.einsum("i,ilmn->lmn", powers, est.rtilde)  # per-AP error blocks
-    for l in range(L):
-        B[l * N:(l + 1) * N, l * N:(l + 1) * N] += err_sum[l]
-    B += sigma2 * np.eye(L * N)
+    err_sum = np.tensordot(powers, est.rtilde, axes=1)         # per-AP error blocks
+    D = np.zeros((L, N, L, N), dtype=complex)
+    D[np.arange(L), :, np.arange(L), :] = err_sum
+    B = (Hs * powers) @ herm(Hs) + (D.reshape(L * N, L * N) + sigma2 * np.eye(L * N))
 
-    V = cho_solve(cho_factor(B, lower=True), Hs)            # (LN, K)
-    V /= np.linalg.norm(V, axis=0, keepdims=True)
+    V = np.linalg.solve(B, Hs)                                 # (..., LN, K)
+    V /= np.linalg.norm(V, axis=-2, keepdims=True)
 
-    G = (V.conj().T @ Hs).T                                 # G[i, k] = v_k^H hhat_i
-    Vr = V.T.reshape(K, L, N)
-    err = np.einsum("klm,ilmn,kln->ik", Vr.conj(), est.rtilde, Vr).real
+    G = Hs.swapaxes(-1, -2) @ V.conj()                         # G[i, k] = v_k^H hhat_i
+    # sum_i p_i v_k^H C_i v_k, with C_i block diagonal: one N x N product per AP
+    err = err_sum @ V.reshape(*batch, L, N, K)
+    err = (V.conj() * err.reshape(*batch, L * N, K)).sum(axis=-2).real
 
-    num = powers * np.abs(np.diagonal(G)) ** 2
-    den = (
-        np.einsum("i,ik->k", powers, np.abs(G) ** 2) - num
-        + np.einsum("i,ik->k", powers, err) + sigma2
-    )
-    return num / den
+    gains = np.abs(G) ** 2
+    num = powers * np.diagonal(gains, axis1=-2, axis2=-1)
+    return num / (powers @ gains - num + err + sigma2)
 
 
 @dataclass
@@ -60,18 +56,19 @@ class MrFusionAccumulator:
     count: int = 0
 
     def update(self, hhat: np.ndarray, channels: np.ndarray) -> None:
-        """Fold in one realization: hhat and channels are (K, L, N)."""
-        L = hhat.shape[1]
-        z = np.einsum("klm,ilm->ik", hhat.conj(), channels) / L  # z[i, k]
-        energy = np.einsum("klm,klm->k", hhat.conj(), hhat).real / L ** 2
+        """Fold in realizations: hhat and channels are (..., K, L, N)."""
+        K, L, N = hhat.shape[-3:]
+        hh = hhat.reshape(-1, K, L * N)
+        z = channels.reshape(-1, K, L * N) @ herm(hh) / L     # z[b, i, k]
+        energy = (hh.conj() * hh).real.sum(axis=-1) / L ** 2
         if self.sum_mean is None:
-            self.sum_mean = np.zeros(hhat.shape[0], dtype=complex)
-            self.sum_sq = np.zeros((hhat.shape[0], hhat.shape[0]))
-            self.sum_noise = np.zeros(hhat.shape[0])
-        self.sum_mean += np.diagonal(z)
-        self.sum_sq += np.abs(z) ** 2
-        self.sum_noise += energy
-        self.count += 1
+            self.sum_mean = np.zeros(K, dtype=complex)
+            self.sum_sq = np.zeros((K, K))
+            self.sum_noise = np.zeros(K)
+        self.sum_mean += np.diagonal(z, axis1=-2, axis2=-1).sum(axis=0)
+        self.sum_sq += (np.abs(z) ** 2).sum(axis=0)
+        self.sum_noise += energy.sum(axis=0)
+        self.count += hh.shape[0]
 
     def sinr(self, powers: np.ndarray, sigma2: float) -> np.ndarray:
         """Close the UatF bound from the accumulated moments, shape (K,)."""
@@ -83,17 +80,3 @@ class MrFusionAccumulator:
         num = powers * np.abs(mean) ** 2
         den = np.einsum("i,ik->k", powers, sq) - num + sigma2 * noise
         return num / den
-
-
-def mr_l2_sinr(
-    hhat_blocks: np.ndarray, channel_blocks: np.ndarray,
-    powers: np.ndarray, sigma2: float,
-) -> np.ndarray:
-    """UatF SINR of equal-weight MR fusion over a batch of realizations.
-
-    hhat_blocks / channel_blocks have shape (n_blocks, K, L, N).
-    """
-    acc = MrFusionAccumulator()
-    for hhat, h in zip(hhat_blocks, channel_blocks):
-        acc.update(hhat, h)
-    return acc.sinr(powers, sigma2)

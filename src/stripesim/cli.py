@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
@@ -19,28 +19,6 @@ _SWEEPABLE = {
 }
 
 
-@dataclass
-class ExperimentSpec:
-    """One resolved run request: config, schemes, optional sweep, output dir."""
-
-    config: SimulationConfig
-    schemes: tuple[str, ...]
-    sweep_field: str | None
-    sweep_values: tuple
-    out_dir: Path
-
-    def validate(self) -> None:
-        if not self.schemes:
-            raise ValueError("scheme list must be nonempty")
-        for scheme in self.schemes:
-            if scheme not in ALL_SCHEMES:
-                raise ValueError(
-                    f"unknown scheme {scheme!r} (valid: {', '.join(ALL_SCHEMES)})"
-                )
-        if self.sweep_field is not None and not self.sweep_values:
-            raise ValueError("sweep needs at least one value")
-
-
 def _parse_sweep(text: str) -> tuple[str, tuple]:
     if "=" not in text:
         raise ValueError("sweep must look like VAR=v1,v2,...")
@@ -51,11 +29,28 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
             f"cannot sweep {var!r} (valid: K, correlation_model)"
         )
     raw = [v for v in values.split(",") if v.strip()]
+    if not raw:
+        raise ValueError("sweep needs at least one value")
     if field == "num_ues":
         parsed = tuple(int(v) for v in raw)
     else:
         parsed = tuple(CorrelationModel.from_string(v) for v in raw)
     return field, parsed
+
+
+def _fronthaul(config: SimulationConfig) -> tuple[list[metrics.FronthaulReport], dict]:
+    """Front-haul reports of L4 and the stripe, and their summary entry."""
+    reports = [
+        metrics.fronthaul_load(
+            scheme, config.antennas_per_ap, config.num_aps, config.num_ues,
+            config.coherence_block, config.pilot_length,
+        )
+        for scheme in ("lmmse_l4", "stripe_nlmmse")
+    ]
+    l4, stripe = reports
+    return reports, {"l4": l4.real_scalars_to_cpu_per_block,
+                     "stripe": stripe.real_scalars_to_cpu_per_block,
+                     "reduction": stripe.reduction_vs_l4}
 
 
 def _run_single(config: SimulationConfig, schemes, out_dir: Path) -> dict:
@@ -73,20 +68,7 @@ def _run_single(config: SimulationConfig, schemes, out_dir: Path) -> dict:
         metrics.write_cdf_csv(out_dir / f"cdf_{scheme}.csv", series)
         se_by_scheme[scheme] = result.se
 
-    l4 = metrics.fronthaul_load(
-        "lmmse_l4", config.antennas_per_ap, config.num_aps, config.num_ues,
-        config.coherence_block, config.pilot_length,
-    )
-    stripe = metrics.fronthaul_load(
-        "stripe_nlmmse", config.antennas_per_ap, config.num_aps, config.num_ues,
-        config.coherence_block, config.pilot_length,
-    )
-    fronthaul = {
-        "l4": l4.real_scalars_to_cpu_per_block,
-        "stripe": stripe.real_scalars_to_cpu_per_block,
-        "reduction": stripe.reduction_vs_l4,
-    }
-    payload = metrics.summary_payload(se_by_scheme, fronthaul)
+    payload = metrics.summary_payload(se_by_scheme, _fronthaul(config)[1])
     metrics.write_summary_json(out_dir / "summary.json", payload)
     return payload
 
@@ -100,31 +82,30 @@ def cmd_run(args) -> int:
     config.validate()
 
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    sweep_field, sweep_values = (None, ())
-    if args.sweep:
-        sweep_field, sweep_values = _parse_sweep(args.sweep)
-    spec = ExperimentSpec(
-        config=config, schemes=schemes, sweep_field=sweep_field,
-        sweep_values=sweep_values, out_dir=Path(args.out),
-    )
-    spec.validate()
+    if not schemes:
+        raise ValueError("scheme list must be nonempty")
+    for scheme in schemes:
+        if scheme not in ALL_SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r} (valid: {', '.join(ALL_SCHEMES)})")
+    sweep_field, sweep_values = _parse_sweep(args.sweep) if args.sweep else (None, ())
+    out_dir = Path(args.out)
 
-    if spec.sweep_field is None:
-        print(f"running {', '.join(spec.schemes)} -> {spec.out_dir}", flush=True)
-        _run_single(spec.config, spec.schemes, spec.out_dir)
+    if sweep_field is None:
+        print(f"running {', '.join(schemes)} -> {out_dir}", flush=True)
+        _run_single(config, schemes, out_dir)
     else:
         manifest = []
-        for value in spec.sweep_values:
-            cfg = replace(spec.config, **{spec.sweep_field: value})
+        for value in sweep_values:
+            cfg = replace(config, **{sweep_field: value})
             label = value.value if isinstance(value, CorrelationModel) else value
-            sub = spec.out_dir / f"{spec.sweep_field}_{label}"
-            print(f"running {spec.sweep_field}={label} -> {sub}", flush=True)
-            _run_single(cfg, spec.schemes, sub)
+            sub = out_dir / f"{sweep_field}_{label}"
+            print(f"running {sweep_field}={label} -> {sub}", flush=True)
+            _run_single(cfg, schemes, sub)
             manifest.append({"value": str(label), "dir": sub.name})
-        spec.out_dir.mkdir(parents=True, exist_ok=True)
-        with open(spec.out_dir / "sweep.json", "w", encoding="utf-8") as fh:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "sweep.json", "w", encoding="utf-8") as fh:
             json.dump(
-                {"schema_version": 1, "variable": spec.sweep_field, "runs": manifest},
+                {"schema_version": 1, "variable": sweep_field, "runs": manifest},
                 fh, indent=2, sort_keys=True,
             )
             fh.write("\n")
@@ -135,28 +116,14 @@ def cmd_run(args) -> int:
 def cmd_fronthaul(args) -> int:
     config = load_config(args.config) if args.config else SimulationConfig()
     config.validate()
-    reports = [
-        metrics.fronthaul_load(
-            scheme, config.antennas_per_ap, config.num_aps, config.num_ues,
-            config.coherence_block, config.pilot_length,
-        )
-        for scheme in ("lmmse_l4", "stripe_nlmmse")
-    ]
+    reports, summary = _fronthaul(config)
     for rep in reports:
         print(
             f"{rep.scheme}: {rep.real_scalars_to_cpu_per_block} real scalars/block "
             f"to CPU ({rep.real_scalars_per_block_per_segment} per segment)"
         )
-    reduction = reports[1].reduction_vs_l4
-    print(f"stripe reduces CPU-link load by {100.0 * reduction:.2f}%")
-    print(json.dumps(
-        {
-            "l4": reports[0].real_scalars_to_cpu_per_block,
-            "stripe": reports[1].real_scalars_to_cpu_per_block,
-            "reduction": reduction,
-        },
-        sort_keys=True,
-    ))
+    print(f"stripe reduces CPU-link load by {100.0 * summary['reduction']:.2f}%")
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

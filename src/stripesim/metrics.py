@@ -35,10 +35,10 @@ def instantaneous_sinr(
 def sinr_per_ue(
     ghat: np.ndarray, psi_tilde: np.ndarray, powers: np.ndarray, sigma2: float
 ) -> np.ndarray:
-    """Vectorized effective SINR for all UEs; ghat/psi_tilde are (K, K) [i, k]."""
+    """Vectorized effective SINR for all UEs; ghat/psi_tilde are (..., K, K) [i, k]."""
     gains = powers[:, None] * np.abs(ghat) ** 2
-    num = np.diagonal(gains)
-    den = gains.sum(axis=0) - num + powers @ psi_tilde + sigma2
+    num = np.diagonal(gains, axis1=-2, axis2=-1)
+    den = gains.sum(axis=-2) - num + powers @ psi_tilde + sigma2
     return num / den
 
 

@@ -3,8 +3,9 @@
 Every (setup, block) work item derives its own RNG stream from the config
 seed, so results are bit-identical regardless of worker-pool size or
 completion order. A setup draws one scenario, precomputes the estimation
-statistics, then sweeps the channel realizations; the SE expectation runs
-over realizations within the setup, the CDF randomness over UEs and setups.
+statistics, then sweeps the channel realizations in chunks of stacked
+blocks; the SE expectation runs over realizations within the setup, the CDF
+randomness over UEs and setups.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, metrics, stripe
+from .blas import one_blas_thread
 from .channel import draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase
 from .config import SimulationConfig, config_to_ini
 from .scenario import build_scenario
@@ -28,6 +30,19 @@ ALL_SCHEMES = (SCHEME_STRIPE, SCHEME_MR, SCHEME_L4)
 
 _SCENARIO_TAG = 0
 _BLOCK_TAG = 1
+
+# Blocks run in chunks. Per block the batched call chain holds arrays of
+# about L*N*(K + L*N) complex entries (the K*L*N channels and estimates, the
+# LN x LN matrix of the centralized receiver); a chunk holds about this many.
+# It depends on the network size only, never on the worker count, so the
+# floating-point work is the same in every run.
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def blocks_per_chunk(num_ues: int, num_aps: int, num_antennas: int) -> int:
+    """Coherence blocks simulated together in one batched call chain."""
+    per_block = num_aps * num_antennas * (num_ues + num_aps * num_antennas)
+    return max(1, _CHUNK_ELEMENTS // per_block)
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -74,18 +89,20 @@ def simulate_setup(
     l4_sinr = np.empty((n_blocks, config.num_ues)) if want_l4 else None
     mr_acc = baselines.MrFusionAccumulator() if want_mr else None
 
-    for b in range(n_blocks):
-        rng = rng_stream(seed, setup_index, _BLOCK_TAG, b)
-        h = draw_channels(scenario, rng)
-        obs = simulate_pilot_phase(scenario, h, config, rng)
+    chunk = blocks_per_chunk(config.num_ues, config.num_aps, config.antennas_per_ap)
+    for start in range(0, n_blocks, chunk):
+        blocks = range(start, min(start + chunk, n_blocks))
+        rngs = [rng_stream(seed, setup_index, _BLOCK_TAG, b) for b in blocks]
+        h = draw_channels(scenario, rngs)
+        obs = simulate_pilot_phase(scenario, h, config, rngs)
         est = mmse_estimate(scenario, obs, config, stats)
         if want_stripe:
             run = stripe.run_stripe(est, powers, sigma2)
-            stripe_sinr[b] = metrics.sinr_per_ue(
+            stripe_sinr[start:blocks.stop] = metrics.sinr_per_ue(
                 run.final.ghat, run.final.psi, powers, sigma2
             )
         if want_l4:
-            l4_sinr[b] = baselines.centralized_lmmse_l4(est, powers, sigma2)
+            l4_sinr[start:blocks.stop] = baselines.centralized_lmmse_l4(est, powers, sigma2)
         if want_mr:
             mr_acc.update(est.hhat, h)
 
@@ -115,12 +132,22 @@ def _setup_worker(args):
     return simulate_setup(config, setup_index, schemes)
 
 
+def worker_count(requested: int, num_jobs: int) -> int:
+    """Pool size: the request, or (0) every CPU this process may run on."""
+    if requested == 0 and hasattr(os, "sched_getaffinity"):
+        requested = len(os.sched_getaffinity(0))
+    return max(1, min(requested or os.cpu_count() or 1, num_jobs))
+
+
 def run_experiment(
     config: SimulationConfig,
     schemes: tuple[str, ...] = ALL_SCHEMES,
     progress=None,
 ) -> dict[str, SEResult]:
-    """Simulate all setups for the requested schemes, in parallel if configured."""
+    """Simulate all setups for the requested schemes, in parallel if configured.
+
+    Every loaded OpenBLAS runs single-threaded for the duration (see blas).
+    """
     config.validate()
     for scheme in schemes:
         if scheme not in ALL_SCHEMES:
@@ -129,19 +156,19 @@ def run_experiment(
         raise ValueError("at least one scheme is required")
 
     jobs = [(config, s, tuple(schemes)) for s in range(config.num_setups)]
-    workers = config.num_workers or os.cpu_count() or 1
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
-            per_setup = pool.map(_setup_worker, jobs, chunksize=1)
-    else:
-        per_setup = []
-        for job in jobs:
-            per_setup.append(_setup_worker(job))
+    workers = worker_count(config.num_workers, len(jobs))
+    with one_blas_thread():
+        if workers > 1:
+            with multiprocessing.Pool(processes=workers) as pool:
+                per_setup = pool.map(_setup_worker, jobs, chunksize=1)
             if progress is not None:
-                progress(job[1] + 1, len(jobs))
-    if progress is not None and workers > 1:
-        progress(len(jobs), len(jobs))
+                progress(len(jobs), len(jobs))
+        else:
+            per_setup = []
+            for job in jobs:
+                per_setup.append(_setup_worker(job))
+                if progress is not None:
+                    progress(job[1] + 1, len(jobs))
 
     fingerprint = config_fingerprint(config)
     results: dict[str, SEResult] = {}

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .config import CorrelationModel, SimulationConfig
 
@@ -33,7 +32,7 @@ def pathloss_db(distance_m) -> np.ndarray | float:
 
 
 def local_scattering_covariance(
-    beta: float, nominal_angle: float, angular_std: float, n_antennas: int
+    beta, nominal_angle, angular_std: float, n_antennas: int
 ) -> np.ndarray:
     """Spatial covariance of a half-wavelength ULA under Gaussian angular spread.
 
@@ -41,41 +40,46 @@ def local_scattering_covariance(
         beta * exp(j*pi*(m-n)*sin(angle)) * exp(-(std^2/2) * (pi*(m-n)*cos(angle))^2),
     the closed form for a Gaussian spread of scatterers around the nominal
     angle. The matrix is Hermitian Toeplitz with diagonal exactly beta;
-    roundoff-negative eigenvalues are clipped at zero.
+    roundoff-negative eigenvalues are clipped at zero. beta and
+    nominal_angle broadcast, giving shape (..., n_antennas, n_antennas).
     """
-    if beta <= 0.0:
+    beta = np.asarray(beta, dtype=float)
+    angle = np.asarray(nominal_angle, dtype=float)
+    if np.any(beta <= 0.0):
         raise ValueError("beta must be strictly positive")
     if angular_std <= 0.0:
         raise ValueError("angular_std must be strictly positive")
     lags = np.arange(n_antennas)
-    phase = np.pi * lags * np.sin(nominal_angle)
-    damp = np.exp(-0.5 * (angular_std * np.pi * lags * np.cos(nominal_angle)) ** 2)
+    phase = np.pi * lags * np.sin(angle)[..., None]
+    damp = np.exp(-0.5 * (angular_std * np.pi * lags * np.cos(angle)[..., None]) ** 2)
     first = damp * np.exp(1j * phase)
-    corr = toeplitz(first, first.conj())
-    corr = _clip_psd(corr)
-    return beta * corr
+    # Hermitian Toeplitz: first column `first`, first row its conjugate
+    lag = lags[:, None] - lags[None, :]
+    corr = np.where(lag >= 0, first[..., np.abs(lag)], first.conj()[..., np.abs(lag)])
+    return beta[..., None, None] * _clip_psd(corr)
 
 
 def _clip_psd(corr: np.ndarray) -> np.ndarray:
     """Zero out tiny negative eigenvalues; reject anything beyond tolerance."""
     eigvals, eigvecs = np.linalg.eigh(corr)
-    if eigvals.min() < -_PSD_TOL:
+    lowest = eigvals.min(axis=-1)
+    if np.any(lowest < -_PSD_TOL):
         raise ValueError(
-            f"correlation matrix is not PSD (min eigenvalue {eigvals.min():.3e})"
+            f"correlation matrix is not PSD (min eigenvalue {lowest.min():.3e})"
         )
-    if eigvals.min() >= 0.0:
-        return corr
-    clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
-    return 0.5 * (clipped + clipped.conj().T)
+    eigvecs_h = eigvecs.conj().swapaxes(-1, -2)
+    clipped = (eigvecs * np.maximum(eigvals, 0.0)[..., None, :]) @ eigvecs_h
+    clipped = 0.5 * (clipped + clipped.conj().swapaxes(-1, -2))
+    return np.where((lowest >= 0.0)[..., None, None], corr, clipped)
 
 
 def psd_factor(matrix: np.ndarray) -> np.ndarray:
-    """Factor A with A @ A^H = matrix, valid for singular PSD inputs."""
+    """Factor A with A @ A^H = matrix, valid for singular PSD inputs (stacked)."""
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    scale = max(eigvals.max(), 0.0)
-    if eigvals.min() < -_PSD_TOL * max(scale, np.finfo(float).tiny):
+    scale = np.maximum(eigvals.max(axis=-1), 0.0)
+    if np.any(eigvals.min(axis=-1) < -_PSD_TOL * np.maximum(scale, np.finfo(float).tiny)):
         raise ValueError("matrix is not PSD within tolerance")
-    return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
+    return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))[..., None, :]
 
 
 def assign_pilots(num_ues: int, pilot_length: int, rng: np.random.Generator):
@@ -185,20 +189,16 @@ def build_scenario(config: SimulationConfig, rng: np.random.Generator) -> Scenar
     distances = np.hypot(horizontal, gap)
     large_scale = 10.0 ** (pathloss_db(distances) / 10.0)
 
-    covariances = np.empty((K, L, N, N), dtype=complex)
-    factors = np.empty((K, L, N, N), dtype=complex)
     if config.correlation_model is CorrelationModel.UNCORRELATED:
-        eye = np.eye(N)
-        covariances[:] = large_scale[:, :, None, None] * eye
-        factors[:] = np.sqrt(large_scale)[:, :, None, None] * eye
+        eye = np.eye(N, dtype=complex)
+        covariances = large_scale[:, :, None, None] * eye
+        factors = np.sqrt(large_scale)[:, :, None, None] * eye
     else:
         angles = nominal_angles(ap_xy, boresight, ue_xy)
-        std = config.angular_std_dev_rad
-        for k in range(K):
-            for l in range(L):
-                R = local_scattering_covariance(large_scale[k, l], angles[k, l], std, N)
-                covariances[k, l] = R
-                factors[k, l] = psd_factor(R)
+        covariances = local_scattering_covariance(
+            large_scale, angles, config.angular_std_dev_rad, N
+        )
+        factors = psd_factor(covariances)
 
     pilot_index, copilot = assign_pilots(K, config.pilot_length, rng)
 

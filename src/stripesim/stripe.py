@@ -1,15 +1,18 @@
 """Sequential processing along the stripe: AP 1 -> AP L -> CPU.
 
-Each AP forms a normalized LMMSE combiner from its local channel estimates
-plus the side information received from the previous AP (effective-channel
-estimates and their error variances), then forwards updated soft estimates
-and side information. Unit-norm combiners keep the propagated noise variance
-at sigma^2 through the whole chain, so no per-stage noise bookkeeping is
-needed beyond the variances themselves.
+Each AP forms a normalized LMMSE combiner on its augmented signal: its local
+channel estimates plus the soft estimate received from the previous AP,
+whose effective-channel estimates and error variances arrive as side
+information. It then forwards updated soft estimates and side information.
+AP 1 starts from a zero prior (ghat = 0, psi = 0), on which the same rule
+is plain local LMMSE combining with a zero augmented coordinate. Unit-norm
+combiners keep the propagated noise variance at sigma^2 through the whole
+chain, so no per-stage noise bookkeeping is needed beyond the variances.
 
 Conventions: arrays indexed [i, k] pair interfering UE i with served UE k.
-At APs after the first the augmented dimension is N+1, the extra coordinate
-carrying the previous stage's soft estimate.
+The augmented dimension is N+1, the extra coordinate carrying the previous
+stage's soft estimate. Per-block arrays may carry leading block axes (...);
+the error covariances are setup constants shared by every block.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .channel import ChannelEstimateSet
+from .channel import ChannelEstimateSet, herm
+
+# A negative psi entry below -_PSI_REL_TOL * (largest psi of its block) is
+# not roundoff: it means an error covariance is not PSD.
+_PSI_REL_TOL = 1e-9
 
 
 @dataclass
@@ -32,15 +38,16 @@ class StageState:
     realization; they never count toward the front-haul load.
     """
 
-    ghat: np.ndarray              # (K, K) complex, ghat[i, k]
-    psi: np.ndarray               # (K, K) float, error variance of ghat[i, k]
-    soft: np.ndarray | None = None     # (K,) complex soft estimates
-    g_true: np.ndarray | None = None   # (K, K) complex, genie effective channels
-    n_eff: np.ndarray | None = None    # (K,) complex, genie effective noise
+    ghat: np.ndarray              # (..., K, K) complex, ghat[i, k]
+    psi: np.ndarray               # (..., K, K) float, error variance of ghat[i, k]
+    soft: np.ndarray | None = None     # (..., K) complex soft estimates
+    g_true: np.ndarray | None = None   # (..., K, K) complex, genie effective channels
+    n_eff: np.ndarray | None = None    # (..., K) complex, genie effective noise
+    psi_clips: int = 0            # roundoff-negative psi entries zeroed so far
 
     @property
     def num_ues(self) -> int:
-        return self.ghat.shape[0]
+        return self.ghat.shape[-1]
 
     def payload_item_counts(self) -> dict[str, int]:
         """Entries forwarded per stage, by field."""
@@ -49,143 +56,97 @@ class StageState:
                 "error_variances": K * K}
 
 
-@dataclass
-class AugmentedSideInfo:
-    """Conditional moments of the augmented channels at one AP (stage >= 2)."""
+def combiner_stage(
+    hhat: np.ndarray, rtilde: np.ndarray, ghat_prev: np.ndarray,
+    psi_prev: np.ndarray, powers: np.ndarray, sigma2: float,
+) -> np.ndarray:
+    """Unit-norm LMMSE combiners on the augmented signal, shape (..., K, N+1).
 
-    hhat: np.ndarray       # (K, N) local channel estimates
-    rtilde: np.ndarray     # (K, N, N) local error covariances
-    ghat_prev: np.ndarray  # (K, K) previous-stage effective-channel estimates
-    psi_prev: np.ndarray   # (K, K) previous-stage error variances
+    hhat (..., K, N) are this AP's estimates, rtilde (K, N, N) their error
+    covariances, ghat_prev / psi_prev (..., K, K) the side information. The
+    top-left N x N block A of the conditioning matrix is common to all served
+    UEs; only the border b_k (cross terms with the augmented coordinate) and
+    the corner c_k are UE-specific. One solve with A serves every UE, and the
+    augmented coordinate follows from the Schur complement c_k - b_k^H A^-1 b_k.
+    """
+    K, N = hhat.shape[-2:]
+    weighted = powers[:, None] * hhat
+    shared = weighted.swapaxes(-1, -2) @ hhat.conj()
+    shared += np.tensordot(powers, rtilde, axes=1) + sigma2 * np.eye(N)
+    border = herm(ghat_prev) @ weighted                                   # (..., K, N)
+    corner = powers @ (np.abs(ghat_prev) ** 2 + psi_prev) + sigma2         # (..., K)
 
-    @property
-    def num_antennas(self) -> int:
-        return self.hhat.shape[1]
-
-    def chat(self, i: int, k: int) -> np.ndarray:
-        """Augmented estimate [hhat_i ; ghat_prev[i, k]], the conditional mean."""
-        return np.concatenate([self.hhat[i], [self.ghat_prev[i, k]]])
-
-    def error_covariance(self, i: int, k: int) -> np.ndarray:
-        """Block-diagonal augmented error covariance; coupling blocks are zero."""
-        N = self.num_antennas
-        out = np.zeros((N + 1, N + 1), dtype=complex)
-        out[:N, :N] = self.rtilde[i]
-        out[N, N] = self.psi_prev[i, k]
-        return out
-
-    def second_moment(self, i: int, k: int) -> np.ndarray:
-        """Conditional second moment: rank-one estimate part plus error blocks."""
-        c = self.chat(i, k)
-        return np.outer(c, c.conj()) + self.error_covariance(i, k)
-
-
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
+    # UE k solves [A b_k; b_k^H c_k] v = [hhat_k; ghat_prev[k, k]], its own
+    # augmented estimate; rows k of a_h and a_b are A^-1 hhat_k and A^-1 b_k
+    solved = np.linalg.solve(shared, np.concatenate([hhat, border], axis=-2).swapaxes(-1, -2))
+    a_h, a_b = solved[..., :K].swapaxes(-1, -2), solved[..., K:].swapaxes(-1, -2)
+    schur = corner - (border.conj() * a_b).sum(axis=-1).real
+    last = (np.diagonal(ghat_prev, axis1=-2, axis2=-1)
+            - (border.conj() * a_h).sum(axis=-1)) / schur
+    v = np.concatenate([a_h - a_b * last[..., None], last[..., None]], axis=-1)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def combiner_first_ap(
-    hhat: np.ndarray, rtilde: np.ndarray, powers: np.ndarray, sigma2: float
-) -> np.ndarray:
-    """Unit-norm LMMSE combiners at the first AP, shape (K, N).
-
-    The regularized covariance sum is shared by all UEs, so a single
-    Cholesky factorization serves the K right-hand sides.
-    """
-    B = np.einsum("i,im,in->mn", powers, hhat, hhat.conj())
-    B += np.einsum("i,imn->mn", powers, rtilde)
-    B += sigma2 * np.eye(hhat.shape[1])
-    cho = cho_factor(B, lower=True)
-    return _normalize_rows(cho_solve(cho, hhat.T).T)
-
-
-def build_augmented_moments(
-    hhat_l: np.ndarray, rtilde_l: np.ndarray, prev: StageState
-) -> AugmentedSideInfo:
-    """Bundle local estimates with the previous stage's side information."""
-    return AugmentedSideInfo(
-        hhat=hhat_l, rtilde=rtilde_l, ghat_prev=prev.ghat, psi_prev=prev.psi
-    )
-
-
-def combiner_stage(
-    aug: AugmentedSideInfo, powers: np.ndarray, sigma2: float
-) -> np.ndarray:
-    """Unit-norm LMMSE combiners on the augmented signal, shape (K, N+1).
-
-    The top-left N x N block of the conditioning matrix is common to all
-    served UEs; only the border (cross terms with the augmented coordinate)
-    is UE-specific, giving K independent small Hermitian solves.
-    """
-    K, N = aug.hhat.shape
-    M = np.einsum("i,im,in->mn", powers, aug.hhat, aug.hhat.conj())
-    M += np.einsum("i,imn->mn", powers, aug.rtilde)
-    border = np.einsum("i,im,ik->km", powers, aug.hhat, aug.ghat_prev.conj())  # (K, N)
-    corner = powers @ (np.abs(aug.ghat_prev) ** 2 + aug.psi_prev)              # (K,)
-
-    B = np.zeros((K, N + 1, N + 1), dtype=complex)
-    B[:, :N, :N] = M + sigma2 * np.eye(N)
-    B[:, :N, N] = border
-    B[:, N, :N] = border.conj()
-    B[:, N, N] = corner + sigma2
-
-    rhs = np.concatenate(
-        [aug.hhat, np.diagonal(aug.ghat_prev)[:, None]], axis=1
-    )  # (K, N+1): each UE's own augmented estimate
-    return _normalize_rows(np.linalg.solve(B, rhs[..., None])[..., 0])
+def _clip_psi(psi: np.ndarray, ap: int) -> tuple[np.ndarray, int]:
+    """Zero roundoff-negative error variances; raise on anything larger."""
+    negative = psi < 0.0
+    count = int(np.count_nonzero(negative))
+    if count:
+        scale = psi.max(axis=(-2, -1), keepdims=True)
+        if np.any(psi < -_PSI_REL_TOL * scale):
+            raise ValueError(
+                f"negative error variance at AP {ap} (min psi {psi.min():.3e}, "
+                f"max {psi.max():.3e}): an error covariance is not PSD"
+            )
+        psi = np.where(negative, 0.0, psi)
+    return psi, count
 
 
 def stage_update(
     combiners: np.ndarray,
     hhat_l: np.ndarray,
     rtilde_l: np.ndarray,
-    prev: StageState | None,
+    prev: StageState,
     y_l: np.ndarray | None = None,
     h_l: np.ndarray | None = None,
     n_l: np.ndarray | None = None,
+    ap: int = 0,
 ) -> StageState:
-    """Apply one stage's combiners: update soft estimates, ghat, and psi.
+    """Apply one stage's (..., K, N+1) combiners: update soft estimates, ghat, psi.
 
-    prev=None marks the first AP (combiners act on the raw N-dim signal);
-    otherwise combiners act on the augmented (N+1)-dim signal. y_l / h_l /
-    n_l are optional per-realization inputs for soft estimates and genie
-    tracking.
+    y_l / h_l / n_l are optional per-realization inputs for soft estimates
+    and genie tracking; prev must then carry the matching fields. ap names
+    the stage in the error raised for a non-PSD error covariance.
     """
-    if prev is None:
-        va, vb = combiners, None
-    else:
-        va, vb = combiners[:, :-1], combiners[:, -1]
+    va, vb = combiners[..., :-1], combiners[..., -1]
+    wa = herm(va)                                  # (..., N, K), column k = conj(va[k])
+    carry = vb.conj()
 
-    ghat = np.einsum("kn,in->ik", va.conj(), hhat_l)
-    psi = np.einsum("km,imn,kn->ik", va.conj(), rtilde_l, va).real
-    if vb is not None:
-        ghat += vb.conj()[None, :] * prev.ghat
-        psi += (np.abs(vb) ** 2)[None, :] * prev.psi
-    psi = np.maximum(psi, 0.0)  # quadratic form of a PSD block; clip roundoff
+    ghat = hhat_l @ wa + carry[..., None, :] * prev.ghat
+    # psi[i, k] = va[k]^H rtilde[i] va[k] = <rtilde[i], conj(va[k]) va[k]^T>
+    K, N = va.shape[-2:]
+    outer = (va.conj()[..., :, None] * va[..., None, :]).reshape(*va.shape[:-1], N * N)
+    psi = (rtilde_l.reshape(K, N * N) @ outer.swapaxes(-1, -2)).real
+    psi, clips = _clip_psi(psi + np.abs(carry)[..., None, :] ** 2 * prev.psi, ap)
 
     soft = g_true = n_eff = None
     if y_l is not None:
-        soft = np.einsum("kn,n->k", va.conj(), y_l)
-        if vb is not None:
-            soft += vb.conj() * prev.soft
+        soft = (va.conj() @ y_l[..., None])[..., 0] + carry * prev.soft
     if h_l is not None:
-        g_true = np.einsum("kn,in->ik", va.conj(), h_l)
-        if vb is not None:
-            g_true += vb.conj()[None, :] * prev.g_true
+        g_true = h_l @ wa + carry[..., None, :] * prev.g_true
     if n_l is not None:
-        n_eff = np.einsum("kn,n->k", va.conj(), n_l)
-        if vb is not None:
-            n_eff += vb.conj() * prev.n_eff
+        n_eff = (va.conj() @ n_l[..., None])[..., 0] + carry * prev.n_eff
 
-    return StageState(ghat=ghat, psi=psi, soft=soft, g_true=g_true, n_eff=n_eff)
+    return StageState(ghat=ghat, psi=psi, soft=soft, g_true=g_true, n_eff=n_eff,
+                      psi_clips=prev.psi_clips + clips)
 
 
 @dataclass
 class PayloadRealization:
-    """One block's transmitted symbols and per-AP receiver noise."""
+    """Transmitted symbols and per-AP receiver noise of one or more blocks."""
 
-    symbols: np.ndarray   # (K,) complex, variance p_k each
-    noise: np.ndarray     # (L, N) complex, variance sigma2 per antenna
+    symbols: np.ndarray   # (..., K) complex, variance p_k each
+    noise: np.ndarray     # (..., L, N) complex, variance sigma2 per antenna
 
 
 @dataclass
@@ -193,7 +154,7 @@ class StripeRun:
     """Output of a full pass along the stripe."""
 
     final: StageState
-    combiners: list[np.ndarray]            # per stage, (K, N) then (K, N+1)
+    combiners: list[np.ndarray]            # per stage, (..., K, N+1)
     stages: list[StageState] | None = None
 
 
@@ -213,28 +174,31 @@ def run_stripe(
     """
     if payload is not None and channels is None:
         raise ValueError("payload tracking requires the true channels")
-    L = est.hhat.shape[1]
+    *batch, K, L, N = est.hhat.shape
+    # the zero prior: no side information reaches AP 1
+    zeros_k = np.zeros((*batch, K), dtype=complex)
+    zeros_kk = np.zeros((*batch, K, K), dtype=complex)
+    state = StageState(
+        ghat=zeros_kk, psi=np.zeros((*batch, K, K)),
+        soft=None if payload is None else zeros_k,
+        g_true=None if channels is None else zeros_kk,
+        n_eff=None if payload is None else zeros_k,
+    )
     stages: list[StageState] | None = [] if keep_stages else None
     combiners: list[np.ndarray] = []
 
-    state: StageState | None = None
     for l in range(L):
-        hhat_l = est.hhat[:, l, :]
-        rtilde_l = est.rtilde[:, l, :, :]
-        if state is None:
-            V = combiner_first_ap(hhat_l, rtilde_l, powers, sigma2)
-        else:
-            aug = build_augmented_moments(hhat_l, rtilde_l, state)
-            V = combiner_stage(aug, powers, sigma2)
+        hhat_l = est.hhat[..., l, :]
+        rtilde_l = est.rtilde[:, l]
+        V = combiner_stage(hhat_l, rtilde_l, state.ghat, state.psi, powers, sigma2)
 
         y_l = h_l = n_l = None
         if channels is not None:
-            h_l = channels[:, l, :]
+            h_l = channels[..., l, :]
         if payload is not None:
-            n_l = payload.noise[l]
-            y_l = payload.symbols @ h_l + n_l
-        state = stage_update(V, hhat_l, rtilde_l,
-                             None if l == 0 else state, y_l, h_l, n_l)
+            n_l = payload.noise[..., l, :]
+            y_l = (payload.symbols[..., None, :] @ h_l)[..., 0, :] + n_l
+        state = stage_update(V, hhat_l, rtilde_l, state, y_l, h_l, n_l, ap=l)
         combiners.append(V)
         if stages is not None:
             stages.append(state)

@@ -4,18 +4,25 @@ The combiner oracle minimizes the conditional mean-squared error of a soft
 estimate numerically (coarse multi-start search plus BFGS refinement on the
 real/imaginary parts), evaluating the objective directly from its moment
 definition. It never touches the package's combiner builders, so agreement
-is a two-route check.
+is a two-route check. The augmented moments and the dense first-AP LMMSE
+rule are the same kind of second route, and per_block_setup is the
+one-block-at-a-time reference for the chunked runner.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
+from stripesim import baselines, metrics, stripe
+from stripesim.channel import (
+    draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
+)
 from stripesim.config import SimulationConfig
-from stripesim.scenario import Scenario, assign_pilots
+from stripesim.runner import ALL_SCHEMES, rng_stream
+from stripesim.scenario import Scenario, assign_pilots, build_scenario
 
 
 def complex_gaussian(rng, shape):
@@ -120,3 +127,90 @@ def synthetic_config(rng, K, L, N, tau_p) -> SimulationConfig:
         noise_power_w=float(rng.uniform(0.5, 2.0)),
         num_setups=1, num_channel_realizations=1, num_workers=1,
     )
+
+
+def first_ap_lmmse(hhat, rtilde, powers, sigma2):
+    """Unit-norm local LMMSE combiners on the raw N-dim signal, shape (K, N).
+
+    Dense route: the conditioning matrix is the power-weighted sum of the
+    per-UE second moments hhat_i hhat_i^H + rtilde_i, plus sigma2 * I.
+    """
+    K, N = hhat.shape
+    B = sigma2 * np.eye(N, dtype=complex)
+    for i in range(K):
+        B += powers[i] * (np.outer(hhat[i], hhat[i].conj()) + rtilde[i])
+    V = np.linalg.solve(B, hhat.T).T
+    return V / np.linalg.norm(V, axis=1, keepdims=True)
+
+
+@dataclass
+class AugmentedSideInfo:
+    """Conditional moments of the augmented channels at one AP."""
+
+    hhat: np.ndarray       # (K, N) local channel estimates
+    rtilde: np.ndarray     # (K, N, N) local error covariances
+    ghat_prev: np.ndarray  # (K, K) previous-stage effective-channel estimates
+    psi_prev: np.ndarray   # (K, K) previous-stage error variances
+
+    @property
+    def num_antennas(self) -> int:
+        return self.hhat.shape[1]
+
+    def chat(self, i: int, k: int) -> np.ndarray:
+        """Augmented estimate [hhat_i ; ghat_prev[i, k]], the conditional mean."""
+        return np.concatenate([self.hhat[i], [self.ghat_prev[i, k]]])
+
+    def error_covariance(self, i: int, k: int) -> np.ndarray:
+        """Block-diagonal augmented error covariance; coupling blocks are zero."""
+        N = self.num_antennas
+        out = np.zeros((N + 1, N + 1), dtype=complex)
+        out[:N, :N] = self.rtilde[i]
+        out[N, N] = self.psi_prev[i, k]
+        return out
+
+    def second_moment(self, i: int, k: int) -> np.ndarray:
+        """Conditional second moment: rank-one estimate part plus error blocks."""
+        c = self.chat(i, k)
+        return np.outer(c, c.conj()) + self.error_covariance(i, k)
+
+
+def build_augmented_moments(hhat_l, rtilde_l, prev) -> AugmentedSideInfo:
+    """Bundle local estimates with the previous stage's side information."""
+    return AugmentedSideInfo(
+        hhat=hhat_l, rtilde=rtilde_l, ghat_prev=prev.ghat, psi_prev=prev.psi
+    )
+
+
+def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
+    """One drop with one call chain per coherence block, no chunking.
+
+    The same RNG streams and per-block functions as runner.simulate_setup,
+    called on single blocks; returns scheme -> (se (K,), sinr (K,)).
+    """
+    seed = config.rng_seed
+    scenario = build_scenario(config, rng_stream(seed, setup_index, 0))
+    stats = estimation_statistics(scenario, config)
+    powers, sigma2 = config.ue_powers, config.noise_power_w
+    n_blocks = config.num_channel_realizations
+    stripe_sinr = np.empty((n_blocks, config.num_ues))
+    l4_sinr = np.empty((n_blocks, config.num_ues))
+    mr = baselines.MrFusionAccumulator()
+    for b in range(n_blocks):
+        rng = rng_stream(seed, setup_index, 1, b)
+        h = draw_channels(scenario, rng)
+        est = mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng),
+                            config, stats)
+        final = stripe.run_stripe(est, powers, sigma2).final
+        stripe_sinr[b] = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
+        l4_sinr[b] = baselines.centralized_lmmse_l4(est, powers, sigma2)
+        mr.update(est.hhat, h)
+    tau_c, tau_p = config.coherence_block, config.pilot_length
+    mr_sinr = mr.sinr(powers, sigma2)
+    out = {
+        "stripe_nlmmse": (metrics.spectral_efficiency(stripe_sinr, tau_c, tau_p),
+                          stripe_sinr.mean(axis=0)),
+        "lmmse_l4": (metrics.spectral_efficiency(l4_sinr, tau_c, tau_p),
+                     l4_sinr.mean(axis=0)),
+        "mr_l2": (metrics.spectral_efficiency(mr_sinr[None, :], tau_c, tau_p), mr_sinr),
+    }
+    return {scheme: out[scheme] for scheme in schemes}

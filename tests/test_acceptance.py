@@ -12,7 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import angle_between, brute_force_combiner, synthetic_config, synthetic_scenario
+from oracles import (
+    angle_between, brute_force_combiner, build_augmented_moments, synthetic_config,
+    synthetic_scenario,
+)
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
 from stripesim.channel import (
@@ -25,7 +28,7 @@ from stripesim.runner import (
     ALL_SCHEMES, SCHEME_L4, SCHEME_MR, SCHEME_STRIPE, rng_stream, run_experiment,
 )
 from stripesim.scenario import build_scenario
-from stripesim.stripe import PayloadRealization, build_augmented_moments, run_stripe
+from stripesim.stripe import PayloadRealization, run_stripe
 
 DESK_SEED = 20260809
 
@@ -206,10 +209,11 @@ def test_criterion_6_oracle_equivalence():
         run = run_stripe(est, powers, sigma2, keep_stages=True)
 
         k = int(rng.integers(K))
-        # first AP: minimize the conditional MSE directly
+        # first AP: minimize the conditional MSE directly; the augmented
+        # coordinate of its zero prior must carry no weight
         w = brute_force_combiner(rng, k, powers, sigma2, est.hhat[:, 0],
                                  est.rtilde[:, 0], n_starts=6, n_grid=100)
-        angle = angle_between(w, run.combiners[0][k])
+        angle = angle_between(np.append(w, 0.0), run.combiners[0][k])
         worst_angle = max(worst_angle, angle)
         assert angle < 1e-4
 

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import complex_gaussian, synthetic_config, synthetic_scenario
 from stripesim import metrics
-from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4, mr_l2_sinr
+from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import (
     ChannelEstimateSet, draw_channels, estimation_statistics, mmse_estimate,
     simulate_pilot_phase,
@@ -114,17 +114,19 @@ class TestMrFusion:
         sc = synthetic_scenario(rng, 2, 3, 2, tau_p=1)
         cfg = synthetic_config(rng, 2, 3, 2, tau_p=1)
         stats = estimation_statistics(sc, cfg)
-        hh, ch = [], []
+        rngs = [np.random.default_rng([3, b]) for b in range(5)]
+        h = draw_channels(sc, rngs)
+        est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rngs), cfg, stats)
         acc = MrFusionAccumulator()
-        for _ in range(5):
-            h = draw_channels(sc, rng)
-            est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rng), cfg, stats)
-            hh.append(est.hhat)
-            ch.append(h)
-            acc.update(est.hhat, h)
-        batch = mr_l2_sinr(np.stack(hh), np.stack(ch), cfg.ue_powers,
-                           cfg.noise_power_w)
-        assert np.allclose(batch, acc.sinr(cfg.ue_powers, cfg.noise_power_w))
+        for b in range(5):
+            acc.update(est.hhat[b], h[b])
+        batch = MrFusionAccumulator()
+        batch.update(est.hhat[:2], h[:2])
+        batch.update(est.hhat[2:], h[2:])
+        assert batch.count == acc.count == 5
+        np.testing.assert_allclose(batch.sinr(cfg.ue_powers, cfg.noise_power_w),
+                                   acc.sinr(cfg.ue_powers, cfg.noise_power_w),
+                                   rtol=1e-12)
 
     def test_empty_accumulator_rejected(self):
         with pytest.raises(ValueError):
@@ -137,3 +139,18 @@ class TestMrFusion:
         acc.update(h, h)
         sinr = acc.sinr(np.array([1.0, 1.0]), 0.5)
         assert np.all(np.isfinite(sinr)) and np.all(sinr >= 0)
+
+
+def test_l4_block_axis_matches_single_blocks(rng):
+    K, L, N, B = 3, 4, 2, 4
+    sc = synthetic_scenario(rng, K, L, N, tau_p=2)
+    cfg = synthetic_config(rng, K, L, N, tau_p=2)
+    powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+    rngs = [np.random.default_rng([5, b]) for b in range(B)]
+    h = draw_channels(sc, rngs)
+    est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rngs), cfg)
+    batched = centralized_lmmse_l4(est, powers, sigma2)
+    for b in range(B):
+        one = ChannelEstimateSet(hhat=est.hhat[b], rhat=est.rhat, rtilde=est.rtilde)
+        np.testing.assert_allclose(batched[b], centralized_lmmse_l4(one, powers, sigma2),
+                                   rtol=1e-12)

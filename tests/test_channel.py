@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from oracles import complex_gaussian, random_psd, synthetic_config, synthetic_scenario
 from stripesim.channel import (
@@ -106,19 +107,39 @@ class TestPilotPhase:
         cfg = replace(SimulationConfig(), num_aps=L, antennas_per_ap=N,
                       num_ues=K, coherence_block=10, pilot_length=tau_p,
                       ue_power_w=(1.0, 2.0, 0.5), noise_power_w=sigma2)
-        h = draw_channels(sc, rng)
-        obs = simulate_pilot_phase(sc, h, cfg, rng)
+        psi = estimation_statistics(sc, cfg).pilot_covariance
         expect = (tau_p * (1.0 + 2.0 + 0.5) * beta + sigma2) * np.eye(N)
-        assert np.allclose(obs.covariance[0, 0], expect, rtol=1e-12)
+        assert np.allclose(psi[0, 0], expect, rtol=1e-12)
 
     def test_covariance_positive_definite(self, rng):
         sc = synthetic_scenario(rng, 3, 2, 3, tau_p=2)
         cfg = synthetic_config(rng, 3, 2, 3, tau_p=2)
-        h = draw_channels(sc, rng)
-        obs = simulate_pilot_phase(sc, h, cfg, rng)
+        psi = estimation_statistics(sc, cfg).pilot_covariance
         for l in range(2):
             for t in range(2):
-                assert np.linalg.eigvalsh(obs.covariance[l, t]).min() > 0
+                assert np.linalg.eigvalsh(psi[l, t]).min() > 0
+
+    def test_covariance_matches_despread_sampling(self, rng):
+        # the statistics' pilot covariance is the covariance of z itself
+        n, K, L, N, tau_p = 4000, 3, 2, 2, 2
+        sc = synthetic_scenario(rng, K, L, N, tau_p)
+        cfg = synthetic_config(rng, K, L, N, tau_p)
+        psi = estimation_statistics(sc, cfg).pilot_covariance
+        rngs = [np.random.default_rng([7, b]) for b in range(n)]
+        z = simulate_pilot_phase(sc, draw_channels(sc, rngs), cfg, rngs).despread
+        emp = np.einsum("bltm,bltn->ltmn", z, z.conj()) / n
+        diag = np.sqrt(np.einsum("ltmm->ltm", psi).real)
+        se = diag[..., :, None] * diag[..., None, :] / np.sqrt(n)
+        assert np.all(np.abs(emp - psi) / se < 4.5)
+
+    def test_not_pd_pilot_covariance_names_ap_and_pilot(self, rng):
+        sc = synthetic_scenario(rng, 2, 3, 2, tau_p=2)
+        cfg = synthetic_config(rng, 2, 3, 2, tau_p=2)
+        covariances = sc.covariances.copy()
+        covariances[sc.pilot_index == 1, 2] *= -1e3
+        bad = Scenario(**{**sc.__dict__, "covariances": covariances})
+        with pytest.raises(ValueError, match="pilot covariance at AP 2, pilot 1 is not PD"):
+            estimation_statistics(bad, cfg)
 
 
 class TestMmseEstimate:
@@ -220,16 +241,3 @@ class TestMmseEstimate:
         a = mmse_estimate(sc, obs, cfg, stats)
         b = mmse_estimate(sc, obs, cfg)
         assert np.array_equal(a.hhat, b.hhat)
-
-    def test_debug_dump_is_readable(self, rng, tmp_path):
-        from stripesim.channel import dump_estimates
-
-        sc = synthetic_scenario(rng, 2, 2, 2, tau_p=1)
-        cfg = synthetic_config(rng, 2, 2, 2, tau_p=1)
-        h = draw_channels(sc, rng)
-        est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rng), cfg)
-        path = tmp_path / "estimates.txt"
-        dump_estimates(est, path)
-        text = path.read_text()
-        assert "K=2 L=2 N=2" in text
-        assert "[ue 1 ap 1]" in text and "tr(rtilde)" in text

@@ -1,12 +1,15 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import per_block_setup
+from stripesim import runner
 from stripesim.config import SimulationConfig
 from stripesim.runner import (
     ALL_SCHEMES, SCHEME_STRIPE, config_fingerprint, rng_stream,
-    run_experiment, simulate_setup,
+    run_experiment, simulate_setup, worker_count,
 )
 
 
@@ -85,3 +88,29 @@ def test_fingerprint_tracks_config():
     assert config_fingerprint(mini_config()) != config_fingerprint(
         mini_config(rng_seed=99)
     )
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 20])
+def test_chunked_setup_matches_per_block_reference(monkeypatch, chunk):
+    # 20 blocks: one per chunk, chunks of 3 with a short last one, one chunk
+    cfg = mini_config(num_aps=6, num_ues=4, num_channel_realizations=20)
+    K, L, N = cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap
+    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", chunk * L * N * (K + L * N))
+    assert runner.blocks_per_chunk(K, L, N) == chunk
+    got = simulate_setup(cfg, 1, ALL_SCHEMES)
+    ref = per_block_setup(cfg, 1)
+    for scheme in ALL_SCHEMES:
+        for a, b in zip(got[scheme], ref[scheme]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=scheme)
+
+
+def test_all_cores_means_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert worker_count(0, 10) == 3
+    assert worker_count(0, 2) == 2
+    assert worker_count(4, 10) == 4
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert worker_count(0, 10) == 10
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(0, 10) == 1

@@ -2,19 +2,27 @@ import numpy as np
 import pytest
 
 from oracles import (
-    angle_between, brute_force_combiner, complex_gaussian, random_psd,
-    synthetic_config, synthetic_scenario,
+    angle_between, brute_force_combiner, build_augmented_moments, complex_gaussian,
+    first_ap_lmmse, random_psd, synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.channel import (
-    complex_normal, draw_channels, estimation_statistics, mmse_estimate,
-    simulate_pilot_phase,
+    ChannelEstimateSet, complex_normal, draw_channels, estimation_statistics,
+    mmse_estimate, simulate_pilot_phase,
 )
 from stripesim.scenario import psd_factor
 from stripesim.stripe import (
-    PayloadRealization, StageState, build_augmented_moments,
-    combiner_first_ap, combiner_stage, run_stripe,
+    PayloadRealization, StageState, combiner_stage, run_stripe, stage_update,
 )
+
+
+def zero_prior_combiner(hhat, rtilde, powers, sigma2):
+    """The AP-1 rule: the stage combiner on a zero prior, local coordinates."""
+    K = hhat.shape[0]
+    V = combiner_stage(hhat, rtilde, np.zeros((K, K), dtype=complex),
+                       np.zeros((K, K)), powers, sigma2)
+    assert np.abs(V[:, -1]).max() < 1e-14
+    return V[:, :-1]
 
 
 def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True, keep_stages=True):
@@ -41,21 +49,21 @@ class TestFirstApCombiner:
         # no error covariance, estimate along e_1: combiner is e_1
         hhat = np.array([[1.0 + 0j, 0.0, 0.0]])
         rtilde = np.zeros((1, 3, 3), dtype=complex)
-        V = combiner_first_ap(hhat, rtilde, np.array([2.0]), 0.7)
+        V = zero_prior_combiner(hhat, rtilde, np.array([2.0]), 0.7)
         assert np.allclose(V[0], [1.0, 0.0, 0.0], atol=1e-14)
 
     def test_common_power_rescaling_leaves_combiner_unchanged(self, rng):
         hhat = complex_gaussian(rng, (2, 3))
         rtilde = np.stack([random_psd(rng, 3, 0.4) for _ in range(2)])
         p = rng.uniform(0.5, 2.0, 2)
-        V1 = combiner_first_ap(hhat, rtilde, p, 0.9)
-        V2 = combiner_first_ap(hhat, rtilde, 7.3 * p, 7.3 * 0.9)
+        V1 = zero_prior_combiner(hhat, rtilde, p, 0.9)
+        V2 = zero_prior_combiner(hhat, rtilde, 7.3 * p, 7.3 * 0.9)
         assert np.allclose(V1, V2, atol=1e-12)
 
     def test_unit_norm(self, rng):
         hhat = complex_gaussian(rng, (4, 3))
         rtilde = np.stack([random_psd(rng, 3, 0.4) for _ in range(4)])
-        V = combiner_first_ap(hhat, rtilde, rng.uniform(0.5, 2, 4), 1.1)
+        V = zero_prior_combiner(hhat, rtilde, rng.uniform(0.5, 2, 4), 1.1)
         assert np.abs(np.linalg.norm(V, axis=1) - 1).max() < 1e-12
 
     def test_matches_brute_force_mse_minimizer(self, rng):
@@ -64,7 +72,7 @@ class TestFirstApCombiner:
         rtilde = np.stack([random_psd(rng, N, 0.3) for _ in range(K)])
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = float(rng.uniform(0.5, 2.0))
-        V = combiner_first_ap(hhat, rtilde, powers, sigma2)
+        V = zero_prior_combiner(hhat, rtilde, powers, sigma2)
         for k in range(K):
             w = brute_force_combiner(rng, k, powers, sigma2, hhat, rtilde)
             assert angle_between(w, V[k]) < 1e-4
@@ -131,9 +139,9 @@ class TestStageCombiner:
         rtilde = np.stack([random_psd(rng, N, 0.3) for _ in range(K)])
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.8
-        prev = StageState(ghat=np.zeros((K, K), dtype=complex), psi=np.zeros((K, K)))
-        V = combiner_stage(build_augmented_moments(hhat, rtilde, prev), powers, sigma2)
-        V_first = combiner_first_ap(hhat, rtilde, powers, sigma2)
+        V = combiner_stage(hhat, rtilde, np.zeros((K, K), dtype=complex),
+                           np.zeros((K, K)), powers, sigma2)
+        V_first = first_ap_lmmse(hhat, rtilde, powers, sigma2)
         assert np.abs(V[:, -1]).max() < 1e-14
         assert np.allclose(V[:, :N], V_first, atol=1e-12)
 
@@ -144,8 +152,7 @@ class TestStageCombiner:
         rtilde = np.zeros((K, N, N), dtype=complex)
         ghat_prev = np.eye(K, dtype=complex)
         prev = StageState(ghat=ghat_prev, psi=np.zeros((K, K)))
-        V = combiner_stage(build_augmented_moments(hhat, rtilde, prev),
-                           np.array([1.0, 2.0]), 0.5)
+        V = combiner_stage(hhat, rtilde, prev.ghat, prev.psi, np.array([1.0, 2.0]), 0.5)
         expect = np.zeros((K, N + 1))
         expect[:, N] = 1.0
         assert np.allclose(V, expect, atol=1e-14)
@@ -159,7 +166,7 @@ class TestStageCombiner:
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = float(rng.uniform(0.5, 2.0))
         aug = build_augmented_moments(hhat, rtilde, prev)
-        V = combiner_stage(aug, powers, sigma2)
+        V = combiner_stage(hhat, rtilde, prev.ghat, prev.psi, powers, sigma2)
         for k in range(K):
             chat = np.stack([aug.chat(i, k) for i in range(K)])
             w = brute_force_combiner(rng, k, powers, sigma2, chat, rtilde,
@@ -177,7 +184,7 @@ class TestStageCombiner:
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.7
         aug = build_augmented_moments(hhat, rtilde, prev)
-        V = combiner_stage(aug, powers, sigma2)
+        V = combiner_stage(hhat, rtilde, prev.ghat, prev.psi, powers, sigma2)
         for k in range(K):
             B = sigma2 * np.eye(N + 1, dtype=complex)
             for i in range(K):
@@ -250,6 +257,28 @@ class TestStageUpdate:
         assert z < 4.0
 
 
+    def test_roundoff_negative_psi_is_clipped_and_counted(self):
+        # va = e_1, vb = 0: psi[i, k] = rtilde[i][0, 0] for every k
+        K, N = 2, 2
+        V = np.zeros((K, N + 1), dtype=complex)
+        V[:, 0] = 1.0
+        rtilde = np.stack([np.diag([-1e-15, 1.0]), np.eye(N)]).astype(complex)
+        prev = StageState(ghat=np.zeros((K, K), dtype=complex), psi=np.zeros((K, K)),
+                          psi_clips=3)
+        state = stage_update(V, np.ones((K, N), dtype=complex), rtilde, prev)
+        assert np.array_equal(state.psi, [[0.0, 0.0], [1.0, 1.0]])
+        assert state.psi_clips == 3 + K
+
+    def test_non_psd_error_covariance_raises_naming_the_ap(self, rng):
+        # fault injection: one UE's error covariance at AP 2 is negative definite
+        run, est, h, pay, powers, sigma2 = random_run(rng, payload=False)
+        rtilde = est.rtilde.copy()
+        rtilde[1, 2] = -np.eye(rtilde.shape[-1])
+        bad = ChannelEstimateSet(hhat=est.hhat, rhat=est.rhat, rtilde=rtilde)
+        with pytest.raises(ValueError, match="negative error variance at AP 2"):
+            run_stripe(bad, powers, sigma2)
+
+
 class TestRunStripe:
     def test_combiners_unit_norm_all_stages(self, rng):
         run, *_ = random_run(rng, K=4, L=6, N=3)
@@ -258,8 +287,8 @@ class TestRunStripe:
 
     def test_single_ap_network_collapses_to_local_combining(self, rng):
         run, est, h, pay, powers, sigma2 = random_run(rng, L=1, payload=False)
-        V = combiner_first_ap(est.hhat[:, 0], est.rtilde[:, 0], powers, sigma2)
-        assert np.allclose(run.combiners[0], V)
+        V = first_ap_lmmse(est.hhat[:, 0], est.rtilde[:, 0], powers, sigma2)
+        assert np.allclose(run.combiners[0], np.pad(V, ((0, 0), (0, 1))))
         sinr = metrics.sinr_per_ue(run.final.ghat, run.final.psi, powers, sigma2)
         # against a direct evaluation of the single-AP conditional SINR
         for k in range(len(powers)):
@@ -324,3 +353,24 @@ class TestRunStripe:
         # K complex soft estimates counted separately; K + 2K^2 items per stage
         assert counts["soft_estimates"] + counts["effective_channel_estimates"] \
             + counts["error_variances"] == K + 2 * K * K
+
+    def test_block_axis_matches_single_blocks(self, rng):
+        K, L, N, tau_p, B = 3, 4, 2, 2, 5
+        sc = synthetic_scenario(rng, K, L, N, tau_p)
+        cfg = synthetic_config(rng, K, L, N, tau_p)
+        powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+        rngs = [np.random.default_rng(b) for b in range(B)]
+        h = draw_channels(sc, rngs)
+        est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rngs), cfg)
+        pay = PayloadRealization(
+            symbols=complex_normal(rng, (B, K), std=np.sqrt(powers)),
+            noise=complex_normal(rng, (B, L, N), std=np.sqrt(sigma2)),
+        )
+        batched = run_stripe(est, powers, sigma2, channels=h, payload=pay).final
+        for b in range(B):
+            one = ChannelEstimateSet(hhat=est.hhat[b], rhat=est.rhat, rtilde=est.rtilde)
+            single = run_stripe(one, powers, sigma2, channels=h[b],
+                                payload=PayloadRealization(pay.symbols[b], pay.noise[b])).final
+            for field in ("ghat", "psi", "soft", "g_true", "n_eff"):
+                np.testing.assert_allclose(getattr(batched, field)[b],
+                                           getattr(single, field), rtol=1e-12, atol=0)
