@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, herm
+from .channel import ChannelEstimateSet, herm, over_blocks
+from .stripe import error_load
 
 
 def centralized_lmmse_l4(
@@ -28,10 +29,12 @@ def centralized_lmmse_l4(
     *batch, K, L, N = est.hhat.shape
     Hs = est.hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)  # (..., LN, K) stacked estimates
 
-    err_sum = np.tensordot(powers, est.rtilde, axes=1)         # per-AP error blocks
-    D = np.zeros((L, N, L, N), dtype=complex)
-    D[np.arange(L), :, np.arange(L), :] = err_sum
-    B = (Hs * powers) @ herm(Hs) + (D.reshape(L * N, L * N) + sigma2 * np.eye(L * N))
+    # per-AP error blocks, one block-diagonal term per drop, added with the noise
+    err_sum = error_load(over_blocks(est.rtilde, 4, est.hhat, 3), powers)
+    B = ((Hs * powers) @ herm(Hs)).reshape(*batch, L, N, L, N)
+    ap = np.arange(L)
+    B[..., ap, :, ap, :] += np.moveaxis(err_sum + sigma2 * np.eye(N), -3, 0)
+    B = B.reshape(*batch, L * N, L * N)
 
     V = np.linalg.solve(B, Hs)                                 # (..., LN, K)
     V /= np.linalg.norm(V, axis=-2, keepdims=True)
@@ -48,35 +51,34 @@ def centralized_lmmse_l4(
 
 @dataclass
 class MrFusionAccumulator:
-    """Running UatF statistics for equal-weight MR fusion across blocks."""
+    """Running UatF statistics for equal-weight MR fusion across blocks.
 
-    sum_mean: np.ndarray | None = None     # (K,) sum of own effective channels
-    sum_sq: np.ndarray | None = None       # (K, K) sum of |effective channel|^2
-    sum_noise: np.ndarray | None = None    # (K,) sum of combiner energies
-    count: int = 0
+    The sums run over the block axis only; leading drop axes (...) are kept.
+    """
+
+    sum_mean: np.ndarray | float = 0.0   # (..., K) sum of own effective channels
+    sum_sq: np.ndarray | float = 0.0     # (..., K, K) sum of |effective channel|^2
+    sum_noise: np.ndarray | float = 0.0  # (..., K) sum of combiner energies
+    count: int = 0                       # blocks per drop
 
     def update(self, hhat: np.ndarray, channels: np.ndarray) -> None:
-        """Fold in realizations: hhat and channels are (..., K, L, N)."""
-        K, L, N = hhat.shape[-3:]
-        hh = hhat.reshape(-1, K, L * N)
-        z = channels.reshape(-1, K, L * N) @ herm(hh) / L     # z[b, i, k]
+        """Fold in B blocks: hhat and channels are (..., B, K, L, N)."""
+        *_, K, L, N = hhat.shape
+        hh = hhat.reshape(*hhat.shape[:-2], L * N)
+        z = channels.reshape(hh.shape) @ herm(hh) / L          # z[..., b, i, k]
         energy = (hh.conj() * hh).real.sum(axis=-1) / L ** 2
-        if self.sum_mean is None:
-            self.sum_mean = np.zeros(K, dtype=complex)
-            self.sum_sq = np.zeros((K, K))
-            self.sum_noise = np.zeros(K)
-        self.sum_mean += np.diagonal(z, axis1=-2, axis2=-1).sum(axis=0)
-        self.sum_sq += (np.abs(z) ** 2).sum(axis=0)
-        self.sum_noise += energy.sum(axis=0)
-        self.count += hh.shape[0]
+        self.sum_mean = self.sum_mean + np.diagonal(z, axis1=-2, axis2=-1).sum(axis=-2)
+        self.sum_sq = self.sum_sq + (np.abs(z) ** 2).sum(axis=-3)
+        self.sum_noise = self.sum_noise + energy.sum(axis=-2)
+        self.count += hh.shape[-3]
 
     def sinr(self, powers: np.ndarray, sigma2: float) -> np.ndarray:
-        """Close the UatF bound from the accumulated moments, shape (K,)."""
+        """Close the UatF bound from the accumulated moments, shape (..., K)."""
         if self.count == 0:
             raise ValueError("no realizations accumulated")
         mean = self.sum_mean / self.count
         sq = self.sum_sq / self.count
         noise = self.sum_noise / self.count
         num = powers * np.abs(mean) ** 2
-        den = np.einsum("i,ik->k", powers, sq) - num + sigma2 * noise
+        den = powers @ sq - num + sigma2 * noise
         return num / den

@@ -4,8 +4,9 @@ The simulator's matrices are small, so a threaded BLAS only adds
 synchronisation, and under a worker pool it oversubscribes the cores. The
 OpenBLAS copies mapped into the process (numpy's and scipy's bundled builds
 export differently named entry points) are found in /proc/self/maps and set
-through ctypes; forked workers inherit the setting. Without /proc or without
-a loaded OpenBLAS this does nothing.
+through ctypes. Forked workers inherit the setting; workers started by spawn
+or forkserver do not, so pools run pin_one_thread as their initializer.
+Without /proc or without a loaded OpenBLAS this does nothing.
 """
 
 from __future__ import annotations
@@ -55,3 +56,15 @@ def one_blas_thread():
     finally:
         for (setter, _), n in zip(libs, previous):
             setter(n)
+
+
+def pin_one_thread() -> None:
+    """Set every loaded OpenBLAS to one thread for the rest of the process.
+
+    A copy already on one thread is left alone: setting the count again in a
+    forked worker makes OpenBLAS rebuild its state, which costs the worker's
+    first BLAS calls tens of milliseconds.
+    """
+    for setter, getter in _loaded_openblas():
+        if getter() != 1:
+            setter(1)

@@ -1,10 +1,11 @@
-"""Monte Carlo orchestration: setups fan out to workers, blocks run inside.
+"""Monte Carlo orchestration: groups of setups fan out to workers, blocks run inside.
 
-Every (setup, block) work item derives its own RNG stream from the config
-seed, so results are bit-identical regardless of worker-pool size or
-completion order. A setup draws one scenario, precomputes the estimation
-statistics, then sweeps the channel realizations in chunks of stacked
-blocks; the SE expectation runs over realizations within the setup, the CDF
+Every setup and every (setup, block) work item derives its own RNG stream
+from the config seed, so results are bit-identical regardless of worker-pool
+size or completion order. A job is a group of consecutive setups (drops): it
+draws their scenarios, precomputes the estimation statistics, then sweeps
+the channel realizations in chunks of stacked blocks, shaped (drops, blocks,
+...); the SE expectation runs over realizations within a setup, the CDF
 randomness over UEs and setups.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, metrics, stripe
-from .blas import one_blas_thread
+from .blas import one_blas_thread, pin_one_thread
 from .channel import draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase
 from .config import SimulationConfig, config_to_ini
 from .scenario import build_scenario
@@ -34,7 +35,10 @@ _BLOCK_TAG = 1
 # Blocks run in chunks. Per block the batched call chain holds arrays of
 # about L*N*(K + L*N) complex entries (the K*L*N channels and estimates, the
 # LN x LN matrix of the centralized receiver); a chunk holds about this many.
-# It depends on the network size only, never on the worker count, so the
+# Drops with fewer blocks than a chunk are grouped: per drop a group holds
+# its constants, about L*N*N*(4K + tau_p) entries (covariances, their factors,
+# the MMSE filters, the error covariances, the pilot covariances), plus its
+# blocks. Both depend on the config only, never on the worker count, so the
 # floating-point work is the same in every run.
 _CHUNK_ELEMENTS = 1 << 18
 
@@ -43,6 +47,21 @@ def blocks_per_chunk(num_ues: int, num_aps: int, num_antennas: int) -> int:
     """Coherence blocks simulated together in one batched call chain."""
     per_block = num_aps * num_antennas * (num_ues + num_aps * num_antennas)
     return max(1, _CHUNK_ELEMENTS // per_block)
+
+
+def drop_groups(config: SimulationConfig) -> list[range]:
+    """Consecutive setups simulated together, one job each.
+
+    A group packs whole drops while their constants and blocks fit in the
+    chunk budget. A drop of at least blocks_per_chunk blocks fills the budget
+    by itself, so it runs alone, in chunks of that many blocks.
+    """
+    K, L, N = config.num_ues, config.num_aps, config.antennas_per_ap
+    per_drop = L * N * (N * (4 * K + config.pilot_length)
+                        + config.num_channel_realizations * (K + L * N))
+    size = max(1, _CHUNK_ELEMENTS // per_drop)
+    return [range(start, min(start + size, config.num_setups))
+            for start in range(0, config.num_setups, size)]
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -71,11 +90,14 @@ class SEResult:
 
 
 def simulate_setup(
-    config: SimulationConfig, setup_index: int, schemes: tuple[str, ...]
+    config: SimulationConfig, setups: range, schemes: tuple[str, ...]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Run one drop end to end; returns scheme -> (se (K,), sinr (K,))."""
+    """Run consecutive drops end to end in one batched call chain.
+
+    Returns scheme -> (se (D, K), sinr (D, K)) for the D drops of setups.
+    """
     seed = config.rng_seed
-    scenario = build_scenario(config, rng_stream(seed, setup_index, _SCENARIO_TAG))
+    scenario = build_scenario(config, [rng_stream(seed, s, _SCENARIO_TAG) for s in setups])
     stats = estimation_statistics(scenario, config)
     powers = config.ue_powers
     sigma2 = config.noise_power_w
@@ -85,24 +107,26 @@ def simulate_setup(
     want_l4 = SCHEME_L4 in schemes
     want_mr = SCHEME_MR in schemes
 
-    stripe_sinr = np.empty((n_blocks, config.num_ues)) if want_stripe else None
-    l4_sinr = np.empty((n_blocks, config.num_ues)) if want_l4 else None
+    # samples first: (blocks, drops, K)
+    shape = (n_blocks, len(setups), config.num_ues)
+    stripe_sinr = np.empty(shape) if want_stripe else None
+    l4_sinr = np.empty(shape) if want_l4 else None
     mr_acc = baselines.MrFusionAccumulator() if want_mr else None
 
     chunk = blocks_per_chunk(config.num_ues, config.num_aps, config.antennas_per_ap)
     for start in range(0, n_blocks, chunk):
         blocks = range(start, min(start + chunk, n_blocks))
-        rngs = [rng_stream(seed, setup_index, _BLOCK_TAG, b) for b in blocks]
-        h = draw_channels(scenario, rngs)
+        rngs = [[rng_stream(seed, s, _BLOCK_TAG, b) for b in blocks] for s in setups]
+        h = draw_channels(scenario, rngs)                   # (D, B, K, L, N)
         obs = simulate_pilot_phase(scenario, h, config, rngs)
         est = mmse_estimate(scenario, obs, config, stats)
         if want_stripe:
             run = stripe.run_stripe(est, powers, sigma2)
-            stripe_sinr[start:blocks.stop] = metrics.sinr_per_ue(
-                run.final.ghat, run.final.psi, powers, sigma2
-            )
+            sinr = metrics.sinr_per_ue(run.final.ghat, run.final.psi, powers, sigma2)
+            stripe_sinr[start:blocks.stop] = sinr.swapaxes(0, 1)
         if want_l4:
-            l4_sinr[start:blocks.stop] = baselines.centralized_lmmse_l4(est, powers, sigma2)
+            sinr = baselines.centralized_lmmse_l4(est, powers, sigma2)
+            l4_sinr[start:blocks.stop] = sinr.swapaxes(0, 1)
         if want_mr:
             mr_acc.update(est.hhat, h)
 
@@ -121,15 +145,15 @@ def simulate_setup(
     if want_mr:
         sinr = mr_acc.sinr(powers, sigma2)
         out[SCHEME_MR] = (
-            metrics.spectral_efficiency(sinr[None, :], tau_c, tau_p),
+            metrics.spectral_efficiency(sinr[None], tau_c, tau_p),
             sinr,
         )
     return out
 
 
 def _setup_worker(args):
-    config, setup_index, schemes = args
-    return simulate_setup(config, setup_index, schemes)
+    config, setups, schemes = args
+    return simulate_setup(config, setups, schemes)
 
 
 def worker_count(requested: int, num_jobs: int) -> int:
@@ -146,7 +170,9 @@ def run_experiment(
 ) -> dict[str, SEResult]:
     """Simulate all setups for the requested schemes, in parallel if configured.
 
-    Every loaded OpenBLAS runs single-threaded for the duration (see blas).
+    Every loaded OpenBLAS runs single-threaded for the duration (see blas),
+    in pool workers too, whatever the start method. A run of one group of
+    setups starts no pool.
     """
     config.validate()
     for scheme in schemes:
@@ -155,26 +181,26 @@ def run_experiment(
     if not schemes:
         raise ValueError("at least one scheme is required")
 
-    jobs = [(config, s, tuple(schemes)) for s in range(config.num_setups)]
+    jobs = [(config, group, tuple(schemes)) for group in drop_groups(config)]
     workers = worker_count(config.num_workers, len(jobs))
     with one_blas_thread():
         if workers > 1:
-            with multiprocessing.Pool(processes=workers) as pool:
-                per_setup = pool.map(_setup_worker, jobs, chunksize=1)
+            with multiprocessing.Pool(processes=workers, initializer=pin_one_thread) as pool:
+                per_group = pool.map(_setup_worker, jobs, chunksize=1)
             if progress is not None:
-                progress(len(jobs), len(jobs))
+                progress(config.num_setups, config.num_setups)
         else:
-            per_setup = []
+            per_group = []
             for job in jobs:
-                per_setup.append(_setup_worker(job))
+                per_group.append(_setup_worker(job))
                 if progress is not None:
-                    progress(job[1] + 1, len(jobs))
+                    progress(job[1].stop, config.num_setups)
 
     fingerprint = config_fingerprint(config)
     results: dict[str, SEResult] = {}
     for scheme in schemes:
-        se = np.stack([per_setup[s][scheme][0] for s in range(len(jobs))])
-        sinr = np.stack([per_setup[s][scheme][1] for s in range(len(jobs))])
+        se = np.concatenate([out[scheme][0] for out in per_group])
+        sinr = np.concatenate([out[scheme][1] for out in per_group])
         results[scheme] = SEResult(
             scheme=scheme, se=se, sinr_linear=sinr,
             fingerprint=fingerprint, n_samples=se.size,

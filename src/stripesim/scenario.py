@@ -5,10 +5,15 @@ arrays flush with the walls), UE placement, large-scale gains, spatial
 covariance matrices, and the pilot assignment. Everything here is a pure
 function of (config, rng); a Scenario is immutable once built and can be
 shared read-only across Monte Carlo workers.
+
+Given a sequence of generators, one per drop, build_scenario stacks the
+drops: every UE-dependent field gets a leading drop axis (D, ...), while the
+AP layout, the same in every drop, has none.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +65,19 @@ def local_scattering_covariance(
 
 
 def _clip_psd(corr: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative eigenvalues; reject anything beyond tolerance."""
+    """Zero out tiny negative eigenvalues; reject anything beyond tolerance.
+
+    A stacked Cholesky factorization that succeeds proves every matrix
+    positive definite, so nothing needs clipping. When it fails, the stack is
+    split along its leading axis down to (M, N, N), and only the sub-stacks
+    that fail pay for the eigenvalues that decide what to clip or reject.
+    """
+    try:
+        np.linalg.cholesky(corr)
+        return corr
+    except np.linalg.LinAlgError:
+        if corr.ndim > 3:
+            return np.stack([_clip_psd(sub) for sub in corr])
     eigvals, eigvecs = np.linalg.eigh(corr)
     lowest = eigvals.min(axis=-1)
     if np.any(lowest < -_PSD_TOL):
@@ -82,8 +99,8 @@ def psd_factor(matrix: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))[..., None, :]
 
 
-def assign_pilots(num_ues: int, pilot_length: int, rng: np.random.Generator):
-    """Pilot indices t_k in [0, pilot_length) plus the boolean co-pilot matrix.
+def assign_pilots(num_ues: int, pilot_length: int, rng: np.random.Generator) -> np.ndarray:
+    """Pilot indices t_k in [0, pilot_length); UEs i, k share a pilot iff t_i == t_k.
 
     With enough pilots every UE gets its own; otherwise pilots are reused
     round-robin over a randomly shuffled UE order, which balances the
@@ -97,39 +114,46 @@ def assign_pilots(num_ues: int, pilot_length: int, rng: np.random.Generator):
     else:
         order = rng.permutation(num_ues)
         pilot_index[order] = np.arange(num_ues) % pilot_length
-    copilot = pilot_index[:, None] == pilot_index[None, :]
-    return pilot_index, copilot
+    return pilot_index
+
+
+Rngs = np.random.Generator | Sequence["Rngs"]
+
+
+def per_stream(rngs: Rngs, draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
+    """draw(rng) for one generator, stacked over a (nested) sequence of them."""
+    if isinstance(rngs, np.random.Generator):
+        return draw(rngs)
+    return np.stack([per_stream(rng, draw) for rng in rngs])
 
 
 @dataclass
 class Scenario:
-    """One random drop: geometry, channel statistics, and pilot allocation."""
+    """Random drops: geometry, channel statistics, and pilot allocation.
+
+    The UE-dependent fields carry the leading drop axes (...), if any.
+    """
 
     ap_positions: np.ndarray      # (L, 3) m
     ap_orientations: np.ndarray   # (L,) boresight azimuth, rad (normal to wall)
-    ue_positions: np.ndarray      # (K, 3) m
-    distances: np.ndarray         # (K, L) m, includes the AP-UE height gap
-    large_scale: np.ndarray       # (K, L) linear power gain
-    covariances: np.ndarray       # (K, L, N, N) Hermitian PSD
-    cov_factors: np.ndarray       # (K, L, N, N), factor @ factor^H = covariance
-    pilot_index: np.ndarray       # (K,) int
-    copilot: np.ndarray           # (K, K) bool, copilot[i, k] <=> same pilot
+    ue_positions: np.ndarray      # (..., K, 3) m
+    distances: np.ndarray         # (..., K, L) m, includes the AP-UE height gap
+    large_scale: np.ndarray       # (..., K, L) linear power gain
+    covariances: np.ndarray       # (..., K, L, N, N) Hermitian PSD
+    cov_factors: np.ndarray       # (..., K, L, N, N), factor @ factor^H = covariance
+    pilot_index: np.ndarray       # (..., K) int; same index <=> shared pilot
 
     @property
     def num_ues(self) -> int:
-        return self.distances.shape[0]
+        return self.distances.shape[-2]
 
     @property
     def num_aps(self) -> int:
-        return self.distances.shape[1]
+        return self.distances.shape[-1]
 
     @property
     def num_antennas(self) -> int:
         return self.covariances.shape[-1]
-
-    def copilot_sets(self) -> list[np.ndarray]:
-        """Indices of UEs sharing UE k's pilot (k itself included)."""
-        return [np.flatnonzero(self.copilot[:, k]) for k in range(self.num_ues)]
 
 
 def _perimeter_layout(num_aps: int, side: float):
@@ -163,17 +187,17 @@ def _perimeter_layout(num_aps: int, side: float):
 
 
 def nominal_angles(ap_xy: np.ndarray, boresight: np.ndarray, ue_xy: np.ndarray) -> np.ndarray:
-    """Azimuth of each UE relative to each AP's boresight, shape (K, L)."""
-    delta = ue_xy[:, None, :] - ap_xy[None, :, :]          # (K, L, 2)
-    normal = np.stack([np.cos(boresight), np.sin(boresight)], axis=-1)   # (L, 2)
-    axis = np.stack([-np.sin(boresight), np.cos(boresight)], axis=-1)    # array direction
-    forward = np.einsum("klc,lc->kl", delta, normal)
-    lateral = np.einsum("klc,lc->kl", delta, axis)
+    """Azimuth of each UE relative to each AP's boresight, shape (..., K, L)."""
+    dx = ue_xy[..., :, None, 0] - ap_xy[:, 0]              # (..., K, L)
+    dy = ue_xy[..., :, None, 1] - ap_xy[:, 1]
+    cos, sin = np.cos(boresight), np.sin(boresight)
+    forward = dx * cos + dy * sin                          # along the boresight
+    lateral = dy * cos - dx * sin                          # along the array
     return np.arctan2(lateral, forward)
 
 
-def build_scenario(config: SimulationConfig, rng: np.random.Generator) -> Scenario:
-    """Draw one drop: AP/UE geometry, gains, covariances, pilots."""
+def build_scenario(config: SimulationConfig, rngs: Rngs) -> Scenario:
+    """Draw one drop, or one per generator: AP/UE geometry, gains, covariances, pilots."""
     config.validate()
     L, K, N = config.num_aps, config.num_ues, config.antennas_per_ap
     side = config.square_side_m
@@ -182,25 +206,25 @@ def build_scenario(config: SimulationConfig, rng: np.random.Generator) -> Scenar
     ap_xy, boresight = _perimeter_layout(L, side)
     ap_positions = np.column_stack([ap_xy, np.full(L, gap)])
 
-    ue_xy = rng.uniform(0.0, side, size=(K, 2))
-    ue_positions = np.column_stack([ue_xy, np.zeros(K)])
+    # per drop, the UE positions come first in the stream, then the pilots
+    ue_xy = per_stream(rngs, lambda rng: rng.uniform(0.0, side, size=(K, 2)))
+    pilot_index = per_stream(rngs, lambda rng: assign_pilots(K, config.pilot_length, rng))
+    ue_positions = np.concatenate([ue_xy, np.zeros((*ue_xy.shape[:-1], 1))], axis=-1)
 
-    horizontal = np.linalg.norm(ue_xy[:, None, :] - ap_xy[None, :, :], axis=-1)
+    horizontal = np.linalg.norm(ue_xy[..., :, None, :] - ap_xy, axis=-1)
     distances = np.hypot(horizontal, gap)
     large_scale = 10.0 ** (pathloss_db(distances) / 10.0)
 
     if config.correlation_model is CorrelationModel.UNCORRELATED:
         eye = np.eye(N, dtype=complex)
-        covariances = large_scale[:, :, None, None] * eye
-        factors = np.sqrt(large_scale)[:, :, None, None] * eye
+        covariances = large_scale[..., None, None] * eye
+        factors = np.sqrt(large_scale)[..., None, None] * eye
     else:
         angles = nominal_angles(ap_xy, boresight, ue_xy)
         covariances = local_scattering_covariance(
             large_scale, angles, config.angular_std_dev_rad, N
         )
         factors = psd_factor(covariances)
-
-    pilot_index, copilot = assign_pilots(K, config.pilot_length, rng)
 
     scenario = Scenario(
         ap_positions=ap_positions,
@@ -211,12 +235,11 @@ def build_scenario(config: SimulationConfig, rng: np.random.Generator) -> Scenar
         covariances=covariances,
         cov_factors=factors,
         pilot_index=pilot_index,
-        copilot=copilot,
     )
     for arr in (
         scenario.ap_positions, scenario.ap_orientations, scenario.ue_positions,
         scenario.distances, scenario.large_scale, scenario.covariances,
-        scenario.cov_factors, scenario.pilot_index, scenario.copilot,
+        scenario.cov_factors, scenario.pilot_index,
     ):
         arr.flags.writeable = False
     return scenario

@@ -29,14 +29,25 @@ class CheckResult:
 
 
 def check_covariance_decomposition(
-    scenario: Scenario, est: ChannelEstimateSet, rel_tol: float = 1e-10
+    scenario: Scenario, est: ChannelEstimateSet, config: SimulationConfig,
+    rel_tol: float = 1e-10,
 ) -> CheckResult:
-    """Estimate and error covariances must sum back to the channel covariance."""
+    """R - rtilde must be the MMSE estimate covariance p_k tau_p R Psi^-1 R.
+
+    Psi is rebuilt here from the co-pilot sets S_k = {i : t_i = t_k}, one
+    (UE, AP) pair at a time, independently of estimation_statistics.
+    """
+    powers, tau_p = config.ue_powers, config.pilot_length
+    N = scenario.num_antennas
     worst = 0.0
     for k in range(scenario.num_ues):
+        copilots = np.flatnonzero(scenario.pilot_index == scenario.pilot_index[k])
         for l in range(scenario.num_aps):
             R = scenario.covariances[k, l]
-            gap = np.abs(est.rhat[k, l] + est.rtilde[k, l] - R).max()
+            psi = config.noise_power_w * np.eye(N) + sum(
+                tau_p * powers[i] * scenario.covariances[i, l] for i in copilots)
+            rhat = powers[k] * tau_p * R @ np.linalg.solve(psi, R)
+            gap = np.abs(R - est.rtilde[k, l] - rhat).max()
             worst = max(worst, gap / np.abs(R).max())
     return CheckResult(
         name="covariance_decomposition",
@@ -119,7 +130,7 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     h = draw_channels(scenario, rng)
     obs = simulate_pilot_phase(scenario, h, config, rng)
     est = mmse_estimate(scenario, obs, config, stats)
-    results.append(check_covariance_decomposition(scenario, est))
+    results.append(check_covariance_decomposition(scenario, est, config))
 
     payload = stripe.PayloadRealization(
         symbols=complex_normal(rng, (config.num_ues,), std=np.sqrt(powers)),

@@ -11,8 +11,9 @@ chain, so no per-stage noise bookkeeping is needed beyond the variances.
 
 Conventions: arrays indexed [i, k] pair interfering UE i with served UE k.
 The augmented dimension is N+1, the extra coordinate carrying the previous
-stage's soft estimate. Per-block arrays may carry leading block axes (...);
-the error covariances are setup constants shared by every block.
+stage's soft estimate. Per-block arrays may carry leading drop and block
+axes (...); the error covariances are per-drop constants shared by every
+block of a drop.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, herm
+from .channel import ChannelEstimateSet, herm, over_blocks
 
 # A negative psi entry below -_PSI_REL_TOL * (largest psi of its block) is
 # not roundoff: it means an error covariance is not PSD.
@@ -56,23 +57,30 @@ class StageState:
                 "error_variances": K * K}
 
 
+def error_load(rtilde: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Per-AP sum_i p_i rtilde_il: (..., K, L, N, N) -> (..., L, N, N)."""
+    *lead, K, L, N, _ = rtilde.shape
+    return (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
+
+
 def combiner_stage(
-    hhat: np.ndarray, rtilde: np.ndarray, ghat_prev: np.ndarray,
+    hhat: np.ndarray, impairment_l: np.ndarray, ghat_prev: np.ndarray,
     psi_prev: np.ndarray, powers: np.ndarray, sigma2: float,
 ) -> np.ndarray:
     """Unit-norm LMMSE combiners on the augmented signal, shape (..., K, N+1).
 
-    hhat (..., K, N) are this AP's estimates, rtilde (K, N, N) their error
-    covariances, ghat_prev / psi_prev (..., K, K) the side information. The
-    top-left N x N block A of the conditioning matrix is common to all served
-    UEs; only the border b_k (cross terms with the augmented coordinate) and
-    the corner c_k are UE-specific. One solve with A serves every UE, and the
-    augmented coordinate follows from the Schur complement c_k - b_k^H A^-1 b_k.
+    hhat (..., K, N) are this AP's estimates, impairment_l (..., N, N) its
+    error load plus noise, sum_i p_i rtilde_i + sigma2 I, ghat_prev /
+    psi_prev (..., K, K) the side information. The top-left N x N block A of
+    the conditioning matrix is common to all served UEs; only the border b_k
+    (cross terms with the augmented coordinate) and the corner c_k are
+    UE-specific. One solve with A serves every UE, and the augmented
+    coordinate follows from the Schur complement c_k - b_k^H A^-1 b_k.
     """
-    K, N = hhat.shape[-2:]
+    K = hhat.shape[-2]
     weighted = powers[:, None] * hhat
     shared = weighted.swapaxes(-1, -2) @ hhat.conj()
-    shared += np.tensordot(powers, rtilde, axes=1) + sigma2 * np.eye(N)
+    shared += impairment_l
     border = herm(ghat_prev) @ weighted                                   # (..., K, N)
     corner = powers @ (np.abs(ghat_prev) ** 2 + psi_prev) + sigma2         # (..., K)
 
@@ -126,7 +134,7 @@ def stage_update(
     # psi[i, k] = va[k]^H rtilde[i] va[k] = <rtilde[i], conj(va[k]) va[k]^T>
     K, N = va.shape[-2:]
     outer = (va.conj()[..., :, None] * va[..., None, :]).reshape(*va.shape[:-1], N * N)
-    psi = (rtilde_l.reshape(K, N * N) @ outer.swapaxes(-1, -2)).real
+    psi = (rtilde_l.reshape(*rtilde_l.shape[:-2], N * N) @ outer.swapaxes(-1, -2)).real
     psi, clips = _clip_psi(psi + np.abs(carry)[..., None, :] ** 2 * prev.psi, ap)
 
     soft = g_true = n_eff = None
@@ -175,6 +183,9 @@ def run_stripe(
     if payload is not None and channels is None:
         raise ValueError("payload tracking requires the true channels")
     *batch, K, L, N = est.hhat.shape
+    rtilde = over_blocks(est.rtilde, 4, est.hhat, 3)
+    # computed once per drop, not once per block and stage
+    imp = error_load(rtilde, powers) + sigma2 * np.eye(N)
     # the zero prior: no side information reaches AP 1
     zeros_k = np.zeros((*batch, K), dtype=complex)
     zeros_kk = np.zeros((*batch, K, K), dtype=complex)
@@ -189,8 +200,8 @@ def run_stripe(
 
     for l in range(L):
         hhat_l = est.hhat[..., l, :]
-        rtilde_l = est.rtilde[:, l]
-        V = combiner_stage(hhat_l, rtilde_l, state.ghat, state.psi, powers, sigma2)
+        rtilde_l = rtilde[..., :, l, :, :]
+        V = combiner_stage(hhat_l, imp[..., l, :, :], state.ghat, state.psi, powers, sigma2)
 
         y_l = h_l = n_l = None
         if channels is not None:

@@ -5,8 +5,9 @@ estimate numerically (coarse multi-start search plus BFGS refinement on the
 real/imaginary parts), evaluating the objective directly from its moment
 definition. It never touches the package's combiner builders, so agreement
 is a two-route check. The augmented moments and the dense first-AP LMMSE
-rule are the same kind of second route, and per_block_setup is the
-one-block-at-a-time reference for the chunked runner.
+rule are the same kind of second route, as is the closed-form estimate
+covariance; per_block_setup is the one-drop, one-block-at-a-time reference
+for the grouped and chunked runner.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def synthetic_scenario(rng, K, L, N, tau_p, beta_scale=1.0) -> Scenario:
             covariances[k, l] = R
             factors[k, l] = np.linalg.cholesky(R)
     large_scale = np.trace(covariances, axis1=2, axis2=3).real / N
-    pilot_index, copilot = assign_pilots(K, tau_p, rng)
+    pilot_index = assign_pilots(K, tau_p, rng)
     return Scenario(
         ap_positions=np.zeros((L, 3)),
         ap_orientations=np.zeros(L),
@@ -113,7 +114,6 @@ def synthetic_scenario(rng, K, L, N, tau_p, beta_scale=1.0) -> Scenario:
         covariances=covariances,
         cov_factors=factors,
         pilot_index=pilot_index,
-        copilot=copilot,
     )
 
 
@@ -127,6 +127,34 @@ def synthetic_config(rng, K, L, N, tau_p) -> SimulationConfig:
         noise_power_w=float(rng.uniform(0.5, 2.0)),
         num_setups=1, num_channel_realizations=1, num_workers=1,
     )
+
+
+def impairment(rtilde, powers, sigma2):
+    """sum_i p_i rtilde_i + sigma2 I at one AP, one UE at a time; rtilde is (K, N, N)."""
+    out = sigma2 * np.eye(rtilde.shape[-1], dtype=complex)
+    for p, r in zip(powers, rtilde):
+        out = out + p * r
+    return out
+
+
+def estimate_covariance(scenario, config):
+    """Closed-form MMSE estimate covariance p_k tau_p R_kl Psi^-1 R_kl, (K, L, N, N).
+
+    Psi is summed over the co-pilot set {i : t_i = t_k}, one (UE, AP) pair
+    at a time, without the package's stacked pilot covariances.
+    """
+    powers, tau_p = config.ue_powers, config.pilot_length
+    K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
+    R = scenario.covariances
+    out = np.empty((K, L, N, N), dtype=complex)
+    for k in range(K):
+        copilots = np.flatnonzero(scenario.pilot_index == scenario.pilot_index[k])
+        for l in range(L):
+            psi = config.noise_power_w * np.eye(N, dtype=complex)
+            for i in copilots:
+                psi = psi + tau_p * powers[i] * R[i, l]
+            out[k, l] = powers[k] * tau_p * R[k, l] @ np.linalg.solve(psi, R[k, l])
+    return out
 
 
 def first_ap_lmmse(hhat, rtilde, powers, sigma2):
@@ -182,10 +210,11 @@ def build_augmented_moments(hhat_l, rtilde_l, prev) -> AugmentedSideInfo:
 
 
 def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
-    """One drop with one call chain per coherence block, no chunking.
+    """One drop with one call chain per coherence block, no grouping or chunking.
 
     The same RNG streams and per-block functions as runner.simulate_setup,
-    called on single blocks; returns scheme -> (se (K,), sinr (K,)).
+    called on one unstacked drop and single blocks; returns
+    scheme -> (se (K,), sinr (K,)).
     """
     seed = config.rng_seed
     scenario = build_scenario(config, rng_stream(seed, setup_index, 0))
@@ -203,7 +232,7 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
         final = stripe.run_stripe(est, powers, sigma2).final
         stripe_sinr[b] = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
         l4_sinr[b] = baselines.centralized_lmmse_l4(est, powers, sigma2)
-        mr.update(est.hhat, h)
+        mr.update(est.hhat[None], h[None])
     tau_c, tau_p = config.coherence_block, config.pilot_length
     mr_sinr = mr.sinr(powers, sigma2)
     out = {

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    angle_between, brute_force_combiner, build_augmented_moments, synthetic_config,
-    synthetic_scenario,
+    angle_between, brute_force_combiner, build_augmented_moments, estimate_covariance,
+    synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
@@ -115,10 +115,11 @@ def test_criterion_5_property_suite():
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
 
     # estimate + error covariances recompose the channel covariance
+    rhat = estimate_covariance(scenario, cfg)
     for k in range(cfg.num_ues):
         for l in range(cfg.num_aps):
             R = scenario.covariances[k, l]
-            gap = np.abs(stats.rhat[k, l] + stats.rtilde[k, l] - R).max()
+            gap = np.abs(rhat[k, l] + stats.rtilde[k, l] - R).max()
             assert gap <= 1e-10 * np.abs(R).max()
 
     # a handful of full blocks on the reference setup

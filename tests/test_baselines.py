@@ -14,9 +14,7 @@ from stripesim.stripe import run_stripe
 def perfect_csi_estimates(h):
     """Estimate set with zero error: hhat = h, rtilde = 0."""
     K, L, N = h.shape
-    zero = np.zeros((K, L, N, N), dtype=complex)
-    rhat = np.einsum("klm,kln->klmn", h, h.conj())  # unused placeholder stats
-    return ChannelEstimateSet(hhat=h.copy(), rhat=rhat, rtilde=zero)
+    return ChannelEstimateSet(hhat=h.copy(), rtilde=np.zeros((K, L, N, N), dtype=complex))
 
 
 class TestCentralizedLmmse:
@@ -90,9 +88,8 @@ class TestMrFusion:
         n, N = 30000, 4
         beta, p, sigma2 = 0.8, 1.5, 0.6
         acc = MrFusionAccumulator()
-        for _ in range(n):
-            h = np.sqrt(beta) * complex_gaussian(rng, (1, 1, N))
-            acc.update(h, h)
+        h = np.sqrt(beta) * complex_gaussian(rng, (n, 1, 1, N))
+        acc.update(h, h)
         sinr = acc.sinr(np.array([p]), sigma2)
         expect = p * N * beta / (p * beta + sigma2)
         assert sinr[0] == pytest.approx(expect, rel=0.03)
@@ -102,10 +99,9 @@ class TestMrFusion:
         n, N, L = 30000, 2, 4
         beta, p, sigma2 = 0.7, 1.2, 0.9
         acc = MrFusionAccumulator()
-        for _ in range(n):
-            h1 = np.sqrt(beta) * complex_gaussian(rng, (1, 1, N))
-            h = np.tile(h1, (1, L, 1))
-            acc.update(h, h)
+        h1 = np.sqrt(beta) * complex_gaussian(rng, (n, 1, 1, N))
+        h = np.tile(h1, (1, 1, L, 1))
+        acc.update(h, h)
         sinr = acc.sinr(np.array([p]), sigma2)
         expect = p * N * beta / (p * beta + sigma2 / L)
         assert sinr[0] == pytest.approx(expect, rel=0.03)
@@ -119,7 +115,7 @@ class TestMrFusion:
         est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rngs), cfg, stats)
         acc = MrFusionAccumulator()
         for b in range(5):
-            acc.update(est.hhat[b], h[b])
+            acc.update(est.hhat[b:b + 1], h[b:b + 1])
         batch = MrFusionAccumulator()
         batch.update(est.hhat[:2], h[:2])
         batch.update(est.hhat[2:], h[2:])
@@ -135,7 +131,7 @@ class TestMrFusion:
     def test_denominator_always_positive(self, rng):
         # single realization: sample variance term is zero but noise term is not
         acc = MrFusionAccumulator()
-        h = complex_gaussian(rng, (2, 2, 2))
+        h = complex_gaussian(rng, (1, 2, 2, 2))
         acc.update(h, h)
         sinr = acc.sinr(np.array([1.0, 1.0]), 0.5)
         assert np.all(np.isfinite(sinr)) and np.all(sinr >= 0)
@@ -151,6 +147,6 @@ def test_l4_block_axis_matches_single_blocks(rng):
     est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rngs), cfg)
     batched = centralized_lmmse_l4(est, powers, sigma2)
     for b in range(B):
-        one = ChannelEstimateSet(hhat=est.hhat[b], rhat=est.rhat, rtilde=est.rtilde)
+        one = ChannelEstimateSet(hhat=est.hhat[b], rtilde=est.rtilde)
         np.testing.assert_allclose(batched[b], centralized_lmmse_l4(one, powers, sigma2),
                                    rtol=1e-12)

@@ -1,13 +1,17 @@
 import multiprocessing
+from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from stripesim import runner
 from stripesim.blas import _loaded_openblas, one_blas_thread
 from stripesim.config import SimulationConfig
-from stripesim.runner import SCHEME_STRIPE, run_experiment
+from stripesim.runner import ALL_SCHEMES, SCHEME_STRIPE, drop_groups, run_experiment
 
 
-def thread_counts() -> list[int]:
+def thread_counts(_=None) -> list[int]:
     return [getter() for _, getter in _loaded_openblas()]
 
 
@@ -52,3 +56,34 @@ def test_forked_workers_inherit_the_pin():
     finally:
         set_all(1)
     assert counts == [1] * len(thread_counts())
+
+
+@pytest.mark.skipif("spawn" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the spawn start method")
+def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
+    # spawned workers start a fresh OpenBLAS (here asked for two threads);
+    # the runner's pool initializer must bring each down to one
+    if not thread_counts():
+        pytest.skip("no OpenBLAS loaded")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    config = SimulationConfig(num_aps=24, antennas_per_ap=4, num_ues=3, pilot_length=2,
+                              coherence_block=20, num_setups=3,
+                              num_channel_realizations=9, num_workers=1)
+    assert len(drop_groups(config)) == 2
+    serial = run_experiment(config, ALL_SCHEMES)
+
+    spawn = multiprocessing.get_context("spawn")
+    reported = []
+
+    def pool(processes, **kwargs):
+        started = spawn.Pool(processes, **kwargs)
+        reported.extend(started.map(thread_counts, range(2 * processes), chunksize=1))
+        return started
+
+    monkeypatch.setattr(runner, "multiprocessing", SimpleNamespace(Pool=pool))
+    pooled = run_experiment(replace(config, num_workers=2), ALL_SCHEMES)
+    # a worker maps numpy's OpenBLAS (scipy's only if a test imported scipy here)
+    assert reported and all(counts and set(counts) == {1} for counts in reported)
+    for scheme in ALL_SCHEMES:
+        assert np.array_equal(serial[scheme].se, pooled[scheme].se)
+        assert np.array_equal(serial[scheme].sinr_linear, pooled[scheme].sinr_linear)

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import complex_gaussian, random_psd, synthetic_config, synthetic_scenario
+from oracles import (
+    complex_gaussian, estimate_covariance, random_psd, synthetic_config, synthetic_scenario,
+)
 from stripesim.channel import (
     draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
 )
@@ -17,12 +19,12 @@ def identity_cov_scenario(rng, K, L, N, beta, tau_p=None):
     tau_p = K if tau_p is None else tau_p
     covariances = np.tile(beta * np.eye(N, dtype=complex), (K, L, 1, 1))
     factors = np.tile(np.sqrt(beta) * np.eye(N, dtype=complex), (K, L, 1, 1))
-    pilot_index, copilot = assign_pilots(K, tau_p, rng)
+    pilot_index = assign_pilots(K, tau_p, rng)
     return Scenario(
         ap_positions=np.zeros((L, 3)), ap_orientations=np.zeros(L),
         ue_positions=np.zeros((K, 3)), distances=np.ones((K, L)),
         large_scale=np.full((K, L), beta), covariances=covariances,
-        cov_factors=factors, pilot_index=pilot_index, copilot=copilot,
+        cov_factors=factors, pilot_index=pilot_index,
     )
 
 
@@ -142,23 +144,64 @@ class TestPilotPhase:
             estimation_statistics(bad, cfg)
 
 
+class TestStackedDrops:
+    def test_stacked_drops_equal_single_drops(self):
+        # K > tau_p: each drop has its own pilot permutation to gather with
+        cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=5,
+                      pilot_length=2)
+        drops = range(3)
+        sc = build_scenario(cfg, [rng_stream(4, s, 0) for s in drops])
+        stats = estimation_statistics(sc, cfg)
+        rngs = [[rng_stream(4, s, 1, b) for b in range(2)] for s in drops]
+        h = draw_channels(sc, rngs)
+        obs = simulate_pilot_phase(sc, h, cfg, rngs)
+        est = mmse_estimate(sc, obs, cfg, stats)
+        assert est.hhat.shape == (3, 2, 5, 5, 2) and est.rtilde.shape == (3, 5, 5, 2, 2)
+        for s in drops:
+            one = build_scenario(cfg, rng_stream(4, s, 0))
+            one_stats = estimation_statistics(one, cfg)
+            for field in ("filters", "rtilde", "pilot_covariance"):
+                assert np.array_equal(getattr(stats, field)[s], getattr(one_stats, field))
+            one_rngs = [rng_stream(4, s, 1, b) for b in range(2)]
+            one_h = draw_channels(one, one_rngs)
+            one_obs = simulate_pilot_phase(one, one_h, cfg, one_rngs)
+            assert np.array_equal(h[s], one_h)
+            assert np.array_equal(obs.despread[s], one_obs.despread)
+            assert np.array_equal(est.hhat[s], mmse_estimate(one, one_obs, cfg, one_stats).hhat)
+
+    def test_not_pd_pilot_covariance_in_a_stacked_drop(self, rng):
+        sc = synthetic_scenario(rng, 2, 3, 2, tau_p=2)
+        cfg = synthetic_config(rng, 2, 3, 2, tau_p=2)
+        covariances = sc.covariances.copy()
+        covariances[sc.pilot_index == 0, 1] *= -1e3
+        stacked = {**sc.__dict__}
+        for field in ("ue_positions", "distances", "large_scale", "cov_factors",
+                      "pilot_index"):
+            stacked[field] = np.stack([stacked[field]] * 2)
+        stacked["covariances"] = np.stack([sc.covariances, covariances])
+        with pytest.raises(ValueError, match="pilot covariance at AP 1, pilot 0 is not PD"):
+            estimation_statistics(Scenario(**stacked), cfg)
+
+
 class TestMmseEstimate:
     def test_covariance_decomposition_exact(self, rng):
+        # R - rtilde is the estimate covariance p_k tau_p R Psi^-1 R
         cfg = replace(SimulationConfig(), num_ues=6, pilot_length=3,
                       num_aps=6, antennas_per_ap=3)
         sc = build_scenario(cfg, rng_stream(21, 0, 0))
         stats = estimation_statistics(sc, cfg)
+        rhat = estimate_covariance(sc, cfg)
         for k in range(cfg.num_ues):
             for l in range(cfg.num_aps):
                 R = sc.covariances[k, l]
-                gap = np.abs(stats.rhat[k, l] + stats.rtilde[k, l] - R).max()
+                gap = np.abs(rhat[k, l] + stats.rtilde[k, l] - R).max()
                 assert gap / np.abs(R).max() < 1e-10
 
     def test_estimate_covariances_hermitian_psd(self, rng):
         sc = synthetic_scenario(rng, 3, 2, 3, tau_p=1)
         cfg = synthetic_config(rng, 3, 2, 3, tau_p=1)
         stats = estimation_statistics(sc, cfg)
-        for mat in (stats.rhat, stats.rtilde):
+        for mat in (sc.covariances - stats.rtilde, stats.rtilde):
             for k in range(3):
                 for l in range(2):
                     M = mat[k, l]
@@ -210,7 +253,7 @@ class TestMmseEstimate:
         obs = simulate_pilot_phase(sc, h, cfg, rng)
         est = mmse_estimate(sc, obs, cfg)
         hhat, htilde = est.hhat[0], (h - est.hhat)[0]
-        rhat, rtilde = est.rhat[0, 0], est.rtilde[0, 0]
+        rhat, rtilde = R - est.rtilde[0, 0], est.rtilde[0, 0]
 
         emp = np.einsum("lm,ln->mn", hhat, hhat.conj()) / n
         se = np.sqrt(np.outer(np.diag(rhat).real, np.diag(rhat).real) / n)

@@ -190,9 +190,9 @@ class TestSelftest:
         from stripesim.channel import draw_channels
         h = draw_channels(sc, h_rng)
         est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, h_rng), cfg)
-        assert check_covariance_decomposition(sc, est).passed
+        assert check_covariance_decomposition(sc, est, cfg).passed
 
         skew = np.zeros_like(est.rtilde)
         skew[..., 0, -1] = 1e-6 * np.abs(est.rtilde).max()
         est.rtilde = est.rtilde + skew
-        assert not check_covariance_decomposition(sc, est).passed
+        assert not check_covariance_decomposition(sc, est, cfg).passed

@@ -1,5 +1,7 @@
+import multiprocessing
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from oracles import per_block_setup
 from stripesim import runner
 from stripesim.config import SimulationConfig
 from stripesim.runner import (
-    ALL_SCHEMES, SCHEME_STRIPE, config_fingerprint, rng_stream,
+    ALL_SCHEMES, SCHEME_STRIPE, config_fingerprint, drop_groups, rng_stream,
     run_experiment, simulate_setup, worker_count,
 )
 
@@ -31,11 +33,11 @@ def test_rng_streams_are_pure_and_distinct():
 
 def test_simulate_setup_shapes():
     cfg = mini_config()
-    out = simulate_setup(cfg, 0, ALL_SCHEMES)
+    out = simulate_setup(cfg, range(0, 2), ALL_SCHEMES)
     assert set(out) == set(ALL_SCHEMES)
     for se, sinr in out.values():
-        assert se.shape == (cfg.num_ues,)
-        assert sinr.shape == (cfg.num_ues,)
+        assert se.shape == (2, cfg.num_ues)
+        assert sinr.shape == (2, cfg.num_ues)
         assert np.all(np.isfinite(se)) and np.all(se >= 0)
 
 
@@ -70,11 +72,42 @@ def test_bitwise_deterministic_across_runs():
         assert np.array_equal(a[scheme].sinr_linear, b[scheme].sinr_linear)
 
 
-def test_worker_count_does_not_change_results():
-    serial = run_experiment(mini_config(num_workers=1), ALL_SCHEMES)
-    pooled = run_experiment(mini_config(num_workers=2), ALL_SCHEMES)
+def pool_config(**overrides):
+    """Five drops that the default budget packs two to a group: three jobs."""
+    base = dict(num_aps=24, antennas_per_ap=4, num_ues=3, pilot_length=2,
+                num_setups=5, num_channel_realizations=9)
+    base.update(overrides)
+    return mini_config(**base)
+
+
+def recording_pool(monkeypatch):
+    """Record the size of every pool the runner starts."""
+    sizes = []
+
+    def pool(processes, **kwargs):
+        sizes.append(processes)
+        return multiprocessing.Pool(processes, **kwargs)
+
+    monkeypatch.setattr(runner, "multiprocessing", SimpleNamespace(Pool=pool))
+    return sizes
+
+
+def test_worker_count_does_not_change_results(monkeypatch):
+    assert [len(g) for g in drop_groups(pool_config())] == [2, 2, 1]
+    serial = run_experiment(pool_config(num_workers=1), ALL_SCHEMES)
+    sizes = recording_pool(monkeypatch)
+    pooled = run_experiment(pool_config(num_workers=2), ALL_SCHEMES)
+    assert sizes == [2]
     for scheme in ALL_SCHEMES:
         assert np.array_equal(serial[scheme].se, pooled[scheme].se)
+        assert np.array_equal(serial[scheme].sinr_linear, pooled[scheme].sinr_linear)
+
+
+def test_one_group_starts_no_pool(monkeypatch):
+    sizes = recording_pool(monkeypatch)
+    assert len(drop_groups(mini_config())) == 1
+    run_experiment(mini_config(num_workers=2), ALL_SCHEMES)
+    assert sizes == []
 
 
 def test_seed_changes_results():
@@ -97,11 +130,71 @@ def test_chunked_setup_matches_per_block_reference(monkeypatch, chunk):
     K, L, N = cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap
     monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", chunk * L * N * (K + L * N))
     assert runner.blocks_per_chunk(K, L, N) == chunk
-    got = simulate_setup(cfg, 1, ALL_SCHEMES)
+    got = simulate_setup(cfg, range(1, 2), ALL_SCHEMES)
     ref = per_block_setup(cfg, 1)
     for scheme in ALL_SCHEMES:
         for a, b in zip(got[scheme], ref[scheme]):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=scheme)
+            np.testing.assert_allclose(a[0], b, rtol=1e-12, atol=0, err_msg=scheme)
+
+
+def drop_elements(cfg):
+    """What one drop of cfg costs in the chunk budget: constants plus blocks."""
+    K, L, N = cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap
+    return L * N * (N * (4 * K + cfg.pilot_length)
+                    + cfg.num_channel_realizations * (K + L * N))
+
+
+def test_drop_groups_pack_whole_drops_within_the_budget(monkeypatch):
+    cfg = mini_config(num_setups=7, num_ues=5, num_channel_realizations=3)
+    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", 3 * drop_elements(cfg) + 1)
+    assert drop_groups(cfg) == [range(0, 3), range(3, 6), range(6, 7)]
+    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", drop_elements(cfg))
+    assert drop_groups(cfg) == [range(s, s + 1) for s in range(7)]
+    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", 1)
+    assert drop_groups(cfg) == [range(s, s + 1) for s in range(7)]
+
+
+@pytest.mark.parametrize("L, N, K", [(24, 4, 10), (6, 2, 4), (4, 2, 3), (24, 4, 40)])
+def test_a_drop_that_fills_a_chunk_runs_alone(L, N, K):
+    cfg = mini_config(num_aps=L, antennas_per_ap=N, num_ues=K, num_setups=4)
+    chunk = runner.blocks_per_chunk(K, L, N)
+    for n_blocks in (chunk, chunk + 1, 3 * chunk):
+        groups = drop_groups(replace(cfg, num_channel_realizations=n_blocks))
+        assert groups == [range(s, s + 1) for s in range(4)]
+
+
+@pytest.mark.parametrize("case", ["pilot_reuse_short_last_group", "orthogonal_pilots"])
+def test_grouped_drops_equal_one_drop_groups(monkeypatch, case):
+    # K > tau_p gives every drop its own pilot permutation; 7 drops in groups
+    # of 3 leave a short last group. Stacking drops must not change a bit.
+    # (A drop of at least a chunk runs alone: test_a_drop_that_fills_a_chunk_runs_alone.)
+    if case == "pilot_reuse_short_last_group":
+        cfg = mini_config(num_aps=6, num_ues=5, pilot_length=2, num_setups=7,
+                          num_channel_realizations=3)
+    else:
+        cfg = mini_config(num_aps=5, num_ues=3, pilot_length=4, num_setups=4,
+                          num_channel_realizations=2)
+    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", drop_elements(cfg))
+    assert all(len(g) == 1 for g in drop_groups(cfg))
+    single = run_experiment(cfg, ALL_SCHEMES)
+    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", 3 * drop_elements(cfg))
+    assert len(drop_groups(cfg)[0]) == 3 and len(drop_groups(cfg)[-1]) == 1
+    grouped = run_experiment(cfg, ALL_SCHEMES)
+    for scheme in ALL_SCHEMES:
+        assert np.array_equal(grouped[scheme].se, single[scheme].se), scheme
+        assert np.array_equal(grouped[scheme].sinr_linear, single[scheme].sinr_linear), scheme
+
+
+def test_grouped_setups_match_per_block_reference():
+    # each drop of a group against the one-drop, one-block reference
+    cfg = mini_config(num_aps=6, num_ues=5, pilot_length=2, num_setups=4,
+                      num_channel_realizations=3)
+    got = simulate_setup(cfg, range(0, 4), ALL_SCHEMES)
+    for s in range(4):
+        ref = per_block_setup(cfg, s)
+        for scheme in ALL_SCHEMES:
+            for a, b in zip(got[scheme], ref[scheme]):
+                np.testing.assert_allclose(a[s], b, rtol=1e-12, atol=0, err_msg=scheme)
 
 
 def test_all_cores_means_the_affinity_mask(monkeypatch):

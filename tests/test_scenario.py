@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from stripesim.config import CorrelationModel, SimulationConfig
+from stripesim import scenario
 from stripesim.runner import rng_stream
 from stripesim.scenario import (
-    assign_pilots, build_scenario, local_scattering_covariance, pathloss_db,
+    _clip_psd, assign_pilots, build_scenario, local_scattering_covariance, pathloss_db,
 )
 
 
@@ -58,6 +59,34 @@ class TestLocalScattering:
         assert np.abs(R - R.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(R).min() > -1e-10
 
+    def test_rank_deficient_correlation_is_clipped(self, monkeypatch):
+        # a tiny angular spread leaves numerically rank-one matrices: Cholesky
+        # fails, and the eigenvalue clip must give what it always gave
+        angles = np.array([[0.3, 1.0, 1.4], [-0.7, 0.2, 0.9]])
+        R = local_scattering_covariance(np.ones((2, 3)), angles, 1e-6, 4)
+        monkeypatch.setattr(scenario, "_clip_psd", lambda corr: corr)
+        raw = local_scattering_covariance(np.ones((2, 3)), angles, 1e-6, 4)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(raw)
+        # the clip as it was before the Cholesky test: eigh of the whole stack
+        w, v = np.linalg.eigh(raw)
+        clipped = (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        clipped = 0.5 * (clipped + clipped.conj().swapaxes(-1, -2))
+        expect = np.where((w.min(axis=-1) >= 0.0)[..., None, None], raw, clipped)
+        assert np.any(w.min(axis=-1) < 0.0)
+        assert np.array_equal(R, expect)
+
+    def test_positive_definite_correlation_is_untouched(self):
+        corr = np.stack([np.eye(3), [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]])
+        assert _clip_psd(corr) is corr
+
+    def test_non_psd_correlation_raises(self):
+        bad = np.stack([np.eye(3), np.diag([1.0, 1.0, -0.5])]).astype(complex)
+        with pytest.raises(ValueError, match="correlation matrix is not PSD"):
+            _clip_psd(bad)
+        with pytest.raises(ValueError, match="correlation matrix is not PSD"):
+            _clip_psd(np.stack([np.eye(3, dtype=complex), bad[1]])[None])
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             local_scattering_covariance(0.0, 0.0, 0.2, 4)
@@ -67,25 +96,27 @@ class TestLocalScattering:
 
 class TestPilotAssignment:
     def test_orthogonal_when_enough_pilots(self, rng):
-        t, copilot = assign_pilots(10, 20, rng)
+        t = assign_pilots(10, 20, rng)
         assert len(np.unique(t)) == 10
-        assert np.array_equal(copilot, np.eye(10, dtype=bool))
+        assert np.array_equal(t[:, None] == t[None, :], np.eye(10, dtype=bool))
 
     def test_forced_sharing(self, rng):
-        t, copilot = assign_pilots(2, 1, rng)
+        t = assign_pilots(2, 1, rng)
         assert np.array_equal(t, [0, 0])
-        assert copilot.all()
 
     def test_round_robin_reuse_counts(self, rng):
-        t, _ = assign_pilots(40, 20, rng)
+        t = assign_pilots(40, 20, rng)
         counts = np.bincount(t, minlength=20)
         assert np.array_equal(counts, np.full(20, 2))
 
     def test_copilot_matrix_consistency(self, rng):
-        t, copilot = assign_pilots(13, 5, rng)
-        assert np.array_equal(copilot, copilot.T)          # i in S_k <=> k in S_i
-        assert np.all(np.diag(copilot))                    # k in S_k
-        assert np.array_equal(copilot, t[:, None] == t[None, :])
+        # co-pilot sets S_k = {i : t_i = t_k}, derived from the pilot indices
+        t = assign_pilots(13, 5, rng)
+        sets = [set(np.flatnonzero(t == t[k])) for k in range(13)]
+        for k, members in enumerate(sets):
+            assert k in members
+            assert all(k in sets[i] for i in members)     # i in S_k <=> k in S_i
+        assert sorted(len(m) for m in set(map(frozenset, sets))) == [2, 2, 3, 3, 3]
 
 
 class TestBuildScenario:
@@ -177,11 +208,26 @@ class TestBuildScenario:
         with pytest.raises(ValueError):
             build_scenario(cfg, rng_stream(11, 0, 0))
 
-    def test_copilot_sets_accessor(self):
+    def test_copilot_sets_from_pilot_index(self):
+        # five UEs on two pilots: the co-pilot sets partition them 3 + 2
         cfg = small_config(num_ues=5, pilot_length=2)
         sc = build_scenario(cfg, rng_stream(12, 0, 0))
-        for k, members in enumerate(sc.copilot_sets()):
-            assert k in members
-            assert np.array_equal(
-                members, np.flatnonzero(sc.pilot_index == sc.pilot_index[k])
-            )
+        sets = {frozenset(np.flatnonzero(sc.pilot_index == t).tolist())
+                for t in sc.pilot_index}
+        assert sorted(len(m) for m in sets) == [2, 3]
+        assert set().union(*sets) == set(range(5))
+
+    @pytest.mark.parametrize("model", list(CorrelationModel))
+    def test_stacked_drops_equal_single_drops(self, model):
+        # one generator per drop: every UE field gets a leading drop axis and
+        # each drop is exactly the drop built from its generator alone
+        cfg = small_config(num_ues=5, pilot_length=2, correlation_model=model)
+        stacked = build_scenario(cfg, [rng_stream(13, s, 0) for s in range(3)])
+        assert stacked.covariances.shape == (3, 5, 8, 2, 2)
+        assert stacked.pilot_index.shape == (3, 5)
+        for s in range(3):
+            single = build_scenario(cfg, rng_stream(13, s, 0))
+            for field in ("ue_positions", "distances", "large_scale", "covariances",
+                          "cov_factors", "pilot_index"):
+                assert np.array_equal(getattr(stacked, field)[s], getattr(single, field)), field
+            assert np.array_equal(stacked.ap_positions, single.ap_positions)

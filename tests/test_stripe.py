@@ -3,7 +3,7 @@ import pytest
 
 from oracles import (
     angle_between, brute_force_combiner, build_augmented_moments, complex_gaussian,
-    first_ap_lmmse, random_psd, synthetic_config, synthetic_scenario,
+    first_ap_lmmse, impairment, random_psd, synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.channel import (
@@ -19,8 +19,8 @@ from stripesim.stripe import (
 def zero_prior_combiner(hhat, rtilde, powers, sigma2):
     """The AP-1 rule: the stage combiner on a zero prior, local coordinates."""
     K = hhat.shape[0]
-    V = combiner_stage(hhat, rtilde, np.zeros((K, K), dtype=complex),
-                       np.zeros((K, K)), powers, sigma2)
+    V = combiner_stage(hhat, impairment(rtilde, powers, sigma2),
+                       np.zeros((K, K), dtype=complex), np.zeros((K, K)), powers, sigma2)
     assert np.abs(V[:, -1]).max() < 1e-14
     return V[:, :-1]
 
@@ -139,8 +139,8 @@ class TestStageCombiner:
         rtilde = np.stack([random_psd(rng, N, 0.3) for _ in range(K)])
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.8
-        V = combiner_stage(hhat, rtilde, np.zeros((K, K), dtype=complex),
-                           np.zeros((K, K)), powers, sigma2)
+        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2),
+                           np.zeros((K, K), dtype=complex), np.zeros((K, K)), powers, sigma2)
         V_first = first_ap_lmmse(hhat, rtilde, powers, sigma2)
         assert np.abs(V[:, -1]).max() < 1e-14
         assert np.allclose(V[:, :N], V_first, atol=1e-12)
@@ -152,7 +152,9 @@ class TestStageCombiner:
         rtilde = np.zeros((K, N, N), dtype=complex)
         ghat_prev = np.eye(K, dtype=complex)
         prev = StageState(ghat=ghat_prev, psi=np.zeros((K, K)))
-        V = combiner_stage(hhat, rtilde, prev.ghat, prev.psi, np.array([1.0, 2.0]), 0.5)
+        powers = np.array([1.0, 2.0])
+        V = combiner_stage(hhat, impairment(rtilde, powers, 0.5), prev.ghat, prev.psi,
+                           powers, 0.5)
         expect = np.zeros((K, N + 1))
         expect[:, N] = 1.0
         assert np.allclose(V, expect, atol=1e-14)
@@ -166,7 +168,8 @@ class TestStageCombiner:
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = float(rng.uniform(0.5, 2.0))
         aug = build_augmented_moments(hhat, rtilde, prev)
-        V = combiner_stage(hhat, rtilde, prev.ghat, prev.psi, powers, sigma2)
+        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2), prev.ghat, prev.psi,
+                           powers, sigma2)
         for k in range(K):
             chat = np.stack([aug.chat(i, k) for i in range(K)])
             w = brute_force_combiner(rng, k, powers, sigma2, chat, rtilde,
@@ -184,7 +187,8 @@ class TestStageCombiner:
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.7
         aug = build_augmented_moments(hhat, rtilde, prev)
-        V = combiner_stage(hhat, rtilde, prev.ghat, prev.psi, powers, sigma2)
+        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2), prev.ghat, prev.psi,
+                           powers, sigma2)
         for k in range(K):
             B = sigma2 * np.eye(N + 1, dtype=complex)
             for i in range(K):
@@ -274,7 +278,7 @@ class TestStageUpdate:
         run, est, h, pay, powers, sigma2 = random_run(rng, payload=False)
         rtilde = est.rtilde.copy()
         rtilde[1, 2] = -np.eye(rtilde.shape[-1])
-        bad = ChannelEstimateSet(hhat=est.hhat, rhat=est.rhat, rtilde=rtilde)
+        bad = ChannelEstimateSet(hhat=est.hhat, rtilde=rtilde)
         with pytest.raises(ValueError, match="negative error variance at AP 2"):
             run_stripe(bad, powers, sigma2)
 
@@ -368,7 +372,7 @@ class TestRunStripe:
         )
         batched = run_stripe(est, powers, sigma2, channels=h, payload=pay).final
         for b in range(B):
-            one = ChannelEstimateSet(hhat=est.hhat[b], rhat=est.rhat, rtilde=est.rtilde)
+            one = ChannelEstimateSet(hhat=est.hhat[b], rtilde=est.rtilde)
             single = run_stripe(one, powers, sigma2, channels=h[b],
                                 payload=PayloadRealization(pay.symbols[b], pay.noise[b])).final
             for field in ("ghat", "psi", "soft", "g_true", "n_eff"):
