@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, herm, over_blocks
-from .stripe import error_load
+from .channel import ChannelEstimateSet, error_load, herm, over_blocks
 
 
 def centralized_lmmse_l4(

@@ -160,6 +160,12 @@ class ChannelEstimateSet:
     rtilde: np.ndarray   # (drops..., K, L, N, N) error covariance
 
 
+def error_load(rtilde: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Per-AP sum_i p_i rtilde_il: (..., K, L, N, N) -> (..., L, N, N)."""
+    *lead, K, L, N, _ = rtilde.shape
+    return (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
+
+
 def mmse_estimate(
     scenario: Scenario, obs: PilotObservation, config: SimulationConfig,
     stats: EstimationStatistics | None = None,

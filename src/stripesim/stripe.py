@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, herm, over_blocks
+from .channel import ChannelEstimateSet, error_load, herm, over_blocks
 
 # A negative psi entry below -_PSI_REL_TOL * (largest psi of its block) is
 # not roundoff: it means an error covariance is not PSD.
@@ -55,12 +55,6 @@ class StageState:
         K = self.num_ues
         return {"soft_estimates": K, "effective_channel_estimates": K * K,
                 "error_variances": K * K}
-
-
-def error_load(rtilde: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Per-AP sum_i p_i rtilde_il: (..., K, L, N, N) -> (..., L, N, N)."""
-    *lead, K, L, N, _ = rtilde.shape
-    return (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
 
 
 def combiner_stage(
