@@ -63,8 +63,11 @@ def pin_one_thread() -> None:
 
     A copy already on one thread is left alone: setting the count again in a
     forked worker makes OpenBLAS rebuild its state, which costs the worker's
-    first BLAS calls tens of milliseconds.
+    first BLAS calls tens of milliseconds. Numpy is imported first: a spawned
+    worker that has imported only this module has no OpenBLAS mapped yet.
     """
+    import numpy  # noqa: F401
+
     for setter, getter in _loaded_openblas():
         if getter() != 1:
             setter(1)

@@ -53,14 +53,9 @@ def _fronthaul(config: SimulationConfig) -> tuple[list[metrics.FronthaulReport],
                      "reduction": stripe.reduction_vs_l4}
 
 
-def _run_single(config: SimulationConfig, schemes, out_dir: Path) -> dict:
+def _write_run(config: SimulationConfig, results: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config_resolved.ini")
-
-    def progress(done, total):
-        print(f"  setup {done}/{total}", flush=True)
-
-    results = run_experiment(config, schemes, progress=progress)
     se_by_scheme = {}
     for scheme, result in results.items():
         metrics.write_se_csv(out_dir / f"se_{scheme}.csv", scheme, result.se)
@@ -70,7 +65,6 @@ def _run_single(config: SimulationConfig, schemes, out_dir: Path) -> dict:
 
     payload = metrics.summary_payload(se_by_scheme, _fronthaul(config)[1])
     metrics.write_summary_json(out_dir / "summary.json", payload)
-    return payload
 
 
 def cmd_run(args) -> int:
@@ -90,19 +84,25 @@ def cmd_run(args) -> int:
     sweep_field, sweep_values = _parse_sweep(args.sweep) if args.sweep else (None, ())
     out_dir = Path(args.out)
 
+    # (config, output directory, sweep label) of each run, all simulated in one call
+    runs = []
     if sweep_field is None:
         print(f"running {', '.join(schemes)} -> {out_dir}", flush=True)
-        _run_single(config, schemes, out_dir)
-    else:
-        manifest = []
-        for value in sweep_values:
-            cfg = replace(config, **{sweep_field: value})
-            label = value.value if isinstance(value, CorrelationModel) else value
-            sub = out_dir / f"{sweep_field}_{label}"
-            print(f"running {sweep_field}={label} -> {sub}", flush=True)
-            _run_single(cfg, schemes, sub)
-            manifest.append({"value": str(label), "dir": sub.name})
-        out_dir.mkdir(parents=True, exist_ok=True)
+        runs.append((config, out_dir, None))
+    for value in sweep_values:
+        label = value.value if isinstance(value, CorrelationModel) else value
+        sub = out_dir / f"{sweep_field}_{label}"
+        print(f"running {sweep_field}={label} -> {sub}", flush=True)
+        runs.append((replace(config, **{sweep_field: value}), sub, label))
+
+    def progress(done, total):
+        print(f"  setup {done}/{total}", flush=True)
+
+    results = run_experiment([cfg for cfg, _, _ in runs], schemes, progress=progress)
+    for (cfg, sub, _), result in zip(runs, results):
+        _write_run(cfg, result, sub)
+    if sweep_field is not None:
+        manifest = [{"value": str(label), "dir": sub.name} for _, sub, label in runs]
         with open(out_dir / "sweep.json", "w", encoding="utf-8") as fh:
             json.dump(
                 {"schema_version": 1, "variable": sweep_field, "runs": manifest},

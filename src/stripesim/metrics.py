@@ -9,29 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def instantaneous_sinr(
-    ghat: np.ndarray, psi_tilde: np.ndarray, powers: np.ndarray,
-    sigma2: float, target: int,
-) -> float:
-    """Effective SINR of one UE from the CPU-side quantities.
-
-    ghat[i] and psi_tilde[i] are the effective-channel estimate and its error
-    variance for interferer i under the target UE's combiner chain; the error
-    variances of all UEs (the target included) are charged to the denominator.
-    """
-    ghat = np.asarray(ghat)
-    psi_tilde = np.asarray(psi_tilde, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-    if np.any(psi_tilde < 0.0):
-        raise ValueError("error variances must be nonnegative")
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be strictly positive")
-    gains = powers * np.abs(ghat) ** 2
-    num = gains[target]
-    den = gains.sum() - num + float(powers @ psi_tilde) + sigma2
-    return float(num / den)
-
-
 def sinr_per_ue(
     ghat: np.ndarray, psi_tilde: np.ndarray, powers: np.ndarray, sigma2: float
 ) -> np.ndarray:

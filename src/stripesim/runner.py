@@ -1,4 +1,4 @@
-"""Monte Carlo orchestration: groups of setups fan out to workers, blocks run inside.
+"""Monte Carlo orchestration: groups of setups fan out to one pool, blocks run inside.
 
 Every setup and every (setup, block) work item derives its own RNG stream
 from the config seed, so results are bit-identical regardless of worker-pool
@@ -6,15 +6,17 @@ size or completion order. A job is a group of consecutive setups (drops): it
 draws their scenarios, precomputes the estimation statistics, then sweeps
 the channel realizations in chunks of stacked blocks, shaped (drops, blocks,
 ...); the SE expectation runs over realizations within a setup, the CDF
-randomness over UEs and setups.
+randomness over UEs and setups. A run's jobs are the groups of every config
+it simulates (one config, or one per sweep value), all through one pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -163,46 +165,81 @@ def worker_count(requested: int, num_jobs: int) -> int:
     return max(1, min(requested or os.cpu_count() or 1, num_jobs))
 
 
+def _job_name(configs: list[SimulationConfig], config: SimulationConfig, setups: range) -> str:
+    """The job's config fingerprint, the fields the configs differ in, its setups."""
+    swept = []
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if any(getattr(other, field.name) != value for other in configs):
+            swept.append(f"{field.name}={getattr(value, 'value', value)}")
+    where = f" ({', '.join(swept)})" if swept else ""
+    return f"config {config_fingerprint(config)}{where}, setups {setups.start}-{setups.stop - 1}"
+
+
 def run_experiment(
-    config: SimulationConfig,
+    configs: list[SimulationConfig],
     schemes: tuple[str, ...] = ALL_SCHEMES,
     progress=None,
-) -> dict[str, SEResult]:
-    """Simulate all setups for the requested schemes, in parallel if configured.
+) -> list[dict[str, SEResult]]:
+    """Simulate every config's setups for the requested schemes; one result per config.
+
+    A plain run passes one config, a sweep one per value. Each (config, group
+    of setups) is one job; all jobs, in config order and then group order, go
+    through one pool, so the configs must share num_workers. A call of one
+    job in total starts no pool. progress(done, total) counts setups over
+    the whole call as each job returns. A ValueError raised in a job
+    re-raises naming its config and setups.
 
     Every loaded OpenBLAS runs single-threaded for the duration (see blas),
-    in pool workers too, whatever the start method. A run of one group of
-    setups starts no pool.
+    in pool workers too, whatever the start method.
     """
-    config.validate()
+    if not configs:
+        raise ValueError("at least one config is required")
+    for config in configs:
+        config.validate()
+    if len({config.num_workers for config in configs}) > 1:
+        raise ValueError("all configs of one run must have the same num_workers")
     for scheme in schemes:
         if scheme not in ALL_SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
     if not schemes:
         raise ValueError("at least one scheme is required")
 
-    jobs = [(config, group, tuple(schemes)) for group in drop_groups(config)]
-    workers = worker_count(config.num_workers, len(jobs))
-    with one_blas_thread():
+    groups = [drop_groups(config) for config in configs]
+    jobs = [(config, group, tuple(schemes))
+            for config, config_groups in zip(configs, groups) for group in config_groups]
+    total = sum(config.num_setups for config in configs)
+    workers = worker_count(configs[0].num_workers, len(jobs))
+    per_job = []
+    with one_blas_thread(), contextlib.ExitStack() as stack:
         if workers > 1:
-            with multiprocessing.Pool(processes=workers, initializer=pin_one_thread) as pool:
-                per_group = pool.map(_setup_worker, jobs, chunksize=1)
-            if progress is not None:
-                progress(config.num_setups, config.num_setups)
+            pool = stack.enter_context(
+                multiprocessing.Pool(processes=workers, initializer=pin_one_thread))
+            outs = pool.imap(_setup_worker, jobs, chunksize=1)
         else:
-            per_group = []
-            for job in jobs:
-                per_group.append(_setup_worker(job))
-                if progress is not None:
-                    progress(job[1].stop, config.num_setups)
+            outs = map(_setup_worker, jobs)
+        done = 0
+        for config, setups, _ in jobs:
+            try:
+                per_job.append(next(outs))
+            except ValueError as exc:
+                raise ValueError(f"{_job_name(configs, config, setups)}: {exc}") from exc
+            done += len(setups)
+            if progress is not None:
+                progress(done, total)
 
-    fingerprint = config_fingerprint(config)
-    results: dict[str, SEResult] = {}
-    for scheme in schemes:
-        se = np.concatenate([out[scheme][0] for out in per_group])
-        sinr = np.concatenate([out[scheme][1] for out in per_group])
-        results[scheme] = SEResult(
-            scheme=scheme, se=se, sinr_linear=sinr,
-            fingerprint=fingerprint, n_samples=se.size,
-        )
+    returned = iter(per_job)
+    results = []
+    for config, config_groups in zip(configs, groups):
+        mine = [next(returned) for _ in config_groups]
+        fingerprint = config_fingerprint(config)
+        by_scheme: dict[str, SEResult] = {}
+        for scheme in schemes:
+            se = np.concatenate([out[scheme][0] for out in mine])
+            sinr = np.concatenate([out[scheme][1] for out in mine])
+            by_scheme[scheme] = SEResult(
+                scheme=scheme, se=se, sinr_linear=sinr,
+                fingerprint=fingerprint, n_samples=se.size,
+            )
+        results.append(by_scheme)
     return results

@@ -50,12 +50,6 @@ class StageState:
     def num_ues(self) -> int:
         return self.ghat.shape[-1]
 
-    def payload_item_counts(self) -> dict[str, int]:
-        """Entries forwarded per stage, by field."""
-        K = self.num_ues
-        return {"soft_estimates": K, "effective_channel_estimates": K * K,
-                "error_variances": K * K}
-
 
 def combiner_stage(
     hhat: np.ndarray, impairment_l: np.ndarray, ghat_prev: np.ndarray,

@@ -46,21 +46,21 @@ def report(criterion: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def fig1_results():
-    return run_experiment(desk_config(), ALL_SCHEMES)
+    return run_experiment([desk_config()], ALL_SCHEMES)[0]
 
 
 @pytest.fixture(scope="module")
 def stripe_uncorrelated():
     cfg = desk_config(correlation_model=CorrelationModel.UNCORRELATED)
-    return run_experiment(cfg, (SCHEME_STRIPE,))[SCHEME_STRIPE]
+    return run_experiment([cfg], (SCHEME_STRIPE,))[0][SCHEME_STRIPE]
 
 
 @pytest.fixture(scope="module")
 def stripe_by_num_ues(fig1_results):
     out = {10: fig1_results[SCHEME_STRIPE]}
-    for k in (5, 15, 20):
-        cfg = desk_config(num_ues=k)
-        out[k] = run_experiment(cfg, (SCHEME_STRIPE,))[SCHEME_STRIPE]
+    ks = (5, 15, 20)
+    runs = run_experiment([desk_config(num_ues=k) for k in ks], (SCHEME_STRIPE,))
+    out.update((k, run[SCHEME_STRIPE]) for k, run in zip(ks, runs))
     return out
 
 

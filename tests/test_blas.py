@@ -40,7 +40,7 @@ def test_run_experiment_restores_thread_counts():
         config = SimulationConfig(num_aps=2, antennas_per_ap=2, num_ues=2,
                                   pilot_length=2, coherence_block=10, num_setups=1,
                                   num_channel_realizations=2, num_workers=1)
-        run_experiment(config, (SCHEME_STRIPE,))
+        run_experiment([config], (SCHEME_STRIPE,))
         assert thread_counts() == outer
     finally:
         set_all(1)
@@ -70,7 +70,7 @@ def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
                               coherence_block=20, num_setups=3,
                               num_channel_realizations=9, num_workers=1)
     assert len(drop_groups(config)) == 2
-    serial = run_experiment(config, ALL_SCHEMES)
+    serial = run_experiment([config], ALL_SCHEMES)[0]
 
     spawn = multiprocessing.get_context("spawn")
     reported = []
@@ -81,7 +81,7 @@ def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
         return started
 
     monkeypatch.setattr(runner, "multiprocessing", SimpleNamespace(Pool=pool))
-    pooled = run_experiment(replace(config, num_workers=2), ALL_SCHEMES)
+    pooled = run_experiment([replace(config, num_workers=2)], ALL_SCHEMES)[0]
     # a worker maps numpy's OpenBLAS (scipy's only if a test imported scipy here)
     assert reported and all(counts and set(counts) == {1} for counts in reported)
     for scheme in ALL_SCHEMES:

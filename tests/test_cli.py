@@ -135,6 +135,40 @@ class TestRun:
             "gaussian_local_scattering", "uncorrelated",
         ]
 
+    def test_sweep_worker_independence(self, tmp_path):
+        # two values of one group each: --workers 2 runs them in one pool
+        cfg = write_mini(tmp_path)
+        outs = [tmp_path / f"w{w}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--sweep", "K=2,3", "--workers", str(w)]) == 0
+        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+        assert len(files) == 1 + 2 * len(RUN_FILES)
+        for name in files:
+            a, b = (out / name for out in outs)
+            if name.name == "config_resolved.ini":
+                assert load_config(a) == replace(load_config(b), num_workers=1)
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
+
+    def test_failing_job_exits_1_naming_its_setups(self, tmp_path, monkeypatch, capsys):
+        from stripesim import runner
+
+        def failing(config, setups, schemes):
+            raise np.linalg.LinAlgError("injected failure")
+
+        monkeypatch.setattr(runner, "simulate_setup", failing)
+        cfg = write_mini(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--sweep", "K=2,3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ")
+        assert "num_ues=2" in err and "setups 0-1" in err and "injected failure" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_invalid_config_gives_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[network]\nnum_aps = 1\n")

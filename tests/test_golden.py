@@ -26,7 +26,7 @@ CONFIG = {"num_aps": 6, "antennas_per_ap": 2, "num_ues": 4, "pilot_length": 2,
 
 def golden_se() -> dict[str, np.ndarray]:
     config = replace(SimulationConfig(), **CONFIG, num_workers=1)
-    results = run_experiment(config, ALL_SCHEMES)
+    results = run_experiment([config], ALL_SCHEMES)[0]
     return {scheme: results[scheme].se for scheme in ALL_SCHEMES}
 
 

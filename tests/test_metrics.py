@@ -2,19 +2,34 @@ import numpy as np
 import pytest
 
 from stripesim.metrics import (
-    empirical_cdf, fronthaul_load, instantaneous_sinr, percentile,
-    sinr_per_ue, spectral_efficiency,
+    empirical_cdf, fronthaul_load, percentile, sinr_per_ue, spectral_efficiency,
 )
+
+
+def scalar_sinr(ghat, psi, powers, sigma2, target):
+    """Effective SINR of one UE, term by term: ghat/psi[i] over interferers i."""
+    gains = [p * abs(g) ** 2 for p, g in zip(powers, ghat)]
+    den = sum(gains) - gains[target] + sum(p * v for p, v in zip(powers, psi)) + sigma2
+    return gains[target] / den
+
+
+def one_target_sinr(ghat, psi, powers, sigma2, target):
+    """sinr_per_ue for the target UE, given its column of ghat and psi."""
+    K = len(powers)
+    g = np.zeros((K, K), dtype=complex)
+    v = np.zeros((K, K))
+    g[:, target], v[:, target] = ghat, psi
+    return sinr_per_ue(g, v, np.asarray(powers, dtype=float), sigma2)[target]
 
 
 class TestInstantaneousSinr:
     def test_single_user_unit_values(self):
-        assert instantaneous_sinr(
-            np.array([1.0 + 0j]), np.array([0.0]), np.array([1.0]), 1.0, 0
-        ) == pytest.approx(1.0)
+        assert sinr_per_ue(
+            np.array([[1.0 + 0j]]), np.array([[0.0]]), np.array([1.0]), 1.0
+        ) == pytest.approx([1.0])
 
     def test_zero_numerator(self):
-        assert instantaneous_sinr(
+        assert one_target_sinr(
             np.array([0.0 + 0j, 1.0]), np.array([0.0, 0.0]),
             np.array([1.0, 1.0]), 0.5, 0
         ) == 0.0
@@ -22,65 +37,61 @@ class TestInstantaneousSinr:
     def test_hand_evaluated_two_user_case(self):
         # p=(1,1), ghat=(1, 0.5), psi=(0.1, 0.2), sigma2=0.5
         # -> 1 / (0.25 + 0.3 + 0.5) = 1/1.05
-        val = instantaneous_sinr(
+        val = one_target_sinr(
             np.array([1.0 + 0j, 0.5]), np.array([0.1, 0.2]),
             np.array([1.0, 1.0]), 0.5, 0
         )
         assert val == pytest.approx(1.0 / 1.05, rel=1e-12)
         assert val == pytest.approx(0.9524, abs=5e-5)
 
-    def test_rejects_negative_variance_and_bad_noise(self):
-        with pytest.raises(ValueError):
-            instantaneous_sinr(np.array([1.0 + 0j]), np.array([-0.1]),
-                               np.array([1.0]), 1.0, 0)
-        with pytest.raises(ValueError):
-            instantaneous_sinr(np.array([1.0 + 0j]), np.array([0.1]),
-                               np.array([1.0]), 0.0, 0)
-
     def test_scale_invariance(self, rng):
         # SINR is degree-0: scaling powers by c and the channel-gain
         # quantities (|ghat|^2, psi) by d leaves it fixed, provided sigma2
         # carries the product c*d (every denominator term is such a product)
         K = 4
-        ghat = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-        psi = np.abs(rng.standard_normal(K))
+        ghat = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        psi = np.abs(rng.standard_normal((K, K)))
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.7
-        a = instantaneous_sinr(ghat, psi, powers, sigma2, 2)
+        a = sinr_per_ue(ghat, psi, powers, sigma2)
         c, d = 13.7, 0.31
         # power-unit change alone
-        assert instantaneous_sinr(ghat, psi, c * powers, c * sigma2, 2) \
-            == pytest.approx(a, rel=1e-12)
+        np.testing.assert_allclose(
+            sinr_per_ue(ghat, psi, c * powers, c * sigma2), a, rtol=1e-12)
         # gain-unit change alone
-        assert instantaneous_sinr(np.sqrt(d) * ghat, d * psi, powers,
-                                  d * sigma2, 2) == pytest.approx(a, rel=1e-12)
+        np.testing.assert_allclose(
+            sinr_per_ue(np.sqrt(d) * ghat, d * psi, powers, d * sigma2), a, rtol=1e-12)
         # both together
-        assert instantaneous_sinr(np.sqrt(d) * ghat, d * psi, c * powers,
-                                  c * d * sigma2, 2) == pytest.approx(a, rel=1e-12)
+        np.testing.assert_allclose(
+            sinr_per_ue(np.sqrt(d) * ghat, d * psi, c * powers, c * d * sigma2), a,
+            rtol=1e-12)
 
     def test_monotone_in_target_power(self, rng):
         K = 3
-        ghat = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-        psi = np.abs(rng.standard_normal(K))
+        ghat = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        psi = np.abs(rng.standard_normal((K, K)))
         base = rng.uniform(0.5, 2.0, K)
         prev = -1.0
         for pk in np.linspace(0.1, 10.0, 25):
             powers = base.copy()
             powers[1] = pk
-            cur = instantaneous_sinr(ghat, psi, powers, 0.4, 1)
+            cur = sinr_per_ue(ghat, psi, powers, 0.4)[1]
             assert cur >= prev
             prev = cur
 
     def test_vectorized_matches_scalar(self, rng):
-        K = 4
-        ghat = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-        psi = np.abs(rng.standard_normal((K, K)))
+        # every UE of a stacked (blocks, K, K) call against the term-by-term sum
+        B, K = 3, 4
+        ghat = rng.standard_normal((B, K, K)) + 1j * rng.standard_normal((B, K, K))
+        psi = np.abs(rng.standard_normal((B, K, K)))
         powers = rng.uniform(0.5, 2.0, K)
         vec = sinr_per_ue(ghat, psi, powers, 0.9)
-        for k in range(K):
-            assert vec[k] == pytest.approx(
-                instantaneous_sinr(ghat[:, k], psi[:, k], powers, 0.9, k)
-            )
+        assert vec.shape == (B, K)
+        for b in range(B):
+            for k in range(K):
+                assert vec[b, k] == pytest.approx(
+                    scalar_sinr(ghat[b, :, k], psi[b, :, k], powers, 0.9, k), rel=1e-12
+                )
 
 
 class TestSpectralEfficiency:

@@ -43,7 +43,7 @@ def test_simulate_setup_shapes():
 
 def test_run_experiment_results():
     cfg = mini_config()
-    results = run_experiment(cfg, ALL_SCHEMES)
+    results = run_experiment([cfg], ALL_SCHEMES)[0]
     for scheme in ALL_SCHEMES:
         res = results[scheme]
         assert res.se.shape == (cfg.num_setups, cfg.num_ues)
@@ -52,21 +52,21 @@ def test_run_experiment_results():
 
 
 def test_scheme_subset_only_computes_requested():
-    results = run_experiment(mini_config(), (SCHEME_STRIPE,))
+    results = run_experiment([mini_config()], (SCHEME_STRIPE,))[0]
     assert list(results) == [SCHEME_STRIPE]
 
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
-        run_experiment(mini_config(), ("zf",))
+        run_experiment([mini_config()], ("zf",))
     with pytest.raises(ValueError):
-        run_experiment(mini_config(), ())
+        run_experiment([mini_config()], ())
 
 
 def test_bitwise_deterministic_across_runs():
     cfg = mini_config()
-    a = run_experiment(cfg, ALL_SCHEMES)
-    b = run_experiment(cfg, ALL_SCHEMES)
+    a = run_experiment([cfg], ALL_SCHEMES)[0]
+    b = run_experiment([cfg], ALL_SCHEMES)[0]
     for scheme in ALL_SCHEMES:
         assert np.array_equal(a[scheme].se, b[scheme].se)
         assert np.array_equal(a[scheme].sinr_linear, b[scheme].sinr_linear)
@@ -94,9 +94,9 @@ def recording_pool(monkeypatch):
 
 def test_worker_count_does_not_change_results(monkeypatch):
     assert [len(g) for g in drop_groups(pool_config())] == [2, 2, 1]
-    serial = run_experiment(pool_config(num_workers=1), ALL_SCHEMES)
+    serial = run_experiment([pool_config(num_workers=1)], ALL_SCHEMES)[0]
     sizes = recording_pool(monkeypatch)
-    pooled = run_experiment(pool_config(num_workers=2), ALL_SCHEMES)
+    pooled = run_experiment([pool_config(num_workers=2)], ALL_SCHEMES)[0]
     assert sizes == [2]
     for scheme in ALL_SCHEMES:
         assert np.array_equal(serial[scheme].se, pooled[scheme].se)
@@ -106,13 +106,84 @@ def test_worker_count_does_not_change_results(monkeypatch):
 def test_one_group_starts_no_pool(monkeypatch):
     sizes = recording_pool(monkeypatch)
     assert len(drop_groups(mini_config())) == 1
-    run_experiment(mini_config(num_workers=2), ALL_SCHEMES)
+    run_experiment([mini_config(num_workers=2)], ALL_SCHEMES)
     assert sizes == []
 
 
+def fork_pool(monkeypatch):
+    """Pools of the fork start method, whose workers see the test's monkeypatches."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    monkeypatch.setattr(runner, "multiprocessing",
+                        SimpleNamespace(Pool=multiprocessing.get_context("fork").Pool))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_equals_single_config_calls(workers):
+    # K = 5 > tau_p = 2 reuses pilots; each value is its own config
+    ks = (2, 3, 5)
+    configs = [mini_config(num_ues=k, num_workers=workers) for k in ks]
+    swept = run_experiment(configs, ALL_SCHEMES)
+    assert len(swept) == len(ks)
+    for k, config, got in zip(ks, configs, swept):
+        ref = run_experiment([config], ALL_SCHEMES)[0]
+        for scheme in ALL_SCHEMES:
+            assert np.array_equal(got[scheme].se, ref[scheme].se), (k, scheme)
+            assert np.array_equal(got[scheme].sinr_linear, ref[scheme].sinr_linear), (k, scheme)
+            assert got[scheme].fingerprint == ref[scheme].fingerprint
+
+
+def test_sweep_starts_one_pool_for_all_values(monkeypatch):
+    configs = [mini_config(num_ues=k, num_workers=2) for k in (2, 3, 4, 5)]
+    assert all(len(drop_groups(c)) == 1 for c in configs)
+    sizes = recording_pool(monkeypatch)
+    run_experiment(configs, (SCHEME_STRIPE,))
+    assert sizes == [2]
+
+
+def test_configs_must_share_the_worker_count():
+    with pytest.raises(ValueError, match="num_workers"):
+        run_experiment([mini_config(num_workers=1), mini_config(num_workers=2)])
+    with pytest.raises(ValueError):
+        run_experiment([])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_counts_setups_over_the_whole_call(workers):
+    configs = [pool_config(num_ues=k, num_workers=workers) for k in (3, 4)]
+    assert [[len(g) for g in drop_groups(c)] for c in configs] == [[2, 2, 1]] * 2
+    calls = []
+    run_experiment(configs, (SCHEME_STRIPE,), progress=lambda *a: calls.append(a))
+    assert calls == [(2, 10), (4, 10), (5, 10), (7, 10), (9, 10), (10, 10)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_job_names_its_config_and_setups(monkeypatch, workers):
+    if workers > 1:
+        fork_pool(monkeypatch)
+    configs = [pool_config(num_ues=k, num_workers=workers) for k in (3, 4)]
+    bad = drop_groups(configs[1])[1]
+    real = runner.simulate_setup
+
+    def failing(config, setups, schemes):
+        if config.num_ues == 4 and setups == bad:
+            raise np.linalg.LinAlgError("injected failure")
+        return real(config, setups, schemes)
+
+    monkeypatch.setattr(runner, "simulate_setup", failing)
+    with pytest.raises(ValueError) as info:
+        run_experiment(configs, (SCHEME_STRIPE,))
+    message = str(info.value)
+    assert config_fingerprint(configs[1]) in message
+    assert "num_ues=4" in message
+    assert f"setups {bad.start}-{bad.stop - 1}" in message
+    assert "injected failure" in message
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_seed_changes_results():
-    a = run_experiment(mini_config(rng_seed=11), (SCHEME_STRIPE,))
-    b = run_experiment(mini_config(rng_seed=12), (SCHEME_STRIPE,))
+    a = run_experiment([mini_config(rng_seed=11)], (SCHEME_STRIPE,))[0]
+    b = run_experiment([mini_config(rng_seed=12)], (SCHEME_STRIPE,))[0]
     assert not np.array_equal(a[SCHEME_STRIPE].se, b[SCHEME_STRIPE].se)
 
 
@@ -176,10 +247,10 @@ def test_grouped_drops_equal_one_drop_groups(monkeypatch, case):
                           num_channel_realizations=2)
     monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", drop_elements(cfg))
     assert all(len(g) == 1 for g in drop_groups(cfg))
-    single = run_experiment(cfg, ALL_SCHEMES)
+    single = run_experiment([cfg], ALL_SCHEMES)[0]
     monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", 3 * drop_elements(cfg))
     assert len(drop_groups(cfg)[0]) == 3 and len(drop_groups(cfg)[-1]) == 1
-    grouped = run_experiment(cfg, ALL_SCHEMES)
+    grouped = run_experiment([cfg], ALL_SCHEMES)[0]
     for scheme in ALL_SCHEMES:
         assert np.array_equal(grouped[scheme].se, single[scheme].se), scheme
         assert np.array_equal(grouped[scheme].sinr_linear, single[scheme].sinr_linear), scheme

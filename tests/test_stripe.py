@@ -348,15 +348,18 @@ class TestRunStripe:
                            noise=np.zeros((4, 2), dtype=complex)))
 
     def test_forwarded_payload_counts(self, rng):
-        run, *_ = random_run(rng, K=3)
-        counts = run.final.payload_item_counts()
-        K = 3
-        assert counts == {"soft_estimates": K,
-                          "effective_channel_estimates": K * K,
-                          "error_variances": K * K}
-        # K complex soft estimates counted separately; K + 2K^2 items per stage
-        assert counts["soft_estimates"] + counts["effective_channel_estimates"] \
-            + counts["error_variances"] == K + 2 * K * K
+        # what the last AP forwards per block, counted in real scalars from
+        # the run's own arrays, is the front-haul model's per-segment load
+        K, L, N, tau_c, tau_p = 3, 4, 2, 40, 2
+        run, *_ = random_run(rng, K=K, L=L, N=N, tau_p=tau_p)
+        final = run.final
+        assert final.ghat.shape == final.psi.shape == (K, K)
+        assert final.soft.shape == (K,)
+        forwarded = 2 * final.ghat.size + final.psi.size \
+            + 2 * final.soft.size * (tau_c - tau_p)
+        report = metrics.fronthaul_load("stripe_nlmmse", N, L, K, tau_c, tau_p)
+        assert report.real_scalars_per_block_per_segment == forwarded
+        assert report.real_scalars_to_cpu_per_block == forwarded
 
     def test_block_axis_matches_single_blocks(self, rng):
         K, L, N, tau_p, B = 3, 4, 2, 2, 5
