@@ -6,7 +6,10 @@ OpenBLAS copies mapped into the process (numpy's and scipy's bundled builds
 export differently named entry points) are found in /proc/self/maps and set
 through ctypes. Forked workers inherit the setting; workers started by spawn
 or forkserver do not, so pools run pin_one_thread as their initializer.
-Without /proc or without a loaded OpenBLAS this does nothing.
+Without /proc or without a loaded OpenBLAS this does nothing. The stripesim
+command also sets OPENBLAS_NUM_THREADS=1 before numpy loads (see cli), so
+its OpenBLAS never starts extra threads; this pin covers library callers
+that imported numpy first.
 """
 
 from __future__ import annotations

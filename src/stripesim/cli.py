@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import metrics
-from .config import CorrelationModel, SimulationConfig, load_config, save_config
-from .runner import ALL_SCHEMES, run_experiment
+# Set before numpy loads OpenBLAS, which otherwise starts one thread per
+# extra core at load; the threads spin on every run, although the simulation
+# pins OpenBLAS to one thread anyway (see blas), and an inherited value could
+# only start more of them. Pool workers inherit the environment.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import metrics  # noqa: E402
+from .config import CorrelationModel, SimulationConfig, load_config, save_config  # noqa: E402
+from .runner import ALL_SCHEMES, run_experiment  # noqa: E402
 
 _SWEEPABLE = {
     "k": "num_ues",
@@ -35,7 +42,15 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
         parsed = tuple(int(v) for v in raw)
     else:
         parsed = tuple(CorrelationModel.from_string(v) for v in raw)
+    for i, value in enumerate(parsed):
+        if value in parsed[:i]:
+            raise ValueError(f"sweep repeats {field}={_label(value)}")
     return field, parsed
+
+
+def _label(value) -> str | int:
+    """A sweep value as it appears in output directory names and sweep.json."""
+    return value.value if isinstance(value, CorrelationModel) else value
 
 
 def _fronthaul(config: SimulationConfig) -> tuple[list[metrics.FronthaulReport], dict]:
@@ -73,7 +88,6 @@ def cmd_run(args) -> int:
         config = replace(config, rng_seed=args.seed)
     if args.workers is not None:
         config = replace(config, num_workers=args.workers)
-    config.validate()
 
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     if not schemes:
@@ -84,16 +98,23 @@ def cmd_run(args) -> int:
     sweep_field, sweep_values = _parse_sweep(args.sweep) if args.sweep else (None, ())
     out_dir = Path(args.out)
 
-    # (config, output directory, sweep label) of each run, all simulated in one call
+    # (config, output directory, sweep label) of each run, all validated
+    # before anything prints, then simulated in one call
     runs = []
     if sweep_field is None:
-        print(f"running {', '.join(schemes)} -> {out_dir}", flush=True)
+        config.validate()
         runs.append((config, out_dir, None))
     for value in sweep_values:
-        label = value.value if isinstance(value, CorrelationModel) else value
-        sub = out_dir / f"{sweep_field}_{label}"
-        print(f"running {sweep_field}={label} -> {sub}", flush=True)
-        runs.append((replace(config, **{sweep_field: value}), sub, label))
+        label = _label(value)
+        swept = replace(config, **{sweep_field: value})
+        try:
+            swept.validate()
+        except ValueError as exc:
+            raise ValueError(f"{sweep_field}={label}: {exc}") from exc
+        runs.append((swept, out_dir / f"{sweep_field}_{label}", label))
+    for _, sub, label in runs:
+        what = ", ".join(schemes) if label is None else f"{sweep_field}={label}"
+        print(f"running {what} -> {sub}", flush=True)
 
     def progress(done, total):
         print(f"  setup {done}/{total}", flush=True)

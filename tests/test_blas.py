@@ -1,10 +1,16 @@
+import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import stripesim
 from stripesim import runner
 from stripesim.blas import _loaded_openblas, one_blas_thread
 from stripesim.config import SimulationConfig
@@ -87,3 +93,35 @@ def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
     for scheme in ALL_SCHEMES:
         assert np.array_equal(serial[scheme].se, pooled[scheme].se)
         assert np.array_equal(serial[scheme].sinr_linear, pooled[scheme].sinr_linear)
+
+
+CHILD = """
+import json, os
+import stripesim.cli
+from stripesim.blas import _loaded_openblas
+print(json.dumps([len(os.listdir("/proc/self/task")),
+                  [getter() for _, getter in _loaded_openblas()]]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("inherited", [None, "4"])
+def test_cli_process_starts_no_blas_threads(inherited):
+    """Importing the CLI loads OpenBLAS on one thread, whatever the environment.
+
+    Fails without the CLI's early OPENBLAS_NUM_THREADS=1 on a machine with 2
+    or more cores: OpenBLAS then starts its extra threads as numpy loads it.
+    """
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if inherited is not None:
+        env["OPENBLAS_NUM_THREADS"] = inherited
+    src = str(Path(stripesim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    tasks, counts = json.loads(child.stdout)
+    if not counts:
+        pytest.skip("no OpenBLAS loaded")
+    assert tasks == 1
+    assert counts == [1] * len(counts)

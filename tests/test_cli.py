@@ -169,6 +169,34 @@ class TestRun:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_invalid_swept_config_names_its_value(self, tmp_path, capsys):
+        # the per-UE powers fit the config's K=3 but not the swept K=2; the
+        # error comes before any output, naming the value
+        cfg = write_mini(tmp_path, ue_power_w=(0.05, 0.04, 0.03))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--sweep", "K=3,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: num_ues=2: ue_power_w must be scalar or length 2, got (3,)\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep, repeat", [
+        ("K=3,2,3", "num_ues=3"),
+        ("correlation_model=uncorrelated,GaussianLocalScattering,Uncorrelated",
+         "correlation_model=uncorrelated"),
+    ])
+    def test_repeated_sweep_value_exits_1(self, tmp_path, capsys, sweep, repeat):
+        cfg = write_mini(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--schemes", "stripe_nlmmse", "--sweep", sweep]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: sweep repeats {repeat}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_invalid_config_gives_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[network]\nnum_aps = 1\n")
