@@ -57,18 +57,11 @@ def draw_channels(scenario: Scenario, rngs: Rngs) -> np.ndarray:
     return (over_blocks(scenario.cov_factors, 4, white, 3) @ white[..., None])[..., 0]
 
 
-@dataclass
-class PilotObservation:
-    """Despread pilot signal per (AP, pilot)."""
-
-    despread: np.ndarray     # (..., L, tau_p, N) complex
-
-
 def simulate_pilot_phase(
     scenario: Scenario, channels: np.ndarray, config: SimulationConfig,
     rngs: Rngs,
-) -> PilotObservation:
-    """Form the despread pilot signal z at every AP for every pilot sequence.
+) -> np.ndarray:
+    """Despread pilot signal z per (AP, pilot), shape (..., L, tau_p, N).
 
     z_{t,l} = sum over UEs on pilot t of sqrt(p_k * tau_p) h_kl, plus white
     noise of variance sigma^2 per antenna. The noise comes from the same
@@ -82,8 +75,7 @@ def simulate_pilot_phase(
     spread = over_blocks(amp, 2, channels, 3).swapaxes(-1, -2)
     z = spread @ channels.reshape(*batch, K, L * N)          # (..., tau_p, L*N)
     z = z.reshape(*batch, tau_p, L, N).swapaxes(-3, -2)
-    z = z + _block_normal(rngs, (L, tau_p, N), std=np.sqrt(config.noise_power_w))
-    return PilotObservation(despread=z)
+    return z + _block_normal(rngs, (L, tau_p, N), std=np.sqrt(config.noise_power_w))
 
 
 def _pilot_weights(pilot_index: np.ndarray, tau_p: int, weight: np.ndarray) -> np.ndarray:
@@ -167,15 +159,12 @@ def error_load(rtilde: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 
 def mmse_estimate(
-    scenario: Scenario, obs: PilotObservation, config: SimulationConfig,
-    stats: EstimationStatistics | None = None,
+    scenario: Scenario, despread: np.ndarray, stats: EstimationStatistics,
 ) -> ChannelEstimateSet:
-    """MMSE channel estimates from the pilot observation of one or more blocks."""
-    if stats is None:
-        stats = estimation_statistics(scenario, config)
+    """MMSE channel estimates from the despread pilot signal of one or more blocks."""
     # (..., K, L, N): despread vector on each UE's own pilot
-    pilots = over_blocks(scenario.pilot_index, 1, obs.despread, 3)
-    z_own = np.take_along_axis(obs.despread, pilots[..., None, :, None], axis=-2)
+    pilots = over_blocks(scenario.pilot_index, 1, despread, 3)
+    z_own = np.take_along_axis(despread, pilots[..., None, :, None], axis=-2)
     z_own = z_own.swapaxes(-3, -2)
     hhat = (over_blocks(stats.filters, 4, z_own, 3) @ z_own[..., None])[..., 0]
     return ChannelEstimateSet(hhat=hhat, rtilde=stats.rtilde)

@@ -120,8 +120,8 @@ def simulate_setup(
         blocks = range(start, min(start + chunk, n_blocks))
         rngs = [[rng_stream(seed, s, _BLOCK_TAG, b) for b in blocks] for s in setups]
         h = draw_channels(scenario, rngs)                   # (D, B, K, L, N)
-        obs = simulate_pilot_phase(scenario, h, config, rngs)
-        est = mmse_estimate(scenario, obs, config, stats)
+        z = simulate_pilot_phase(scenario, h, config, rngs)
+        est = mmse_estimate(scenario, z, stats)
         if want_stripe:
             run = stripe.run_stripe(est, powers, sigma2)
             sinr = metrics.sinr_per_ue(run.final.ghat, run.final.psi, powers, sigma2)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import metrics, stripe
 from .channel import (
-    ChannelEstimateSet, complex_normal, draw_channels, estimation_statistics,
+    ChannelEstimateSet, complex_normal, draw_channels, estimation_statistics, herm,
     mmse_estimate, simulate_pilot_phase,
 )
 from .config import SimulationConfig
@@ -68,15 +68,42 @@ def check_combiner_norms(run: stripe.StripeRun, tol: float = 1e-12) -> CheckResu
     )
 
 
+def replay(combiners: list[np.ndarray], inputs: np.ndarray) -> np.ndarray:
+    """Push per-AP inputs through the stripe's combiners, (..., M, L, N) -> (..., M, K).
+
+    Stage l maps x to inputs[..., l, :] V_a^H + conj(v_b) x from a zero
+    start, with V = [V_a, v_b] its (..., K, N+1) combiners: the channel
+    estimates give ghat, the true channels g, a received signal (M = 1) the
+    soft estimates and the receiver noise the effective noise.
+    """
+    x = 0.0
+    for l, V in enumerate(combiners):
+        x = inputs[..., l, :] @ herm(V[..., :-1]) + V[..., None, :, -1].conj() * x
+    return x
+
+
+def _scaled_residual(resid: np.ndarray, *parts: np.ndarray) -> float:
+    scale = sum(np.abs(part) for part in parts)
+    return float((np.abs(resid) / np.maximum(scale, np.finfo(float).tiny)).max())
+
+
 def check_reconstruction(
-    run: stripe.StripeRun, payload: stripe.PayloadRealization, rel_tol: float = 1e-10
+    run: stripe.StripeRun, est: ChannelEstimateSet, channels: np.ndarray,
+    symbols: np.ndarray, noise: np.ndarray, rel_tol: float = 1e-10,
 ) -> CheckResult:
-    """Final soft estimates must decompose exactly into signal and noise parts."""
-    final = run.final
-    signal = payload.symbols @ final.g_true            # sum_i g[i, k] s_i
-    resid = np.abs(final.soft - signal - final.n_eff)
-    scale = np.abs(final.soft) + np.abs(signal) + np.abs(final.n_eff)
-    worst = float((resid / np.maximum(scale, np.finfo(float).tiny)).max())
+    """Replayed soft estimates must decompose exactly into signal and noise parts.
+
+    symbols (..., K) and noise (..., L, N) form the received signal; the
+    channel estimates replayed through the same combiners must give the
+    forwarded ghat.
+    """
+    received = np.einsum("...k,...kln->...ln", symbols, channels) + noise
+    soft = replay(run.combiners, received[..., None, :, :])[..., 0, :]
+    eff_noise = replay(run.combiners, noise[..., None, :, :])[..., 0, :]
+    signal = (symbols[..., None, :] @ replay(run.combiners, channels))[..., 0, :]
+    ghat = replay(run.combiners, est.hhat)
+    worst = max(_scaled_residual(soft - signal - eff_noise, soft, signal, eff_noise),
+                _scaled_residual(ghat - run.final.ghat, ghat, run.final.ghat))
     return CheckResult(
         name="reconstruction_identity",
         passed=worst < rel_tol,
@@ -128,20 +155,13 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = rng_stream(seed, 0, 1, 0)
     h = draw_channels(scenario, rng)
-    obs = simulate_pilot_phase(scenario, h, config, rng)
-    est = mmse_estimate(scenario, obs, config, stats)
+    est = mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng), stats)
     results.append(check_covariance_decomposition(scenario, est, config))
 
-    payload = stripe.PayloadRealization(
-        symbols=complex_normal(rng, (config.num_ues,), std=np.sqrt(powers)),
-        noise=complex_normal(
-            rng, (config.num_aps, config.antennas_per_ap), std=np.sqrt(sigma2)
-        ),
-    )
-    run = stripe.run_stripe(
-        est, powers, sigma2, channels=h, payload=payload, keep_stages=True
-    )
+    symbols = complex_normal(rng, (config.num_ues,), std=np.sqrt(powers))
+    noise = complex_normal(rng, (config.num_aps, config.antennas_per_ap), std=np.sqrt(sigma2))
+    run = stripe.run_stripe(est, powers, sigma2, keep_stages=True)
     results.append(check_combiner_norms(run))
-    results.append(check_reconstruction(run, payload))
+    results.append(check_reconstruction(run, est, h, symbols, noise))
     results.append(check_monotone_stage_sinr(run, powers, sigma2))
     return results

@@ -9,6 +9,11 @@ is plain local LMMSE combining with a zero augmented coordinate. Unit-norm
 combiners keep the propagated noise variance at sigma^2 through the whole
 chain, so no per-stage noise bookkeeping is needed beyond the variances.
 
+The SE at the CPU follows from the side information alone, so the pass
+computes only ghat and psi. The soft estimates are the same combiners
+applied to the received signals; selftest.replay rebuilds them from the
+returned combiners.
+
 Conventions: arrays indexed [i, k] pair interfering UE i with served UE k.
 The augmented dimension is N+1, the extra coordinate carrying the previous
 stage's soft estimate. Per-block arrays may carry leading drop and block
@@ -31,24 +36,16 @@ _PSI_REL_TOL = 1e-9
 
 @dataclass
 class StageState:
-    """What one AP forwards downstream (plus optional genie diagnostics).
+    """The side information one AP forwards downstream.
 
-    The forwarded payload is K soft estimates, K^2 effective-channel
-    estimates, and K^2 error variances. True effective channels and the
-    effective noise are tracked only when the caller supplies the payload
-    realization; they never count toward the front-haul load.
+    The forwarded payload is K^2 effective-channel estimates and K^2 error
+    variances, plus the K soft estimates that the same combiners produce
+    from the received signals; the pass itself carries only ghat and psi.
     """
 
     ghat: np.ndarray              # (..., K, K) complex, ghat[i, k]
     psi: np.ndarray               # (..., K, K) float, error variance of ghat[i, k]
-    soft: np.ndarray | None = None     # (..., K) complex soft estimates
-    g_true: np.ndarray | None = None   # (..., K, K) complex, genie effective channels
-    n_eff: np.ndarray | None = None    # (..., K) complex, genie effective noise
     psi_clips: int = 0            # roundoff-negative psi entries zeroed so far
-
-    @property
-    def num_ues(self) -> int:
-        return self.ghat.shape[-1]
 
 
 def combiner_stage(
@@ -99,50 +96,23 @@ def _clip_psi(psi: np.ndarray, ap: int) -> tuple[np.ndarray, int]:
 
 
 def stage_update(
-    combiners: np.ndarray,
-    hhat_l: np.ndarray,
-    rtilde_l: np.ndarray,
-    prev: StageState,
-    y_l: np.ndarray | None = None,
-    h_l: np.ndarray | None = None,
-    n_l: np.ndarray | None = None,
-    ap: int = 0,
+    combiners: np.ndarray, hhat_l: np.ndarray, rtilde_l: np.ndarray,
+    prev: StageState, ap: int = 0,
 ) -> StageState:
-    """Apply one stage's (..., K, N+1) combiners: update soft estimates, ghat, psi.
+    """Apply one stage's (..., K, N+1) combiners to the side information.
 
-    y_l / h_l / n_l are optional per-realization inputs for soft estimates
-    and genie tracking; prev must then carry the matching fields. ap names
-    the stage in the error raised for a non-PSD error covariance.
+    ap names the stage in the error raised for a non-PSD error covariance.
     """
     va, vb = combiners[..., :-1], combiners[..., -1]
-    wa = herm(va)                                  # (..., N, K), column k = conj(va[k])
     carry = vb.conj()
 
-    ghat = hhat_l @ wa + carry[..., None, :] * prev.ghat
+    ghat = hhat_l @ herm(va) + carry[..., None, :] * prev.ghat
     # psi[i, k] = va[k]^H rtilde[i] va[k] = <rtilde[i], conj(va[k]) va[k]^T>
     K, N = va.shape[-2:]
     outer = (va.conj()[..., :, None] * va[..., None, :]).reshape(*va.shape[:-1], N * N)
     psi = (rtilde_l.reshape(*rtilde_l.shape[:-2], N * N) @ outer.swapaxes(-1, -2)).real
     psi, clips = _clip_psi(psi + np.abs(carry)[..., None, :] ** 2 * prev.psi, ap)
-
-    soft = g_true = n_eff = None
-    if y_l is not None:
-        soft = (va.conj() @ y_l[..., None])[..., 0] + carry * prev.soft
-    if h_l is not None:
-        g_true = h_l @ wa + carry[..., None, :] * prev.g_true
-    if n_l is not None:
-        n_eff = (va.conj() @ n_l[..., None])[..., 0] + carry * prev.n_eff
-
-    return StageState(ghat=ghat, psi=psi, soft=soft, g_true=g_true, n_eff=n_eff,
-                      psi_clips=prev.psi_clips + clips)
-
-
-@dataclass
-class PayloadRealization:
-    """Transmitted symbols and per-AP receiver noise of one or more blocks."""
-
-    symbols: np.ndarray   # (..., K) complex, variance p_k each
-    noise: np.ndarray     # (..., L, N) complex, variance sigma2 per antenna
+    return StageState(ghat=ghat, psi=psi, psi_clips=prev.psi_clips + clips)
 
 
 @dataclass
@@ -155,34 +125,17 @@ class StripeRun:
 
 
 def run_stripe(
-    est: ChannelEstimateSet,
-    powers: np.ndarray,
-    sigma2: float,
-    channels: np.ndarray | None = None,
-    payload: PayloadRealization | None = None,
+    est: ChannelEstimateSet, powers: np.ndarray, sigma2: float,
     keep_stages: bool = False,
 ) -> StripeRun:
-    """Iterate the combining stages AP 1..L and return what reaches the CPU.
-
-    With a payload realization the per-AP received signals are formed from
-    the true channels and the soft-estimate chain is tracked alongside the
-    forwarded side information.
-    """
-    if payload is not None and channels is None:
-        raise ValueError("payload tracking requires the true channels")
+    """Iterate the combining stages AP 1..L and return what reaches the CPU."""
     *batch, K, L, N = est.hhat.shape
     rtilde = over_blocks(est.rtilde, 4, est.hhat, 3)
     # computed once per drop, not once per block and stage
     imp = error_load(rtilde, powers) + sigma2 * np.eye(N)
     # the zero prior: no side information reaches AP 1
-    zeros_k = np.zeros((*batch, K), dtype=complex)
-    zeros_kk = np.zeros((*batch, K, K), dtype=complex)
-    state = StageState(
-        ghat=zeros_kk, psi=np.zeros((*batch, K, K)),
-        soft=None if payload is None else zeros_k,
-        g_true=None if channels is None else zeros_kk,
-        n_eff=None if payload is None else zeros_k,
-    )
+    state = StageState(ghat=np.zeros((*batch, K, K), dtype=complex),
+                       psi=np.zeros((*batch, K, K)))
     stages: list[StageState] | None = [] if keep_stages else None
     combiners: list[np.ndarray] = []
 
@@ -190,14 +143,7 @@ def run_stripe(
         hhat_l = est.hhat[..., l, :]
         rtilde_l = rtilde[..., :, l, :, :]
         V = combiner_stage(hhat_l, imp[..., l, :, :], state.ghat, state.psi, powers, sigma2)
-
-        y_l = h_l = n_l = None
-        if channels is not None:
-            h_l = channels[..., l, :]
-        if payload is not None:
-            n_l = payload.noise[..., l, :]
-            y_l = (payload.symbols[..., None, :] @ h_l)[..., 0, :] + n_l
-        state = stage_update(V, hhat_l, rtilde_l, state, y_l, h_l, n_l, ap=l)
+        state = stage_update(V, hhat_l, rtilde_l, state, ap=l)
         combiners.append(V)
         if stages is not None:
             stages.append(state)

@@ -7,7 +7,8 @@ definition. It never touches the package's combiner builders, so agreement
 is a two-route check. The augmented moments and the dense first-AP LMMSE
 rule are the same kind of second route, as is the closed-form estimate
 covariance; per_block_setup is the one-drop, one-block-at-a-time reference
-for the grouped and chunked runner.
+for the grouped and chunked runner. estimate is the pilot phase plus MMSE
+estimation that most tests run on one scenario.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from stripesim.channel import (
 from stripesim.config import SimulationConfig
 from stripesim.runner import ALL_SCHEMES, rng_stream
 from stripesim.scenario import Scenario, assign_pilots, build_scenario
+from stripesim.selftest import replay
 
 
 def complex_gaussian(rng, shape):
@@ -129,6 +131,24 @@ def synthetic_config(rng, K, L, N, tau_p) -> SimulationConfig:
     )
 
 
+def estimate(scenario, h, config, rng, stats=None):
+    """Channel estimates of channels h from a pilot phase drawn from rng."""
+    if stats is None:
+        stats = estimation_statistics(scenario, config)
+    return mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng), stats)
+
+
+def replayed_chain(combiners, h, symbols, noise):
+    """Soft estimates (K,), effective channels (K, K) and effective noise (K,).
+
+    One uplink symbol: symbols (K,) sent over channels h (K, L, N) with
+    receiver noise (L, N), pushed through the stripe's combiners.
+    """
+    received = np.einsum("k,kln->ln", symbols, h) + noise
+    return (replay(combiners, received[None])[0], replay(combiners, h),
+            replay(combiners, noise[None])[0])
+
+
 def impairment(rtilde, powers, sigma2):
     """sum_i p_i rtilde_i + sigma2 I at one AP, one UE at a time; rtilde is (K, N, N)."""
     out = sigma2 * np.eye(rtilde.shape[-1], dtype=complex)
@@ -227,8 +247,7 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
     for b in range(n_blocks):
         rng = rng_stream(seed, setup_index, 1, b)
         h = draw_channels(scenario, rng)
-        est = mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng),
-                            config, stats)
+        est = estimate(scenario, h, config, rng, stats)
         final = stripe.run_stripe(est, powers, sigma2).final
         stripe_sinr[b] = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
         l4_sinr[b] = baselines.centralized_lmmse_l4(est, powers, sigma2)

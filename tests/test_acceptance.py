@@ -13,22 +13,20 @@ import numpy as np
 import pytest
 
 from oracles import (
-    angle_between, brute_force_combiner, build_augmented_moments, estimate_covariance,
-    synthetic_config, synthetic_scenario,
+    angle_between, brute_force_combiner, build_augmented_moments, estimate,
+    estimate_covariance, replayed_chain, synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
-from stripesim.channel import (
-    complex_normal, draw_channels, estimation_statistics, mmse_estimate,
-    simulate_pilot_phase,
-)
+from stripesim.channel import complex_normal, draw_channels, estimation_statistics
 from stripesim.cli import main
 from stripesim.config import CorrelationModel, SimulationConfig, save_config
 from stripesim.runner import (
     ALL_SCHEMES, SCHEME_L4, SCHEME_MR, SCHEME_STRIPE, rng_stream, run_experiment,
 )
 from stripesim.scenario import build_scenario
-from stripesim.stripe import PayloadRealization, run_stripe
+from stripesim.selftest import replay
+from stripesim.stripe import run_stripe
 
 DESK_SEED = 20260809
 
@@ -126,26 +124,25 @@ def test_criterion_5_property_suite():
     for b in range(3):
         rng = rng_stream(cfg.rng_seed, 0, 1, b)
         h = draw_channels(scenario, rng)
-        est = mmse_estimate(scenario, simulate_pilot_phase(scenario, h, cfg, rng),
-                            cfg, stats)
-        pay = PayloadRealization(
-            symbols=complex_normal(rng, (cfg.num_ues,), std=np.sqrt(powers)),
-            noise=complex_normal(
-                rng, (cfg.num_aps, cfg.antennas_per_ap), std=np.sqrt(sigma2)),
-        )
-        run = run_stripe(est, powers, sigma2, channels=h, payload=pay,
-                         keep_stages=True)
+        est = estimate(scenario, h, cfg, rng, stats)
+        symbols = complex_normal(rng, (cfg.num_ues,), std=np.sqrt(powers))
+        noise = complex_normal(rng, (cfg.num_aps, cfg.antennas_per_ap), std=np.sqrt(sigma2))
+        run = run_stripe(est, powers, sigma2, keep_stages=True)
 
         # unit combiner norms at every stage
         for V in run.combiners:
             assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
 
-        # reconstruction identity at the CPU
+        # reconstruction identity at the CPU, on the chain replayed from the
+        # combiners, whose estimates must be the forwarded ghat
         final = run.final
-        est_part = pay.symbols @ final.ghat
-        err_part = pay.symbols @ (final.g_true - final.ghat)
-        resid = np.abs(final.soft - est_part - err_part - final.n_eff)
-        scale = np.abs(final.soft) + np.abs(est_part) + np.abs(err_part)
+        np.testing.assert_allclose(replay(run.combiners, est.hhat), final.ghat,
+                                   rtol=1e-12, atol=0)
+        soft, g, eff_noise = replayed_chain(run.combiners, h, symbols, noise)
+        est_part = symbols @ final.ghat
+        err_part = symbols @ (g - final.ghat)
+        resid = np.abs(soft - est_part - err_part - eff_noise)
+        scale = np.abs(soft) + np.abs(est_part) + np.abs(err_part)
         assert np.all(resid <= 1e-10 * np.maximum(scale, 1e-300))
 
         # per-stage effective SINR never decreases along the stripe
@@ -177,14 +174,10 @@ def test_criterion_5_property_suite():
     samples = np.empty((10000, 2))
     for b in range(samples.shape[0]):
         h = draw_channels(t_sc, t_rng)
-        est = mmse_estimate(t_sc, simulate_pilot_phase(t_sc, h, t_cfg, t_rng),
-                            t_cfg, t_stats)
-        pay = PayloadRealization(
-            symbols=np.zeros(2, dtype=complex),
-            noise=complex_normal(t_rng, (2, 2), std=np.sqrt(t_s2)),
-        )
-        samples[b] = np.abs(
-            run_stripe(est, t_p, t_s2, channels=h, payload=pay).final.n_eff) ** 2
+        est = estimate(t_sc, h, t_cfg, t_rng, t_stats)
+        noise = complex_normal(t_rng, (2, 2), std=np.sqrt(t_s2))
+        combiners = run_stripe(est, t_p, t_s2).combiners
+        samples[b] = np.abs(replay(combiners, noise[None])[0]) ** 2
     emp = samples.mean(axis=0)
     assert np.all(np.abs(emp - t_s2) / t_s2 < 0.03)
 
@@ -206,7 +199,7 @@ def test_criterion_6_oracle_equivalence():
         cfg = synthetic_config(rng, K, 2, N, tau_p)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
         h = draw_channels(sc, rng)
-        est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rng), cfg)
+        est = estimate(sc, h, cfg, rng)
         run = run_stripe(est, powers, sigma2, keep_stages=True)
 
         k = int(rng.integers(K))

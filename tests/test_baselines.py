@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import complex_gaussian, synthetic_config, synthetic_scenario
+from oracles import complex_gaussian, estimate, synthetic_config, synthetic_scenario
 from stripesim import metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
-from stripesim.channel import (
-    ChannelEstimateSet, draw_channels, estimation_statistics, mmse_estimate,
-    simulate_pilot_phase,
-)
+from stripesim.channel import ChannelEstimateSet, draw_channels
 from stripesim.stripe import run_stripe
 
 
@@ -23,7 +20,7 @@ class TestCentralizedLmmse:
         cfg = synthetic_config(rng, 3, 1, 2, tau_p=2)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
         h = draw_channels(sc, rng)
-        est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rng), cfg)
+        est = estimate(sc, h, cfg, rng)
         l4 = centralized_lmmse_l4(est, powers, sigma2)
         run = run_stripe(est, powers, sigma2)
         local = metrics.sinr_per_ue(run.final.ghat, run.final.psi, powers, sigma2)
@@ -48,7 +45,7 @@ class TestCentralizedLmmse:
         cfg = synthetic_config(rng, K, L, N, tau_p=2)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
         h = draw_channels(sc, rng)
-        est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rng), cfg)
+        est = estimate(sc, h, cfg, rng)
 
         Hs = est.hhat.reshape(K, L * N).T
         C = [block_diag(*[est.rtilde[i, l] for l in range(L)]) for i in range(K)]
@@ -74,7 +71,7 @@ class TestCentralizedLmmse:
             cfg = synthetic_config(rng, K, 3, 2, tau_p=max(1, K - 1))
             powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
             h = draw_channels(sc, rng)
-            est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rng), cfg)
+            est = estimate(sc, h, cfg, rng)
             l4 = centralized_lmmse_l4(est, powers, sigma2)
             run = run_stripe(est, powers, sigma2)
             stripe = metrics.sinr_per_ue(run.final.ghat, run.final.psi,
@@ -109,10 +106,9 @@ class TestMrFusion:
     def test_batch_helper_matches_accumulator(self, rng):
         sc = synthetic_scenario(rng, 2, 3, 2, tau_p=1)
         cfg = synthetic_config(rng, 2, 3, 2, tau_p=1)
-        stats = estimation_statistics(sc, cfg)
         rngs = [np.random.default_rng([3, b]) for b in range(5)]
         h = draw_channels(sc, rngs)
-        est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rngs), cfg, stats)
+        est = estimate(sc, h, cfg, rngs)
         acc = MrFusionAccumulator()
         for b in range(5):
             acc.update(est.hhat[b:b + 1], h[b:b + 1])
@@ -144,7 +140,7 @@ def test_l4_block_axis_matches_single_blocks(rng):
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
     rngs = [np.random.default_rng([5, b]) for b in range(B)]
     h = draw_channels(sc, rngs)
-    est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rngs), cfg)
+    est = estimate(sc, h, cfg, rngs)
     batched = centralized_lmmse_l4(est, powers, sigma2)
     for b in range(B):
         one = ChannelEstimateSet(hhat=est.hhat[b], rtilde=est.rtilde)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    complex_gaussian, estimate_covariance, random_psd, synthetic_config, synthetic_scenario,
+    complex_gaussian, estimate, estimate_covariance, random_psd, synthetic_config,
+    synthetic_scenario,
 )
 from stripesim.channel import (
     draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
@@ -81,12 +82,11 @@ class TestPilotPhase:
         cfg = synthetic_config(rng, 2, 3, 2, tau_p=2)
         cfg = replace(cfg, noise_power_w=1e-20)
         h = draw_channels(sc, rng)
-        obs = simulate_pilot_phase(sc, h, cfg, rng)
+        z = simulate_pilot_phase(sc, h, cfg, rng)
         amp = np.sqrt(cfg.ue_powers * cfg.pilot_length)
         for k in range(2):
             for l in range(3):
-                z = obs.despread[l, sc.pilot_index[k]]
-                assert np.allclose(z, amp[k] * h[k, l], rtol=1e-6)
+                assert np.allclose(z[l, sc.pilot_index[k]], amp[k] * h[k, l], rtol=1e-6)
 
     def test_contaminated_variance(self, rng):
         # two UEs on one pilot: per-antenna variance tau_p*p*(b1+b2) + sigma2
@@ -97,8 +97,8 @@ class TestPilotPhase:
                       num_ues=K, coherence_block=10, pilot_length=tau_p,
                       ue_power_w=p, noise_power_w=sigma2)
         h = draw_channels(sc, rng)
-        obs = simulate_pilot_phase(sc, h, cfg, rng)
-        var = np.mean(np.abs(obs.despread[:, 0, :]) ** 2)
+        z = simulate_pilot_phase(sc, h, cfg, rng)
+        var = np.mean(np.abs(z[:, 0, :]) ** 2)
         expect = tau_p * p * (beta + beta) + sigma2
         assert abs(var - expect) / expect < 0.05
 
@@ -128,7 +128,7 @@ class TestPilotPhase:
         cfg = synthetic_config(rng, K, L, N, tau_p)
         psi = estimation_statistics(sc, cfg).pilot_covariance
         rngs = [np.random.default_rng([7, b]) for b in range(n)]
-        z = simulate_pilot_phase(sc, draw_channels(sc, rngs), cfg, rngs).despread
+        z = simulate_pilot_phase(sc, draw_channels(sc, rngs), cfg, rngs)
         emp = np.einsum("bltm,bltn->ltmn", z, z.conj()) / n
         diag = np.sqrt(np.einsum("ltmm->ltm", psi).real)
         se = diag[..., :, None] * diag[..., None, :] / np.sqrt(n)
@@ -154,8 +154,8 @@ class TestStackedDrops:
         stats = estimation_statistics(sc, cfg)
         rngs = [[rng_stream(4, s, 1, b) for b in range(2)] for s in drops]
         h = draw_channels(sc, rngs)
-        obs = simulate_pilot_phase(sc, h, cfg, rngs)
-        est = mmse_estimate(sc, obs, cfg, stats)
+        z = simulate_pilot_phase(sc, h, cfg, rngs)
+        est = mmse_estimate(sc, z, stats)
         assert est.hhat.shape == (3, 2, 5, 5, 2) and est.rtilde.shape == (3, 5, 5, 2, 2)
         for s in drops:
             one = build_scenario(cfg, rng_stream(4, s, 0))
@@ -164,10 +164,10 @@ class TestStackedDrops:
                 assert np.array_equal(getattr(stats, field)[s], getattr(one_stats, field))
             one_rngs = [rng_stream(4, s, 1, b) for b in range(2)]
             one_h = draw_channels(one, one_rngs)
-            one_obs = simulate_pilot_phase(one, one_h, cfg, one_rngs)
+            one_z = simulate_pilot_phase(one, one_h, cfg, one_rngs)
             assert np.array_equal(h[s], one_h)
-            assert np.array_equal(obs.despread[s], one_obs.despread)
-            assert np.array_equal(est.hhat[s], mmse_estimate(one, one_obs, cfg, one_stats).hhat)
+            assert np.array_equal(z[s], one_z)
+            assert np.array_equal(est.hhat[s], mmse_estimate(one, one_z, one_stats).hhat)
 
     def test_not_pd_pilot_covariance_in_a_stacked_drop(self, rng):
         sc = synthetic_scenario(rng, 2, 3, 2, tau_p=2)
@@ -215,8 +215,7 @@ class TestMmseEstimate:
         beta = sc.large_scale[0, 0]
         cfg = replace(cfg, noise_power_w=float(1e12 * cfg.ue_powers[0] * beta))
         h = draw_channels(sc, rng)
-        obs = simulate_pilot_phase(sc, h, cfg, rng)
-        est = mmse_estimate(sc, obs, cfg)
+        est = estimate(sc, h, cfg, rng)
         assert np.linalg.norm(est.hhat[0, 0]) < 1e-4 * np.linalg.norm(h[0, 0])
         R = sc.covariances[0, 0]
         assert np.abs(est.rtilde[0, 0] - R).max() < 1e-10 * np.abs(R).max()
@@ -230,11 +229,11 @@ class TestMmseEstimate:
                       num_ues=K, coherence_block=10, pilot_length=tau_p,
                       ue_power_w=p, noise_power_w=sigma2)
         h = draw_channels(sc, rng)
-        obs = simulate_pilot_phase(sc, h, cfg, rng)
-        est = mmse_estimate(sc, obs, cfg)
+        z = simulate_pilot_phase(sc, h, cfg, rng)
+        est = mmse_estimate(sc, z, estimation_statistics(sc, cfg))
         gain = np.sqrt(p * tau_p) * beta / (tau_p * p * beta + sigma2)
         for l in range(L):
-            assert np.allclose(est.hhat[0, l], gain * obs.despread[l, 0], rtol=1e-10)
+            assert np.allclose(est.hhat[0, l], gain * z[l, 0], rtol=1e-10)
 
     def test_estimate_statistics_match_montecarlo(self, rng):
         # over many pairs: cov(hhat) ~ rhat and E{hhat htilde^H} ~ 0 (z < 4)
@@ -250,8 +249,7 @@ class TestMmseEstimate:
                       num_ues=K, coherence_block=10, pilot_length=tau_p,
                       ue_power_w=1.2, noise_power_w=0.5)
         h = draw_channels(sc, rng)
-        obs = simulate_pilot_phase(sc, h, cfg, rng)
-        est = mmse_estimate(sc, obs, cfg)
+        est = estimate(sc, h, cfg, rng)
         hhat, htilde = est.hhat[0], (h - est.hhat)[0]
         rhat, rtilde = R - est.rtilde[0, 0], est.rtilde[0, 0]
 
@@ -269,18 +267,7 @@ class TestMmseEstimate:
         cfg = synthetic_config(rng, 2, 3, 2, tau_p=1)
         stats = estimation_statistics(sc, cfg)
         h = draw_channels(sc, rng)
-        obs = simulate_pilot_phase(sc, h, cfg, rng)
-        est = mmse_estimate(sc, obs, cfg, stats)
+        est = estimate(sc, h, cfg, rng, stats)
         for l in range(3):
             link = stats.filters[1, l] @ np.linalg.inv(stats.filters[0, l])
             assert np.allclose(est.hhat[1, l], link @ est.hhat[0, l], rtol=1e-8)
-
-    def test_cached_statistics_match_fresh(self, rng):
-        sc = synthetic_scenario(rng, 2, 2, 2, tau_p=1)
-        cfg = synthetic_config(rng, 2, 2, 2, tau_p=1)
-        stats = estimation_statistics(sc, cfg)
-        h = draw_channels(sc, rng)
-        obs = simulate_pilot_phase(sc, h, cfg, rng)
-        a = mmse_estimate(sc, obs, cfg, stats)
-        b = mmse_estimate(sc, obs, cfg)
-        assert np.array_equal(a.hhat, b.hhat)

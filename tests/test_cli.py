@@ -4,8 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import estimate
+from stripesim import stripe
+from stripesim.channel import draw_channels
 from stripesim.cli import main
 from stripesim.config import SimulationConfig, load_config, save_config
+from stripesim.runner import rng_stream
+from stripesim.scenario import build_scenario
+from stripesim.selftest import check_covariance_decomposition, run_selftest, selftest_config
 
 MINI = replace(
     SimulationConfig(),
@@ -241,20 +247,28 @@ class TestSelftest:
     def test_fault_injection_breaks_decomposition_check(self, rng):
         # skipping the error-covariance symmetrization (simulated by a skew
         # perturbation) must trip the decomposition check
-        from stripesim.channel import mmse_estimate, simulate_pilot_phase
-        from stripesim.runner import rng_stream
-        from stripesim.scenario import build_scenario
-        from stripesim.selftest import check_covariance_decomposition, selftest_config
-
         cfg = selftest_config()
         sc = build_scenario(cfg, rng_stream(0, 0, 0))
         h_rng = rng_stream(0, 0, 1, 0)
-        from stripesim.channel import draw_channels
         h = draw_channels(sc, h_rng)
-        est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, h_rng), cfg)
+        est = estimate(sc, h, cfg, h_rng)
         assert check_covariance_decomposition(sc, est, cfg).passed
 
         skew = np.zeros_like(est.rtilde)
         skew[..., 0, -1] = 1e-6 * np.abs(est.rtilde).max()
         est.rtilde = est.rtilde + skew
         assert not check_covariance_decomposition(sc, est, cfg).passed
+
+    def test_fault_injection_skewed_ghat_breaks_reconstruction_check(self, monkeypatch):
+        # a forwarded ghat 1e-6 off the combiners' own must trip the replayed
+        # reconstruction check, and only that check
+        honest = stripe.stage_update
+
+        def skewed(*args, **kwargs):
+            state = honest(*args, **kwargs)
+            return replace(state, ghat=state.ghat * (1 + 1e-6))
+
+        monkeypatch.setattr(stripe, "stage_update", skewed)
+        passed = {check.name: check.passed for check in run_selftest(0)}
+        assert passed == {"covariance_decomposition": True, "combiner_norms": True,
+                          "reconstruction_identity": False, "monotone_stage_sinr": True}

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from oracles import (
     angle_between, brute_force_combiner, build_augmented_moments, complex_gaussian,
-    first_ap_lmmse, impairment, random_psd, synthetic_config, synthetic_scenario,
+    estimate, first_ap_lmmse, impairment, random_psd, replayed_chain,
+    synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.channel import (
     ChannelEstimateSet, complex_normal, draw_channels, estimation_statistics,
-    mmse_estimate, simulate_pilot_phase,
 )
-from stripesim.scenario import psd_factor
-from stripesim.stripe import (
-    PayloadRealization, StageState, combiner_stage, run_stripe, stage_update,
-)
+from stripesim.config import SimulationConfig
+from stripesim.runner import rng_stream
+from stripesim.scenario import build_scenario, psd_factor
+from stripesim.selftest import replay
+from stripesim.stripe import StageState, combiner_stage, run_stripe, stage_update
 
 
 def zero_prior_combiner(hhat, rtilde, powers, sigma2):
@@ -26,21 +29,20 @@ def zero_prior_combiner(hhat, rtilde, powers, sigma2):
 
 
 def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True, keep_stages=True):
-    """Full small pipeline on O(1) synthetic statistics."""
+    """Full small pipeline on O(1) synthetic statistics.
+
+    With payload, pay is (symbols (K,), noise (L, N)) of one uplink symbol.
+    """
     sc = synthetic_scenario(rng, K, L, N, tau_p)
     cfg = synthetic_config(rng, K, L, N, tau_p)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
     h = draw_channels(sc, rng)
-    obs = simulate_pilot_phase(sc, h, cfg, rng)
-    est = mmse_estimate(sc, obs, cfg)
+    est = estimate(sc, h, cfg, rng)
     pay = None
     if payload:
-        pay = PayloadRealization(
-            symbols=complex_normal(rng, (K,), std=np.sqrt(powers)),
-            noise=complex_normal(rng, (L, N), std=np.sqrt(sigma2)),
-        )
-    run = run_stripe(est, powers, sigma2, channels=h, payload=pay,
-                     keep_stages=keep_stages)
+        pay = (complex_normal(rng, (K,), std=np.sqrt(powers)),
+               complex_normal(rng, (L, N), std=np.sqrt(sigma2)))
+    run = run_stripe(est, powers, sigma2, keep_stages=keep_stages)
     return run, est, h, pay, powers, sigma2
 
 
@@ -200,21 +202,26 @@ class TestStageCombiner:
 
 class TestStageUpdate:
     def test_reconstruction_identity_every_stage(self, rng):
-        run, est, h, pay, powers, sigma2 = random_run(rng)
-        for state in run.stages:
-            signal = pay.symbols @ state.g_true
-            resid = np.abs(state.soft - signal - state.n_eff)
-            scale = np.abs(state.soft) + np.abs(signal) + np.abs(state.n_eff)
+        run, est, h, (symbols, noise), powers, sigma2 = random_run(rng)
+        for l, state in enumerate(run.stages):
+            prefix = run.combiners[:l + 1]
+            np.testing.assert_allclose(replay(prefix, est.hhat), state.ghat,
+                                       rtol=1e-12, atol=0)
+            soft, g, eff_noise = replayed_chain(prefix, h, symbols, noise)
+            signal = symbols @ g
+            resid = np.abs(soft - signal - eff_noise)
+            scale = np.abs(soft) + np.abs(signal) + np.abs(eff_noise)
             assert np.all(resid <= 1e-10 * np.maximum(scale, 1e-300))
 
     def test_estimated_decomposition_at_cpu(self, rng):
         # soft = sum ghat*s + sum (g - ghat)*s + noise, exactly
-        run, est, h, pay, powers, sigma2 = random_run(rng)
+        run, est, h, (symbols, noise), powers, sigma2 = random_run(rng)
         final = run.final
-        est_part = pay.symbols @ final.ghat
-        err_part = pay.symbols @ (final.g_true - final.ghat)
-        resid = np.abs(final.soft - est_part - err_part - final.n_eff)
-        scale = np.abs(final.soft) + np.abs(est_part) + np.abs(err_part)
+        soft, g, eff_noise = replayed_chain(run.combiners, h, symbols, noise)
+        est_part = symbols @ final.ghat
+        err_part = symbols @ (g - final.ghat)
+        resid = np.abs(soft - est_part - err_part - eff_noise)
+        scale = np.abs(soft) + np.abs(est_part) + np.abs(err_part)
         assert np.all(resid <= 1e-10 * np.maximum(scale, 1e-300))
 
     def test_psi_nonnegative_and_rayleigh_bounded(self, rng):
@@ -222,7 +229,7 @@ class TestStageUpdate:
         for l, state in enumerate(run.stages):
             assert np.all(state.psi >= 0.0)
             prev_psi = run.stages[l - 1].psi if l > 0 else np.zeros_like(state.psi)
-            for i in range(state.num_ues):
+            for i in range(len(powers)):
                 lam = np.linalg.eigvalsh(est.rtilde[i, l]).max()
                 bound = np.maximum(lam, prev_psi[i]) * (1 + 1e-12) + 1e-300
                 assert np.all(state.psi[i] <= bound)
@@ -234,8 +241,8 @@ class TestStageUpdate:
                 est.hhat[:, l], est.rtilde[:, l], run.stages[l - 1]
             )
             V = run.combiners[l]
-            for i in range(run.final.num_ues):
-                for k in range(run.final.num_ues):
+            for i in range(len(powers)):
+                for k in range(len(powers)):
                     direct = float(
                         (V[k].conj() @ aug.error_covariance(i, k) @ V[k]).real
                     )
@@ -328,24 +335,12 @@ class TestRunStripe:
         acc = np.zeros((n, K))
         for b in range(n):
             h = draw_channels(sc, rng)
-            obs = simulate_pilot_phase(sc, h, cfg, rng)
-            est = mmse_estimate(sc, obs, cfg, stats)
-            pay = PayloadRealization(
-                symbols=np.zeros(K, dtype=complex),
-                noise=complex_normal(rng, (L, N), std=np.sqrt(sigma2)),
-            )
-            run = run_stripe(est, powers, sigma2, channels=h, payload=pay)
-            acc[b] = np.abs(run.final.n_eff) ** 2
+            est = estimate(sc, h, cfg, rng, stats)
+            noise = complex_normal(rng, (L, N), std=np.sqrt(sigma2))
+            run = run_stripe(est, powers, sigma2)
+            acc[b] = np.abs(replay(run.combiners, noise[None])[0]) ** 2
         emp = acc.mean(axis=0)
         assert np.all(np.abs(emp - sigma2) / sigma2 < 0.03)
-
-    def test_payload_requires_channels(self, rng):
-        run, est, h, pay, powers, sigma2 = random_run(rng, payload=False)
-        with pytest.raises(ValueError):
-            run_stripe(est, powers, sigma2, channels=None,
-                       payload=PayloadRealization(
-                           symbols=np.zeros(3, dtype=complex),
-                           noise=np.zeros((4, 2), dtype=complex)))
 
     def test_forwarded_payload_counts(self, rng):
         # what the last AP forwards per block, counted in real scalars from
@@ -354,9 +349,8 @@ class TestRunStripe:
         run, *_ = random_run(rng, K=K, L=L, N=N, tau_p=tau_p)
         final = run.final
         assert final.ghat.shape == final.psi.shape == (K, K)
-        assert final.soft.shape == (K,)
         forwarded = 2 * final.ghat.size + final.psi.size \
-            + 2 * final.soft.size * (tau_c - tau_p)
+            + 2 * final.ghat.shape[-1] * (tau_c - tau_p)
         report = metrics.fronthaul_load("stripe_nlmmse", N, L, K, tau_c, tau_p)
         assert report.real_scalars_per_block_per_segment == forwarded
         assert report.real_scalars_to_cpu_per_block == forwarded
@@ -368,16 +362,28 @@ class TestRunStripe:
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
         rngs = [np.random.default_rng(b) for b in range(B)]
         h = draw_channels(sc, rngs)
-        est = mmse_estimate(sc, simulate_pilot_phase(sc, h, cfg, rngs), cfg)
-        pay = PayloadRealization(
-            symbols=complex_normal(rng, (B, K), std=np.sqrt(powers)),
-            noise=complex_normal(rng, (B, L, N), std=np.sqrt(sigma2)),
-        )
-        batched = run_stripe(est, powers, sigma2, channels=h, payload=pay).final
+        est = estimate(sc, h, cfg, rngs)
+        batched = run_stripe(est, powers, sigma2)
         for b in range(B):
             one = ChannelEstimateSet(hhat=est.hhat[b], rtilde=est.rtilde)
-            single = run_stripe(one, powers, sigma2, channels=h[b],
-                                payload=PayloadRealization(pay.symbols[b], pay.noise[b])).final
-            for field in ("ghat", "psi", "soft", "g_true", "n_eff"):
-                np.testing.assert_allclose(getattr(batched, field)[b],
-                                           getattr(single, field), rtol=1e-12, atol=0)
+            single = run_stripe(one, powers, sigma2)
+            for field in ("ghat", "psi"):
+                np.testing.assert_allclose(getattr(batched.final, field)[b],
+                                           getattr(single.final, field), rtol=1e-12, atol=0)
+            for V, V_one in zip(batched.combiners, single.combiners, strict=True):
+                np.testing.assert_allclose(V[b], V_one, rtol=1e-12, atol=0)
+
+
+class TestReplay:
+    def test_replay_over_drop_and_block_axes_gives_forwarded_ghat(self):
+        # the runner's chains are shaped (drops, blocks, ...)
+        cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=4,
+                      pilot_length=2)
+        drops = range(2)
+        sc = build_scenario(cfg, [rng_stream(8, s, 0) for s in drops])
+        rngs = [[rng_stream(8, s, 1, b) for b in range(3)] for s in drops]
+        est = estimate(sc, draw_channels(sc, rngs), cfg, rngs)
+        run = run_stripe(est, cfg.ue_powers, cfg.noise_power_w)
+        assert run.final.ghat.shape == (2, 3, 4, 4)
+        np.testing.assert_allclose(replay(run.combiners, est.hhat), run.final.ghat,
+                                   rtol=1e-12, atol=0)
