@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, error_load, herm, over_blocks
+from .channel import ChannelEstimateSet, error_load, herm
 
 
 def centralized_lmmse_l4(
@@ -28,11 +28,12 @@ def centralized_lmmse_l4(
     *batch, K, L, N = est.hhat.shape
     Hs = est.hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)  # (..., LN, K) stacked estimates
 
-    # per-AP error blocks, one block-diagonal term per drop, added with the noise
-    err_sum = error_load(over_blocks(est.rtilde, 4, est.hhat, 3), powers)
+    # per-AP error blocks, one block-diagonal term per drop, added with the
+    # noise on the (..., L, L, N, N) view so the drop axes broadcast
+    err_sum = error_load(est.rtilde, powers)
     B = ((Hs * powers) @ herm(Hs)).reshape(*batch, L, N, L, N)
     ap = np.arange(L)
-    B[..., ap, :, ap, :] += np.moveaxis(err_sum + sigma2 * np.eye(N), -3, 0)
+    B.swapaxes(-3, -2)[..., ap, ap, :, :] += err_sum + sigma2 * np.eye(N)
     B = B.reshape(*batch, L * N, L * N)
 
     V = np.linalg.solve(B, Hs)                                 # (..., LN, K)
@@ -52,7 +53,7 @@ def centralized_lmmse_l4(
 class MrFusionAccumulator:
     """Running UatF statistics for equal-weight MR fusion across blocks.
 
-    The sums run over the block axis only; leading drop axes (...) are kept.
+    The sums run over the leading block axis only; drop axes (...) are kept.
     """
 
     sum_mean: np.ndarray | float = 0.0   # (..., K) sum of own effective channels
@@ -61,15 +62,15 @@ class MrFusionAccumulator:
     count: int = 0                       # blocks per drop
 
     def update(self, hhat: np.ndarray, channels: np.ndarray) -> None:
-        """Fold in B blocks: hhat and channels are (..., B, K, L, N)."""
+        """Fold in B blocks: hhat and channels are (B, ..., K, L, N)."""
         *_, K, L, N = hhat.shape
         hh = hhat.reshape(*hhat.shape[:-2], L * N)
-        z = channels.reshape(hh.shape) @ herm(hh) / L          # z[..., b, i, k]
+        z = channels.reshape(hh.shape) @ herm(hh) / L          # z[b, ..., i, k]
         energy = (hh.conj() * hh).real.sum(axis=-1) / L ** 2
-        self.sum_mean = self.sum_mean + np.diagonal(z, axis1=-2, axis2=-1).sum(axis=-2)
-        self.sum_sq = self.sum_sq + (np.abs(z) ** 2).sum(axis=-3)
-        self.sum_noise = self.sum_noise + energy.sum(axis=-2)
-        self.count += hh.shape[-3]
+        self.sum_mean = self.sum_mean + np.diagonal(z, axis1=-2, axis2=-1).sum(axis=0)
+        self.sum_sq = self.sum_sq + (np.abs(z) ** 2).sum(axis=0)
+        self.sum_noise = self.sum_noise + energy.sum(axis=0)
+        self.count += hh.shape[0]
 
     def sinr(self, powers: np.ndarray, sigma2: float) -> np.ndarray:
         """Close the UatF bound from the accumulated moments, shape (..., K)."""

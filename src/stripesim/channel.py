@@ -8,9 +8,10 @@ scenario, so they are computed once per setup and reused across blocks.
 
 The per-block functions take either one generator, for one block, or a
 sequence of generators, one stream per block; the per-block arrays then
-carry a leading block axis (B, ...). A scenario stacking D drops takes one
-entry per drop, each a generator or a sequence of them, and the per-block
-arrays are (D, B, ...): the per-drop constants broadcast over the blocks.
+carry a leading block axis (B, ...). With a scenario stacking D drops each
+block entry is a sequence of D generators, one per drop, and the per-block
+arrays are (B, D, ...): the per-drop constants (D, ...) broadcast against
+them by numpy's trailing-axis rule.
 """
 
 from __future__ import annotations
@@ -39,22 +40,11 @@ def herm(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def over_blocks(const: np.ndarray, core: int, per_block: np.ndarray, block_core: int) -> np.ndarray:
-    """View of a per-drop constant that broadcasts against per-block arrays.
-
-    const is (drops..., *core axes), per_block (drops..., blocks..., *block
-    core axes); unit block axes are inserted after the drop axes.
-    """
-    drops = const.ndim - core
-    blocks = per_block.ndim - block_core - drops
-    return const.reshape(const.shape[:drops] + (1,) * blocks + const.shape[drops:])
-
-
 def draw_channels(scenario: Scenario, rngs: Rngs) -> np.ndarray:
     """Correlated Rayleigh realizations h_kl, shape (..., K, L, N)."""
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
     white = _block_normal(rngs, (K, L, N))
-    return (over_blocks(scenario.cov_factors, 4, white, 3) @ white[..., None])[..., 0]
+    return (scenario.cov_factors @ white[..., None])[..., 0]
 
 
 def simulate_pilot_phase(
@@ -72,8 +62,7 @@ def simulate_pilot_phase(
     amp = _pilot_weights(scenario.pilot_index, tau_p, np.sqrt(config.ue_powers * tau_p))
 
     batch = channels.shape[:-3]
-    spread = over_blocks(amp, 2, channels, 3).swapaxes(-1, -2)
-    z = spread @ channels.reshape(*batch, K, L * N)          # (..., tau_p, L*N)
+    z = amp.swapaxes(-1, -2) @ channels.reshape(*batch, K, L * N)   # (..., tau_p, L*N)
     z = z.reshape(*batch, tau_p, L, N).swapaxes(-3, -2)
     return z + _block_normal(rngs, (L, tau_p, N), std=np.sqrt(config.noise_power_w))
 
@@ -148,7 +137,7 @@ class ChannelEstimateSet:
     The estimate covariance is R - rtilde; nothing downstream needs it.
     """
 
-    hhat: np.ndarray     # (drops..., blocks..., K, L, N) complex
+    hhat: np.ndarray     # (blocks..., drops..., K, L, N) complex
     rtilde: np.ndarray   # (drops..., K, L, N, N) error covariance
 
 
@@ -163,8 +152,8 @@ def mmse_estimate(
 ) -> ChannelEstimateSet:
     """MMSE channel estimates from the despread pilot signal of one or more blocks."""
     # (..., K, L, N): despread vector on each UE's own pilot
-    pilots = over_blocks(scenario.pilot_index, 1, despread, 3)
-    z_own = np.take_along_axis(despread, pilots[..., None, :, None], axis=-2)
-    z_own = z_own.swapaxes(-3, -2)
-    hhat = (over_blocks(stats.filters, 4, z_own, 3) @ z_own[..., None])[..., 0]
+    pilots = scenario.pilot_index[..., None, :, None]
+    pilots = np.broadcast_to(pilots, (*despread.shape[:-3], *pilots.shape[-3:]))
+    z_own = np.take_along_axis(despread, pilots, axis=-2).swapaxes(-3, -2)
+    hhat = (stats.filters @ z_own[..., None])[..., 0]
     return ChannelEstimateSet(hhat=hhat, rtilde=stats.rtilde)

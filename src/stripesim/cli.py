@@ -38,14 +38,17 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
     raw = [v for v in values.split(",") if v.strip()]
     if not raw:
         raise ValueError("sweep needs at least one value")
-    if field == "num_ues":
-        parsed = tuple(int(v) for v in raw)
-    else:
-        parsed = tuple(CorrelationModel.from_string(v) for v in raw)
+    parsed = []
+    for v in raw:
+        try:
+            parsed.append(int(v) if field == "num_ues" else CorrelationModel.from_string(v))
+        except ValueError as exc:
+            reason = f"{v.strip()!r} is not an integer" if field == "num_ues" else exc
+            raise ValueError(f"sweep {field}: {reason}") from None
     for i, value in enumerate(parsed):
         if value in parsed[:i]:
             raise ValueError(f"sweep repeats {field}={_label(value)}")
-    return field, parsed
+    return field, tuple(parsed)
 
 
 def _label(value) -> str | int:
@@ -68,15 +71,12 @@ def _fronthaul(config: SimulationConfig) -> tuple[list[metrics.FronthaulReport],
                      "reduction": stripe.reduction_vs_l4}
 
 
-def _write_run(config: SimulationConfig, results: dict, out_dir: Path) -> None:
+def _write_run(config: SimulationConfig, se_by_scheme: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config_resolved.ini")
-    se_by_scheme = {}
-    for scheme, result in results.items():
-        metrics.write_se_csv(out_dir / f"se_{scheme}.csv", scheme, result.se)
-        series = metrics.empirical_cdf(result.se)
-        metrics.write_cdf_csv(out_dir / f"cdf_{scheme}.csv", series)
-        se_by_scheme[scheme] = result.se
+    for scheme, se in se_by_scheme.items():
+        metrics.write_se_csv(out_dir / f"se_{scheme}.csv", scheme, se)
+        metrics.write_cdf_csv(out_dir / f"cdf_{scheme}.csv", metrics.empirical_cdf(se))
 
     payload = metrics.summary_payload(se_by_scheme, _fronthaul(config)[1])
     metrics.write_summary_json(out_dir / "summary.json", payload)

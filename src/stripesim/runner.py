@@ -4,7 +4,7 @@ Every setup and every (setup, block) work item derives its own RNG stream
 from the config seed, so results are bit-identical regardless of worker-pool
 size or completion order. A job is a group of consecutive setups (drops): it
 draws their scenarios, precomputes the estimation statistics, then sweeps
-the channel realizations in chunks of stacked blocks, shaped (drops, blocks,
+the channel realizations in chunks of stacked blocks, shaped (blocks, drops,
 ...); the SE expectation runs over realizations within a setup, the CDF
 randomness over UEs and setups. A run's jobs are the groups of every config
 it simulates (one config, or one per sweep value), all through one pool.
@@ -16,7 +16,7 @@ import contextlib
 import hashlib
 import multiprocessing
 import os
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -76,27 +76,12 @@ def config_fingerprint(config: SimulationConfig) -> str:
     return hashlib.sha256(config_to_ini(config).encode()).hexdigest()[:12]
 
 
-@dataclass
-class SEResult:
-    """Per-UE-drop spectral efficiencies for one scheme.
-
-    sinr_linear holds a per-drop SINR diagnostic: the realization-average
-    effective SINR for the instantaneous schemes, the UatF SINR for MR.
-    """
-
-    scheme: str
-    se: np.ndarray            # (num_setups, K) bits/s/Hz
-    sinr_linear: np.ndarray   # (num_setups, K)
-    fingerprint: str
-    n_samples: int
-
-
 def simulate_setup(
     config: SimulationConfig, setups: range, schemes: tuple[str, ...]
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+) -> dict[str, np.ndarray]:
     """Run consecutive drops end to end in one batched call chain.
 
-    Returns scheme -> (se (D, K), sinr (D, K)) for the D drops of setups.
+    Returns scheme -> SE (D, K) for the D drops of setups.
     """
     seed = config.rng_seed
     scenario = build_scenario(config, [rng_stream(seed, s, _SCENARIO_TAG) for s in setups])
@@ -105,52 +90,33 @@ def simulate_setup(
     sigma2 = config.noise_power_w
     n_blocks = config.num_channel_realizations
 
-    want_stripe = SCHEME_STRIPE in schemes
-    want_l4 = SCHEME_L4 in schemes
-    want_mr = SCHEME_MR in schemes
-
-    # samples first: (blocks, drops, K)
-    shape = (n_blocks, len(setups), config.num_ues)
-    stripe_sinr = np.empty(shape) if want_stripe else None
-    l4_sinr = np.empty(shape) if want_l4 else None
-    mr_acc = baselines.MrFusionAccumulator() if want_mr else None
+    # per-block SINR samples of the instantaneous schemes, (blocks, drops, K)
+    samples = {scheme: np.empty((n_blocks, len(setups), config.num_ues))
+               for scheme in schemes if scheme != SCHEME_MR}
+    mr_acc = baselines.MrFusionAccumulator()
 
     chunk = blocks_per_chunk(config.num_ues, config.num_aps, config.antennas_per_ap)
     for start in range(0, n_blocks, chunk):
         blocks = range(start, min(start + chunk, n_blocks))
-        rngs = [[rng_stream(seed, s, _BLOCK_TAG, b) for b in blocks] for s in setups]
-        h = draw_channels(scenario, rngs)                   # (D, B, K, L, N)
+        rngs = [[rng_stream(seed, s, _BLOCK_TAG, b) for s in setups] for b in blocks]
+        h = draw_channels(scenario, rngs)                   # (B, D, K, L, N)
         z = simulate_pilot_phase(scenario, h, config, rngs)
         est = mmse_estimate(scenario, z, stats)
-        if want_stripe:
-            run = stripe.run_stripe(est, powers, sigma2)
-            sinr = metrics.sinr_per_ue(run.final.ghat, run.final.psi, powers, sigma2)
-            stripe_sinr[start:blocks.stop] = sinr.swapaxes(0, 1)
-        if want_l4:
-            sinr = baselines.centralized_lmmse_l4(est, powers, sigma2)
-            l4_sinr[start:blocks.stop] = sinr.swapaxes(0, 1)
-        if want_mr:
+        if SCHEME_STRIPE in samples:
+            final = stripe.run_stripe(est, powers, sigma2).final
+            samples[SCHEME_STRIPE][start:blocks.stop] = metrics.sinr_per_ue(
+                final.ghat, final.psi, powers, sigma2)
+        if SCHEME_L4 in samples:
+            samples[SCHEME_L4][start:blocks.stop] = baselines.centralized_lmmse_l4(
+                est, powers, sigma2)
+        if SCHEME_MR in schemes:
             mr_acc.update(est.hhat, h)
 
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    if SCHEME_MR in schemes:
+        samples[SCHEME_MR] = mr_acc.sinr(powers, sigma2)[None]
     tau_c, tau_p = config.coherence_block, config.pilot_length
-    if want_stripe:
-        out[SCHEME_STRIPE] = (
-            metrics.spectral_efficiency(stripe_sinr, tau_c, tau_p),
-            stripe_sinr.mean(axis=0),
-        )
-    if want_l4:
-        out[SCHEME_L4] = (
-            metrics.spectral_efficiency(l4_sinr, tau_c, tau_p),
-            l4_sinr.mean(axis=0),
-        )
-    if want_mr:
-        sinr = mr_acc.sinr(powers, sigma2)
-        out[SCHEME_MR] = (
-            metrics.spectral_efficiency(sinr[None], tau_c, tau_p),
-            sinr,
-        )
-    return out
+    return {scheme: metrics.spectral_efficiency(samples[scheme], tau_c, tau_p)
+            for scheme in schemes}
 
 
 def _setup_worker(args):
@@ -180,8 +146,8 @@ def run_experiment(
     configs: list[SimulationConfig],
     schemes: tuple[str, ...] = ALL_SCHEMES,
     progress=None,
-) -> list[dict[str, SEResult]]:
-    """Simulate every config's setups for the requested schemes; one result per config.
+) -> list[dict[str, np.ndarray]]:
+    """Simulate every config's setups; per config, scheme -> SE (num_setups, K).
 
     A plain run passes one config, a sweep one per value. Each (config, group
     of setups) is one job; all jobs, in config order and then group order, go
@@ -230,16 +196,8 @@ def run_experiment(
 
     returned = iter(per_job)
     results = []
-    for config, config_groups in zip(configs, groups):
+    for config_groups in groups:
         mine = [next(returned) for _ in config_groups]
-        fingerprint = config_fingerprint(config)
-        by_scheme: dict[str, SEResult] = {}
-        for scheme in schemes:
-            se = np.concatenate([out[scheme][0] for out in mine])
-            sinr = np.concatenate([out[scheme][1] for out in mine])
-            by_scheme[scheme] = SEResult(
-                scheme=scheme, se=se, sinr_linear=sinr,
-                fingerprint=fingerprint, n_samples=se.size,
-            )
-        results.append(by_scheme)
+        results.append({scheme: np.concatenate([out[scheme] for out in mine])
+                        for scheme in schemes})
     return results

@@ -16,9 +16,9 @@ returned combiners.
 
 Conventions: arrays indexed [i, k] pair interfering UE i with served UE k.
 The augmented dimension is N+1, the extra coordinate carrying the previous
-stage's soft estimate. Per-block arrays may carry leading drop and block
-axes (...); the error covariances are per-drop constants shared by every
-block of a drop.
+stage's soft estimate. Per-block arrays may carry leading block and drop
+axes (B, D, ...); the error covariances are per-drop constants (D, ...),
+shared by every block of a drop, that broadcast against them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, error_load, herm, over_blocks
+from .channel import ChannelEstimateSet, error_load, herm
 
 # A negative psi entry below -_PSI_REL_TOL * (largest psi of its block) is
 # not roundoff: it means an error covariance is not PSD.
@@ -130,9 +130,8 @@ def run_stripe(
 ) -> StripeRun:
     """Iterate the combining stages AP 1..L and return what reaches the CPU."""
     *batch, K, L, N = est.hhat.shape
-    rtilde = over_blocks(est.rtilde, 4, est.hhat, 3)
     # computed once per drop, not once per block and stage
-    imp = error_load(rtilde, powers) + sigma2 * np.eye(N)
+    imp = error_load(est.rtilde, powers) + sigma2 * np.eye(N)
     # the zero prior: no side information reaches AP 1
     state = StageState(ghat=np.zeros((*batch, K, K), dtype=complex),
                        psi=np.zeros((*batch, K, K)))
@@ -141,7 +140,7 @@ def run_stripe(
 
     for l in range(L):
         hhat_l = est.hhat[..., l, :]
-        rtilde_l = rtilde[..., :, l, :, :]
+        rtilde_l = est.rtilde[..., :, l, :, :]
         V = combiner_stage(hhat_l, imp[..., l, :, :], state.ghat, state.psi, powers, sigma2)
         state = stage_update(V, hhat_l, rtilde_l, state, ap=l)
         combiners.append(V)

@@ -233,8 +233,7 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
     """One drop with one call chain per coherence block, no grouping or chunking.
 
     The same RNG streams and per-block functions as runner.simulate_setup,
-    called on one unstacked drop and single blocks; returns
-    scheme -> (se (K,), sinr (K,)).
+    called on one unstacked drop and single blocks; returns scheme -> se (K,).
     """
     seed = config.rng_seed
     scenario = build_scenario(config, rng_stream(seed, setup_index, 0))
@@ -253,12 +252,7 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
         l4_sinr[b] = baselines.centralized_lmmse_l4(est, powers, sigma2)
         mr.update(est.hhat[None], h[None])
     tau_c, tau_p = config.coherence_block, config.pilot_length
-    mr_sinr = mr.sinr(powers, sigma2)
-    out = {
-        "stripe_nlmmse": (metrics.spectral_efficiency(stripe_sinr, tau_c, tau_p),
-                          stripe_sinr.mean(axis=0)),
-        "lmmse_l4": (metrics.spectral_efficiency(l4_sinr, tau_c, tau_p),
-                     l4_sinr.mean(axis=0)),
-        "mr_l2": (metrics.spectral_efficiency(mr_sinr[None, :], tau_c, tau_p), mr_sinr),
-    }
-    return {scheme: out[scheme] for scheme in schemes}
+    samples = {"stripe_nlmmse": stripe_sinr, "lmmse_l4": l4_sinr,
+               "mr_l2": mr.sinr(powers, sigma2)[None, :]}
+    return {scheme: metrics.spectral_efficiency(samples[scheme], tau_c, tau_p)
+            for scheme in schemes}

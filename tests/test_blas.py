@@ -91,8 +91,7 @@ def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
     # a worker maps numpy's OpenBLAS (scipy's only if a test imported scipy here)
     assert reported and all(counts and set(counts) == {1} for counts in reported)
     for scheme in ALL_SCHEMES:
-        assert np.array_equal(serial[scheme].se, pooled[scheme].se)
-        assert np.array_equal(serial[scheme].sinr_linear, pooled[scheme].sinr_linear)
+        assert np.array_equal(serial[scheme], pooled[scheme])
 
 
 CHILD = """

@@ -7,12 +7,14 @@ from oracles import (
     complex_gaussian, estimate, estimate_covariance, random_psd, synthetic_config,
     synthetic_scenario,
 )
+from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import (
     draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
 )
 from stripesim.config import SimulationConfig
 from stripesim.runner import rng_stream
 from stripesim.scenario import Scenario, assign_pilots, build_scenario
+from stripesim.stripe import run_stripe
 
 
 def identity_cov_scenario(rng, K, L, N, beta, tau_p=None):
@@ -146,28 +148,47 @@ class TestPilotPhase:
 
 class TestStackedDrops:
     def test_stacked_drops_equal_single_drops(self):
-        # K > tau_p: each drop has its own pilot permutation to gather with
+        # K > tau_p: each drop has its own pilot permutation to gather with.
+        # Blocks lead, (B, D, ...), and the per-drop constants (D, ...)
+        # broadcast against them through the whole chain.
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=5,
                       pilot_length=2)
-        drops = range(3)
+        powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+        drops, blocks = range(3), range(2)
         sc = build_scenario(cfg, [rng_stream(4, s, 0) for s in drops])
         stats = estimation_statistics(sc, cfg)
-        rngs = [[rng_stream(4, s, 1, b) for b in range(2)] for s in drops]
+        rngs = [[rng_stream(4, s, 1, b) for s in drops] for b in blocks]
         h = draw_channels(sc, rngs)
         z = simulate_pilot_phase(sc, h, cfg, rngs)
         est = mmse_estimate(sc, z, stats)
-        assert est.hhat.shape == (3, 2, 5, 5, 2) and est.rtilde.shape == (3, 5, 5, 2, 2)
+        assert est.hhat.shape == (2, 3, 5, 5, 2) and est.rtilde.shape == (3, 5, 5, 2, 2)
+        final = run_stripe(est, powers, sigma2).final
+        l4 = centralized_lmmse_l4(est, powers, sigma2)
+        mr = MrFusionAccumulator()
+        mr.update(est.hhat, h)
         for s in drops:
             one = build_scenario(cfg, rng_stream(4, s, 0))
             one_stats = estimation_statistics(one, cfg)
             for field in ("filters", "rtilde", "pilot_covariance"):
                 assert np.array_equal(getattr(stats, field)[s], getattr(one_stats, field))
-            one_rngs = [rng_stream(4, s, 1, b) for b in range(2)]
+            one_rngs = [rng_stream(4, s, 1, b) for b in blocks]
             one_h = draw_channels(one, one_rngs)
             one_z = simulate_pilot_phase(one, one_h, cfg, one_rngs)
-            assert np.array_equal(h[s], one_h)
-            assert np.array_equal(z[s], one_z)
-            assert np.array_equal(est.hhat[s], mmse_estimate(one, one_z, one_stats).hhat)
+            one_est = mmse_estimate(one, one_z, one_stats)
+            assert np.array_equal(h[:, s], one_h)
+            assert np.array_equal(z[:, s], one_z)
+            assert np.array_equal(est.hhat[:, s], one_est.hhat)
+            # the stripe, L4 (its per-drop block-diagonal add) and the MR moments
+            one_final = run_stripe(one_est, powers, sigma2).final
+            one_mr = MrFusionAccumulator()
+            one_mr.update(one_est.hhat, one_h)
+            assert mr.count == one_mr.count == len(blocks)
+            pairs = [(final.ghat[:, s], one_final.ghat), (final.psi[:, s], one_final.psi),
+                     (l4[:, s], centralized_lmmse_l4(one_est, powers, sigma2)),
+                     (mr.sum_mean[s], one_mr.sum_mean), (mr.sum_sq[s], one_mr.sum_sq),
+                     (mr.sum_noise[s], one_mr.sum_noise)]
+            for got, want in pairs:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_not_pd_pilot_covariance_in_a_stacked_drop(self, rng):
         sc = synthetic_scenario(rng, 2, 3, 2, tau_p=2)

@@ -218,6 +218,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--sweep", "L=2,3",
                      "--out", str(tmp_path / "x")]) == 1
 
+    def test_unparseable_sweep_value_names_sweep_and_value(self, tmp_path, capsys):
+        cfg = write_mini(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--sweep", "K=5,ten"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: sweep num_ues: 'ten' is not an integer\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestFronthaul:
     def test_reference_numbers(self, capsys):

@@ -9,9 +9,7 @@ from oracles import (
     synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
-from stripesim.channel import (
-    ChannelEstimateSet, complex_normal, draw_channels, estimation_statistics,
-)
+from stripesim.channel import ChannelEstimateSet, complex_normal, draw_channels
 from stripesim.config import SimulationConfig
 from stripesim.runner import rng_stream
 from stripesim.scenario import build_scenario, psd_factor
@@ -330,16 +328,13 @@ class TestRunStripe:
         sc = synthetic_scenario(rng, K, L, N, tau_p)
         cfg = synthetic_config(rng, K, L, N, tau_p)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-        stats = estimation_statistics(sc, cfg)
         n = 10000
-        acc = np.zeros((n, K))
-        for b in range(n):
-            h = draw_channels(sc, rng)
-            est = estimate(sc, h, cfg, rng, stats)
-            noise = complex_normal(rng, (L, N), std=np.sqrt(sigma2))
-            run = run_stripe(est, powers, sigma2)
-            acc[b] = np.abs(replay(run.combiners, noise[None])[0]) ** 2
-        emp = acc.mean(axis=0)
+        # one chain over n blocks, each drawn from the same generator
+        rngs = [rng] * n
+        est = estimate(sc, draw_channels(sc, rngs), cfg, rngs)
+        noise = complex_normal(rng, (n, 1, L, N), std=np.sqrt(sigma2))
+        run = run_stripe(est, powers, sigma2)
+        emp = (np.abs(replay(run.combiners, noise)[:, 0]) ** 2).mean(axis=0)
         assert np.all(np.abs(emp - sigma2) / sigma2 < 0.03)
 
     def test_forwarded_payload_counts(self, rng):
@@ -376,14 +371,14 @@ class TestRunStripe:
 
 class TestReplay:
     def test_replay_over_drop_and_block_axes_gives_forwarded_ghat(self):
-        # the runner's chains are shaped (drops, blocks, ...)
+        # the runner's chains are shaped (blocks, drops, ...)
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=4,
                       pilot_length=2)
         drops = range(2)
         sc = build_scenario(cfg, [rng_stream(8, s, 0) for s in drops])
-        rngs = [[rng_stream(8, s, 1, b) for b in range(3)] for s in drops]
+        rngs = [[rng_stream(8, s, 1, b) for s in drops] for b in range(3)]
         est = estimate(sc, draw_channels(sc, rngs), cfg, rngs)
         run = run_stripe(est, cfg.ue_powers, cfg.noise_power_w)
-        assert run.final.ghat.shape == (2, 3, 4, 4)
+        assert run.final.ghat.shape == (3, 2, 4, 4)
         np.testing.assert_allclose(replay(run.combiners, est.hhat), run.final.ghat,
                                    rtol=1e-12, atol=0)
