@@ -16,7 +16,7 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import metrics  # noqa: E402
-from .config import CorrelationModel, SimulationConfig, load_config, save_config  # noqa: E402
+from .config import SimulationConfig, format_value, load_config, parse_value, save_config  # noqa: E402
 from .runner import ALL_SCHEMES, run_experiment  # noqa: E402
 
 _SWEEPABLE = {
@@ -41,19 +41,13 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
     parsed = []
     for v in raw:
         try:
-            parsed.append(int(v) if field == "num_ues" else CorrelationModel.from_string(v))
+            parsed.append(parse_value(field, v))
         except ValueError as exc:
-            reason = f"{v.strip()!r} is not an integer" if field == "num_ues" else exc
-            raise ValueError(f"sweep {field}: {reason}") from None
+            raise ValueError(f"sweep {field}: {exc}") from None
     for i, value in enumerate(parsed):
         if value in parsed[:i]:
-            raise ValueError(f"sweep repeats {field}={_label(value)}")
+            raise ValueError(f"sweep repeats {field}={format_value(value)}")
     return field, tuple(parsed)
-
-
-def _label(value) -> str | int:
-    """A sweep value as it appears in output directory names and sweep.json."""
-    return value.value if isinstance(value, CorrelationModel) else value
 
 
 def _fronthaul(config: SimulationConfig) -> tuple[list[metrics.FronthaulReport], dict]:
@@ -98,17 +92,15 @@ def cmd_run(args) -> int:
     sweep_field, sweep_values = _parse_sweep(args.sweep) if args.sweep else (None, ())
     out_dir = Path(args.out)
 
-    # (config, output directory, sweep label) of each run, all validated
-    # before anything prints, then simulated in one call
+    # (config, output directory, sweep label) of each run, all built (and so
+    # checked) before anything prints, then simulated in one call
     runs = []
     if sweep_field is None:
-        config.validate()
         runs.append((config, out_dir, None))
     for value in sweep_values:
-        label = _label(value)
-        swept = replace(config, **{sweep_field: value})
+        label = format_value(value)
         try:
-            swept.validate()
+            swept = replace(config, **{sweep_field: value})
         except ValueError as exc:
             raise ValueError(f"{sweep_field}={label}: {exc}") from exc
         runs.append((swept, out_dir / f"{sweep_field}_{label}", label))
@@ -123,7 +115,7 @@ def cmd_run(args) -> int:
     for (cfg, sub, _), result in zip(runs, results):
         _write_run(cfg, result, sub)
     if sweep_field is not None:
-        manifest = [{"value": str(label), "dir": sub.name} for _, sub, label in runs]
+        manifest = [{"value": label, "dir": sub.name} for _, sub, label in runs]
         with open(out_dir / "sweep.json", "w", encoding="utf-8") as fh:
             json.dump(
                 {"schema_version": 1, "variable": sweep_field, "runs": manifest},
@@ -136,7 +128,6 @@ def cmd_run(args) -> int:
 
 def cmd_fronthaul(args) -> int:
     config = load_config(args.config) if args.config else SimulationConfig()
-    config.validate()
     reports, summary = _fronthaul(config)
     for rep in reports:
         print(

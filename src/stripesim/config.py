@@ -1,4 +1,8 @@
-"""Simulation parameters: container, validation, and INI-file round trip.
+"""Simulation parameters: a config checked when it is built, and its INI round trip.
+
+Building a SimulationConfig, also by dataclasses.replace, checks every value
+and raises ValueError naming the field. This module alone knows where each
+field sits in the config file and how its value is parsed and written.
 
 All power quantities are stored internally in watts. The config file
 additionally accepts the conventional units (mW for UE power, dBm for noise
@@ -11,7 +15,8 @@ import configparser
 import enum
 import io
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,8 +37,10 @@ class CorrelationModel(enum.Enum):
         raise ValueError(f"unknown correlation model {text!r} (valid: {valid})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
+    """Immutable simulation parameters; building an invalid one raises ValueError."""
+
     # Network size
     num_aps: int = 24                  # L, APs daisy-chained along the stripe
     antennas_per_ap: int = 4           # N
@@ -73,7 +80,11 @@ class SimulationConfig:
             return np.full(self.num_ues, float(self.ue_power_w))
         return np.asarray(self.ue_power_w, dtype=float)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(field.default, float) and not np.all(np.isfinite(value)):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.num_aps < 2:
             raise ValueError("num_aps must be >= 2")
         if self.antennas_per_ap < 1:
@@ -107,69 +118,62 @@ class SimulationConfig:
             raise ValueError("num_workers must be >= 0 (0 = all cores)")
 
 
-# (section, canonical key) -> field name. Canonical keys are what to_ini()
-# emits; they round-trip exactly via Python float repr.
-_LAYOUT = {
-    ("network", "num_aps"): "num_aps",
-    ("network", "antennas_per_ap"): "antennas_per_ap",
-    ("network", "num_ues"): "num_ues",
-    ("radio", "coherence_block"): "coherence_block",
-    ("radio", "pilot_length"): "pilot_length",
-    ("radio", "ue_power_w"): "ue_power_w",
-    ("radio", "noise_power_w"): "noise_power_w",
-    ("radio", "carrier_freq_hz"): "carrier_freq_hz",
-    ("radio", "bandwidth_hz"): "bandwidth_hz",
-    ("geometry", "stripe_length_m"): "stripe_length_m",
-    ("geometry", "ap_ue_height_gap_m"): "ap_ue_height_gap_m",
-    ("channel_model", "correlation_model"): "correlation_model",
-    ("channel_model", "angular_std_dev_rad"): "angular_std_dev_rad",
-    ("montecarlo", "num_setups"): "num_setups",
-    ("montecarlo", "num_channel_realizations"): "num_channel_realizations",
-    ("montecarlo", "rng_seed"): "rng_seed",
-    ("montecarlo", "num_workers"): "num_workers",
+# section -> its keys, which are the field names, in the order config_to_ini()
+# writes them; they round-trip exactly via Python float repr.
+_SECTIONS = {
+    "network": ("num_aps", "antennas_per_ap", "num_ues"),
+    "radio": ("coherence_block", "pilot_length", "ue_power_w", "noise_power_w",
+              "carrier_freq_hz", "bandwidth_hz"),
+    "geometry": ("stripe_length_m", "ap_ue_height_gap_m"),
+    "channel_model": ("correlation_model", "angular_std_dev_rad"),
+    "montecarlo": ("num_setups", "num_channel_realizations", "rng_seed", "num_workers"),
 }
 
-# Convenience keys in conventional units; mapped onto the canonical field.
-_ALIASES = {
-    ("radio", "ue_power_mw"): ("ue_power_w", lambda v: _parse_power_list(v, 1e-3)),
-    ("radio", "noise_power_dbm"): ("noise_power_w", lambda v: 10.0 ** ((float(v) - 30.0) / 10.0)),
-    ("channel_model", "angular_std_dev_deg"): ("angular_std_dev_rad", lambda v: math.radians(float(v))),
-}
+_TYPES = typing.get_type_hints(SimulationConfig)  # field name -> declared type
 
-_INT_FIELDS = {
-    "num_aps", "antennas_per_ap", "num_ues", "coherence_block", "pilot_length",
-    "num_setups", "num_channel_realizations", "rng_seed", "num_workers",
+# Convenience keys in conventional units -> (unit suffix of the field they set,
+# converter to that unit); the field is the key with its unit suffix swapped.
+_UNIT_KEYS = {
+    ("radio", "ue_power_mw"): ("_w", lambda v: _parse_power_list(v, 1e-3)),
+    ("radio", "noise_power_dbm"): ("_w", lambda v: 10.0 ** ((float(v) - 30.0) / 10.0)),
+    ("channel_model", "angular_std_dev_deg"): ("_rad", lambda v: math.radians(float(v))),
 }
 
 
 def _parse_power_list(text: str, scale: float = 1.0) -> float | tuple[float, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    values = tuple(float(p) * scale for p in parts)
-    return values[0] if len(values) == 1 else values
+    """One number, or a tuple of the numbers of a list ("0.05," is a list of one)."""
+    values = tuple(float(p) * scale for p in text.replace(",", " ").split())
+    return values[0] if len(values) == 1 and "," not in text else values
 
 
-def _parse_field(name: str, raw: str):
-    if name in _INT_FIELDS:
-        return int(raw)
-    if name == "correlation_model":
+def parse_value(name: str, raw: str):
+    """Field `name` from its text in a config file or a sweep; its declared type decides."""
+    kind = _TYPES[name]
+    if kind is CorrelationModel:
         return CorrelationModel.from_string(raw)
-    if name == "ue_power_w":
-        return _parse_power_list(raw)
-    return float(raw)
+    if kind is int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"{raw.strip()!r} is not an integer") from None
+    if kind is float:
+        return float(raw)
+    return _parse_power_list(raw)  # a number, or a comma list of per-UE values
 
 
-def _format_field(value) -> str:
+def format_value(value) -> str:
+    """A field value as config_to_ini() writes it; parse_value() reads it back."""
     if isinstance(value, CorrelationModel):
         return value.value
     if isinstance(value, tuple):
-        return ", ".join(repr(float(v)) for v in value)
+        return ", ".join(repr(float(v)) for v in value) + ("," if len(value) == 1 else "")
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
 def config_from_ini(text: str) -> SimulationConfig:
-    """Parse a config from INI text; unknown keys are rejected."""
+    """Parse a config from INI text; unknown keys and unparseable values name their key."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
@@ -179,22 +183,20 @@ def config_from_ini(text: str) -> SimulationConfig:
     values: dict[str, object] = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            loc = (section, key)
-            if loc in _LAYOUT:
-                name = _LAYOUT[loc]
-                parsed = _parse_field(name, raw)
-            elif loc in _ALIASES:
-                name, converter = _ALIASES[loc]
-                parsed = converter(raw)
+            unit = _UNIT_KEYS.get((section, key))
+            if unit is not None:
+                name = key[:key.rindex("_")] + unit[0]
+            elif key in _SECTIONS.get(section, ()):
+                name = key
             else:
                 raise ValueError(f"unknown config key [{section}] {key}")
             if name in values:
                 raise ValueError(f"config key [{section}] {key} sets {name} twice")
-            values[name] = parsed
-
-    config = replace(SimulationConfig(), **values)
-    config.validate()
-    return config
+            try:
+                values[name] = unit[1](raw) if unit else parse_value(name, raw)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from exc
+    return SimulationConfig(**values)
 
 
 def load_config(path) -> SimulationConfig:
@@ -205,10 +207,8 @@ def load_config(path) -> SimulationConfig:
 def config_to_ini(config: SimulationConfig) -> str:
     """Render the resolved config; parsing the result reproduces it exactly."""
     parser = configparser.ConfigParser()
-    for (section, key), name in _LAYOUT.items():
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, _format_field(getattr(config, name)))
+    for section, names in _SECTIONS.items():
+        parser[section] = {name: format_value(getattr(config, name)) for name in names}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

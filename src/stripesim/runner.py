@@ -23,7 +23,7 @@ import numpy as np
 from . import baselines, metrics, stripe
 from .blas import one_blas_thread, pin_one_thread
 from .channel import draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase
-from .config import SimulationConfig, config_to_ini
+from .config import SimulationConfig, config_to_ini, format_value
 from .scenario import build_scenario
 
 SCHEME_STRIPE = "stripe_nlmmse"
@@ -137,7 +137,7 @@ def _job_name(configs: list[SimulationConfig], config: SimulationConfig, setups:
     for field in fields(config):
         value = getattr(config, field.name)
         if any(getattr(other, field.name) != value for other in configs):
-            swept.append(f"{field.name}={getattr(value, 'value', value)}")
+            swept.append(f"{field.name}={format_value(value)}")
     where = f" ({', '.join(swept)})" if swept else ""
     return f"config {config_fingerprint(config)}{where}, setups {setups.start}-{setups.stop - 1}"
 
@@ -161,8 +161,6 @@ def run_experiment(
     """
     if not configs:
         raise ValueError("at least one config is required")
-    for config in configs:
-        config.validate()
     if len({config.num_workers for config in configs}) > 1:
         raise ValueError("all configs of one run must have the same num_workers")
     for scheme in schemes:

@@ -198,7 +198,6 @@ def nominal_angles(ap_xy: np.ndarray, boresight: np.ndarray, ue_xy: np.ndarray) 
 
 def build_scenario(config: SimulationConfig, rngs: Rngs) -> Scenario:
     """Draw one drop, or one per generator: AP/UE geometry, gains, covariances, pilots."""
-    config.validate()
     L, K, N = config.num_aps, config.num_ues, config.antennas_per_ap
     side = config.square_side_m
     gap = config.ap_ue_height_gap_m

@@ -208,6 +208,21 @@ class TestRun:
         bad.write_text("[network]\nnum_aps = 1\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("text, error", [
+        ("[radio]\nnoise_power_dbm = inf\n", "noise_power_w must be finite, got inf"),
+        ("[geometry]\nstripe_length_m = inf\n", "stripe_length_m must be finite, got inf"),
+        ("[network]\nnum_aps = 24.0\n", "[network] num_aps: '24.0' is not an integer"),
+    ], ids=["noise_power_dbm", "stripe_length_m", "num_aps"])
+    def test_bad_config_value_exits_1_naming_it(self, tmp_path, capsys, text, error):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unknown_scheme_gives_nonzero_exit(self, tmp_path):
         cfg = write_mini(tmp_path)
         assert main(["run", "--config", str(cfg), "--schemes", "zf",

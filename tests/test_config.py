@@ -1,16 +1,73 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stripesim.config import (
     CorrelationModel, SimulationConfig, config_from_ini, config_to_ini,
 )
+from stripesim.runner import config_fingerprint
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+BAD_POSITIVE = st.floats(max_value=0.0) | NON_FINITE
+
+
+@st.composite
+def configs(draw):
+    """A random valid config: every field drawn, powers scalar or per UE."""
+    num_ues = draw(st.integers(1, 12))
+    coherence_block = draw(st.integers(1, 10_000))
+    per_ue = st.lists(POSITIVE, min_size=num_ues, max_size=num_ues).map(tuple)
+    return SimulationConfig(
+        num_aps=draw(st.integers(2, 1_000)),
+        antennas_per_ap=draw(st.integers(1, 64)),
+        num_ues=num_ues,
+        coherence_block=coherence_block,
+        pilot_length=draw(st.integers(1, coherence_block)),
+        ue_power_w=draw(POSITIVE | per_ue),
+        noise_power_w=draw(POSITIVE),
+        carrier_freq_hz=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        bandwidth_hz=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        stripe_length_m=draw(POSITIVE),
+        ap_ue_height_gap_m=draw(POSITIVE),
+        correlation_model=draw(st.sampled_from(CorrelationModel)),
+        angular_std_dev_rad=draw(POSITIVE),
+        num_setups=draw(st.integers(1, 10_000)),
+        num_channel_realizations=draw(st.integers(1, 10_000)),
+        rng_seed=draw(st.integers(0, 2 ** 64 - 1)),
+        num_workers=draw(st.integers(0, 256)),
+    )
+
+
+def bad_values(cfg):
+    """field -> values out of range or non-finite for that field of cfg."""
+    one_bad_power = st.tuples(st.integers(0, cfg.num_ues - 1), BAD_POSITIVE).map(
+        lambda bad: tuple(bad[1] if k == bad[0] else 0.05 for k in range(cfg.num_ues)))
+    return {
+        "num_aps": st.integers(max_value=1),
+        "antennas_per_ap": st.integers(max_value=0),
+        "num_ues": st.integers(max_value=0),
+        "coherence_block": st.integers(max_value=cfg.pilot_length - 1),
+        "pilot_length": st.integers(max_value=0) | st.integers(min_value=cfg.coherence_block + 1),
+        "ue_power_w": BAD_POSITIVE | one_bad_power,
+        "noise_power_w": BAD_POSITIVE,
+        "carrier_freq_hz": NON_FINITE,
+        "bandwidth_hz": NON_FINITE,
+        "stripe_length_m": BAD_POSITIVE,
+        "ap_ue_height_gap_m": BAD_POSITIVE,
+        "angular_std_dev_rad": BAD_POSITIVE,
+        "num_setups": st.integers(max_value=0),
+        "num_channel_realizations": st.integers(max_value=0),
+        "rng_seed": st.integers(max_value=-1) | st.integers(min_value=2 ** 64),
+        "num_workers": st.integers(max_value=-1),
+    }
 
 
 def test_defaults_match_reference_setup():
     cfg = SimulationConfig()
-    cfg.validate()
     assert cfg.num_aps == 24
     assert cfg.antennas_per_ap == 4
     assert cfg.num_ues == 10
@@ -35,6 +92,25 @@ def test_ini_round_trip_is_exact():
     assert again == cfg
     # and once more through the rendered form of the parsed config
     assert config_to_ini(again) == config_to_ini(cfg)
+
+
+@settings(deadline=None)
+@given(configs())
+@example(replace(SimulationConfig(), num_ues=1, ue_power_w=(0.05,)))  # a list of one
+def test_ini_round_trip_of_any_valid_config(cfg):
+    again = config_from_ini(config_to_ini(cfg))
+    assert again == cfg
+    assert config_fingerprint(again) == config_fingerprint(cfg)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_any_out_of_range_or_non_finite_value_rejected(data):
+    cfg = data.draw(configs())
+    bad = bad_values(cfg)
+    name = data.draw(st.sampled_from(sorted(bad)))
+    with pytest.raises(ValueError):
+        replace(cfg, **{name: data.draw(bad[name], label=name)})
 
 
 def test_conventional_unit_keys():
@@ -85,12 +161,33 @@ def test_duplicate_unit_spellings_rejected():
         {"rng_seed": -1},
         {"num_workers": -2},
         {"ue_power_w": (0.05, 0.04)},  # wrong vector length for K=10
+        {"stripe_length_m": math.inf},
+        {"noise_power_w": math.nan},
+        {"ue_power_w": (0.05,) * 9 + (math.inf,)},
     ],
 )
 def test_invalid_configs_rejected(patch):
-    cfg = replace(SimulationConfig(), **patch)
     with pytest.raises(ValueError):
-        cfg.validate()
+        replace(SimulationConfig(), **patch)
+
+
+def test_config_is_frozen():
+    cfg = SimulationConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.num_ues = 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[radio]\nnoise_power_w = -92 dBm\n", "[radio] noise_power_w: could not convert"),
+    ("[radio]\nnoise_power_dbm = 4000\n", "[radio] noise_power_dbm: "),
+    ("[radio]\nue_power_mw = 50, x\n", "[radio] ue_power_mw: could not convert"),
+    ("[channel_model]\ncorrelation_model = rician\n",
+     "[channel_model] correlation_model: unknown correlation model 'rician'"),
+], ids=["float", "overflow", "power_list", "enum"])
+def test_unparseable_value_names_its_key(text, message):
+    with pytest.raises(ValueError) as info:
+        config_from_ini(text)
+    assert str(info.value).startswith(message)
 
 
 def test_correlation_model_spelling_variants():

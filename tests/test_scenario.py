@@ -204,9 +204,8 @@ class TestBuildScenario:
             sc.large_scale[0, 0] = 1.0
 
     def test_rejects_bad_geometry(self):
-        cfg = small_config(stripe_length_m=-5.0)
         with pytest.raises(ValueError):
-            build_scenario(cfg, rng_stream(11, 0, 0))
+            small_config(stripe_length_m=-5.0)
 
     def test_copilot_sets_from_pilot_index(self):
         # five UEs on two pilots: the co-pilot sets partition them 3 + 2
