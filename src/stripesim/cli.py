@@ -17,7 +17,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import metrics  # noqa: E402
 from .config import SimulationConfig, format_value, load_config, parse_value, save_config  # noqa: E402
-from .runner import ALL_SCHEMES, run_experiment  # noqa: E402
+from .runner import ALL_SCHEMES, SCHEME_L4, SCHEME_STRIPE, run_experiment  # noqa: E402
 
 _SWEEPABLE = {
     "k": "num_ues",
@@ -50,21 +50,6 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
     return field, tuple(parsed)
 
 
-def _fronthaul(config: SimulationConfig) -> tuple[list[metrics.FronthaulReport], dict]:
-    """Front-haul reports of L4 and the stripe, and their summary entry."""
-    reports = [
-        metrics.fronthaul_load(
-            scheme, config.antennas_per_ap, config.num_aps, config.num_ues,
-            config.coherence_block, config.pilot_length,
-        )
-        for scheme in ("lmmse_l4", "stripe_nlmmse")
-    ]
-    l4, stripe = reports
-    return reports, {"l4": l4.real_scalars_to_cpu_per_block,
-                     "stripe": stripe.real_scalars_to_cpu_per_block,
-                     "reduction": stripe.reduction_vs_l4}
-
-
 def _write_run(config: SimulationConfig, se_by_scheme: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config_resolved.ini")
@@ -72,7 +57,7 @@ def _write_run(config: SimulationConfig, se_by_scheme: dict, out_dir: Path) -> N
         metrics.write_se_csv(out_dir / f"se_{scheme}.csv", scheme, se)
         metrics.write_cdf_csv(out_dir / f"cdf_{scheme}.csv", metrics.empirical_cdf(se))
 
-    payload = metrics.summary_payload(se_by_scheme, _fronthaul(config)[1])
+    payload = metrics.summary_payload(se_by_scheme, metrics.fronthaul_load(config))
     metrics.write_summary_json(out_dir / "summary.json", payload)
 
 
@@ -128,14 +113,12 @@ def cmd_run(args) -> int:
 
 def cmd_fronthaul(args) -> int:
     config = load_config(args.config) if args.config else SimulationConfig()
-    reports, summary = _fronthaul(config)
-    for rep in reports:
-        print(
-            f"{rep.scheme}: {rep.real_scalars_to_cpu_per_block} real scalars/block "
-            f"to CPU ({rep.real_scalars_per_block_per_segment} per segment)"
-        )
-    print(f"stripe reduces CPU-link load by {100.0 * summary['reduction']:.2f}%")
-    print(json.dumps(summary, sort_keys=True))
+    load = metrics.fronthaul_load(config)
+    l4, stripe = load["l4"], load["stripe"]
+    print(f"{SCHEME_L4}: {l4} real scalars/block to CPU ({l4 // config.num_aps} per segment)")
+    print(f"{SCHEME_STRIPE}: {stripe} real scalars/block to CPU ({stripe} per segment)")
+    print(f"stripe reduces CPU-link load by {100.0 * load['reduction']:.2f}%")
+    print(json.dumps(load, sort_keys=True))
     return 0
 
 

@@ -1,8 +1,9 @@
 """Simulation parameters: a config checked when it is built, and its INI round trip.
 
-Building a SimulationConfig, also by dataclasses.replace, checks every value
-and raises ValueError naming the field. This module alone knows where each
-field sits in the config file and how its value is parsed and written.
+Building a SimulationConfig, also by dataclasses.replace, checks the type and
+range of every value and raises ValueError naming the field. This module
+alone knows where each field sits in the config file and how its value is
+parsed and written.
 
 All power quantities are stored internally in watts. The config file
 additionally accepts the conventional units (mW for UE power, dBm for noise
@@ -15,8 +16,9 @@ import configparser
 import enum
 import io
 import math
+import numbers
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,23 +78,22 @@ class SimulationConfig:
     @property
     def ue_powers(self) -> np.ndarray:
         """Transmit powers as a length-K vector in watts."""
-        if isinstance(self.ue_power_w, (int, float)):
-            return np.full(self.num_ues, float(self.ue_power_w))
-        return np.asarray(self.ue_power_w, dtype=float)
+        if isinstance(self.ue_power_w, tuple):
+            return np.asarray(self.ue_power_w, dtype=float)
+        return np.full(self.num_ues, float(self.ue_power_w))
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(field.default, float) and not np.all(np.isfinite(value)):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
-        if self.num_aps < 2:
-            raise ValueError("num_aps must be >= 2")
-        if self.antennas_per_ap < 1:
-            raise ValueError("antennas_per_ap must be >= 1")
-        if self.num_ues < 1:
-            raise ValueError("num_ues must be >= 1")
-        if self.pilot_length < 1:
-            raise ValueError("pilot_length must be >= 1")
+        for name, kind in _TYPES.items():
+            value = getattr(self, name)
+            if not _has_type(value, kind):
+                raise ValueError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+            if kind not in (int, CorrelationModel) and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            low = _LOWER.get(name)
+            if kind is int and low is not None and not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+            if kind is not int and low is not None and not np.all(np.asarray(value) > low):
+                raise ValueError(f"{name} must be > {low}, got {value!r}")
         if self.pilot_length > self.coherence_block:
             raise ValueError("pilot_length must not exceed coherence_block")
         powers = self.ue_powers
@@ -100,22 +101,28 @@ class SimulationConfig:
             raise ValueError(
                 f"ue_power_w must be scalar or length {self.num_ues}, got {powers.shape}"
             )
-        if not np.all(powers > 0.0):
-            raise ValueError("all UE powers must be strictly positive")
-        if not self.noise_power_w > 0.0:
-            raise ValueError("noise_power_w must be strictly positive")
-        if not self.stripe_length_m > 0.0:
-            raise ValueError("stripe_length_m must be strictly positive")
-        if not self.ap_ue_height_gap_m > 0.0:
-            raise ValueError("ap_ue_height_gap_m must be strictly positive")
-        if not self.angular_std_dev_rad > 0.0:
-            raise ValueError("angular_std_dev_rad must be strictly positive")
-        if self.num_setups < 1 or self.num_channel_realizations < 1:
-            raise ValueError("Monte Carlo counts must be >= 1")
-        if self.rng_seed < 0 or self.rng_seed >= 2 ** 64:
+        if self.rng_seed >= 2 ** 64:
             raise ValueError("rng_seed must fit in an unsigned 64-bit integer")
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0 (0 = all cores)")
+
+
+def _has_type(value, kind) -> bool:
+    """Whether value has the declared type kind; numpy numbers count, bools do not."""
+    if kind is CorrelationModel:
+        return isinstance(value, CorrelationModel)
+    if isinstance(value, tuple) and kind not in (int, float):  # per-UE powers
+        return all(_has_type(v, float) for v in value)
+    number = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, number) and not isinstance(value, bool)
+
+
+# field -> lower bound: an integer field may equal it, a real one (each
+# per-UE power too) must exceed it
+_LOWER = {
+    "num_aps": 2, "antennas_per_ap": 1, "num_ues": 1, "coherence_block": 1,
+    "pilot_length": 1, "num_setups": 1, "num_channel_realizations": 1,
+    "rng_seed": 0, "num_workers": 0, "ue_power_w": 0.0, "noise_power_w": 0.0,
+    "stripe_length_m": 0.0, "ap_ue_height_gap_m": 0.0, "angular_std_dev_rad": 0.0,
+}
 
 
 # section -> its keys, which are the field names, in the order config_to_ini()

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SimulationConfig
+
 
 def sinr_per_ue(
     ghat: np.ndarray, psi_tilde: np.ndarray, powers: np.ndarray, sigma2: float
@@ -32,51 +34,18 @@ def spectral_efficiency(sinr_samples, tau_c: int, tau_p: int) -> float | np.ndar
     return float(se) if np.ndim(se) == 0 else se
 
 
-@dataclass
-class FronthaulReport:
-    """Real-scalar counts per coherence block for one processing scheme."""
+def fronthaul_load(config: SimulationConfig) -> dict:
+    """Exact real-scalar counts per coherence block on the CPU link.
 
-    scheme: str
-    real_scalars_per_block_per_segment: int
-    real_scalars_to_cpu_per_block: int
-    reduction_vs_l4: float
-
-
-def _l4_cpu_scalars(num_antennas: int, num_aps: int, tau_c: int) -> int:
-    return 2 * num_antennas * num_aps * tau_c
-
-
-def _stripe_segment_scalars(num_ues: int, tau_c: int, tau_p: int) -> int:
-    return 3 * num_ues ** 2 + 2 * num_ues * (tau_c - tau_p)
-
-
-def fronthaul_load(
-    scheme: str, num_antennas: int, num_aps: int, num_ues: int,
-    tau_c: int, tau_p: int,
-) -> FronthaulReport:
-    """Exact front-haul scalar counts for 'lmmse_l4' or 'stripe_nlmmse'.
-
-    The centralized scheme ships every AP's received payload block to the
-    CPU; the stripe ships soft estimates plus side information over each
-    segment, the CPU link included. The reduction is quoted on the CPU link.
+    The centralized scheme (l4) ships every AP's received payload block to
+    the CPU, 2*N*L*tau_c; the stripe ships soft estimates plus side
+    information over each segment, the CPU link included,
+    3K^2 + 2K(tau_c - tau_p). The reduction is the stripe's saving on that link.
     """
-    l4 = _l4_cpu_scalars(num_antennas, num_aps, tau_c)
-    if scheme == "lmmse_l4":
-        return FronthaulReport(
-            scheme=scheme,
-            real_scalars_per_block_per_segment=2 * num_antennas * tau_c,
-            real_scalars_to_cpu_per_block=l4,
-            reduction_vs_l4=0.0,
-        )
-    if scheme == "stripe_nlmmse":
-        stripe = _stripe_segment_scalars(num_ues, tau_c, tau_p)
-        return FronthaulReport(
-            scheme=scheme,
-            real_scalars_per_block_per_segment=stripe,
-            real_scalars_to_cpu_per_block=stripe,
-            reduction_vs_l4=1.0 - stripe / l4,
-        )
-    raise ValueError(f"no front-haul model for scheme {scheme!r}")
+    K, tau_c = config.num_ues, config.coherence_block
+    l4 = 2 * config.antennas_per_ap * config.num_aps * tau_c
+    stripe = 3 * K ** 2 + 2 * K * (tau_c - config.pilot_length)
+    return {"l4": l4, "stripe": stripe, "reduction": 1.0 - stripe / l4}
 
 
 @dataclass

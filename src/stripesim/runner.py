@@ -153,8 +153,8 @@ def run_experiment(
     of setups) is one job; all jobs, in config order and then group order, go
     through one pool, so the configs must share num_workers. A call of one
     job in total starts no pool. progress(done, total) counts setups over
-    the whole call as each job returns. A ValueError raised in a job
-    re-raises naming its config and setups.
+    the whole call as each job returns. An error raised in a job re-raises
+    as a ValueError naming its config and setups.
 
     Every loaded OpenBLAS runs single-threaded for the duration (see blas),
     in pool workers too, whatever the start method.
@@ -186,8 +186,9 @@ def run_experiment(
         for config, setups, _ in jobs:
             try:
                 per_job.append(next(outs))
-            except ValueError as exc:
-                raise ValueError(f"{_job_name(configs, config, setups)}: {exc}") from exc
+            except Exception as exc:  # KeyboardInterrupt passes through
+                what = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+                raise ValueError(f"{_job_name(configs, config, setups)}: {what}") from exc
             done += len(setups)
             if progress is not None:
                 progress(done, total)

@@ -156,6 +156,14 @@ class Scenario:
         return self.covariances.shape[-1]
 
 
+# Per wall, walked counterclockwise from the origin (bottom, right, top,
+# left): its start corner in units of the side, its direction, and the
+# boresight of its APs, which points into the square.
+_WALL_START = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+_WALL_DIRECTION = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+_WALL_BORESIGHT = np.array([0.5, 1.0, -0.5, 0.0]) * np.pi
+
+
 def _perimeter_layout(num_aps: int, side: float):
     """Positions and boresights of APs equally spaced along the square walls.
 
@@ -167,23 +175,8 @@ def _perimeter_layout(num_aps: int, side: float):
     arc = (np.arange(num_aps) + 0.5) * spacing
     wall = np.minimum((arc // side).astype(int), 3)
     along = arc - wall * side
-    xy = np.empty((num_aps, 2))
-    boresight = np.empty(num_aps)
-    for l in range(num_aps):
-        u = along[l]
-        if wall[l] == 0:    # bottom wall, facing +y
-            xy[l] = (u, 0.0)
-            boresight[l] = 0.5 * np.pi
-        elif wall[l] == 1:  # right wall, facing -x
-            xy[l] = (side, u)
-            boresight[l] = np.pi
-        elif wall[l] == 2:  # top wall, facing -y
-            xy[l] = (side - u, side)
-            boresight[l] = -0.5 * np.pi
-        else:               # left wall, facing +x
-            xy[l] = (0.0, side - u)
-            boresight[l] = 0.0
-    return xy, boresight
+    xy = _WALL_START[wall] * side + _WALL_DIRECTION[wall] * along[:, None]
+    return xy, _WALL_BORESIGHT[wall]
 
 
 def nominal_angles(ap_xy: np.ndarray, boresight: np.ndarray, ue_xy: np.ndarray) -> np.ndarray:
@@ -235,10 +228,6 @@ def build_scenario(config: SimulationConfig, rngs: Rngs) -> Scenario:
         cov_factors=factors,
         pilot_index=pilot_index,
     )
-    for arr in (
-        scenario.ap_positions, scenario.ap_orientations, scenario.ue_positions,
-        scenario.distances, scenario.large_scale, scenario.covariances,
-        scenario.cov_factors, scenario.pilot_index,
-    ):
+    for arr in vars(scenario).values():
         arr.flags.writeable = False
     return scenario

@@ -63,11 +63,10 @@ def stripe_by_num_ues(fig1_results):
 
 
 def test_criterion_1_fronthaul_arithmetic():
-    l4 = metrics.fronthaul_load("lmmse_l4", 4, 24, 10, 200, 20)
-    stripe = metrics.fronthaul_load("stripe_nlmmse", 4, 24, 10, 200, 20)
-    assert l4.real_scalars_to_cpu_per_block == 38400
-    assert stripe.real_scalars_to_cpu_per_block == 3900
-    assert stripe.reduction_vs_l4 * 100 == pytest.approx(89.84375)
+    load = metrics.fronthaul_load(SimulationConfig())   # N=4, L=24, K=10, tau_c=200, tau_p=20
+    assert load["l4"] == 38400
+    assert load["stripe"] == 3900
+    assert load["reduction"] * 100 == pytest.approx(89.84375)
     report("1 fronthaul", "L4=38400, stripe=3900, reduction=89.84%")
 
 

@@ -1,6 +1,7 @@
 import math
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,9 @@ from stripesim.runner import config_fingerprint
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
 BAD_POSITIVE = st.floats(max_value=0.0) | NON_FINITE
+# values of the wrong type for every field: none takes None, a bool, a string
+# or a list
+WRONG_TYPE = st.none() | st.booleans() | st.text() | st.lists(POSITIVE, min_size=1)
 
 
 @st.composite
@@ -63,6 +67,7 @@ def bad_values(cfg):
         "num_channel_realizations": st.integers(max_value=0),
         "rng_seed": st.integers(max_value=-1) | st.integers(min_value=2 ** 64),
         "num_workers": st.integers(max_value=-1),
+        "correlation_model": st.sampled_from([m.value for m in CorrelationModel]),
     }
 
 
@@ -109,8 +114,11 @@ def test_any_out_of_range_or_non_finite_value_rejected(data):
     cfg = data.draw(configs())
     bad = bad_values(cfg)
     name = data.draw(st.sampled_from(sorted(bad)))
-    with pytest.raises(ValueError):
-        replace(cfg, **{name: data.draw(bad[name], label=name)})
+    wrong = WRONG_TYPE
+    if type(getattr(cfg, name)) is int:  # an integral float is no integer
+        wrong |= st.integers(-10 ** 6, 10 ** 6).map(float)
+    with pytest.raises(ValueError, match=name):
+        replace(cfg, **{name: data.draw(bad[name] | wrong, label=name)})
 
 
 def test_conventional_unit_keys():
@@ -164,11 +172,24 @@ def test_duplicate_unit_spellings_rejected():
         {"stripe_length_m": math.inf},
         {"noise_power_w": math.nan},
         {"ue_power_w": (0.05,) * 9 + (math.inf,)},
+        {"num_ues": 3.0},
+        {"num_aps": True},
+        {"antennas_per_ap": True},  # True == 1 would pass the range check
+        {"correlation_model": "uncorrelated"},
     ],
 )
 def test_invalid_configs_rejected(patch):
-    with pytest.raises(ValueError):
+    (name,) = patch
+    with pytest.raises(ValueError, match=name):
         replace(SimulationConfig(), **patch)
+
+
+def test_numpy_numbers_accepted():
+    cfg = replace(SimulationConfig(), num_ues=np.int64(3), num_aps=np.int32(8),
+                  ue_power_w=np.float32(0.05), noise_power_w=np.float64(1e-13))
+    assert cfg.ue_powers.shape == (3,)
+    assert cfg == replace(SimulationConfig(), num_ues=3, num_aps=8,
+                          ue_power_w=float(np.float32(0.05)), noise_power_w=1e-13)
 
 
 def test_config_is_frozen():

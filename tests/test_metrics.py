@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from stripesim.config import SimulationConfig
 from stripesim.metrics import (
     empirical_cdf, fronthaul_load, percentile, sinr_per_ue, spectral_efficiency,
 )
@@ -118,32 +121,35 @@ class TestSpectralEfficiency:
             spectral_efficiency([], tau_c=200, tau_p=20)
 
 
+def network(N, L, K, tau_c, tau_p):
+    return replace(SimulationConfig(), antennas_per_ap=N, num_aps=L, num_ues=K,
+                   coherence_block=tau_c, pilot_length=tau_p)
+
+
 class TestFronthaul:
     def test_reference_setup_counts(self):
-        l4 = fronthaul_load("lmmse_l4", 4, 24, 10, 200, 20)
-        stripe = fronthaul_load("stripe_nlmmse", 4, 24, 10, 200, 20)
-        assert l4.real_scalars_to_cpu_per_block == 38400      # 2*N*L*tau_c
-        assert stripe.real_scalars_to_cpu_per_block == 3900   # 3K^2 + 2K(tc-tp)
-        assert stripe.real_scalars_per_block_per_segment == 3900
-        assert stripe.reduction_vs_l4 == pytest.approx(1 - 3900 / 38400)
-        assert stripe.reduction_vs_l4 == pytest.approx(0.8984375)
+        load = fronthaul_load(SimulationConfig())
+        assert load["l4"] == 38400      # 2*N*L*tau_c
+        assert load["stripe"] == 3900   # 3K^2 + 2K(tc-tp)
+        assert load["reduction"] == pytest.approx(1 - 3900 / 38400)
+        assert load["reduction"] == pytest.approx(0.8984375)
+        assert sorted(load) == ["l4", "reduction", "stripe"]
 
     def test_single_user_count(self):
-        rep = fronthaul_load("stripe_nlmmse", 4, 24, 1, 200, 20)
-        assert rep.real_scalars_per_block_per_segment == 3 + 2 * (200 - 20)
+        load = fronthaul_load(network(4, 24, 1, 200, 20))
+        assert load["stripe"] == 3 + 2 * (200 - 20)
 
     def test_minimal_l4_count(self):
-        rep = fronthaul_load("lmmse_l4", 1, 1, 1, 1, 1)
-        assert rep.real_scalars_to_cpu_per_block == 2
+        # the smallest valid network: one antenna on each of two APs, one
+        # channel use per block
+        load = fronthaul_load(network(1, 2, 1, 1, 1))
+        assert load["l4"] == 4
 
     def test_counts_are_exact_integers(self):
-        rep = fronthaul_load("stripe_nlmmse", 2, 8, 7, 100, 10)
-        assert rep.real_scalars_to_cpu_per_block == 3 * 49 + 2 * 7 * 90
-        assert isinstance(rep.real_scalars_to_cpu_per_block, int)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            fronthaul_load("mr_l2", 4, 24, 10, 200, 20)
+        load = fronthaul_load(network(2, 8, 7, 100, 10))
+        assert load["stripe"] == 3 * 49 + 2 * 7 * 90
+        assert isinstance(load["stripe"], int)
+        assert isinstance(load["l4"], int)
 
 
 class TestEmpiricalCdf:

@@ -157,21 +157,23 @@ def test_failing_job_names_its_config_and_setups(monkeypatch, workers):
     configs = [pool_config(num_ues=k, num_workers=workers) for k in (3, 4)]
     bad = drop_groups(configs[1])[1]
     real = runner.simulate_setup
+    # a ValueError (LinAlgError is one) and any other exception alike
+    for error in (np.linalg.LinAlgError, ZeroDivisionError):
 
-    def failing(config, setups, schemes):
-        if config.num_ues == 4 and setups == bad:
-            raise np.linalg.LinAlgError("injected failure")
-        return real(config, setups, schemes)
+        def failing(config, setups, schemes):
+            if config.num_ues == 4 and setups == bad:
+                raise error("injected failure")
+            return real(config, setups, schemes)
 
-    monkeypatch.setattr(runner, "simulate_setup", failing)
-    with pytest.raises(ValueError) as info:
-        run_experiment(configs, (SCHEME_STRIPE,))
-    message = str(info.value)
-    assert config_fingerprint(configs[1]) in message
-    assert "num_ues=4" in message
-    assert f"setups {bad.start}-{bad.stop - 1}" in message
-    assert "injected failure" in message
-    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        monkeypatch.setattr(runner, "simulate_setup", failing)
+        with pytest.raises(ValueError) as info:
+            run_experiment(configs, (SCHEME_STRIPE,))
+        message = str(info.value)
+        assert config_fingerprint(configs[1]) in message
+        assert "num_ues=4" in message
+        assert f"setups {bad.start}-{bad.stop - 1}" in message
+        assert "injected failure" in message
+        assert type(info.value.__cause__) is error
 
 
 def test_seed_changes_results():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim import scenario
 from stripesim.runner import rng_stream
 from stripesim.scenario import (
-    _clip_psd, assign_pilots, build_scenario, local_scattering_covariance, pathloss_db,
+    Scenario, _clip_psd, assign_pilots, build_scenario, local_scattering_covariance, pathloss_db,
 )
 
 
@@ -199,9 +199,27 @@ class TestBuildScenario:
         assert np.array_equal(a.pilot_index, b.pilot_index)
 
     def test_scenario_is_read_only(self):
+        # every array, under both models and with a drop axis too
+        for model in CorrelationModel:
+            for rngs in (rng_stream(10, 0, 0), [rng_stream(10, s, 0) for s in range(2)]):
+                sc = build_scenario(small_config(correlation_model=model), rngs)
+                for field in fields(Scenario):
+                    arr = getattr(sc, field.name)
+                    assert not arr.flags.writeable, field.name
+                    with pytest.raises(ValueError):
+                        arr.flat[0] = arr.flat[0]
+
+    def test_eight_ap_layout_is_pinned(self):
+        # one AP at the middle of each half wall, walked counterclockwise from
+        # the origin, each facing into the square; exact values
         sc = build_scenario(small_config(), rng_stream(10, 0, 0))
-        with pytest.raises(ValueError):
-            sc.large_scale[0, 0] = 1.0
+        assert sc.ap_positions.tolist() == [
+            [31.25, 0.0, 5.0], [93.75, 0.0, 5.0], [125.0, 31.25, 5.0], [125.0, 93.75, 5.0],
+            [93.75, 125.0, 5.0], [31.25, 125.0, 5.0], [0.0, 93.75, 5.0], [0.0, 31.25, 5.0],
+        ]
+        half, pi = math.pi / 2, math.pi
+        assert sc.ap_orientations.tolist() == [half, half, pi, pi, -half, -half, 0.0, 0.0]
+        assert not np.signbit(sc.ap_positions).any()
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):

@@ -346,9 +346,9 @@ class TestRunStripe:
         assert final.ghat.shape == final.psi.shape == (K, K)
         forwarded = 2 * final.ghat.size + final.psi.size \
             + 2 * final.ghat.shape[-1] * (tau_c - tau_p)
-        report = metrics.fronthaul_load("stripe_nlmmse", N, L, K, tau_c, tau_p)
-        assert report.real_scalars_per_block_per_segment == forwarded
-        assert report.real_scalars_to_cpu_per_block == forwarded
+        config = replace(SimulationConfig(), antennas_per_ap=N, num_aps=L, num_ues=K,
+                         coherence_block=tau_c, pilot_length=tau_p)
+        assert metrics.fronthaul_load(config)["stripe"] == forwarded
 
     def test_block_axis_matches_single_blocks(self, rng):
         K, L, N, tau_p, B = 3, 4, 2, 2, 5
