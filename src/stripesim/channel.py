@@ -2,9 +2,9 @@
 
 Per coherence block a fresh correlated Rayleigh realization is drawn, the
 despread pilot signal is formed directly (the full pilot-length receive
-matrix is never materialized), and the linear MMSE estimate is computed per
-(UE, AP). The estimation filters and covariances depend only on the
-scenario, so they are computed once per setup and reused across blocks.
+matrix is never materialized), and the linear MMSE estimate of each (UE, AP)
+is computed from the covariance of that UE's own pilot. The filters and error
+covariances depend only on the scenario, so they are computed once per setup.
 
 The per-block functions take either one generator, for one block, or a
 sequence of generators, one stream per block; the per-block arrays then
@@ -59,52 +59,43 @@ def simulate_pilot_phase(
     """
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
     tau_p = config.pilot_length
-    amp = _pilot_weights(scenario.pilot_index, tau_p, np.sqrt(config.ue_powers * tau_p))
+    # (..., tau_p, K): sqrt(p_k tau_p) at (t_k, k), zero elsewhere
+    amp = np.where(np.arange(tau_p)[:, None] == scenario.pilot_index[..., None, :],
+                   np.sqrt(config.ue_powers * tau_p), 0.0)
 
     batch = channels.shape[:-3]
-    z = amp.swapaxes(-1, -2) @ channels.reshape(*batch, K, L * N)   # (..., tau_p, L*N)
+    z = amp @ channels.reshape(*batch, K, L * N)                    # (..., tau_p, L*N)
     z = z.reshape(*batch, tau_p, L, N).swapaxes(-3, -2)
     return z + _block_normal(rngs, (L, tau_p, N), std=np.sqrt(config.noise_power_w))
 
 
-def _pilot_weights(pilot_index: np.ndarray, tau_p: int, weight: np.ndarray) -> np.ndarray:
-    """(..., K, tau_p) matrix holding weight[k] at (k, t_k), zero elsewhere."""
-    return np.where(pilot_index[..., None] == np.arange(tau_p), weight[:, None], 0.0)
+def _check_pilot_covariance(own: np.ndarray, pilots: np.ndarray) -> None:
+    """Raise naming AP l and pilot t_k of the first (drop, UE k, AP l) not PD.
 
-
-def _check_pilot_covariance(psi: np.ndarray, own: np.ndarray, pilots: np.ndarray) -> None:
-    """Raise naming the first AP and used pilot whose covariance is not PD.
-
-    own holds the covariance of every UE's own pilot, so it covers every used
-    pilot. A stacked Cholesky factorization of it that succeeds proves them
-    all PD; only a failure pays for the eigenvalues of psi.
+    A stacked Cholesky factorization of every UE's own pilot covariance that
+    succeeds proves them all PD; only a failure pays for the eigenvalues.
     """
     try:
         np.linalg.cholesky(own)
         return
     except np.linalg.LinAlgError:
         pass
-    L = psi.shape[-4]
-    for drop_psi, drop_pilots in zip(psi.reshape(-1, L, *psi.shape[-3:]),
-                                     pilots.reshape(-1, pilots.shape[-1])):
-        used = list(dict.fromkeys(drop_pilots.tolist()))   # in order of first use
-        not_pd = np.linalg.eigvalsh(drop_psi[:, used]).min(axis=-1) <= 0.0
-        if np.any(not_pd):
-            l, t = np.argwhere(not_pd)[0]
-            raise ValueError(f"pilot covariance at AP {l}, pilot {used[t]} is not PD")
+    bad = np.argwhere(np.linalg.eigvalsh(own).min(axis=-1) <= 0.0)   # rows (drop..., k, l)
+    if len(bad):
+        *ue, l = bad[0]
+        raise ValueError(f"pilot covariance at AP {l}, pilot {pilots[tuple(ue)]} is not PD")
 
 
 @dataclass
 class EstimationStatistics:
-    """Setup-constant MMSE quantities: filters and covariances (per drop)."""
+    """Setup-constant MMSE quantities: filters and error covariances (per drop)."""
 
     filters: np.ndarray           # (..., K, L, N, N), hhat_kl = filters[k, l] @ z_{t_k, l}
     rtilde: np.ndarray            # (..., K, L, N, N) error covariance
-    pilot_covariance: np.ndarray  # (..., L, tau_p, N, N) covariance of z_{t, l}
 
 
 def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> EstimationStatistics:
-    """Precompute MMSE filters and covariances for every (UE, AP) pair of every drop."""
+    """Precompute MMSE filters and error covariances for every (UE, AP) pair of every drop."""
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
     tau_p = config.pilot_length
     powers = config.ue_powers
@@ -112,13 +103,12 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
     R = scenario.covariances
     drops = pilots.shape[:-1]
 
-    # Psi_{l,t} = sum over UEs k on pilot t of tau_p p_k R_kl, plus sigma^2 I
-    weight = _pilot_weights(pilots, tau_p, tau_p * powers).swapaxes(-1, -2)
-    psi = (weight @ R.reshape(*drops, K, L * N * N)).reshape(*drops, tau_p, L, N, N)
-    psi = psi.swapaxes(-4, -3) + config.noise_power_w * np.eye(N)
-    # each UE's own pilot covariance, (..., K, L, N, N)
-    own = np.take_along_axis(psi, pilots[..., None, :, None, None], axis=-3).swapaxes(-4, -3)
-    _check_pilot_covariance(psi, own, pilots)
+    # UE k's own pilot covariance Psi_kl = sum over UEs i on pilot t_k of
+    # tau_p p_i R_il, plus sigma^2 I: (..., K, K) weights tau_p p_i [t_i = t_k]
+    copilot = np.where(pilots[..., :, None] == pilots[..., None, :], tau_p * powers, 0.0)
+    own = (copilot @ R.reshape(*drops, K, L * N * N)).reshape(*drops, K, L, N, N)
+    own += config.noise_power_w * np.eye(N)
+    _check_pilot_covariance(own, pilots)
 
     amp = np.sqrt(powers * tau_p)[:, None, None, None]
     # R @ Psi^{-1} = (Psi^{-1} @ R)^H since both are Hermitian
@@ -127,7 +117,7 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
     rhat = 0.5 * (rhat + herm(rhat))
     rtilde = R - rhat
     rtilde = 0.5 * (rtilde + herm(rtilde))
-    return EstimationStatistics(filters=filters, rtilde=rtilde, pilot_covariance=psi)
+    return EstimationStatistics(filters=filters, rtilde=rtilde)
 
 
 @dataclass

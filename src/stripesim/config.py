@@ -87,6 +87,8 @@ class SimulationConfig:
             value = getattr(self, name)
             if not _has_type(value, kind):
                 raise ValueError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+            value = tuple(map(_plain, value)) if isinstance(value, tuple) else _plain(value)
+            object.__setattr__(self, name, value)
             if kind not in (int, CorrelationModel) and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             low = _LOWER.get(name)
@@ -103,6 +105,11 @@ class SimulationConfig:
             )
         if self.rng_seed >= 2 ** 64:
             raise ValueError("rng_seed must fit in an unsigned 64-bit integer")
+
+
+def _plain(value):
+    """A numpy number as the Python number it equals; anything else unchanged."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _has_type(value, kind) -> bool:

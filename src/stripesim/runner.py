@@ -39,8 +39,9 @@ _BLOCK_TAG = 1
 # LN x LN matrix of the centralized receiver); a chunk holds about this many.
 # Drops with fewer blocks than a chunk are grouped: per drop a group holds
 # its constants, about L*N*N*(4K + tau_p) entries (covariances, their factors,
-# the MMSE filters, the error covariances, the pilot covariances), plus its
-# blocks. Both depend on the config only, never on the worker count, so the
+# the MMSE filters and the error covariances, with tau_p more as headroom for
+# temporaries such as the own-pilot covariances), plus its blocks. Both
+# depend on the config only, never on the worker count, so the
 # floating-point work is the same in every run.
 _CHUNK_ELEMENTS = 1 << 18
 

@@ -59,10 +59,10 @@ def combiner_stage(
     psi_prev (..., K, K) the side information. The top-left N x N block A of
     the conditioning matrix is common to all served UEs; only the border b_k
     (cross terms with the augmented coordinate) and the corner c_k are
-    UE-specific. One solve with A serves every UE, and the augmented
-    coordinate follows from the Schur complement c_k - b_k^H A^-1 b_k.
+    UE-specific. One solve with A for the K estimates serves every UE: b_k is
+    linear in the hhat_i, so A^-1 b_k follows from those solutions, and the
+    augmented coordinate from the Schur complement c_k - b_k^H A^-1 b_k.
     """
-    K = hhat.shape[-2]
     weighted = powers[:, None] * hhat
     shared = weighted.swapaxes(-1, -2) @ hhat.conj()
     shared += impairment_l
@@ -71,8 +71,8 @@ def combiner_stage(
 
     # UE k solves [A b_k; b_k^H c_k] v = [hhat_k; ghat_prev[k, k]], its own
     # augmented estimate; rows k of a_h and a_b are A^-1 hhat_k and A^-1 b_k
-    solved = np.linalg.solve(shared, np.concatenate([hhat, border], axis=-2).swapaxes(-1, -2))
-    a_h, a_b = solved[..., :K].swapaxes(-1, -2), solved[..., K:].swapaxes(-1, -2)
+    a_h = np.linalg.solve(shared, hhat.swapaxes(-1, -2)).swapaxes(-1, -2)
+    a_b = herm(ghat_prev) @ (powers[:, None] * a_h)
     schur = corner - (border.conj() * a_b).sum(axis=-1).real
     last = (np.diagonal(ghat_prev, axis1=-2, axis2=-1)
             - (border.conj() * a_h).sum(axis=-1)) / schur

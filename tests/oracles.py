@@ -5,9 +5,10 @@ estimate numerically (coarse multi-start search plus BFGS refinement on the
 real/imaginary parts), evaluating the objective directly from its moment
 definition. It never touches the package's combiner builders, so agreement
 is a two-route check. The augmented moments and the dense first-AP LMMSE
-rule are the same kind of second route, as is the closed-form estimate
-covariance; per_block_setup is the one-drop, one-block-at-a-time reference
-for the grouped and chunked runner. estimate is the pilot phase plus MMSE
+rule are the same kind of second route, as are the closed-form estimate
+covariance and the covariances of the despread pilot signal of every pilot;
+per_block_setup is the one-drop, one-block-at-a-time reference for the
+grouped and chunked runner. estimate is the pilot phase plus MMSE
 estimation that most tests run on one scenario.
 """
 
@@ -20,7 +21,7 @@ from scipy.optimize import minimize
 
 from stripesim import baselines, metrics, stripe
 from stripesim.channel import (
-    draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
+    draw_channels, estimation_statistics, herm, mmse_estimate, simulate_pilot_phase,
 )
 from stripesim.config import SimulationConfig
 from stripesim.runner import ALL_SCHEMES, rng_stream
@@ -161,7 +162,7 @@ def estimate_covariance(scenario, config):
     """Closed-form MMSE estimate covariance p_k tau_p R_kl Psi^-1 R_kl, (K, L, N, N).
 
     Psi is summed over the co-pilot set {i : t_i = t_k}, one (UE, AP) pair
-    at a time, without the package's stacked pilot covariances.
+    at a time, without the package's stacked own-pilot covariances.
     """
     powers, tau_p = config.ue_powers, config.pilot_length
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
@@ -175,6 +176,41 @@ def estimate_covariance(scenario, config):
                 psi = psi + tau_p * powers[i] * R[i, l]
             out[k, l] = powers[k] * tau_p * R[k, l] @ np.linalg.solve(psi, R[k, l])
     return out
+
+
+def pilot_covariances(scenario, config):
+    """Covariance of the despread pilot signal z_{t,l} of every pilot, (..., L, tau_p, N, N).
+
+    Psi_{l,t} = sum over UEs k on pilot t of tau_p p_k R_kl, plus sigma^2 I,
+    as one stacked product over all tau_p pilots, used or not.
+    """
+    K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
+    tau_p = config.pilot_length
+    pilots = scenario.pilot_index
+    drops = pilots.shape[:-1]
+    weight = np.where(np.arange(tau_p)[:, None] == pilots[..., None, :],
+                      tau_p * config.ue_powers, 0.0)              # (..., tau_p, K)
+    psi = weight @ scenario.covariances.reshape(*drops, K, L * N * N)
+    return (psi.reshape(*drops, tau_p, L, N, N).swapaxes(-4, -3)
+            + config.noise_power_w * np.eye(N))
+
+
+def per_pilot_statistics(scenario, config):
+    """MMSE filters and error covariances from pilot_covariances gathered per UE.
+
+    The same formulas as estimation_statistics, on each UE's own pilot
+    covariance taken out of the per-pilot ones.
+    """
+    psi = pilot_covariances(scenario, config)
+    gather = scenario.pilot_index[..., None, :, None, None]
+    own = np.take_along_axis(psi, gather, axis=-3).swapaxes(-4, -3)   # (..., K, L, N, N)
+    R = scenario.covariances
+    amp = np.sqrt(config.ue_powers * config.pilot_length)[:, None, None, None]
+    filters = amp * herm(np.linalg.solve(own, R))
+    rhat = amp * filters @ R
+    rhat = 0.5 * (rhat + herm(rhat))
+    rtilde = R - rhat
+    return filters, 0.5 * (rtilde + herm(rtilde))
 
 
 def first_ap_lmmse(hhat, rtilde, powers, sigma2):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import (
-    complex_gaussian, estimate, estimate_covariance, random_psd, synthetic_config,
-    synthetic_scenario,
+    complex_gaussian, estimate, estimate_covariance, per_pilot_statistics,
+    pilot_covariances, random_psd, synthetic_config, synthetic_scenario,
 )
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import (
     draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
 )
-from stripesim.config import SimulationConfig
+from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import rng_stream
 from stripesim.scenario import Scenario, assign_pilots, build_scenario
 from stripesim.stripe import run_stripe
@@ -111,24 +111,24 @@ class TestPilotPhase:
         cfg = replace(SimulationConfig(), num_aps=L, antennas_per_ap=N,
                       num_ues=K, coherence_block=10, pilot_length=tau_p,
                       ue_power_w=(1.0, 2.0, 0.5), noise_power_w=sigma2)
-        psi = estimation_statistics(sc, cfg).pilot_covariance
+        psi = pilot_covariances(sc, cfg)
         expect = (tau_p * (1.0 + 2.0 + 0.5) * beta + sigma2) * np.eye(N)
         assert np.allclose(psi[0, 0], expect, rtol=1e-12)
 
     def test_covariance_positive_definite(self, rng):
         sc = synthetic_scenario(rng, 3, 2, 3, tau_p=2)
         cfg = synthetic_config(rng, 3, 2, 3, tau_p=2)
-        psi = estimation_statistics(sc, cfg).pilot_covariance
+        psi = pilot_covariances(sc, cfg)
         for l in range(2):
             for t in range(2):
                 assert np.linalg.eigvalsh(psi[l, t]).min() > 0
 
     def test_covariance_matches_despread_sampling(self, rng):
-        # the statistics' pilot covariance is the covariance of z itself
+        # the oracle's pilot covariance is the covariance of z itself
         n, K, L, N, tau_p = 4000, 3, 2, 2, 2
         sc = synthetic_scenario(rng, K, L, N, tau_p)
         cfg = synthetic_config(rng, K, L, N, tau_p)
-        psi = estimation_statistics(sc, cfg).pilot_covariance
+        psi = pilot_covariances(sc, cfg)
         rngs = [np.random.default_rng([7, b]) for b in range(n)]
         z = simulate_pilot_phase(sc, draw_channels(sc, rngs), cfg, rngs)
         emp = np.einsum("bltm,bltn->ltmn", z, z.conj()) / n
@@ -144,6 +144,35 @@ class TestPilotPhase:
         bad = Scenario(**{**sc.__dict__, "covariances": covariances})
         with pytest.raises(ValueError, match="pilot covariance at AP 2, pilot 1 is not PD"):
             estimation_statistics(bad, cfg)
+
+    def test_first_failing_ue_then_ap_is_named(self, rng):
+        # UE 0 (pilot 1) fails at AP 2 and UE 1 (pilot 0) at AP 0: the first
+        # failing (drop, UE, AP) is named, with that UE's pilot
+        sc = synthetic_scenario(rng, 2, 3, 2, tau_p=2)
+        cfg = synthetic_config(rng, 2, 3, 2, tau_p=2)
+        covariances = sc.covariances.copy()
+        covariances[0, 2] *= -1e3
+        covariances[1, 0] *= -1e3
+        bad = Scenario(**{**sc.__dict__, "covariances": covariances,
+                          "pilot_index": np.array([1, 0])})
+        with pytest.raises(ValueError, match="pilot covariance at AP 2, pilot 1 is not PD"):
+            estimation_statistics(bad, cfg)
+
+
+class TestOwnPilotStatistics:
+    @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("drops", [None, 3], ids=["one_drop", "stacked"])
+    def test_equal_to_per_pilot_covariances_gathered_per_ue(self, model, drops):
+        # K > tau_p, so UEs share pilots; bit for bit, not to a tolerance
+        cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=3, num_ues=6,
+                      pilot_length=4, correlation_model=model,
+                      ue_power_w=(0.05, 0.1, 0.02, 0.07, 0.04, 0.09))
+        rngs = rng_stream(6, 0, 0) if drops is None else [rng_stream(6, s, 0) for s in range(drops)]
+        sc = build_scenario(cfg, rngs)
+        stats = estimation_statistics(sc, cfg)
+        filters, rtilde = per_pilot_statistics(sc, cfg)
+        assert np.array_equal(stats.filters, filters)
+        assert np.array_equal(stats.rtilde, rtilde)
 
 
 class TestStackedDrops:
@@ -169,7 +198,7 @@ class TestStackedDrops:
         for s in drops:
             one = build_scenario(cfg, rng_stream(4, s, 0))
             one_stats = estimation_statistics(one, cfg)
-            for field in ("filters", "rtilde", "pilot_covariance"):
+            for field in ("filters", "rtilde"):
                 assert np.array_equal(getattr(stats, field)[s], getattr(one_stats, field))
             one_rngs = [rng_stream(4, s, 1, b) for b in blocks]
             one_h = draw_channels(one, one_rngs)

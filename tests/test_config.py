@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stripesim import metrics
 from stripesim.config import (
     CorrelationModel, SimulationConfig, config_from_ini, config_to_ini,
 )
@@ -190,6 +192,14 @@ def test_numpy_numbers_accepted():
     assert cfg.ue_powers.shape == (3,)
     assert cfg == replace(SimulationConfig(), num_ues=3, num_aps=8,
                           ue_power_w=float(np.float32(0.05)), noise_power_w=1e-13)
+    # stored as the Python numbers they equal, per-UE powers too
+    assert [type(v) for v in (cfg.num_ues, cfg.num_aps, cfg.ue_power_w, cfg.noise_power_w)] \
+        == [int, int, float, float]
+    per_ue = replace(cfg, ue_power_w=(np.float32(0.05), np.float64(0.1), 0.2))
+    assert per_ue.ue_power_w == (float(np.float32(0.05)), 0.1, 0.2)
+    assert [type(v) for v in per_ue.ue_power_w] == [float, float, float]
+    load = metrics.fronthaul_load(cfg)
+    assert json.loads(json.dumps(load)) == load
 
 
 def test_config_is_frozen():

@@ -1,0 +1,77 @@
+"""Invariants of the stripe pass and the centralized receiver on random tiny networks.
+
+Each example builds a drop of the real geometry and channel model (L 2-4, N
+1-3, K 1-5, tau_p 1..K, either correlation model) and runs a few coherence
+blocks through the estimation chain, the stripe and L4.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stripesim import metrics
+from stripesim.baselines import centralized_lmmse_l4
+from stripesim.channel import (
+    draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
+)
+from stripesim.config import CorrelationModel, SimulationConfig
+from stripesim.runner import rng_stream
+from stripesim.scenario import build_scenario
+from stripesim.stripe import run_stripe
+
+BLOCKS = 3
+REL = 1e-9
+
+
+@st.composite
+def tiny_configs(draw):
+    num_ues = draw(st.integers(1, 5))
+    return replace(
+        SimulationConfig(),
+        num_aps=draw(st.integers(2, 4)), antennas_per_ap=draw(st.integers(1, 3)),
+        num_ues=num_ues, pilot_length=draw(st.integers(1, num_ues)),
+        correlation_model=draw(st.sampled_from(CorrelationModel)),
+        rng_seed=draw(st.integers(0, 2 ** 32 - 1)),
+        num_setups=1, num_channel_realizations=BLOCKS, num_workers=1,
+    )
+
+
+def simulate(cfg):
+    """Channel estimates of BLOCKS blocks of one drop, and its stripe pass with every stage."""
+    scenario = build_scenario(cfg, rng_stream(cfg.rng_seed, 0, 0))
+    rngs = [rng_stream(cfg.rng_seed, 0, 1, b) for b in range(BLOCKS)]
+    h = draw_channels(scenario, rngs)
+    z = simulate_pilot_phase(scenario, h, cfg, rngs)
+    est = mmse_estimate(scenario, z, estimation_statistics(scenario, cfg))
+    return est, run_stripe(est, cfg.ue_powers, cfg.noise_power_w, keep_stages=True)
+
+
+@settings(deadline=None)
+@given(tiny_configs())
+def test_combiners_are_unit_norm(cfg):
+    _, run = simulate(cfg)
+    for V in run.combiners:
+        assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
+
+
+@settings(deadline=None)
+@given(tiny_configs())
+def test_stage_sinr_never_decreases_and_psi_is_nonnegative(cfg):
+    _, run = simulate(cfg)
+    prev = np.zeros((BLOCKS, cfg.num_ues))
+    for state in run.stages:
+        assert np.all(state.psi >= 0.0)
+        sinr = metrics.sinr_per_ue(state.ghat, state.psi, cfg.ue_powers, cfg.noise_power_w)
+        assert np.all(sinr >= prev * (1.0 - REL))
+        prev = sinr
+
+
+@settings(deadline=None)
+@given(tiny_configs())
+def test_l4_at_least_stripe_per_ue_and_block(cfg):
+    est, run = simulate(cfg)
+    powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+    stripe = metrics.sinr_per_ue(run.final.ghat, run.final.psi, powers, sigma2)
+    assert np.all(centralized_lmmse_l4(est, powers, sigma2) >= stripe * (1.0 - REL))
