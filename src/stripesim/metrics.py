@@ -21,17 +21,16 @@ def sinr_per_ue(
     return num / den
 
 
-def spectral_efficiency(sinr_samples, tau_c: int, tau_p: int) -> float | np.ndarray:
+def spectral_efficiency(sinr_samples, tau_c: int, tau_p: int) -> np.ndarray | np.floating:
     """Pilot-overhead prelog times the average log2(1 + SINR) over samples.
 
-    The sample axis is the first one; a 1-D input yields a scalar SE.
+    The sample axis is the first one; a 1-D input yields a numpy scalar SE.
     """
     samples = np.asarray(sinr_samples, dtype=float)
     if samples.size == 0:
         raise ValueError("need at least one SINR sample")
     prelog = 1.0 - tau_p / tau_c
-    se = prelog * np.mean(np.log2(1.0 + samples), axis=0)
-    return float(se) if np.ndim(se) == 0 else se
+    return prelog * np.mean(np.log2(1.0 + samples), axis=0)
 
 
 def fronthaul_load(config: SimulationConfig) -> dict:

@@ -104,7 +104,7 @@ def simulate_setup(
         z = simulate_pilot_phase(scenario, h, config, rngs)
         est = mmse_estimate(scenario, z, stats)
         if SCHEME_STRIPE in samples:
-            final = stripe.run_stripe(est, powers, sigma2).final
+            final = stripe.run_stripe(est, powers, sigma2)
             samples[SCHEME_STRIPE][start:blocks.stop] = metrics.sinr_per_ue(
                 final.ghat, final.psi, powers, sigma2)
         if SCHEME_L4 in samples:

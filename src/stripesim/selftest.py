@@ -7,6 +7,7 @@ the selftest command uses.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,10 +57,12 @@ def check_covariance_decomposition(
     )
 
 
-def check_combiner_norms(run: stripe.StripeRun, tol: float = 1e-12) -> CheckResult:
+def check_combiner_norms(
+    combiners: Sequence[np.ndarray], tol: float = 1e-12,
+) -> CheckResult:
     """All combiners along the stripe must be unit norm."""
     worst = 0.0
-    for V in run.combiners:
+    for V in combiners:
         worst = max(worst, np.abs(np.linalg.norm(V, axis=-1) - 1.0).max())
     return CheckResult(
         name="combiner_norms",
@@ -68,7 +71,7 @@ def check_combiner_norms(run: stripe.StripeRun, tol: float = 1e-12) -> CheckResu
     )
 
 
-def replay(combiners: list[np.ndarray], inputs: np.ndarray) -> np.ndarray:
+def replay(combiners: Sequence[np.ndarray], inputs: np.ndarray) -> np.ndarray:
     """Push per-AP inputs through the stripe's combiners, (..., M, L, N) -> (..., M, K).
 
     Stage l maps x to inputs[..., l, :] V_a^H + conj(v_b) x from a zero
@@ -88,22 +91,22 @@ def _scaled_residual(resid: np.ndarray, *parts: np.ndarray) -> float:
 
 
 def check_reconstruction(
-    run: stripe.StripeRun, est: ChannelEstimateSet, channels: np.ndarray,
-    symbols: np.ndarray, noise: np.ndarray, rel_tol: float = 1e-10,
+    combiners: Sequence[np.ndarray], final: stripe.StageState, est: ChannelEstimateSet,
+    channels: np.ndarray, symbols: np.ndarray, noise: np.ndarray, rel_tol: float = 1e-10,
 ) -> CheckResult:
     """Replayed soft estimates must decompose exactly into signal and noise parts.
 
     symbols (..., K) and noise (..., L, N) form the received signal; the
     channel estimates replayed through the same combiners must give the
-    forwarded ghat.
+    ghat that AP L forwards in final.
     """
     received = np.einsum("...k,...kln->...ln", symbols, channels) + noise
-    soft = replay(run.combiners, received[..., None, :, :])[..., 0, :]
-    eff_noise = replay(run.combiners, noise[..., None, :, :])[..., 0, :]
-    signal = (symbols[..., None, :] @ replay(run.combiners, channels))[..., 0, :]
-    ghat = replay(run.combiners, est.hhat)
+    soft = replay(combiners, received[..., None, :, :])[..., 0, :]
+    eff_noise = replay(combiners, noise[..., None, :, :])[..., 0, :]
+    signal = (symbols[..., None, :] @ replay(combiners, channels))[..., 0, :]
+    ghat = replay(combiners, est.hhat)
     worst = max(_scaled_residual(soft - signal - eff_noise, soft, signal, eff_noise),
-                _scaled_residual(ghat - run.final.ghat, ghat, run.final.ghat))
+                _scaled_residual(ghat - final.ghat, ghat, final.ghat))
     return CheckResult(
         name="reconstruction_identity",
         passed=worst < rel_tol,
@@ -112,15 +115,13 @@ def check_reconstruction(
 
 
 def check_monotone_stage_sinr(
-    run: stripe.StripeRun, powers: np.ndarray, sigma2: float,
+    states: Sequence[stripe.StageState], powers: np.ndarray, sigma2: float,
     rel_tol: float = 1e-9,
 ) -> CheckResult:
     """The per-stage effective SINR must never decrease along the stripe."""
-    if run.stages is None:
-        raise ValueError("run must be produced with keep_stages=True")
     worst = 0.0
     prev = None
-    for state in run.stages:
+    for state in states:
         cur = metrics.sinr_per_ue(state.ghat, state.psi, powers, sigma2)
         if prev is not None:
             drop = float(((prev - cur) / np.maximum(prev, np.finfo(float).tiny)).max())
@@ -160,8 +161,8 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
 
     symbols = complex_normal(rng, (config.num_ues,), std=np.sqrt(powers))
     noise = complex_normal(rng, (config.num_aps, config.antennas_per_ap), std=np.sqrt(sigma2))
-    run = stripe.run_stripe(est, powers, sigma2, keep_stages=True)
-    results.append(check_combiner_norms(run))
-    results.append(check_reconstruction(run, est, h, symbols, noise))
-    results.append(check_monotone_stage_sinr(run, powers, sigma2))
+    combiners, states = zip(*stripe.stages(est, powers, sigma2))
+    results.append(check_combiner_norms(combiners))
+    results.append(check_reconstruction(combiners, states[-1], est, h, symbols, noise))
+    results.append(check_monotone_stage_sinr(states, powers, sigma2))
     return results

@@ -9,10 +9,12 @@ is plain local LMMSE combining with a zero augmented coordinate. Unit-norm
 combiners keep the propagated noise variance at sigma^2 through the whole
 chain, so no per-stage noise bookkeeping is needed beyond the variances.
 
-The SE at the CPU follows from the side information alone, so the pass
-computes only ghat and psi. The soft estimates are the same combiners
-applied to the received signals; selftest.replay rebuilds them from the
-returned combiners.
+One generator, stages, steps the APs and yields each stage's combiners and
+forwarded state, so a consumer may stop after any AP. run_stripe is the
+CPU's view: only the state AP L forwards. The SE at the CPU follows from
+that side information alone, so the pass computes only ghat and psi. The
+soft estimates are the same combiners applied to the received signals;
+selftest.replay rebuilds them from the yielded combiners.
 
 Conventions: arrays indexed [i, k] pair interfering UE i with served UE k.
 The augmented dimension is N+1, the extra coordinate carrying the previous
@@ -23,6 +25,8 @@ shared by every block of a drop, that broadcast against them.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +101,7 @@ def _clip_psi(psi: np.ndarray, ap: int) -> tuple[np.ndarray, int]:
 
 def stage_update(
     combiners: np.ndarray, hhat_l: np.ndarray, rtilde_l: np.ndarray,
-    prev: StageState, ap: int = 0,
+    prev: StageState, ap: int,
 ) -> StageState:
     """Apply one stage's (..., K, N+1) combiners to the side information.
 
@@ -115,36 +119,27 @@ def stage_update(
     return StageState(ghat=ghat, psi=psi, psi_clips=prev.psi_clips + clips)
 
 
-@dataclass
-class StripeRun:
-    """Output of a full pass along the stripe."""
-
-    final: StageState
-    combiners: list[np.ndarray]            # per stage, (..., K, N+1)
-    stages: list[StageState] | None = None
-
-
-def run_stripe(
+def stages(
     est: ChannelEstimateSet, powers: np.ndarray, sigma2: float,
-    keep_stages: bool = False,
-) -> StripeRun:
-    """Iterate the combining stages AP 1..L and return what reaches the CPU."""
+) -> Iterator[tuple[np.ndarray, StageState]]:
+    """Step the combining stages AP 1..L, one AP per iteration.
+
+    Yields each AP's (..., K, N+1) combiners and the state it forwards.
+    """
     *batch, K, L, N = est.hhat.shape
     # computed once per drop, not once per block and stage
     imp = error_load(est.rtilde, powers) + sigma2 * np.eye(N)
     # the zero prior: no side information reaches AP 1
     state = StageState(ghat=np.zeros((*batch, K, K), dtype=complex),
                        psi=np.zeros((*batch, K, K)))
-    stages: list[StageState] | None = [] if keep_stages else None
-    combiners: list[np.ndarray] = []
-
     for l in range(L):
         hhat_l = est.hhat[..., l, :]
-        rtilde_l = est.rtilde[..., :, l, :, :]
         V = combiner_stage(hhat_l, imp[..., l, :, :], state.ghat, state.psi, powers, sigma2)
-        state = stage_update(V, hhat_l, rtilde_l, state, ap=l)
-        combiners.append(V)
-        if stages is not None:
-            stages.append(state)
+        state = stage_update(V, hhat_l, est.rtilde[..., :, l, :, :], state, ap=l)
+        yield V, state
 
-    return StripeRun(final=state, combiners=combiners, stages=stages)
+
+def run_stripe(est: ChannelEstimateSet, powers: np.ndarray, sigma2: float) -> StageState:
+    """What reaches the CPU: the state AP L forwards."""
+    (_, final), = deque(stages(est, powers, sigma2), maxlen=1)
+    return final

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stripesim.blas import one_blas_thread
+
+# Deeper runs of the property tests: pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -283,7 +283,7 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
         rng = rng_stream(seed, setup_index, 1, b)
         h = draw_channels(scenario, rng)
         est = estimate(scenario, h, config, rng, stats)
-        final = stripe.run_stripe(est, powers, sigma2).final
+        final = stripe.run_stripe(est, powers, sigma2)
         stripe_sinr[b] = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
         l4_sinr[b] = baselines.centralized_lmmse_l4(est, powers, sigma2)
         mr.update(est.hhat[None], h[None])

@@ -26,7 +26,7 @@ from stripesim.runner import (
 )
 from stripesim.scenario import build_scenario
 from stripesim.selftest import replay
-from stripesim.stripe import run_stripe
+from stripesim.stripe import stages
 
 DESK_SEED = 20260809
 
@@ -126,18 +126,18 @@ def test_criterion_5_property_suite():
         est = estimate(scenario, h, cfg, rng, stats)
         symbols = complex_normal(rng, (cfg.num_ues,), std=np.sqrt(powers))
         noise = complex_normal(rng, (cfg.num_aps, cfg.antennas_per_ap), std=np.sqrt(sigma2))
-        run = run_stripe(est, powers, sigma2, keep_stages=True)
+        combiners, states = zip(*stages(est, powers, sigma2))
 
         # unit combiner norms at every stage
-        for V in run.combiners:
+        for V in combiners:
             assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
 
         # reconstruction identity at the CPU, on the chain replayed from the
         # combiners, whose estimates must be the forwarded ghat
-        final = run.final
-        np.testing.assert_allclose(replay(run.combiners, est.hhat), final.ghat,
+        final = states[-1]
+        np.testing.assert_allclose(replay(combiners, est.hhat), final.ghat,
                                    rtol=1e-12, atol=0)
-        soft, g, eff_noise = replayed_chain(run.combiners, h, symbols, noise)
+        soft, g, eff_noise = replayed_chain(combiners, h, symbols, noise)
         est_part = symbols @ final.ghat
         err_part = symbols @ (g - final.ghat)
         resid = np.abs(soft - est_part - err_part - eff_noise)
@@ -146,7 +146,7 @@ def test_criterion_5_property_suite():
 
         # per-stage effective SINR never decreases along the stripe
         prev = None
-        for state in run.stages:
+        for state in states:
             cur = metrics.sinr_per_ue(state.ghat, state.psi, powers, sigma2)
             if prev is not None:
                 assert np.all(cur >= prev * (1 - 1e-9))
@@ -155,13 +155,13 @@ def test_criterion_5_property_suite():
         # psi recursion agrees with the direct quadratic form
         for l in (1, cfg.num_aps - 1):
             aug = build_augmented_moments(est.hhat[:, l], est.rtilde[:, l],
-                                          run.stages[l - 1])
-            V = run.combiners[l]
+                                          states[l - 1])
+            V = combiners[l]
             for i in range(cfg.num_ues):
                 for k in range(cfg.num_ues):
                     direct = float(
                         (V[k].conj() @ aug.error_covariance(i, k) @ V[k]).real)
-                    assert run.stages[l].psi[i, k] == pytest.approx(
+                    assert states[l].psi[i, k] == pytest.approx(
                         direct, rel=1e-12, abs=1e-300)
 
     # effective-noise variance stays sigma2 through the chain (10^4 samples)
@@ -172,7 +172,7 @@ def test_criterion_5_property_suite():
     t_rngs = [t_rng] * 10000   # one chain over every block, one generator
     est = estimate(t_sc, draw_channels(t_sc, t_rngs), t_cfg, t_rngs)
     noise = complex_normal(t_rng, (len(t_rngs), 1, 2, 2), std=np.sqrt(t_s2))
-    combiners = run_stripe(est, t_p, t_s2).combiners
+    combiners, _ = zip(*stages(est, t_p, t_s2))
     emp = (np.abs(replay(combiners, noise)[:, 0]) ** 2).mean(axis=0)
     assert np.all(np.abs(emp - t_s2) / t_s2 < 0.03)
 
@@ -195,31 +195,31 @@ def test_criterion_6_oracle_equivalence():
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
         h = draw_channels(sc, rng)
         est = estimate(sc, h, cfg, rng)
-        run = run_stripe(est, powers, sigma2, keep_stages=True)
+        combiners, states = zip(*stages(est, powers, sigma2))
 
         k = int(rng.integers(K))
         # first AP: minimize the conditional MSE directly; the augmented
         # coordinate of its zero prior must carry no weight
         w = brute_force_combiner(rng, k, powers, sigma2, est.hhat[:, 0],
                                  est.rtilde[:, 0], n_starts=6, n_grid=100)
-        angle = angle_between(np.append(w, 0.0), run.combiners[0][k])
+        angle = angle_between(np.append(w, 0.0), combiners[0][k])
         worst_angle = max(worst_angle, angle)
         assert angle < 1e-4
 
         # second AP: same, on the augmented side information
         aug = build_augmented_moments(est.hhat[:, 1], est.rtilde[:, 1],
-                                      run.stages[0])
+                                      states[0])
         chat = np.stack([aug.chat(i, k) for i in range(K)])
         w = brute_force_combiner(rng, k, powers, sigma2, chat,
                                  est.rtilde[:, 1], psi=aug.psi_prev[:, k],
                                  n_starts=6, n_grid=100)
-        angle = angle_between(w, run.combiners[1][k])
+        angle = angle_between(w, combiners[1][k])
         worst_angle = max(worst_angle, angle)
         assert angle < 1e-4
 
         # centralized processing dominates the stripe on the same inputs
         l4 = centralized_lmmse_l4(est, powers, sigma2)
-        stripe_sinr = metrics.sinr_per_ue(run.final.ghat, run.final.psi,
+        stripe_sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].psi,
                                           powers, sigma2)
         assert np.all(l4 >= stripe_sinr * (1 - 1e-9))
     report("6 oracle equivalence",

@@ -22,8 +22,8 @@ class TestCentralizedLmmse:
         h = draw_channels(sc, rng)
         est = estimate(sc, h, cfg, rng)
         l4 = centralized_lmmse_l4(est, powers, sigma2)
-        run = run_stripe(est, powers, sigma2)
-        local = metrics.sinr_per_ue(run.final.ghat, run.final.psi, powers, sigma2)
+        final = run_stripe(est, powers, sigma2)
+        local = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
         assert np.allclose(l4, local, rtol=1e-9)
 
     def test_single_user_perfect_csi_matched_filter_bound(self, rng):
@@ -73,9 +73,8 @@ class TestCentralizedLmmse:
             h = draw_channels(sc, rng)
             est = estimate(sc, h, cfg, rng)
             l4 = centralized_lmmse_l4(est, powers, sigma2)
-            run = run_stripe(est, powers, sigma2)
-            stripe = metrics.sinr_per_ue(run.final.ghat, run.final.psi,
-                                         powers, sigma2)
+            final = run_stripe(est, powers, sigma2)
+            stripe = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
             assert np.all(l4 >= stripe * (1 - 1e-9))
 
 

@@ -191,7 +191,7 @@ class TestStackedDrops:
         z = simulate_pilot_phase(sc, h, cfg, rngs)
         est = mmse_estimate(sc, z, stats)
         assert est.hhat.shape == (2, 3, 5, 5, 2) and est.rtilde.shape == (3, 5, 5, 2, 2)
-        final = run_stripe(est, powers, sigma2).final
+        final = run_stripe(est, powers, sigma2)
         l4 = centralized_lmmse_l4(est, powers, sigma2)
         mr = MrFusionAccumulator()
         mr.update(est.hhat, h)
@@ -208,7 +208,7 @@ class TestStackedDrops:
             assert np.array_equal(z[:, s], one_z)
             assert np.array_equal(est.hhat[:, s], one_est.hhat)
             # the stripe, L4 (its per-drop block-diagonal add) and the MR moments
-            one_final = run_stripe(one_est, powers, sigma2).final
+            one_final = run_stripe(one_est, powers, sigma2)
             one_mr = MrFusionAccumulator()
             one_mr.update(one_est.hhat, one_h)
             assert mr.count == one_mr.count == len(blocks)

@@ -19,7 +19,7 @@ from stripesim.channel import (
 from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import rng_stream
 from stripesim.scenario import build_scenario
-from stripesim.stripe import run_stripe
+from stripesim.stripe import stages
 
 BLOCKS = 3
 REL = 1e-9
@@ -39,29 +39,30 @@ def tiny_configs(draw):
 
 
 def simulate(cfg):
-    """Channel estimates of BLOCKS blocks of one drop, and its stripe pass with every stage."""
+    """Channel estimates of BLOCKS blocks of one drop, and each stage's combiners and state."""
     scenario = build_scenario(cfg, rng_stream(cfg.rng_seed, 0, 0))
     rngs = [rng_stream(cfg.rng_seed, 0, 1, b) for b in range(BLOCKS)]
     h = draw_channels(scenario, rngs)
     z = simulate_pilot_phase(scenario, h, cfg, rngs)
     est = mmse_estimate(scenario, z, estimation_statistics(scenario, cfg))
-    return est, run_stripe(est, cfg.ue_powers, cfg.noise_power_w, keep_stages=True)
+    combiners, states = zip(*stages(est, cfg.ue_powers, cfg.noise_power_w))
+    return est, combiners, states
 
 
 @settings(deadline=None)
 @given(tiny_configs())
 def test_combiners_are_unit_norm(cfg):
-    _, run = simulate(cfg)
-    for V in run.combiners:
+    _, combiners, _ = simulate(cfg)
+    for V in combiners:
         assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
 
 
 @settings(deadline=None)
 @given(tiny_configs())
 def test_stage_sinr_never_decreases_and_psi_is_nonnegative(cfg):
-    _, run = simulate(cfg)
+    _, _, states = simulate(cfg)
     prev = np.zeros((BLOCKS, cfg.num_ues))
-    for state in run.stages:
+    for state in states:
         assert np.all(state.psi >= 0.0)
         sinr = metrics.sinr_per_ue(state.ghat, state.psi, cfg.ue_powers, cfg.noise_power_w)
         assert np.all(sinr >= prev * (1.0 - REL))
@@ -71,7 +72,7 @@ def test_stage_sinr_never_decreases_and_psi_is_nonnegative(cfg):
 @settings(deadline=None)
 @given(tiny_configs())
 def test_l4_at_least_stripe_per_ue_and_block(cfg):
-    est, run = simulate(cfg)
+    est, _, states = simulate(cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-    stripe = metrics.sinr_per_ue(run.final.ghat, run.final.psi, powers, sigma2)
+    stripe = metrics.sinr_per_ue(states[-1].ghat, states[-1].psi, powers, sigma2)
     assert np.all(centralized_lmmse_l4(est, powers, sigma2) >= stripe * (1.0 - REL))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from stripesim.config import SimulationConfig
 from stripesim.runner import rng_stream
 from stripesim.scenario import build_scenario, psd_factor
 from stripesim.selftest import replay
-from stripesim.stripe import StageState, combiner_stage, run_stripe, stage_update
+from stripesim import stripe
+from stripesim.stripe import StageState, combiner_stage, run_stripe, stage_update, stages
 
 
 def zero_prior_combiner(hhat, rtilde, powers, sigma2):
@@ -26,10 +29,11 @@ def zero_prior_combiner(hhat, rtilde, powers, sigma2):
     return V[:, :-1]
 
 
-def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True, keep_stages=True):
+def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True):
     """Full small pipeline on O(1) synthetic statistics.
 
-    With payload, pay is (symbols (K,), noise (L, N)) of one uplink symbol.
+    Returns every stage's combiners and forwarded state, AP 1..L. With
+    payload, pay is (symbols (K,), noise (L, N)) of one uplink symbol.
     """
     sc = synthetic_scenario(rng, K, L, N, tau_p)
     cfg = synthetic_config(rng, K, L, N, tau_p)
@@ -40,8 +44,16 @@ def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True, keep_stages=True):
     if payload:
         pay = (complex_normal(rng, (K,), std=np.sqrt(powers)),
                complex_normal(rng, (L, N), std=np.sqrt(sigma2)))
-    run = run_stripe(est, powers, sigma2, keep_stages=keep_stages)
-    return run, est, h, pay, powers, sigma2
+    combiners, states = zip(*stages(est, powers, sigma2))
+    return combiners, states, est, h, pay, powers, sigma2
+
+
+def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):
+    """Channel estimates of a real-geometry batch shaped (blocks, drops, ...)."""
+    drops = range(num_drops)
+    sc = build_scenario(cfg, [rng_stream(seed, s, 0) for s in drops])
+    rngs = [[rng_stream(seed, s, 1, b) for s in drops] for b in range(num_blocks)]
+    return estimate(sc, draw_channels(sc, rngs), cfg, rngs)
 
 
 class TestFirstApCombiner:
@@ -200,9 +212,9 @@ class TestStageCombiner:
 
 class TestStageUpdate:
     def test_reconstruction_identity_every_stage(self, rng):
-        run, est, h, (symbols, noise), powers, sigma2 = random_run(rng)
-        for l, state in enumerate(run.stages):
-            prefix = run.combiners[:l + 1]
+        combiners, states, est, h, (symbols, noise), powers, sigma2 = random_run(rng)
+        for l, state in enumerate(states):
+            prefix = combiners[:l + 1]
             np.testing.assert_allclose(replay(prefix, est.hhat), state.ghat,
                                        rtol=1e-12, atol=0)
             soft, g, eff_noise = replayed_chain(prefix, h, symbols, noise)
@@ -213,9 +225,9 @@ class TestStageUpdate:
 
     def test_estimated_decomposition_at_cpu(self, rng):
         # soft = sum ghat*s + sum (g - ghat)*s + noise, exactly
-        run, est, h, (symbols, noise), powers, sigma2 = random_run(rng)
-        final = run.final
-        soft, g, eff_noise = replayed_chain(run.combiners, h, symbols, noise)
+        combiners, states, est, h, (symbols, noise), powers, sigma2 = random_run(rng)
+        final = states[-1]
+        soft, g, eff_noise = replayed_chain(combiners, h, symbols, noise)
         est_part = symbols @ final.ghat
         err_part = symbols @ (g - final.ghat)
         resid = np.abs(soft - est_part - err_part - eff_noise)
@@ -223,37 +235,37 @@ class TestStageUpdate:
         assert np.all(resid <= 1e-10 * np.maximum(scale, 1e-300))
 
     def test_psi_nonnegative_and_rayleigh_bounded(self, rng):
-        run, est, h, pay, powers, sigma2 = random_run(rng)
-        for l, state in enumerate(run.stages):
+        combiners, states, est, h, pay, powers, sigma2 = random_run(rng)
+        for l, state in enumerate(states):
             assert np.all(state.psi >= 0.0)
-            prev_psi = run.stages[l - 1].psi if l > 0 else np.zeros_like(state.psi)
+            prev_psi = states[l - 1].psi if l > 0 else np.zeros_like(state.psi)
             for i in range(len(powers)):
                 lam = np.linalg.eigvalsh(est.rtilde[i, l]).max()
                 bound = np.maximum(lam, prev_psi[i]) * (1 + 1e-12) + 1e-300
                 assert np.all(state.psi[i] <= bound)
 
     def test_psi_recursion_equals_direct_quadratic_form(self, rng):
-        run, est, h, pay, powers, sigma2 = random_run(rng)
-        for l in range(1, len(run.stages)):
+        combiners, states, est, h, pay, powers, sigma2 = random_run(rng)
+        for l in range(1, len(states)):
             aug = build_augmented_moments(
-                est.hhat[:, l], est.rtilde[:, l], run.stages[l - 1]
+                est.hhat[:, l], est.rtilde[:, l], states[l - 1]
             )
-            V = run.combiners[l]
+            V = combiners[l]
             for i in range(len(powers)):
                 for k in range(len(powers)):
                     direct = float(
                         (V[k].conj() @ aug.error_covariance(i, k) @ V[k]).real
                     )
-                    assert run.stages[l].psi[i, k] == pytest.approx(
+                    assert states[l].psi[i, k] == pytest.approx(
                         direct, rel=1e-12, abs=1e-300
                     )
 
     def test_effective_error_variance_matches_resampling(self, rng):
         # freeze one stage's combiner; resample the errors it conditions on
-        run, est, h, pay, powers, sigma2 = random_run(rng)
+        combiners, states, est, h, pay, powers, sigma2 = random_run(rng)
         l, i, k = 2, 1, 0
-        V = run.combiners[l]
-        prev_psi = run.stages[l - 1].psi[i, k]
+        V = combiners[l]
+        prev_psi = states[l - 1].psi[i, k]
         va, vb = V[k, :-1], V[k, -1]
         n = 40000
         F = psd_factor(est.rtilde[i, l])
@@ -261,7 +273,7 @@ class TestStageUpdate:
         gtilde = np.sqrt(prev_psi) * complex_gaussian(rng, n)
         samples = htilde @ va.conj() + np.conj(vb) * gtilde
         emp = np.mean(np.abs(samples) ** 2)
-        expect = run.stages[l].psi[i, k]
+        expect = states[l].psi[i, k]
         z = abs(emp - expect) / (expect / np.sqrt(n))
         assert z < 4.0
 
@@ -274,13 +286,13 @@ class TestStageUpdate:
         rtilde = np.stack([np.diag([-1e-15, 1.0]), np.eye(N)]).astype(complex)
         prev = StageState(ghat=np.zeros((K, K), dtype=complex), psi=np.zeros((K, K)),
                           psi_clips=3)
-        state = stage_update(V, np.ones((K, N), dtype=complex), rtilde, prev)
+        state = stage_update(V, np.ones((K, N), dtype=complex), rtilde, prev, ap=0)
         assert np.array_equal(state.psi, [[0.0, 0.0], [1.0, 1.0]])
         assert state.psi_clips == 3 + K
 
     def test_non_psd_error_covariance_raises_naming_the_ap(self, rng):
         # fault injection: one UE's error covariance at AP 2 is negative definite
-        run, est, h, pay, powers, sigma2 = random_run(rng, payload=False)
+        *_, est, h, pay, powers, sigma2 = random_run(rng, payload=False)
         rtilde = est.rtilde.copy()
         rtilde[1, 2] = -np.eye(rtilde.shape[-1])
         bad = ChannelEstimateSet(hhat=est.hhat, rtilde=rtilde)
@@ -290,15 +302,15 @@ class TestStageUpdate:
 
 class TestRunStripe:
     def test_combiners_unit_norm_all_stages(self, rng):
-        run, *_ = random_run(rng, K=4, L=6, N=3)
-        for V in run.combiners:
+        combiners, *_ = random_run(rng, K=4, L=6, N=3)
+        for V in combiners:
             assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
 
     def test_single_ap_network_collapses_to_local_combining(self, rng):
-        run, est, h, pay, powers, sigma2 = random_run(rng, L=1, payload=False)
+        combiners, states, est, h, pay, powers, sigma2 = random_run(rng, L=1, payload=False)
         V = first_ap_lmmse(est.hhat[:, 0], est.rtilde[:, 0], powers, sigma2)
-        assert np.allclose(run.combiners[0], np.pad(V, ((0, 0), (0, 1))))
-        sinr = metrics.sinr_per_ue(run.final.ghat, run.final.psi, powers, sigma2)
+        assert np.allclose(combiners[0], np.pad(V, ((0, 0), (0, 1))))
+        sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].psi, powers, sigma2)
         # against a direct evaluation of the single-AP conditional SINR
         for k in range(len(powers)):
             g = V[k].conj() @ est.hhat[:, 0].T
@@ -312,11 +324,11 @@ class TestRunStripe:
 
     def test_stage_sinr_monotone_nondecreasing(self, rng):
         for trial in range(5):
-            run, est, h, pay, powers, sigma2 = random_run(
+            combiners, states, est, h, pay, powers, sigma2 = random_run(
                 rng, K=3, L=6, N=2, payload=False
             )
             prev = None
-            for state in run.stages:
+            for state in states:
                 cur = metrics.sinr_per_ue(state.ghat, state.psi, powers, sigma2)
                 if prev is not None:
                     assert np.all(cur >= prev * (1 - 1e-9))
@@ -333,16 +345,16 @@ class TestRunStripe:
         rngs = [rng] * n
         est = estimate(sc, draw_channels(sc, rngs), cfg, rngs)
         noise = complex_normal(rng, (n, 1, L, N), std=np.sqrt(sigma2))
-        run = run_stripe(est, powers, sigma2)
-        emp = (np.abs(replay(run.combiners, noise)[:, 0]) ** 2).mean(axis=0)
+        combiners, _ = zip(*stages(est, powers, sigma2))
+        emp = (np.abs(replay(combiners, noise)[:, 0]) ** 2).mean(axis=0)
         assert np.all(np.abs(emp - sigma2) / sigma2 < 0.03)
 
     def test_forwarded_payload_counts(self, rng):
         # what the last AP forwards per block, counted in real scalars from
         # the run's own arrays, is the front-haul model's per-segment load
         K, L, N, tau_c, tau_p = 3, 4, 2, 40, 2
-        run, *_ = random_run(rng, K=K, L=L, N=N, tau_p=tau_p)
-        final = run.final
+        _, states, *_ = random_run(rng, K=K, L=L, N=N, tau_p=tau_p)
+        final = states[-1]
         assert final.ghat.shape == final.psi.shape == (K, K)
         forwarded = 2 * final.ghat.size + final.psi.size \
             + 2 * final.ghat.shape[-1] * (tau_c - tau_p)
@@ -358,14 +370,14 @@ class TestRunStripe:
         rngs = [np.random.default_rng(b) for b in range(B)]
         h = draw_channels(sc, rngs)
         est = estimate(sc, h, cfg, rngs)
-        batched = run_stripe(est, powers, sigma2)
+        combiners, states = zip(*stages(est, powers, sigma2))
         for b in range(B):
             one = ChannelEstimateSet(hhat=est.hhat[b], rtilde=est.rtilde)
-            single = run_stripe(one, powers, sigma2)
+            combiners_one, states_one = zip(*stages(one, powers, sigma2))
             for field in ("ghat", "psi"):
-                np.testing.assert_allclose(getattr(batched.final, field)[b],
-                                           getattr(single.final, field), rtol=1e-12, atol=0)
-            for V, V_one in zip(batched.combiners, single.combiners, strict=True):
+                np.testing.assert_allclose(getattr(states[-1], field)[b],
+                                           getattr(states_one[-1], field), rtol=1e-12, atol=0)
+            for V, V_one in zip(combiners, combiners_one, strict=True):
                 np.testing.assert_allclose(V[b], V_one, rtol=1e-12, atol=0)
 
 
@@ -374,11 +386,52 @@ class TestReplay:
         # the runner's chains are shaped (blocks, drops, ...)
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=4,
                       pilot_length=2)
-        drops = range(2)
-        sc = build_scenario(cfg, [rng_stream(8, s, 0) for s in drops])
-        rngs = [[rng_stream(8, s, 1, b) for s in drops] for b in range(3)]
-        est = estimate(sc, draw_channels(sc, rngs), cfg, rngs)
-        run = run_stripe(est, cfg.ue_powers, cfg.noise_power_w)
-        assert run.final.ghat.shape == (3, 2, 4, 4)
-        np.testing.assert_allclose(replay(run.combiners, est.hhat), run.final.ghat,
+        est = drop_block_estimates(cfg, 8)
+        combiners, states = zip(*stages(est, cfg.ue_powers, cfg.noise_power_w))
+        assert states[-1].ghat.shape == (3, 2, 4, 4)
+        np.testing.assert_allclose(replay(combiners, est.hhat), states[-1].ghat,
                                    rtol=1e-12, atol=0)
+
+
+class TestStages:
+    """The generator over (blocks, drops, ...) batches, as the runner shapes them."""
+
+    CFG = replace(SimulationConfig(), num_aps=6, antennas_per_ap=2, num_ues=4,
+                  pilot_length=2)
+
+    def test_run_stripe_is_the_last_stage(self):
+        est = drop_block_estimates(self.CFG, 11)
+        powers, sigma2 = self.CFG.ue_powers, self.CFG.noise_power_w
+        *_, (_, last) = stages(est, powers, sigma2)
+        final = run_stripe(est, powers, sigma2)
+        assert final.ghat.shape == (3, 2, 4, 4)
+        assert np.array_equal(final.ghat, last.ghat)
+        assert np.array_equal(final.psi, last.psi)
+        assert final.psi_clips == last.psi_clips
+
+    @pytest.mark.parametrize("stop", [1, 3, 6])
+    def test_stopping_after_an_ap_gives_the_full_pass_prefix(self, stop):
+        est = drop_block_estimates(self.CFG, 12)
+        powers, sigma2 = self.CFG.ue_powers, self.CFG.noise_power_w
+        full = list(stages(est, powers, sigma2))
+        head = list(itertools.islice(stages(est, powers, sigma2), stop))
+        assert len(head) == stop
+        for (V, state), (V_full, state_full) in zip(head, full[:stop], strict=True):
+            assert np.array_equal(V, V_full)
+            assert np.array_equal(state.ghat, state_full.ghat)
+            assert np.array_equal(state.psi, state_full.psi)
+            assert state.psi_clips == state_full.psi_clips
+
+    def test_steps_stage_update_through_the_module_once_per_consumed_ap(self, monkeypatch):
+        # the fault-injection selftest test patches stripe.stage_update
+        est = drop_block_estimates(self.CFG, 13)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["ap"])
+            return stage_update(*args, **kwargs)
+
+        monkeypatch.setattr(stripe, "stage_update", counted)
+        steps = stages(est, self.CFG.ue_powers, self.CFG.noise_power_w)
+        list(itertools.islice(steps, 2))
+        assert calls == [0, 1]
