@@ -1,8 +1,9 @@
 """Reference schemes bracketing the stripe: centralized LMMSE and fused MR.
 
 The centralized scheme stacks all APs' estimates into one LN-dim receiver
-with block-diagonal error covariance and evaluates the same conditional
-SINR template as the stripe. The MR scheme lets every AP apply its own
+whose error covariance is block diagonal in the per-AP impairments D_l
+that the stripe also uses, and evaluates the same conditional SINR
+template as the stripe. The MR scheme lets every AP apply its own
 estimate as a matched filter, averages the L local soft estimates at the
 CPU with equal weights, and is scored with the use-and-then-forget bound
 whose expectations are estimated from the shared channel realizations.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, error_load, herm
+from .channel import ChannelEstimateSet, herm, impairment
 
 
 def centralized_lmmse_l4(
@@ -22,31 +23,26 @@ def centralized_lmmse_l4(
 ) -> np.ndarray:
     """Per-UE conditional SINR of the fully centralized receiver, shape (..., K).
 
-    Combiners are LMMSE on the stacked estimates; the SINR charges the
-    estimation errors through the per-UE block-diagonal error covariance.
+    The LMMSE combiners (D + H P H^H)^-1 H on the stacked estimates H come
+    from the push-through identity as D^-1 H M^-1 P^-1, M = P^-1 + H^H D^-1 H:
+    one N x N solve per AP and one K x K solve, never an LN x LN matrix; the
+    P^-1 column scaling drops out with the unit norm. The SINR charges the
+    estimation errors and the noise as sum_l v_l^H D_l v_l.
     """
     *batch, K, L, N = est.hhat.shape
     Hs = est.hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)  # (..., LN, K) stacked estimates
-
-    # per-AP error blocks, one block-diagonal term per drop, added with the
-    # noise on the (..., L, L, N, N) view so the drop axes broadcast
-    err_sum = error_load(est.rtilde, powers)
-    B = ((Hs * powers) @ herm(Hs)).reshape(*batch, L, N, L, N)
-    ap = np.arange(L)
-    B.swapaxes(-3, -2)[..., ap, ap, :, :] += err_sum + sigma2 * np.eye(N)
-    B = B.reshape(*batch, L * N, L * N)
-
-    V = np.linalg.solve(B, Hs)                                 # (..., LN, K)
+    D = impairment(est.rtilde, powers, sigma2)                # (drops..., L, N, N)
+    X = np.linalg.solve(D, Hs.reshape(*batch, L, N, K)).reshape(*batch, L * N, K)
+    M = herm(Hs) @ X + np.diag(1.0 / powers)
+    V = np.linalg.solve(M.swapaxes(-1, -2), X.swapaxes(-1, -2)).swapaxes(-1, -2)  # X M^-1
     V /= np.linalg.norm(V, axis=-2, keepdims=True)
 
     G = Hs.swapaxes(-1, -2) @ V.conj()                         # G[i, k] = v_k^H hhat_i
-    # sum_i p_i v_k^H C_i v_k, with C_i block diagonal: one N x N product per AP
-    err = err_sum @ V.reshape(*batch, L, N, K)
-    err = (V.conj() * err.reshape(*batch, L * N, K)).sum(axis=-2).real
-
+    Vl = V.reshape(*batch, L, N, K)
+    impaired = (Vl.conj() * (D @ Vl)).sum(axis=(-3, -2)).real
     gains = np.abs(G) ** 2
     num = powers * np.diagonal(gains, axis1=-2, axis2=-1)
-    return num / (powers @ gains - num + err + sigma2)
+    return num / (powers @ gains - num + impaired)
 
 
 @dataclass

@@ -70,7 +70,7 @@ def simulate_pilot_phase(
 
 
 def _check_pilot_covariance(own: np.ndarray, pilots: np.ndarray) -> None:
-    """Raise naming AP l and pilot t_k of the first (drop, UE k, AP l) not PD.
+    """Raise naming the AP (1..L) and pilot t_k of the first (drop, UE k, AP) not PD.
 
     A stacked Cholesky factorization of every UE's own pilot covariance that
     succeeds proves them all PD; only a failure pays for the eigenvalues.
@@ -83,7 +83,7 @@ def _check_pilot_covariance(own: np.ndarray, pilots: np.ndarray) -> None:
     bad = np.argwhere(np.linalg.eigvalsh(own).min(axis=-1) <= 0.0)   # rows (drop..., k, l)
     if len(bad):
         *ue, l = bad[0]
-        raise ValueError(f"pilot covariance at AP {l}, pilot {pilots[tuple(ue)]} is not PD")
+        raise ValueError(f"pilot covariance at AP {l + 1}, pilot {pilots[tuple(ue)]} is not PD")
 
 
 @dataclass
@@ -131,10 +131,11 @@ class ChannelEstimateSet:
     rtilde: np.ndarray   # (drops..., K, L, N, N) error covariance
 
 
-def error_load(rtilde: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Per-AP sum_i p_i rtilde_il: (..., K, L, N, N) -> (..., L, N, N)."""
+def impairment(rtilde: np.ndarray, powers: np.ndarray, sigma2: float) -> np.ndarray:
+    """Per-AP D_l = sum_i p_i rtilde_il + sigma2 I: (..., K, L, N, N) -> (..., L, N, N)."""
     *lead, K, L, N, _ = rtilde.shape
-    return (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
+    load = (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
+    return load + sigma2 * np.eye(N)
 
 
 def mmse_estimate(

@@ -71,9 +71,11 @@ def cmd_run(args) -> int:
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     if not schemes:
         raise ValueError("scheme list must be nonempty")
-    for scheme in schemes:
+    for i, scheme in enumerate(schemes):
         if scheme not in ALL_SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r} (valid: {', '.join(ALL_SCHEMES)})")
+        if scheme in schemes[:i]:
+            raise ValueError(f"scheme list repeats {scheme}")
     sweep_field, sweep_values = _parse_sweep(args.sweep) if args.sweep else (None, ())
     out_dir = Path(args.out)
 

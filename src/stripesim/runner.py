@@ -34,22 +34,25 @@ ALL_SCHEMES = (SCHEME_STRIPE, SCHEME_MR, SCHEME_L4)
 _SCENARIO_TAG = 0
 _BLOCK_TAG = 1
 
-# Blocks run in chunks. Per block the batched call chain holds arrays of
-# about L*N*(K + L*N) complex entries (the K*L*N channels and estimates, the
-# LN x LN matrix of the centralized receiver); a chunk holds about this many.
-# Drops with fewer blocks than a chunk are grouped: per drop a group holds
-# its constants, about L*N*N*(4K + tau_p) entries (covariances, their factors,
-# the MMSE filters and the error covariances, with tau_p more as headroom for
-# temporaries such as the own-pilot covariances), plus its blocks. Both
-# depend on the config only, never on the worker count, so the
-# floating-point work is the same in every run.
+# Blocks run in chunks. Per block the batched call chain holds about
+# L*N*(K + tau_p) complex entries, whatever the schemes: the K*L*N channels
+# and estimates and the L*tau_p*N despread pilot signal. A chunk holds about
+# _CHUNK_ELEMENTS. Drops with fewer blocks than a chunk are grouped: per drop
+# a group holds its constants, about L*N*N*(4K + tau_p) entries (covariances,
+# their factors, the MMSE filters and the error covariances, with tau_p more
+# as headroom for temporaries), plus its blocks. Both depend on the config
+# only, never on the worker count, so the floating-point work is the same.
 _CHUNK_ELEMENTS = 1 << 18
 
 
-def blocks_per_chunk(num_ues: int, num_aps: int, num_antennas: int) -> int:
+def _block_elements(config: SimulationConfig) -> int:
+    """Entries one coherence block holds in the batched call chain."""
+    return config.num_aps * config.antennas_per_ap * (config.num_ues + config.pilot_length)
+
+
+def blocks_per_chunk(config: SimulationConfig) -> int:
     """Coherence blocks simulated together in one batched call chain."""
-    per_block = num_aps * num_antennas * (num_ues + num_aps * num_antennas)
-    return max(1, _CHUNK_ELEMENTS // per_block)
+    return max(1, _CHUNK_ELEMENTS // _block_elements(config))
 
 
 def drop_groups(config: SimulationConfig) -> list[range]:
@@ -60,8 +63,8 @@ def drop_groups(config: SimulationConfig) -> list[range]:
     by itself, so it runs alone, in chunks of that many blocks.
     """
     K, L, N = config.num_ues, config.num_aps, config.antennas_per_ap
-    per_drop = L * N * (N * (4 * K + config.pilot_length)
-                        + config.num_channel_realizations * (K + L * N))
+    per_drop = (L * N * N * (4 * K + config.pilot_length)
+                + config.num_channel_realizations * _block_elements(config))
     size = max(1, _CHUNK_ELEMENTS // per_drop)
     return [range(start, min(start + size, config.num_setups))
             for start in range(0, config.num_setups, size)]
@@ -96,7 +99,7 @@ def simulate_setup(
                for scheme in schemes if scheme != SCHEME_MR}
     mr_acc = baselines.MrFusionAccumulator()
 
-    chunk = blocks_per_chunk(config.num_ues, config.num_aps, config.antennas_per_ap)
+    chunk = blocks_per_chunk(config)
     for start in range(0, n_blocks, chunk):
         blocks = range(start, min(start + chunk, n_blocks))
         rngs = [[rng_stream(seed, s, _BLOCK_TAG, b) for s in setups] for b in blocks]

@@ -119,14 +119,9 @@ def check_monotone_stage_sinr(
     rel_tol: float = 1e-9,
 ) -> CheckResult:
     """The per-stage effective SINR must never decrease along the stripe."""
-    worst = 0.0
-    prev = None
-    for state in states:
-        cur = metrics.sinr_per_ue(state.ghat, state.psi, powers, sigma2)
-        if prev is not None:
-            drop = float(((prev - cur) / np.maximum(prev, np.finfo(float).tiny)).max())
-            worst = max(worst, drop)
-        prev = cur
+    sinr = [metrics.sinr_per_ue(state.ghat, state.psi, powers, sigma2) for state in states]
+    worst = max([0.0] + [float(((prev - cur) / np.maximum(prev, np.finfo(float).tiny)).max())
+                         for prev, cur in zip(sinr, sinr[1:])])
     return CheckResult(
         name="monotone_stage_sinr",
         passed=worst < rel_tol,

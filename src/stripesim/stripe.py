@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, error_load, herm
+from .channel import ChannelEstimateSet, herm, impairment
 
 # A negative psi entry below -_PSI_REL_TOL * (largest psi of its block) is
 # not roundoff: it means an error covariance is not PSD.
@@ -92,7 +92,7 @@ def _clip_psi(psi: np.ndarray, ap: int) -> tuple[np.ndarray, int]:
         scale = psi.max(axis=(-2, -1), keepdims=True)
         if np.any(psi < -_PSI_REL_TOL * scale):
             raise ValueError(
-                f"negative error variance at AP {ap} (min psi {psi.min():.3e}, "
+                f"negative error variance at AP {ap + 1} (min psi {psi.min():.3e}, "
                 f"max {psi.max():.3e}): an error covariance is not PSD"
             )
         psi = np.where(negative, 0.0, psi)
@@ -105,7 +105,7 @@ def stage_update(
 ) -> StageState:
     """Apply one stage's (..., K, N+1) combiners to the side information.
 
-    ap names the stage in the error raised for a non-PSD error covariance.
+    ap is the stage's index l; a non-PSD error covariance raises naming AP l + 1.
     """
     va, vb = combiners[..., :-1], combiners[..., -1]
     carry = vb.conj()
@@ -126,9 +126,9 @@ def stages(
 
     Yields each AP's (..., K, N+1) combiners and the state it forwards.
     """
-    *batch, K, L, N = est.hhat.shape
+    *batch, K, L, _ = est.hhat.shape
     # computed once per drop, not once per block and stage
-    imp = error_load(est.rtilde, powers) + sigma2 * np.eye(N)
+    imp = impairment(est.rtilde, powers, sigma2)
     # the zero prior: no side information reaches AP 1
     state = StageState(ghat=np.zeros((*batch, K, K), dtype=complex),
                        psi=np.zeros((*batch, K, K)))

@@ -8,8 +8,11 @@ is a two-route check. The augmented moments and the dense first-AP LMMSE
 rule are the same kind of second route, as are the closed-form estimate
 covariance and the covariances of the despread pilot signal of every pilot;
 per_block_setup is the one-drop, one-block-at-a-time reference for the
-grouped and chunked runner. estimate is the pilot phase plus MMSE
-estimation that most tests run on one scenario.
+grouped and chunked runner. dense_lmmse_l4 is the centralized receiver
+built as one LN x LN matrix, the second route for the package's
+push-through form. estimate is the pilot phase plus MMSE estimation that
+most tests run on one scenario; drop_block_estimates runs it on a
+real-geometry (blocks, drops, ...) batch.
 """
 
 from __future__ import annotations
@@ -137,6 +140,46 @@ def estimate(scenario, h, config, rng, stats=None):
     if stats is None:
         stats = estimation_statistics(scenario, config)
     return mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng), stats)
+
+
+def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):
+    """Channel estimates of a real-geometry batch shaped (blocks, drops, ...)."""
+    drops = range(num_drops)
+    sc = build_scenario(cfg, [rng_stream(seed, s, 0) for s in drops])
+    rngs = [[rng_stream(seed, s, 1, b) for s in drops] for b in range(num_blocks)]
+    return estimate(sc, draw_channels(sc, rngs), cfg, rngs)
+
+
+def dense_lmmse_l4(est, powers, sigma2):
+    """Per-UE conditional SINR of the centralized receiver, (..., K), via LN x LN matrices.
+
+    The stacked estimates' power-weighted Gram plus the block-diagonal
+    per-AP error load and noise, written into one (..., LN, LN) matrix per
+    block with a fancy-index scatter, and one solve for all K combiners.
+    """
+    *batch, K, L, N = est.hhat.shape
+    Hs = est.hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)  # (..., LN, K) stacked estimates
+
+    # per-AP error blocks, one block-diagonal term per drop, added with the
+    # noise on the (..., L, L, N, N) view so the drop axes broadcast
+    *lead, _, _, _, _ = est.rtilde.shape
+    err_sum = (powers @ est.rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
+    B = ((Hs * powers) @ herm(Hs)).reshape(*batch, L, N, L, N)
+    ap = np.arange(L)
+    B.swapaxes(-3, -2)[..., ap, ap, :, :] += err_sum + sigma2 * np.eye(N)
+    B = B.reshape(*batch, L * N, L * N)
+
+    V = np.linalg.solve(B, Hs)                                 # (..., LN, K)
+    V /= np.linalg.norm(V, axis=-2, keepdims=True)
+
+    G = Hs.swapaxes(-1, -2) @ V.conj()                         # G[i, k] = v_k^H hhat_i
+    # sum_i p_i v_k^H C_i v_k, with C_i block diagonal: one N x N product per AP
+    err = err_sum @ V.reshape(*batch, L, N, K)
+    err = (V.conj() * err.reshape(*batch, L * N, K)).sum(axis=-2).real
+
+    gains = np.abs(G) ** 2
+    num = powers * np.diagonal(gains, axis1=-2, axis2=-1)
+    return num / (powers @ gains - num + err + sigma2)
 
 
 def replayed_chain(combiners, h, symbols, noise):

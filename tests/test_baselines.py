@@ -1,10 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import complex_gaussian, estimate, synthetic_config, synthetic_scenario
+from oracles import (
+    complex_gaussian, dense_lmmse_l4, drop_block_estimates, estimate, synthetic_config,
+    synthetic_scenario,
+)
 from stripesim import metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import ChannelEstimateSet, draw_channels
+from stripesim.config import CorrelationModel, SimulationConfig
+from stripesim.runner import rng_stream
+from stripesim.scenario import build_scenario
 from stripesim.stripe import run_stripe
 
 
@@ -76,6 +84,44 @@ class TestCentralizedLmmse:
             final = run_stripe(est, powers, sigma2)
             stripe = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
             assert np.all(l4 >= stripe * (1 - 1e-9))
+
+
+class TestAgainstDenseReceiver:
+    """The push-through form against the LN x LN oracle, per UE, at rel 1e-9."""
+
+    @staticmethod
+    def assert_matches_dense_per_block(cfg, seed, num_drops=2, num_blocks=3):
+        est = drop_block_estimates(cfg, seed, num_drops, num_blocks)
+        powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+        got = centralized_lmmse_l4(est, powers, sigma2)
+        assert got.shape == (num_blocks, num_drops, cfg.num_ues)
+        for b in range(num_blocks):
+            for d in range(num_drops):
+                one = ChannelEstimateSet(hhat=est.hhat[b, d], rtilde=est.rtilde[d])
+                np.testing.assert_allclose(got[b, d], dense_lmmse_l4(one, powers, sigma2),
+                                           rtol=1e-9, atol=0, err_msg=f"block {b}, drop {d}")
+
+    def test_default_network_batch_equals_dense_per_block(self):
+        self.assert_matches_dense_per_block(SimulationConfig(), 5)
+
+    def test_more_ues_than_antennas(self):
+        # K = 5 > LN = 2: the K x K system is larger than the dense one
+        cfg = replace(SimulationConfig(), num_aps=2, antennas_per_ap=1, num_ues=5,
+                      pilot_length=3)
+        self.assert_matches_dense_per_block(cfg, 6)
+
+    def test_rank_deficient_covariances(self):
+        cfg = replace(SimulationConfig(), num_aps=4, antennas_per_ap=4, num_ues=6,
+                      pilot_length=3, angular_std_dev_rad=1e-4)
+        R = build_scenario(cfg, rng_stream(7, 0, 0)).covariances
+        eig = np.linalg.eigvalsh(R)
+        assert np.all(eig[..., 0] <= 1e-12 * eig[..., -1])   # numerically singular
+        self.assert_matches_dense_per_block(cfg, 7)
+
+    def test_uncorrelated_model(self):
+        cfg = replace(SimulationConfig(), num_aps=6, antennas_per_ap=3, num_ues=8,
+                      pilot_length=4, correlation_model=CorrelationModel.UNCORRELATED)
+        self.assert_matches_dense_per_block(cfg, 8)
 
 
 class TestMrFusion:

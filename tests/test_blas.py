@@ -13,7 +13,7 @@ import pytest
 import stripesim
 from stripesim import runner
 from stripesim.blas import _loaded_openblas, one_blas_thread
-from stripesim.config import SimulationConfig
+from stripesim.config import SimulationConfig, save_config
 from stripesim.runner import ALL_SCHEMES, SCHEME_STRIPE, drop_groups, run_experiment
 
 
@@ -72,9 +72,9 @@ def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
     if not thread_counts():
         pytest.skip("no OpenBLAS loaded")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    config = SimulationConfig(num_aps=24, antennas_per_ap=4, num_ues=3, pilot_length=2,
+    config = SimulationConfig(num_aps=24, antennas_per_ap=16, num_ues=3, pilot_length=2,
                               coherence_block=20, num_setups=3,
-                              num_channel_realizations=9, num_workers=1)
+                              num_channel_realizations=4, num_workers=1)
     assert len(drop_groups(config)) == 2
     serial = run_experiment([config], ALL_SCHEMES)[0]
 
@@ -92,6 +92,15 @@ def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
     assert reported and all(counts and set(counts) == {1} for counts in reported)
     for scheme in ALL_SCHEMES:
         assert np.array_equal(serial[scheme], pooled[scheme])
+
+
+def run_child(code: str, env: dict[str, str], *args: str):
+    """Run code in a fresh interpreter that imports this stripesim; its last stdout line as JSON."""
+    src = str(Path(stripesim.__file__).resolve().parents[1])
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))}
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 CHILD = """
@@ -115,12 +124,27 @@ def test_cli_process_starts_no_blas_threads(inherited):
            if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     if inherited is not None:
         env["OPENBLAS_NUM_THREADS"] = inherited
-    src = str(Path(stripesim.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    child = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
-                           text=True, timeout=120, check=True)
-    tasks, counts = json.loads(child.stdout)
+    tasks, counts = run_child(CHILD, env)
     if not counts:
         pytest.skip("no OpenBLAS loaded")
     assert tasks == 1
     assert counts == [1] * len(counts)
+
+
+RUN_CHILD = """
+import json, sys
+from stripesim.cli import main
+assert main(["run", *sys.argv[1:]]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")))
+"""
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: a whole run never imports scipy."""
+    config = SimulationConfig(num_aps=2, antennas_per_ap=2, num_ues=3, pilot_length=2,
+                              coherence_block=10, num_setups=2,
+                              num_channel_realizations=2, num_workers=1)
+    save_config(config, tmp_path / "tiny.ini")
+    assert run_child(RUN_CHILD, dict(os.environ), "--config", str(tmp_path / "tiny.ini"),
+                     "--out", str(tmp_path / "out")) == []
+    assert (tmp_path / "out" / "se_lmmse_l4.csv").exists()

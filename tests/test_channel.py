@@ -142,12 +142,12 @@ class TestPilotPhase:
         covariances = sc.covariances.copy()
         covariances[sc.pilot_index == 1, 2] *= -1e3
         bad = Scenario(**{**sc.__dict__, "covariances": covariances})
-        with pytest.raises(ValueError, match="pilot covariance at AP 2, pilot 1 is not PD"):
+        with pytest.raises(ValueError, match="pilot covariance at AP 3, pilot 1 is not PD"):
             estimation_statistics(bad, cfg)
 
     def test_first_failing_ue_then_ap_is_named(self, rng):
-        # UE 0 (pilot 1) fails at AP 2 and UE 1 (pilot 0) at AP 0: the first
-        # failing (drop, UE, AP) is named, with that UE's pilot
+        # UE 0 (pilot 1) fails at the third AP and UE 1 (pilot 0) at the first:
+        # the first failing (drop, UE, AP) is named, with that UE's pilot
         sc = synthetic_scenario(rng, 2, 3, 2, tau_p=2)
         cfg = synthetic_config(rng, 2, 3, 2, tau_p=2)
         covariances = sc.covariances.copy()
@@ -155,7 +155,7 @@ class TestPilotPhase:
         covariances[1, 0] *= -1e3
         bad = Scenario(**{**sc.__dict__, "covariances": covariances,
                           "pilot_index": np.array([1, 0])})
-        with pytest.raises(ValueError, match="pilot covariance at AP 2, pilot 1 is not PD"):
+        with pytest.raises(ValueError, match="pilot covariance at AP 3, pilot 1 is not PD"):
             estimation_statistics(bad, cfg)
 
 
@@ -229,7 +229,7 @@ class TestStackedDrops:
                       "pilot_index"):
             stacked[field] = np.stack([stacked[field]] * 2)
         stacked["covariances"] = np.stack([sc.covariances, covariances])
-        with pytest.raises(ValueError, match="pilot covariance at AP 1, pilot 0 is not PD"):
+        with pytest.raises(ValueError, match="pilot covariance at AP 2, pilot 0 is not PD"):
             estimation_statistics(Scenario(**stacked), cfg)
 
 

@@ -230,6 +230,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--schemes", "zf",
                      "--out", str(tmp_path / "x")]) == 1
 
+    def test_repeated_scheme_exits_1(self, tmp_path, capsys):
+        cfg = write_mini(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--schemes", "stripe_nlmmse,stripe_nlmmse,mr_l2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: scheme list repeats stripe_nlmmse\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_sweep_gives_nonzero_exit(self, tmp_path):
         cfg = write_mini(tmp_path)
         assert main(["run", "--config", str(cfg), "--sweep", "L=2,3",

@@ -2,7 +2,8 @@
 
 Each example builds a drop of the real geometry and channel model (L 2-4, N
 1-3, K 1-5, tau_p 1..K, either correlation model) and runs a few coherence
-blocks through the estimation chain, the stripe and L4.
+blocks through the estimation chain, the stripe and L4. L4 is also checked
+against the dense LN x LN receiver of the oracles.
 """
 
 from dataclasses import replace
@@ -11,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_lmmse_l4
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
 from stripesim.channel import (
@@ -76,3 +78,12 @@ def test_l4_at_least_stripe_per_ue_and_block(cfg):
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
     stripe = metrics.sinr_per_ue(states[-1].ghat, states[-1].psi, powers, sigma2)
     assert np.all(centralized_lmmse_l4(est, powers, sigma2) >= stripe * (1.0 - REL))
+
+
+@settings(deadline=None)
+@given(tiny_configs())
+def test_l4_equals_the_dense_receiver(cfg):
+    est, _, _ = simulate(cfg)
+    powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+    np.testing.assert_allclose(centralized_lmmse_l4(est, powers, sigma2),
+                               dense_lmmse_l4(est, powers, sigma2), rtol=REL, atol=0)

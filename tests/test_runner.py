@@ -69,9 +69,13 @@ def test_bitwise_deterministic_across_runs():
 
 
 def pool_config(**overrides):
-    """Five drops that the default budget packs two to a group: three jobs."""
-    base = dict(num_aps=24, antennas_per_ap=4, num_ues=3, pilot_length=2,
-                num_setups=5, num_channel_realizations=9)
+    """Five drops that the default budget packs two to a group: three jobs.
+
+    Sixteen antennas per AP make the per-drop constants fill most of a
+    group's budget, so a few blocks per drop suffice (for K of 3 or 4).
+    """
+    base = dict(num_aps=24, antennas_per_ap=16, num_ues=3, pilot_length=2,
+                num_setups=5, num_channel_realizations=4)
     base.update(overrides)
     return mini_config(**base)
 
@@ -194,8 +198,8 @@ def test_chunked_setup_matches_per_block_reference(monkeypatch, chunk):
     # 20 blocks: one per chunk, chunks of 3 with a short last one, one chunk
     cfg = mini_config(num_aps=6, num_ues=4, num_channel_realizations=20)
     K, L, N = cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap
-    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", chunk * L * N * (K + L * N))
-    assert runner.blocks_per_chunk(K, L, N) == chunk
+    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", chunk * L * N * (K + cfg.pilot_length))
+    assert runner.blocks_per_chunk(cfg) == chunk
     got = simulate_setup(cfg, range(1, 2), ALL_SCHEMES)
     ref = per_block_setup(cfg, 1)
     for scheme in ALL_SCHEMES:
@@ -207,7 +211,7 @@ def drop_elements(cfg):
     """What one drop of cfg costs in the chunk budget: constants plus blocks."""
     K, L, N = cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap
     return L * N * (N * (4 * K + cfg.pilot_length)
-                    + cfg.num_channel_realizations * (K + L * N))
+                    + cfg.num_channel_realizations * (K + cfg.pilot_length))
 
 
 def test_drop_groups_pack_whole_drops_within_the_budget(monkeypatch):
@@ -223,7 +227,7 @@ def test_drop_groups_pack_whole_drops_within_the_budget(monkeypatch):
 @pytest.mark.parametrize("L, N, K", [(24, 4, 10), (6, 2, 4), (4, 2, 3), (24, 4, 40)])
 def test_a_drop_that_fills_a_chunk_runs_alone(L, N, K):
     cfg = mini_config(num_aps=L, antennas_per_ap=N, num_ues=K, num_setups=4)
-    chunk = runner.blocks_per_chunk(K, L, N)
+    chunk = runner.blocks_per_chunk(cfg)
     for n_blocks in (chunk, chunk + 1, 3 * chunk):
         groups = drop_groups(replace(cfg, num_channel_realizations=n_blocks))
         assert groups == [range(s, s + 1) for s in range(4)]

@@ -7,14 +7,13 @@ from dataclasses import replace
 
 from oracles import (
     angle_between, brute_force_combiner, build_augmented_moments, complex_gaussian,
-    estimate, first_ap_lmmse, impairment, random_psd, replayed_chain,
+    drop_block_estimates, estimate, first_ap_lmmse, impairment, random_psd, replayed_chain,
     synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.channel import ChannelEstimateSet, complex_normal, draw_channels
 from stripesim.config import SimulationConfig
-from stripesim.runner import rng_stream
-from stripesim.scenario import build_scenario, psd_factor
+from stripesim.scenario import psd_factor
 from stripesim.selftest import replay
 from stripesim import stripe
 from stripesim.stripe import StageState, combiner_stage, run_stripe, stage_update, stages
@@ -46,14 +45,6 @@ def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True):
                complex_normal(rng, (L, N), std=np.sqrt(sigma2)))
     combiners, states = zip(*stages(est, powers, sigma2))
     return combiners, states, est, h, pay, powers, sigma2
-
-
-def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):
-    """Channel estimates of a real-geometry batch shaped (blocks, drops, ...)."""
-    drops = range(num_drops)
-    sc = build_scenario(cfg, [rng_stream(seed, s, 0) for s in drops])
-    rngs = [[rng_stream(seed, s, 1, b) for s in drops] for b in range(num_blocks)]
-    return estimate(sc, draw_channels(sc, rngs), cfg, rngs)
 
 
 class TestFirstApCombiner:
@@ -291,12 +282,12 @@ class TestStageUpdate:
         assert state.psi_clips == 3 + K
 
     def test_non_psd_error_covariance_raises_naming_the_ap(self, rng):
-        # fault injection: one UE's error covariance at AP 2 is negative definite
+        # fault injection: one UE's error covariance at the third AP is negative definite
         *_, est, h, pay, powers, sigma2 = random_run(rng, payload=False)
         rtilde = est.rtilde.copy()
         rtilde[1, 2] = -np.eye(rtilde.shape[-1])
         bad = ChannelEstimateSet(hhat=est.hhat, rtilde=rtilde)
-        with pytest.raises(ValueError, match="negative error variance at AP 2"):
+        with pytest.raises(ValueError, match="negative error variance at AP 3"):
             run_stripe(bad, powers, sigma2)
 
 
