@@ -2,11 +2,12 @@
 
 The centralized scheme stacks all APs' estimates into one LN-dim receiver
 whose error covariance is block diagonal in the per-AP impairments D_l
-that the stripe also uses, and evaluates the same conditional SINR
-template as the stripe. The MR scheme lets every AP apply its own
-estimate as a matched filter, averages the L local soft estimates at the
-CPU with equal weights, and is scored with the use-and-then-forget bound
-whose expectations are estimated from the shared channel realizations.
+that the stripe also uses, and is scored by the stripe's SINR function,
+metrics.sinr_per_ue, with sum_l v_l^H D_l v_l as the impairment. The MR
+scheme lets every AP apply its own estimate as a matched filter, averages
+the L local soft estimates at the CPU with equal weights, and is scored
+with the use-and-then-forget bound whose expectations are estimated from
+the shared channel realizations.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelEstimateSet, herm, impairment
+from .metrics import sinr_per_ue
 
 
 def centralized_lmmse_l4(
@@ -40,9 +42,7 @@ def centralized_lmmse_l4(
     G = Hs.swapaxes(-1, -2) @ V.conj()                         # G[i, k] = v_k^H hhat_i
     Vl = V.reshape(*batch, L, N, K)
     impaired = (Vl.conj() * (D @ Vl)).sum(axis=(-3, -2)).real
-    gains = np.abs(G) ** 2
-    num = powers * np.diagonal(gains, axis1=-2, axis2=-1)
-    return num / (powers @ gains - num + impaired)
+    return sinr_per_ue(G, impaired, powers)
 
 
 @dataclass

@@ -131,9 +131,31 @@ class ChannelEstimateSet:
     rtilde: np.ndarray   # (drops..., K, L, N, N) error covariance
 
 
+# rtilde_kl enters D_l as p_k rtilde_kl beside sigma2 I, so an eigenvalue above
+# -_PSD_NOISE_TOL * sigma2 / p_k is roundoff: it moves D_l by less than that share
+# of the noise. (Roundoff in rtilde = R - rhat scales with R, not with rtilde.)
+_PSD_NOISE_TOL = 1e-9
+
+
 def impairment(rtilde: np.ndarray, powers: np.ndarray, sigma2: float) -> np.ndarray:
-    """Per-AP D_l = sum_i p_i rtilde_il + sigma2 I: (..., K, L, N, N) -> (..., L, N, N)."""
+    """Per-AP D_l = sum_i p_i rtilde_il + sigma2 I: (..., K, L, N, N) -> (..., L, N, N).
+
+    The stripe and lmmse_l4 read rtilde only through D_l, so a non-PSD rtilde_kl
+    raises here, naming UE k (1..K) and AP l (1..L). A stacked Cholesky
+    factorization of every rtilde shifted by its roundoff tolerance that
+    succeeds proves them all PSD within it; only a failure pays for eigenvalues.
+    """
     *lead, K, L, N, _ = rtilde.shape
+    tol = (_PSD_NOISE_TOL * sigma2 / powers)[:, None]                   # (K, 1)
+    try:
+        np.linalg.cholesky(rtilde + tol[..., None, None] * np.eye(N))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(rtilde).min(axis=-1)
+        bad = np.argwhere(low < -tol)                                   # rows (drop..., k, l)
+        if len(bad):
+            *_, k, l = bad[0]
+            raise ValueError(f"negative error variance at AP {l + 1}: the error covariance of "
+                             f"UE {k + 1} is not PSD (min eigenvalue {low[tuple(bad[0])]:.3e})")
     load = (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
     return load + sigma2 * np.eye(N)
 

@@ -78,6 +78,10 @@ def cmd_run(args) -> int:
             raise ValueError(f"scheme list repeats {scheme}")
     sweep_field, sweep_values = _parse_sweep(args.sweep) if args.sweep else (None, ())
     out_dir = Path(args.out)
+    # fail before simulating if out_dir, or else its nearest existing ancestor, is no directory
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out_dir}: {existing} is not a directory")
 
     # (config, output directory, sweep label) of each run, all built (and so
     # checked) before anything prints, then simulated in one call

@@ -11,14 +11,15 @@ import numpy as np
 from .config import SimulationConfig
 
 
-def sinr_per_ue(
-    ghat: np.ndarray, psi_tilde: np.ndarray, powers: np.ndarray, sigma2: float
-) -> np.ndarray:
-    """Vectorized effective SINR for all UEs; ghat/psi_tilde are (..., K, K) [i, k]."""
-    gains = powers[:, None] * np.abs(ghat) ** 2
-    num = np.diagonal(gains, axis1=-2, axis2=-1)
-    den = gains.sum(axis=-2) - num + powers @ psi_tilde + sigma2
-    return num / den
+def sinr_per_ue(ghat: np.ndarray, impairment: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Conditional SINR (..., K) of every UE from ghat (..., K, K) [i, k] and impairment (..., K).
+
+    impairment[k] is the error-plus-noise power in UE k's soft estimate: the
+    stripe's forwarded iota_k, or lmmse_l4's sum_l v_l^H D_l v_l.
+    """
+    gains = np.abs(ghat) ** 2
+    num = powers * np.diagonal(gains, axis1=-2, axis2=-1)
+    return num / (powers @ gains - num + impairment)
 
 
 def spectral_efficiency(sinr_samples, tau_c: int, tau_p: int) -> np.ndarray | np.floating:
@@ -37,8 +38,8 @@ def fronthaul_load(config: SimulationConfig) -> dict:
     """Exact real-scalar counts per coherence block on the CPU link.
 
     The centralized scheme (l4) ships every AP's received payload block to
-    the CPU, 2*N*L*tau_c; the stripe ships soft estimates plus side
-    information over each segment, the CPU link included,
+    the CPU, 2*N*L*tau_c; the stripe ships soft estimates, K^2 complex ghat
+    and K^2 error variances over each segment, the CPU link included,
     3K^2 + 2K(tau_c - tau_p). The reduction is the stripe's saving on that link.
     """
     K, tau_c = config.num_ues, config.coherence_block

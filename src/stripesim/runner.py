@@ -109,7 +109,7 @@ def simulate_setup(
         if SCHEME_STRIPE in samples:
             final = stripe.run_stripe(est, powers, sigma2)
             samples[SCHEME_STRIPE][start:blocks.stop] = metrics.sinr_per_ue(
-                final.ghat, final.psi, powers, sigma2)
+                final.ghat, final.impairment, powers)
         if SCHEME_L4 in samples:
             samples[SCHEME_L4][start:blocks.stop] = baselines.centralized_lmmse_l4(
                 est, powers, sigma2)

@@ -115,11 +115,10 @@ def check_reconstruction(
 
 
 def check_monotone_stage_sinr(
-    states: Sequence[stripe.StageState], powers: np.ndarray, sigma2: float,
-    rel_tol: float = 1e-9,
+    states: Sequence[stripe.StageState], powers: np.ndarray, rel_tol: float = 1e-9,
 ) -> CheckResult:
     """The per-stage effective SINR must never decrease along the stripe."""
-    sinr = [metrics.sinr_per_ue(state.ghat, state.psi, powers, sigma2) for state in states]
+    sinr = [metrics.sinr_per_ue(state.ghat, state.impairment, powers) for state in states]
     worst = max([0.0] + [float(((prev - cur) / np.maximum(prev, np.finfo(float).tiny)).max())
                          for prev, cur in zip(sinr, sinr[1:])])
     return CheckResult(
@@ -159,5 +158,5 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     combiners, states = zip(*stripe.stages(est, powers, sigma2))
     results.append(check_combiner_norms(combiners))
     results.append(check_reconstruction(combiners, states[-1], est, h, symbols, noise))
-    results.append(check_monotone_stage_sinr(states, powers, sigma2))
+    results.append(check_monotone_stage_sinr(states, powers))
     return results

@@ -10,7 +10,9 @@ covariance and the covariances of the despread pilot signal of every pilot;
 per_block_setup is the one-drop, one-block-at-a-time reference for the
 grouped and chunked runner. dense_lmmse_l4 is the centralized receiver
 built as one LN x LN matrix, the second route for the package's
-push-through form. estimate is the pilot phase plus MMSE estimation that
+push-through form. psi_stages is the K x K error-variance recursion that
+the protocol forwards, the reference for the per-UE impairment the stripe
+carries. estimate is the pilot phase plus MMSE estimation that
 most tests run on one scenario; drop_block_estimates runs it on a
 real-geometry (blocks, drops, ...) batch.
 """
@@ -301,11 +303,27 @@ class AugmentedSideInfo:
         return np.outer(c, c.conj()) + self.error_covariance(i, k)
 
 
-def build_augmented_moments(hhat_l, rtilde_l, prev) -> AugmentedSideInfo:
+def build_augmented_moments(hhat_l, rtilde_l, ghat_prev, psi_prev) -> AugmentedSideInfo:
     """Bundle local estimates with the previous stage's side information."""
     return AugmentedSideInfo(
-        hhat=hhat_l, rtilde=rtilde_l, ghat_prev=prev.ghat, psi_prev=prev.psi
+        hhat=hhat_l, rtilde=rtilde_l, ghat_prev=ghat_prev, psi_prev=psi_prev
     )
+
+
+def psi_stages(combiners, rtilde):
+    """Error variances psi[i, k] of ghat[i, k] after each stage, (..., K, K) per AP.
+
+    psi[i, k] <- va_k^H rtilde_il va_k + |vb_k|^2 psi[i, k] from a zero
+    prior, every (i, k) pair from its own quadratic form. The stripe's
+    impairment after the same stage is powers @ psi + sigma2.
+    """
+    psi, out = 0.0, []
+    for l, V in enumerate(combiners):
+        va, vb = V[..., :-1], V[..., -1]
+        local = np.einsum("...km,...imn,...kn->...ik", va.conj(), rtilde[..., :, l, :, :], va)
+        psi = local.real + np.abs(vb[..., None, :]) ** 2 * psi
+        out.append(psi)
+    return out
 
 
 def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
@@ -327,7 +345,7 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
         h = draw_channels(scenario, rng)
         est = estimate(scenario, h, config, rng, stats)
         final = stripe.run_stripe(est, powers, sigma2)
-        stripe_sinr[b] = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
+        stripe_sinr[b] = metrics.sinr_per_ue(final.ghat, final.impairment, powers)
         l4_sinr[b] = baselines.centralized_lmmse_l4(est, powers, sigma2)
         mr.update(est.hhat[None], h[None])
     tau_c, tau_p = config.coherence_block, config.pilot_length

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import (
     angle_between, brute_force_combiner, build_augmented_moments, estimate,
-    estimate_covariance, replayed_chain, synthetic_config, synthetic_scenario,
+    estimate_covariance, psi_stages, replayed_chain, synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
@@ -147,22 +147,22 @@ def test_criterion_5_property_suite():
         # per-stage effective SINR never decreases along the stripe
         prev = None
         for state in states:
-            cur = metrics.sinr_per_ue(state.ghat, state.psi, powers, sigma2)
+            cur = metrics.sinr_per_ue(state.ghat, state.impairment, powers)
             if prev is not None:
                 assert np.all(cur >= prev * (1 - 1e-9))
             prev = cur
 
-        # psi recursion agrees with the direct quadratic form
+        # the forwarded impairment is the power-weighted sum of the error
+        # variances from the direct quadratic form, plus the noise
+        psi = psi_stages(combiners, est.rtilde)
         for l in (1, cfg.num_aps - 1):
             aug = build_augmented_moments(est.hhat[:, l], est.rtilde[:, l],
-                                          states[l - 1])
+                                          states[l - 1].ghat, psi[l - 1])
             V = combiners[l]
-            for i in range(cfg.num_ues):
-                for k in range(cfg.num_ues):
-                    direct = float(
-                        (V[k].conj() @ aug.error_covariance(i, k) @ V[k]).real)
-                    assert states[l].psi[i, k] == pytest.approx(
-                        direct, rel=1e-12, abs=1e-300)
+            direct = np.array([[(V[k].conj() @ aug.error_covariance(i, k) @ V[k]).real
+                                for k in range(cfg.num_ues)] for i in range(cfg.num_ues)])
+            np.testing.assert_allclose(states[l].impairment, powers @ direct + sigma2,
+                                       rtol=1e-12, atol=0)
 
     # effective-noise variance stays sigma2 through the chain (10^4 samples)
     t_rng = np.random.default_rng(DESK_SEED)
@@ -180,7 +180,7 @@ def test_criterion_5_property_suite():
     assert elapsed < 60.0
     report("5 property suite",
            f"decomposition, norms, reconstruction, noise variance, "
-           f"monotone SINR, psi recursion all within tolerance ({elapsed:.1f} s)")
+           f"monotone SINR, impairment recursion all within tolerance ({elapsed:.1f} s)")
 
 
 def test_criterion_6_oracle_equivalence():
@@ -208,7 +208,7 @@ def test_criterion_6_oracle_equivalence():
 
         # second AP: same, on the augmented side information
         aug = build_augmented_moments(est.hhat[:, 1], est.rtilde[:, 1],
-                                      states[0])
+                                      states[0].ghat, psi_stages(combiners, est.rtilde)[0])
         chat = np.stack([aug.chat(i, k) for i in range(K)])
         w = brute_force_combiner(rng, k, powers, sigma2, chat,
                                  est.rtilde[:, 1], psi=aug.psi_prev[:, k],
@@ -219,8 +219,7 @@ def test_criterion_6_oracle_equivalence():
 
         # centralized processing dominates the stripe on the same inputs
         l4 = centralized_lmmse_l4(est, powers, sigma2)
-        stripe_sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].psi,
-                                          powers, sigma2)
+        stripe_sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].impairment, powers)
         assert np.all(l4 >= stripe_sinr * (1 - 1e-9))
     report("6 oracle equivalence",
            f"100 tiny instances: worst combiner angle {worst_angle:.2e} rad "

@@ -31,7 +31,7 @@ class TestCentralizedLmmse:
         est = estimate(sc, h, cfg, rng)
         l4 = centralized_lmmse_l4(est, powers, sigma2)
         final = run_stripe(est, powers, sigma2)
-        local = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
+        local = metrics.sinr_per_ue(final.ghat, final.impairment, powers)
         assert np.allclose(l4, local, rtol=1e-9)
 
     def test_single_user_perfect_csi_matched_filter_bound(self, rng):
@@ -82,8 +82,19 @@ class TestCentralizedLmmse:
             est = estimate(sc, h, cfg, rng)
             l4 = centralized_lmmse_l4(est, powers, sigma2)
             final = run_stripe(est, powers, sigma2)
-            stripe = metrics.sinr_per_ue(final.ghat, final.psi, powers, sigma2)
+            stripe = metrics.sinr_per_ue(final.ghat, final.impairment, powers)
             assert np.all(l4 >= stripe * (1 - 1e-9))
+
+    def test_non_psd_error_covariance_raises_naming_the_ap(self, rng):
+        # fault injection: one UE's error covariance at the third AP is negative definite
+        sc = synthetic_scenario(rng, 3, 4, 2, tau_p=2)
+        cfg = synthetic_config(rng, 3, 4, 2, tau_p=2)
+        est = estimate(sc, draw_channels(sc, rng), cfg, rng)
+        rtilde = est.rtilde.copy()
+        rtilde[1, 2] = -np.eye(rtilde.shape[-1])
+        bad = ChannelEstimateSet(hhat=est.hhat, rtilde=rtilde)
+        with pytest.raises(ValueError, match="negative error variance at AP 3"):
+            centralized_lmmse_l4(bad, cfg.ue_powers, cfg.noise_power_w)
 
 
 class TestAgainstDenseReceiver:

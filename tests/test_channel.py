@@ -9,7 +9,7 @@ from oracles import (
 )
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import (
-    draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
+    draw_channels, estimation_statistics, impairment, mmse_estimate, simulate_pilot_phase,
 )
 from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import rng_stream
@@ -212,7 +212,8 @@ class TestStackedDrops:
             one_mr = MrFusionAccumulator()
             one_mr.update(one_est.hhat, one_h)
             assert mr.count == one_mr.count == len(blocks)
-            pairs = [(final.ghat[:, s], one_final.ghat), (final.psi[:, s], one_final.psi),
+            pairs = [(final.ghat[:, s], one_final.ghat),
+                     (final.impairment[:, s], one_final.impairment),
                      (l4[:, s], centralized_lmmse_l4(one_est, powers, sigma2)),
                      (mr.sum_mean[s], one_mr.sum_mean), (mr.sum_sq[s], one_mr.sum_sq),
                      (mr.sum_noise[s], one_mr.sum_noise)]
@@ -321,3 +322,36 @@ class TestMmseEstimate:
         for l in range(3):
             link = stats.filters[1, l] @ np.linalg.inv(stats.filters[0, l])
             assert np.allclose(est.hhat[1, l], link @ est.hhat[0, l], rtol=1e-8)
+
+
+class TestImpairment:
+    @staticmethod
+    def error_covariances(rng, K=3, L=4, N=3):
+        return np.stack([[random_psd(rng, N, 1e-9) for _ in range(L)] for _ in range(K)])
+
+    def test_roundoff_negative_eigenvalue_passes_and_a_larger_one_raises(self, rng):
+        rtilde = self.error_covariances(rng)
+        powers, sigma2 = rng.uniform(0.5, 2.0, 3), 1e-12
+        # UE 2 at AP 4: a roundoff-negative eigenvalue, -1e-17 of the largest
+        rtilde[1, 3] = 1e-9 * np.diag([-1e-17, 1.0, 0.5]).astype(complex)
+        expect = np.einsum("k,klmn->lmn", powers, rtilde) + sigma2 * np.eye(3)
+        np.testing.assert_allclose(impairment(rtilde, powers, sigma2), expect,
+                                   rtol=0, atol=1e-15 * np.abs(expect).max())
+
+        # UE 3 at AP 1, estimated far above the noise: its error covariance is
+        # 1e-3 of sigma2 / p, and its roundoff -1e-7 of itself is still
+        # only -1e-10 of sigma2 / p
+        scale = 1e-3 * sigma2 / powers[2]
+        rtilde[2, 0] = scale * np.diag([-1e-7, 1.0, 0.5]).astype(complex)
+        impairment(rtilde, powers, sigma2)
+
+        rtilde[1, 3, 0, 0] = -1e-6 * 1e-9
+        with pytest.raises(ValueError, match="at AP 4: the error covariance of UE 2 is not PSD"):
+            impairment(rtilde, powers, sigma2)
+
+    def test_first_failing_drop_ue_then_ap_is_named(self, rng):
+        rtilde = np.stack([self.error_covariances(rng)] * 2)        # (drops, K, L, N, N)
+        rtilde[1, 0, 3] = -np.eye(3)
+        rtilde[1, 2, 1] = -np.eye(3)
+        with pytest.raises(ValueError, match="at AP 4: the error covariance of UE 1 "):
+            impairment(rtilde, np.ones(3), 1e-12)

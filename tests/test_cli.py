@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import estimate
-from stripesim import stripe
+from stripesim import cli, stripe
 from stripesim.channel import draw_channels
 from stripesim.cli import main
 from stripesim.config import SimulationConfig, load_config, save_config
@@ -239,6 +239,22 @@ class TestRun:
         assert captured.err == "error: scheme list repeats stripe_nlmmse\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", [(), ("sub",)], ids=["a_file", "under_a_file"])
+    def test_out_exits_1_before_simulating(self, tmp_path, monkeypatch, capsys, sub):
+        def never(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        cfg = write_mini(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        out = afile.joinpath(*sub)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out}: {afile} is not a directory\n"
+        assert "running" not in captured.out
+        assert afile.read_text() == "keep\n"
 
     def test_bad_sweep_gives_nonzero_exit(self, tmp_path):
         cfg = write_mini(tmp_path)

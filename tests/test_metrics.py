@@ -16,19 +16,25 @@ def scalar_sinr(ghat, psi, powers, sigma2, target):
     return gains[target] / den
 
 
+def impairment(psi, powers, sigma2):
+    """Each UE's error-plus-noise power, sum_i p_i psi[..., i, k] + sigma2."""
+    return powers @ psi + sigma2
+
+
 def one_target_sinr(ghat, psi, powers, sigma2, target):
     """sinr_per_ue for the target UE, given its column of ghat and psi."""
     K = len(powers)
+    powers = np.asarray(powers, dtype=float)
     g = np.zeros((K, K), dtype=complex)
     v = np.zeros((K, K))
     g[:, target], v[:, target] = ghat, psi
-    return sinr_per_ue(g, v, np.asarray(powers, dtype=float), sigma2)[target]
+    return sinr_per_ue(g, impairment(v, powers, sigma2), powers)[target]
 
 
 class TestInstantaneousSinr:
     def test_single_user_unit_values(self):
         assert sinr_per_ue(
-            np.array([[1.0 + 0j]]), np.array([[0.0]]), np.array([1.0]), 1.0
+            np.array([[1.0 + 0j]]), np.array([1.0]), np.array([1.0])
         ) == pytest.approx([1.0])
 
     def test_zero_numerator(self):
@@ -56,18 +62,20 @@ class TestInstantaneousSinr:
         psi = np.abs(rng.standard_normal((K, K)))
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.7
-        a = sinr_per_ue(ghat, psi, powers, sigma2)
+        a = sinr_per_ue(ghat, impairment(psi, powers, sigma2), powers)
         c, d = 13.7, 0.31
         # power-unit change alone
         np.testing.assert_allclose(
-            sinr_per_ue(ghat, psi, c * powers, c * sigma2), a, rtol=1e-12)
+            sinr_per_ue(ghat, impairment(psi, c * powers, c * sigma2), c * powers), a,
+            rtol=1e-12)
         # gain-unit change alone
         np.testing.assert_allclose(
-            sinr_per_ue(np.sqrt(d) * ghat, d * psi, powers, d * sigma2), a, rtol=1e-12)
+            sinr_per_ue(np.sqrt(d) * ghat, impairment(d * psi, powers, d * sigma2), powers), a,
+            rtol=1e-12)
         # both together
         np.testing.assert_allclose(
-            sinr_per_ue(np.sqrt(d) * ghat, d * psi, c * powers, c * d * sigma2), a,
-            rtol=1e-12)
+            sinr_per_ue(np.sqrt(d) * ghat, impairment(d * psi, c * powers, c * d * sigma2),
+                        c * powers), a, rtol=1e-12)
 
     def test_monotone_in_target_power(self, rng):
         K = 3
@@ -78,7 +86,7 @@ class TestInstantaneousSinr:
         for pk in np.linspace(0.1, 10.0, 25):
             powers = base.copy()
             powers[1] = pk
-            cur = sinr_per_ue(ghat, psi, powers, 0.4)[1]
+            cur = sinr_per_ue(ghat, impairment(psi, powers, 0.4), powers)[1]
             assert cur >= prev
             prev = cur
 
@@ -88,7 +96,7 @@ class TestInstantaneousSinr:
         ghat = rng.standard_normal((B, K, K)) + 1j * rng.standard_normal((B, K, K))
         psi = np.abs(rng.standard_normal((B, K, K)))
         powers = rng.uniform(0.5, 2.0, K)
-        vec = sinr_per_ue(ghat, psi, powers, 0.9)
+        vec = sinr_per_ue(ghat, impairment(psi, powers, 0.9), powers)
         assert vec.shape == (B, K)
         for b in range(B):
             for k in range(K):

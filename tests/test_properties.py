@@ -2,8 +2,9 @@
 
 Each example builds a drop of the real geometry and channel model (L 2-4, N
 1-3, K 1-5, tau_p 1..K, either correlation model) and runs a few coherence
-blocks through the estimation chain, the stripe and L4. L4 is also checked
-against the dense LN x LN receiver of the oracles.
+blocks through the estimation chain, the stripe and L4. The stripe's
+per-UE impairment is checked against the oracles' K x K error-variance
+recursion, and L4 against their dense LN x LN receiver.
 """
 
 from dataclasses import replace
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_lmmse_l4
+from oracles import dense_lmmse_l4, psi_stages
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
 from stripesim.channel import (
@@ -61,14 +62,23 @@ def test_combiners_are_unit_norm(cfg):
 
 @settings(deadline=None)
 @given(tiny_configs())
-def test_stage_sinr_never_decreases_and_psi_is_nonnegative(cfg):
+def test_stage_sinr_never_decreases_and_impairment_is_at_least_the_noise(cfg):
     _, _, states = simulate(cfg)
     prev = np.zeros((BLOCKS, cfg.num_ues))
     for state in states:
-        assert np.all(state.psi >= 0.0)
-        sinr = metrics.sinr_per_ue(state.ghat, state.psi, cfg.ue_powers, cfg.noise_power_w)
+        assert np.all(state.impairment >= cfg.noise_power_w * (1.0 - REL))
+        sinr = metrics.sinr_per_ue(state.ghat, state.impairment, cfg.ue_powers)
         assert np.all(sinr >= prev * (1.0 - REL))
         prev = sinr
+
+
+@settings(deadline=None)
+@given(tiny_configs())
+def test_impairment_is_the_weighted_psi_of_the_recursion(cfg):
+    est, combiners, states = simulate(cfg)
+    powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+    for state, psi in zip(states, psi_stages(combiners, est.rtilde), strict=True):
+        np.testing.assert_allclose(state.impairment, powers @ psi + sigma2, rtol=1e-10, atol=0)
 
 
 @settings(deadline=None)
@@ -76,7 +86,7 @@ def test_stage_sinr_never_decreases_and_psi_is_nonnegative(cfg):
 def test_l4_at_least_stripe_per_ue_and_block(cfg):
     est, _, states = simulate(cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-    stripe = metrics.sinr_per_ue(states[-1].ghat, states[-1].psi, powers, sigma2)
+    stripe = metrics.sinr_per_ue(states[-1].ghat, states[-1].impairment, powers)
     assert np.all(centralized_lmmse_l4(est, powers, sigma2) >= stripe * (1.0 - REL))
 
 

@@ -7,25 +7,31 @@ from dataclasses import replace
 
 from oracles import (
     angle_between, brute_force_combiner, build_augmented_moments, complex_gaussian,
-    drop_block_estimates, estimate, first_ap_lmmse, impairment, random_psd, replayed_chain,
-    synthetic_config, synthetic_scenario,
+    drop_block_estimates, estimate, first_ap_lmmse, impairment, psi_stages, random_psd,
+    replayed_chain, synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.channel import ChannelEstimateSet, complex_normal, draw_channels
+from stripesim.channel import impairment as channel_impairment
 from stripesim.config import SimulationConfig
 from stripesim.scenario import psd_factor
 from stripesim.selftest import replay
 from stripesim import stripe
-from stripesim.stripe import StageState, combiner_stage, run_stripe, stage_update, stages
+from stripesim.stripe import combiner_stage, run_stripe, stage_update, stages
 
 
 def zero_prior_combiner(hhat, rtilde, powers, sigma2):
     """The AP-1 rule: the stage combiner on a zero prior, local coordinates."""
     K = hhat.shape[0]
     V = combiner_stage(hhat, impairment(rtilde, powers, sigma2),
-                       np.zeros((K, K), dtype=complex), np.zeros((K, K)), powers, sigma2)
+                       np.zeros((K, K), dtype=complex), np.full(K, sigma2), powers)
     assert np.abs(V[:, -1]).max() < 1e-14
     return V[:, :-1]
+
+
+def side_info(rng, K, scale=1.0):
+    """Random previous-stage ghat (K, K) and error variances psi (K, K)."""
+    return complex_gaussian(rng, (K, K)), scale * np.abs(rng.standard_normal((K, K)))
 
 
 def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True):
@@ -85,29 +91,27 @@ class TestAugmentedMoments:
     def test_mean_is_augmented_estimate(self, rng):
         hhat = complex_gaussian(rng, (2, 3))
         rtilde = np.stack([random_psd(rng, 3, 0.3) for _ in range(2)])
-        prev = StageState(ghat=complex_gaussian(rng, (2, 2)),
-                          psi=np.abs(rng.standard_normal((2, 2))))
-        aug = build_augmented_moments(hhat, rtilde, prev)
+        ghat_prev, psi_prev = side_info(rng, 2)
+        aug = build_augmented_moments(hhat, rtilde, ghat_prev, psi_prev)
         c = aug.chat(1, 0)
         assert np.array_equal(c[:3], hhat[1])
-        assert c[3] == prev.ghat[1, 0]
+        assert c[3] == ghat_prev[1, 0]
 
     def test_error_covariance_off_diagonal_blocks_are_zero(self, rng):
         hhat = complex_gaussian(rng, (2, 3))
         rtilde = np.stack([random_psd(rng, 3, 0.3) for _ in range(2)])
-        prev = StageState(ghat=complex_gaussian(rng, (2, 2)),
-                          psi=np.abs(rng.standard_normal((2, 2))))
-        aug = build_augmented_moments(hhat, rtilde, prev)
+        ghat_prev, psi_prev = side_info(rng, 2)
+        aug = build_augmented_moments(hhat, rtilde, ghat_prev, psi_prev)
         E = aug.error_covariance(0, 1)
         assert np.all(E[3, :3] == 0) and np.all(E[:3, 3] == 0)
         assert np.array_equal(E[:3, :3], rtilde[0])
-        assert E[3, 3] == prev.psi[0, 1]
+        assert E[3, 3] == psi_prev[0, 1]
 
     def test_perfect_side_info_gives_rank_one_moment(self, rng):
         hhat = complex_gaussian(rng, (1, 2))
         rtilde = np.zeros((1, 2, 2), dtype=complex)
-        prev = StageState(ghat=complex_gaussian(rng, (1, 1)), psi=np.zeros((1, 1)))
-        aug = build_augmented_moments(hhat, rtilde, prev)
+        aug = build_augmented_moments(hhat, rtilde, complex_gaussian(rng, (1, 1)),
+                                      np.zeros((1, 1)))
         M = aug.second_moment(0, 0)
         c = aug.chat(0, 0)
         assert np.allclose(M, np.outer(c, c.conj()), atol=1e-15)
@@ -118,16 +122,15 @@ class TestAugmentedMoments:
         n = 40000
         hhat = complex_gaussian(rng, (1, 2))
         rtilde = np.stack([random_psd(rng, 2, 0.5)])
-        prev = StageState(ghat=complex_gaussian(rng, (1, 1)),
-                          psi=np.array([[0.8]]))
-        aug = build_augmented_moments(hhat, rtilde, prev)
+        ghat_prev, psi_prev = complex_gaussian(rng, (1, 1)), np.array([[0.8]])
+        aug = build_augmented_moments(hhat, rtilde, ghat_prev, psi_prev)
         expect = aug.second_moment(0, 0)
 
         F = psd_factor(rtilde[0])
         htilde = complex_gaussian(rng, (n, 2)) @ F.T
-        gtilde = np.sqrt(prev.psi[0, 0]) * complex_gaussian(rng, n)
+        gtilde = np.sqrt(psi_prev[0, 0]) * complex_gaussian(rng, n)
         c = np.concatenate(
-            [hhat[0] + htilde, (prev.ghat[0, 0] + gtilde)[:, None]], axis=1
+            [hhat[0] + htilde, (ghat_prev[0, 0] + gtilde)[:, None]], axis=1
         )
         emp = np.einsum("nm,nq->mq", c, c.conj()) / n
         diag = np.sqrt(np.diag(expect).real)
@@ -143,7 +146,7 @@ class TestStageCombiner:
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.8
         V = combiner_stage(hhat, impairment(rtilde, powers, sigma2),
-                           np.zeros((K, K), dtype=complex), np.zeros((K, K)), powers, sigma2)
+                           np.zeros((K, K), dtype=complex), np.full(K, sigma2), powers)
         V_first = first_ap_lmmse(hhat, rtilde, powers, sigma2)
         assert np.abs(V[:, -1]).max() < 1e-14
         assert np.allclose(V[:, :N], V_first, atol=1e-12)
@@ -154,10 +157,9 @@ class TestStageCombiner:
         hhat = np.zeros((K, N), dtype=complex)
         rtilde = np.zeros((K, N, N), dtype=complex)
         ghat_prev = np.eye(K, dtype=complex)
-        prev = StageState(ghat=ghat_prev, psi=np.zeros((K, K)))
         powers = np.array([1.0, 2.0])
-        V = combiner_stage(hhat, impairment(rtilde, powers, 0.5), prev.ghat, prev.psi,
-                           powers, 0.5)
+        V = combiner_stage(hhat, impairment(rtilde, powers, 0.5), ghat_prev, np.full(K, 0.5),
+                           powers)
         expect = np.zeros((K, N + 1))
         expect[:, N] = 1.0
         assert np.allclose(V, expect, atol=1e-14)
@@ -166,17 +168,16 @@ class TestStageCombiner:
         K, N = 2, 2
         hhat = complex_gaussian(rng, (K, N))
         rtilde = np.stack([random_psd(rng, N, 0.3) for _ in range(K)])
-        prev = StageState(ghat=complex_gaussian(rng, (K, K)),
-                          psi=np.abs(rng.standard_normal((K, K))) * 0.5)
+        ghat_prev, psi_prev = side_info(rng, K, 0.5)
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = float(rng.uniform(0.5, 2.0))
-        aug = build_augmented_moments(hhat, rtilde, prev)
-        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2), prev.ghat, prev.psi,
-                           powers, sigma2)
+        aug = build_augmented_moments(hhat, rtilde, ghat_prev, psi_prev)
+        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2), ghat_prev,
+                           powers @ psi_prev + sigma2, powers)
         for k in range(K):
             chat = np.stack([aug.chat(i, k) for i in range(K)])
             w = brute_force_combiner(rng, k, powers, sigma2, chat, rtilde,
-                                     psi=prev.psi[:, k])
+                                     psi=psi_prev[:, k])
             assert angle_between(w, V[k]) < 1e-4
 
     def test_matches_naive_dense_assembly(self, rng):
@@ -185,13 +186,12 @@ class TestStageCombiner:
         K, N = 4, 3
         hhat = complex_gaussian(rng, (K, N))
         rtilde = np.stack([random_psd(rng, N, 0.3) for _ in range(K)])
-        prev = StageState(ghat=complex_gaussian(rng, (K, K)),
-                          psi=np.abs(rng.standard_normal((K, K))))
+        ghat_prev, psi_prev = side_info(rng, K)
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.7
-        aug = build_augmented_moments(hhat, rtilde, prev)
-        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2), prev.ghat, prev.psi,
-                           powers, sigma2)
+        aug = build_augmented_moments(hhat, rtilde, ghat_prev, psi_prev)
+        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2), ghat_prev,
+                           powers @ psi_prev + sigma2, powers)
         for k in range(K):
             B = sigma2 * np.eye(N + 1, dtype=complex)
             for i in range(K):
@@ -225,21 +225,33 @@ class TestStageUpdate:
         scale = np.abs(soft) + np.abs(est_part) + np.abs(err_part)
         assert np.all(resid <= 1e-10 * np.maximum(scale, 1e-300))
 
-    def test_psi_nonnegative_and_rayleigh_bounded(self, rng):
+    def test_impairment_between_the_stage_inputs(self, rng):
+        # iota_k = va^H D_l va + |vb|^2 iota_prev with ||v|| = 1 is a convex
+        # combination of a Rayleigh quotient of D_l and the previous iota,
+        # so it never falls below the noise
         combiners, states, est, h, pay, powers, sigma2 = random_run(rng)
+        D = channel_impairment(est.rtilde, powers, sigma2)
+        prev = np.full(len(powers), sigma2)
         for l, state in enumerate(states):
-            assert np.all(state.psi >= 0.0)
-            prev_psi = states[l - 1].psi if l > 0 else np.zeros_like(state.psi)
-            for i in range(len(powers)):
-                lam = np.linalg.eigvalsh(est.rtilde[i, l]).max()
-                bound = np.maximum(lam, prev_psi[i]) * (1 + 1e-12) + 1e-300
-                assert np.all(state.psi[i] <= bound)
+            lam = np.linalg.eigvalsh(D[l])
+            assert np.all(state.impairment >= sigma2 * (1 - 1e-12))
+            assert np.all(state.impairment >= np.minimum(lam[0], prev) * (1 - 1e-12))
+            assert np.all(state.impairment <= np.maximum(lam[-1], prev) * (1 + 1e-12))
+            prev = state.impairment
 
     def test_psi_recursion_equals_direct_quadratic_form(self, rng):
+        # the K x K error variances the protocol forwards, each from its
+        # augmented error covariance; the carried impairment is their
+        # power-weighted sum plus the noise
         combiners, states, est, h, pay, powers, sigma2 = random_run(rng)
-        for l in range(1, len(states)):
+        psi = psi_stages(combiners, est.rtilde)
+        for l in range(len(states)):
+            np.testing.assert_allclose(states[l].impairment, powers @ psi[l] + sigma2,
+                                       rtol=1e-12, atol=0)
+            if l == 0:
+                continue
             aug = build_augmented_moments(
-                est.hhat[:, l], est.rtilde[:, l], states[l - 1]
+                est.hhat[:, l], est.rtilde[:, l], states[l - 1].ghat, psi[l - 1]
             )
             V = combiners[l]
             for i in range(len(powers)):
@@ -247,39 +259,24 @@ class TestStageUpdate:
                     direct = float(
                         (V[k].conj() @ aug.error_covariance(i, k) @ V[k]).real
                     )
-                    assert states[l].psi[i, k] == pytest.approx(
-                        direct, rel=1e-12, abs=1e-300
-                    )
+                    assert psi[l][i, k] == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
     def test_effective_error_variance_matches_resampling(self, rng):
-        # freeze one stage's combiner; resample the errors it conditions on
+        # freeze one stage's combiner; resample what impairs UE k's soft
+        # estimate: every UE's local estimation error times its symbol, the
+        # local noise, and the previous stage's error plus noise
         combiners, states, est, h, pay, powers, sigma2 = random_run(rng)
-        l, i, k = 2, 1, 0
-        V = combiners[l]
-        prev_psi = states[l - 1].psi[i, k]
-        va, vb = V[k, :-1], V[k, -1]
+        l, k = 2, 0
+        va, vb = combiners[l][k, :-1], combiners[l][k, -1]
         n = 40000
-        F = psd_factor(est.rtilde[i, l])
-        htilde = complex_gaussian(rng, (n, va.size)) @ F.T
-        gtilde = np.sqrt(prev_psi) * complex_gaussian(rng, n)
-        samples = htilde @ va.conj() + np.conj(vb) * gtilde
-        emp = np.mean(np.abs(samples) ** 2)
-        expect = states[l].psi[i, k]
-        z = abs(emp - expect) / (expect / np.sqrt(n))
+        local = complex_normal(rng, (n, va.size), std=np.sqrt(sigma2))
+        for i, p in enumerate(powers):
+            htilde = complex_gaussian(rng, (n, va.size)) @ psd_factor(est.rtilde[i, l]).T
+            local += complex_normal(rng, (n, 1), std=np.sqrt(p)) * htilde
+        prior = np.sqrt(states[l - 1].impairment[k]) * complex_gaussian(rng, n)
+        power = np.abs(local @ va.conj() + np.conj(vb) * prior) ** 2
+        z = abs(power.mean() - states[l].impairment[k]) / (power.std() / np.sqrt(n))
         assert z < 4.0
-
-
-    def test_roundoff_negative_psi_is_clipped_and_counted(self):
-        # va = e_1, vb = 0: psi[i, k] = rtilde[i][0, 0] for every k
-        K, N = 2, 2
-        V = np.zeros((K, N + 1), dtype=complex)
-        V[:, 0] = 1.0
-        rtilde = np.stack([np.diag([-1e-15, 1.0]), np.eye(N)]).astype(complex)
-        prev = StageState(ghat=np.zeros((K, K), dtype=complex), psi=np.zeros((K, K)),
-                          psi_clips=3)
-        state = stage_update(V, np.ones((K, N), dtype=complex), rtilde, prev, ap=0)
-        assert np.array_equal(state.psi, [[0.0, 0.0], [1.0, 1.0]])
-        assert state.psi_clips == 3 + K
 
     def test_non_psd_error_covariance_raises_naming_the_ap(self, rng):
         # fault injection: one UE's error covariance at the third AP is negative definite
@@ -301,7 +298,7 @@ class TestRunStripe:
         combiners, states, est, h, pay, powers, sigma2 = random_run(rng, L=1, payload=False)
         V = first_ap_lmmse(est.hhat[:, 0], est.rtilde[:, 0], powers, sigma2)
         assert np.allclose(combiners[0], np.pad(V, ((0, 0), (0, 1))))
-        sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].psi, powers, sigma2)
+        sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].impairment, powers)
         # against a direct evaluation of the single-AP conditional SINR
         for k in range(len(powers)):
             g = V[k].conj() @ est.hhat[:, 0].T
@@ -320,7 +317,7 @@ class TestRunStripe:
             )
             prev = None
             for state in states:
-                cur = metrics.sinr_per_ue(state.ghat, state.psi, powers, sigma2)
+                cur = metrics.sinr_per_ue(state.ghat, state.impairment, powers)
                 if prev is not None:
                     assert np.all(cur >= prev * (1 - 1e-9))
                 prev = cur
@@ -340,18 +337,16 @@ class TestRunStripe:
         emp = (np.abs(replay(combiners, noise)[:, 0]) ** 2).mean(axis=0)
         assert np.all(np.abs(emp - sigma2) / sigma2 < 0.03)
 
-    def test_forwarded_payload_counts(self, rng):
-        # what the last AP forwards per block, counted in real scalars from
-        # the run's own arrays, is the front-haul model's per-segment load
-        K, L, N, tau_c, tau_p = 3, 4, 2, 40, 2
-        _, states, *_ = random_run(rng, K=K, L=L, N=N, tau_p=tau_p)
-        final = states[-1]
-        assert final.ghat.shape == final.psi.shape == (K, K)
-        forwarded = 2 * final.ghat.size + final.psi.size \
-            + 2 * final.ghat.shape[-1] * (tau_c - tau_p)
-        config = replace(SimulationConfig(), antennas_per_ap=N, num_aps=L, num_ues=K,
-                         coherence_block=tau_c, pilot_length=tau_p)
-        assert metrics.fronthaul_load(config)["stripe"] == forwarded
+    def test_forwarded_payload_counts(self):
+        # per block the last AP forwards K^2 complex estimates ghat[i, k], K^2
+        # real error variances and K complex soft estimates per data symbol,
+        # with or without pilot reuse (K > tau_p)
+        L, N, tau_c = 4, 2, 40
+        for K, tau_p in [(3, 4), (5, 2)]:
+            config = replace(SimulationConfig(), antennas_per_ap=N, num_aps=L, num_ues=K,
+                             coherence_block=tau_c, pilot_length=tau_p)
+            forwarded = 2 * K ** 2 + K ** 2 + 2 * K * (tau_c - tau_p)
+            assert metrics.fronthaul_load(config)["stripe"] == forwarded
 
     def test_block_axis_matches_single_blocks(self, rng):
         K, L, N, tau_p, B = 3, 4, 2, 2, 5
@@ -365,7 +360,7 @@ class TestRunStripe:
         for b in range(B):
             one = ChannelEstimateSet(hhat=est.hhat[b], rtilde=est.rtilde)
             combiners_one, states_one = zip(*stages(one, powers, sigma2))
-            for field in ("ghat", "psi"):
+            for field in ("ghat", "impairment"):
                 np.testing.assert_allclose(getattr(states[-1], field)[b],
                                            getattr(states_one[-1], field), rtol=1e-12, atol=0)
             for V, V_one in zip(combiners, combiners_one, strict=True):
@@ -397,8 +392,7 @@ class TestStages:
         final = run_stripe(est, powers, sigma2)
         assert final.ghat.shape == (3, 2, 4, 4)
         assert np.array_equal(final.ghat, last.ghat)
-        assert np.array_equal(final.psi, last.psi)
-        assert final.psi_clips == last.psi_clips
+        assert np.array_equal(final.impairment, last.impairment)
 
     @pytest.mark.parametrize("stop", [1, 3, 6])
     def test_stopping_after_an_ap_gives_the_full_pass_prefix(self, stop):
@@ -410,19 +404,20 @@ class TestStages:
         for (V, state), (V_full, state_full) in zip(head, full[:stop], strict=True):
             assert np.array_equal(V, V_full)
             assert np.array_equal(state.ghat, state_full.ghat)
-            assert np.array_equal(state.psi, state_full.psi)
-            assert state.psi_clips == state_full.psi_clips
+            assert np.array_equal(state.impairment, state_full.impairment)
 
     def test_steps_stage_update_through_the_module_once_per_consumed_ap(self, monkeypatch):
         # the fault-injection selftest test patches stripe.stage_update
         est = drop_block_estimates(self.CFG, 13)
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["ap"])
-            return stage_update(*args, **kwargs)
+        def counted(combiners, hhat_l, *args):
+            calls.append(hhat_l)
+            return stage_update(combiners, hhat_l, *args)
 
         monkeypatch.setattr(stripe, "stage_update", counted)
         steps = stages(est, self.CFG.ue_powers, self.CFG.noise_power_w)
         list(itertools.islice(steps, 2))
-        assert calls == [0, 1]
+        assert len(calls) == 2
+        for l, hhat_l in enumerate(calls):
+            assert np.array_equal(hhat_l, est.hhat[..., l, :])
