@@ -1,8 +1,9 @@
 """Reference schemes bracketing the stripe: centralized LMMSE and fused MR.
 
 The centralized scheme stacks all APs' estimates into one LN-dim receiver
-whose error covariance is block diagonal in the per-AP impairments D_l
-that the stripe also uses, and is scored by the stripe's SINR function,
+whose error covariance is block diagonal in the per-AP impairments D_l,
+the ones channel.estimation_statistics computes once per drop for the
+stripe too, and is scored by the stripe's SINR function,
 metrics.sinr_per_ue, with sum_l v_l^H D_l v_l as the impairment. The MR
 scheme lets every AP apply its own estimate as a matched filter, averages
 the L local soft estimates at the CPU with equal weights, and is scored
@@ -16,32 +17,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, herm, impairment
+from .channel import herm
 from .metrics import sinr_per_ue
 
 
 def centralized_lmmse_l4(
-    est: ChannelEstimateSet, powers: np.ndarray, sigma2: float
+    hhat: np.ndarray, impairment: np.ndarray, powers: np.ndarray,
 ) -> np.ndarray:
     """Per-UE conditional SINR of the fully centralized receiver, shape (..., K).
 
+    hhat (..., K, L, N) are the channel estimates and impairment
+    (drops..., L, N, N) the per-AP D_l = sum_i p_i rtilde_il + sigma2 I.
     The LMMSE combiners (D + H P H^H)^-1 H on the stacked estimates H come
     from the push-through identity as D^-1 H M^-1 P^-1, M = P^-1 + H^H D^-1 H:
     one N x N solve per AP and one K x K solve, never an LN x LN matrix; the
     P^-1 column scaling drops out with the unit norm. The SINR charges the
     estimation errors and the noise as sum_l v_l^H D_l v_l.
     """
-    *batch, K, L, N = est.hhat.shape
-    Hs = est.hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)  # (..., LN, K) stacked estimates
-    D = impairment(est.rtilde, powers, sigma2)                # (drops..., L, N, N)
-    X = np.linalg.solve(D, Hs.reshape(*batch, L, N, K)).reshape(*batch, L * N, K)
+    *batch, K, L, N = hhat.shape
+    Hs = hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)     # (..., LN, K) stacked estimates
+    X = np.linalg.solve(impairment, Hs.reshape(*batch, L, N, K)).reshape(*batch, L * N, K)
     M = herm(Hs) @ X + np.diag(1.0 / powers)
     V = np.linalg.solve(M.swapaxes(-1, -2), X.swapaxes(-1, -2)).swapaxes(-1, -2)  # X M^-1
     V /= np.linalg.norm(V, axis=-2, keepdims=True)
 
     G = Hs.swapaxes(-1, -2) @ V.conj()                         # G[i, k] = v_k^H hhat_i
     Vl = V.reshape(*batch, L, N, K)
-    impaired = (Vl.conj() * (D @ Vl)).sum(axis=(-3, -2)).real
+    impaired = (Vl.conj() * (impairment @ Vl)).sum(axis=(-3, -2)).real
     return sinr_per_ue(G, impaired, powers)
 
 

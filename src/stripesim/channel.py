@@ -3,8 +3,10 @@
 Per coherence block a fresh correlated Rayleigh realization is drawn, the
 despread pilot signal is formed directly (the full pilot-length receive
 matrix is never materialized), and the linear MMSE estimate of each (UE, AP)
-is computed from the covariance of that UE's own pilot. The filters and error
-covariances depend only on the scenario, so they are computed once per setup.
+is computed from the covariance of that UE's own pilot. The filters, the error
+covariances and the per-AP impairments D_l = sum_i p_i rtilde_il + sigma^2 I,
+which the stripe and lmmse_l4 condition on, depend only on the scenario, so
+they are computed, and D_l checked, once per drop group.
 
 The per-block functions take either one generator, for one block, or a
 sequence of generators, one stream per block; the per-block arrays then
@@ -86,16 +88,53 @@ def _check_pilot_covariance(own: np.ndarray, pilots: np.ndarray) -> None:
         raise ValueError(f"pilot covariance at AP {l + 1}, pilot {pilots[tuple(ue)]} is not PD")
 
 
+# rtilde_kl enters D_l as p_k rtilde_kl beside sigma2 I, so an eigenvalue above
+# -_PSD_NOISE_TOL * sigma2 / p_k moves D_l by less than that share of the noise;
+# and roundoff in rtilde = R - rhat scales with R, not with rtilde, so one above
+# -_PSD_ROUNDOFF_ULPS * N * eps * max diag R_kl is roundoff. The guard admits both.
+_PSD_NOISE_TOL = 1e-9
+_PSD_ROUNDOFF_ULPS = 8
+
+
+def impairment(
+    rtilde: np.ndarray, covariances: np.ndarray, powers: np.ndarray, sigma2: float,
+) -> np.ndarray:
+    """Per-AP D_l = sum_i p_i rtilde_il + sigma2 I: (..., K, L, N, N) -> (..., L, N, N).
+
+    A non-PSD rtilde_kl raises here, naming UE k (1..K) and AP l (1..L);
+    covariances are the R_kl that rtilde_kl was subtracted from. A stacked
+    Cholesky factorization of every rtilde shifted by its roundoff tolerance
+    that succeeds proves them all PSD within it; only a failure pays for
+    eigenvalues.
+    """
+    *lead, K, L, N, _ = rtilde.shape
+    scale = np.diagonal(covariances, axis1=-2, axis2=-1).real.max(axis=-1)   # (..., K, L)
+    tol = np.maximum((_PSD_NOISE_TOL * sigma2 / powers)[:, None],
+                     _PSD_ROUNDOFF_ULPS * N * np.finfo(float).eps * scale)
+    try:
+        np.linalg.cholesky(rtilde + tol[..., None, None] * np.eye(N))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(rtilde).min(axis=-1)
+        bad = np.argwhere(low < -tol)                                   # rows (drop..., k, l)
+        if len(bad):
+            *_, k, l = bad[0]
+            raise ValueError(f"negative error variance at AP {l + 1}: the error covariance of "
+                             f"UE {k + 1} is not PSD (min eigenvalue {low[tuple(bad[0])]:.3e})")
+    load = (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
+    return load + sigma2 * np.eye(N)
+
+
 @dataclass
 class EstimationStatistics:
-    """Setup-constant MMSE quantities: filters and error covariances (per drop)."""
+    """Setup-constant MMSE quantities per drop; the stripe and L4 read only impairment."""
 
     filters: np.ndarray           # (..., K, L, N, N), hhat_kl = filters[k, l] @ z_{t_k, l}
     rtilde: np.ndarray            # (..., K, L, N, N) error covariance
+    impairment: np.ndarray        # (..., L, N, N) D_l = sum_i p_i rtilde_il + sigma2 I
 
 
 def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> EstimationStatistics:
-    """Precompute MMSE filters and error covariances for every (UE, AP) pair of every drop."""
+    """MMSE filters, error covariances and checked per-AP impairments of every drop."""
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
     tau_p = config.pilot_length
     powers = config.ue_powers
@@ -117,56 +156,16 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
     rhat = 0.5 * (rhat + herm(rhat))
     rtilde = R - rhat
     rtilde = 0.5 * (rtilde + herm(rtilde))
-    return EstimationStatistics(filters=filters, rtilde=rtilde)
-
-
-@dataclass
-class ChannelEstimateSet:
-    """Per-(UE, AP) channel estimates with their error covariances.
-
-    The estimate covariance is R - rtilde; nothing downstream needs it.
-    """
-
-    hhat: np.ndarray     # (blocks..., drops..., K, L, N) complex
-    rtilde: np.ndarray   # (drops..., K, L, N, N) error covariance
-
-
-# rtilde_kl enters D_l as p_k rtilde_kl beside sigma2 I, so an eigenvalue above
-# -_PSD_NOISE_TOL * sigma2 / p_k is roundoff: it moves D_l by less than that share
-# of the noise. (Roundoff in rtilde = R - rhat scales with R, not with rtilde.)
-_PSD_NOISE_TOL = 1e-9
-
-
-def impairment(rtilde: np.ndarray, powers: np.ndarray, sigma2: float) -> np.ndarray:
-    """Per-AP D_l = sum_i p_i rtilde_il + sigma2 I: (..., K, L, N, N) -> (..., L, N, N).
-
-    The stripe and lmmse_l4 read rtilde only through D_l, so a non-PSD rtilde_kl
-    raises here, naming UE k (1..K) and AP l (1..L). A stacked Cholesky
-    factorization of every rtilde shifted by its roundoff tolerance that
-    succeeds proves them all PSD within it; only a failure pays for eigenvalues.
-    """
-    *lead, K, L, N, _ = rtilde.shape
-    tol = (_PSD_NOISE_TOL * sigma2 / powers)[:, None]                   # (K, 1)
-    try:
-        np.linalg.cholesky(rtilde + tol[..., None, None] * np.eye(N))
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(rtilde).min(axis=-1)
-        bad = np.argwhere(low < -tol)                                   # rows (drop..., k, l)
-        if len(bad):
-            *_, k, l = bad[0]
-            raise ValueError(f"negative error variance at AP {l + 1}: the error covariance of "
-                             f"UE {k + 1} is not PSD (min eigenvalue {low[tuple(bad[0])]:.3e})")
-    load = (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
-    return load + sigma2 * np.eye(N)
+    return EstimationStatistics(filters=filters, rtilde=rtilde,
+                                impairment=impairment(rtilde, R, powers, config.noise_power_w))
 
 
 def mmse_estimate(
     scenario: Scenario, despread: np.ndarray, stats: EstimationStatistics,
-) -> ChannelEstimateSet:
-    """MMSE channel estimates from the despread pilot signal of one or more blocks."""
+) -> np.ndarray:
+    """MMSE channel estimates hhat (..., K, L, N) from the despread pilot signal."""
     # (..., K, L, N): despread vector on each UE's own pilot
     pilots = scenario.pilot_index[..., None, :, None]
     pilots = np.broadcast_to(pilots, (*despread.shape[:-3], *pilots.shape[-3:]))
     z_own = np.take_along_axis(despread, pilots, axis=-2).swapaxes(-3, -2)
-    hhat = (stats.filters @ z_own[..., None])[..., 0]
-    return ChannelEstimateSet(hhat=hhat, rtilde=stats.rtilde)
+    return (stats.filters @ z_own[..., None])[..., 0]

@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import multiprocessing
 import os
+import signal
 from dataclasses import fields
 
 import numpy as np
@@ -40,8 +41,9 @@ _BLOCK_TAG = 1
 # _CHUNK_ELEMENTS. Drops with fewer blocks than a chunk are grouped: per drop
 # a group holds its constants, about L*N*N*(4K + tau_p) entries (covariances,
 # their factors, the MMSE filters and the error covariances, with tau_p more
-# as headroom for temporaries), plus its blocks. Both depend on the config
-# only, never on the worker count, so the floating-point work is the same.
+# as headroom for temporaries and the L*N*N per-AP impairments), plus its
+# blocks. Both depend on the config only, never on the worker count, so the
+# floating-point work is the same.
 _CHUNK_ELEMENTS = 1 << 18
 
 
@@ -91,7 +93,6 @@ def simulate_setup(
     scenario = build_scenario(config, [rng_stream(seed, s, _SCENARIO_TAG) for s in setups])
     stats = estimation_statistics(scenario, config)
     powers = config.ue_powers
-    sigma2 = config.noise_power_w
     n_blocks = config.num_channel_realizations
 
     # per-block SINR samples of the instantaneous schemes, (blocks, drops, K)
@@ -105,19 +106,19 @@ def simulate_setup(
         rngs = [[rng_stream(seed, s, _BLOCK_TAG, b) for s in setups] for b in blocks]
         h = draw_channels(scenario, rngs)                   # (B, D, K, L, N)
         z = simulate_pilot_phase(scenario, h, config, rngs)
-        est = mmse_estimate(scenario, z, stats)
+        hhat = mmse_estimate(scenario, z, stats)
         if SCHEME_STRIPE in samples:
-            final = stripe.run_stripe(est, powers, sigma2)
+            final = stripe.run_stripe(hhat, stats.impairment, powers)
             samples[SCHEME_STRIPE][start:blocks.stop] = metrics.sinr_per_ue(
                 final.ghat, final.impairment, powers)
         if SCHEME_L4 in samples:
             samples[SCHEME_L4][start:blocks.stop] = baselines.centralized_lmmse_l4(
-                est, powers, sigma2)
+                hhat, stats.impairment, powers)
         if SCHEME_MR in schemes:
-            mr_acc.update(est.hhat, h)
+            mr_acc.update(hhat, h)
 
     if SCHEME_MR in schemes:
-        samples[SCHEME_MR] = mr_acc.sinr(powers, sigma2)[None]
+        samples[SCHEME_MR] = mr_acc.sinr(powers, config.noise_power_w)[None]
     tau_c, tau_p = config.coherence_block, config.pilot_length
     return {scheme: metrics.spectral_efficiency(samples[scheme], tau_c, tau_p)
             for scheme in schemes}
@@ -126,6 +127,13 @@ def simulate_setup(
 def _setup_worker(args):
     config, setups, schemes = args
     return simulate_setup(config, setups, schemes)
+
+
+def _init_worker() -> None:
+    """A pool worker ignores SIGINT, so a terminal's Ctrl-C, sent to the whole
+    process group, interrupts only the parent, which terminates the pool."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    pin_one_thread()
 
 
 def worker_count(requested: int, num_jobs: int) -> int:
@@ -161,7 +169,9 @@ def run_experiment(
     as a ValueError naming its config and setups.
 
     Every loaded OpenBLAS runs single-threaded for the duration (see blas),
-    in pool workers too, whatever the start method.
+    in pool workers too, whatever the start method. Pool workers ignore
+    SIGINT; a KeyboardInterrupt in the caller terminates the pool and
+    passes through.
     """
     if not configs:
         raise ValueError("at least one config is required")
@@ -182,7 +192,7 @@ def run_experiment(
     with one_blas_thread(), contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(
-                multiprocessing.Pool(processes=workers, initializer=pin_one_thread))
+                multiprocessing.Pool(processes=workers, initializer=_init_worker))
             outs = pool.imap(_setup_worker, jobs, chunksize=1)
         else:
             outs = map(_setup_worker, jobs)

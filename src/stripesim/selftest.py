@@ -14,7 +14,7 @@ import numpy as np
 
 from . import metrics, stripe
 from .channel import (
-    ChannelEstimateSet, complex_normal, draw_channels, estimation_statistics, herm,
+    EstimationStatistics, complex_normal, draw_channels, estimation_statistics, herm,
     mmse_estimate, simulate_pilot_phase,
 )
 from .config import SimulationConfig
@@ -30,7 +30,7 @@ class CheckResult:
 
 
 def check_covariance_decomposition(
-    scenario: Scenario, est: ChannelEstimateSet, config: SimulationConfig,
+    scenario: Scenario, stats: EstimationStatistics, config: SimulationConfig,
     rel_tol: float = 1e-10,
 ) -> CheckResult:
     """R - rtilde must be the MMSE estimate covariance p_k tau_p R Psi^-1 R.
@@ -48,7 +48,7 @@ def check_covariance_decomposition(
             psi = config.noise_power_w * np.eye(N) + sum(
                 tau_p * powers[i] * scenario.covariances[i, l] for i in copilots)
             rhat = powers[k] * tau_p * R @ np.linalg.solve(psi, R)
-            gap = np.abs(R - est.rtilde[k, l] - rhat).max()
+            gap = np.abs(R - stats.rtilde[k, l] - rhat).max()
             worst = max(worst, gap / np.abs(R).max())
     return CheckResult(
         name="covariance_decomposition",
@@ -91,7 +91,7 @@ def _scaled_residual(resid: np.ndarray, *parts: np.ndarray) -> float:
 
 
 def check_reconstruction(
-    combiners: Sequence[np.ndarray], final: stripe.StageState, est: ChannelEstimateSet,
+    combiners: Sequence[np.ndarray], final: stripe.StageState, hhat: np.ndarray,
     channels: np.ndarray, symbols: np.ndarray, noise: np.ndarray, rel_tol: float = 1e-10,
 ) -> CheckResult:
     """Replayed soft estimates must decompose exactly into signal and noise parts.
@@ -104,7 +104,7 @@ def check_reconstruction(
     soft = replay(combiners, received[..., None, :, :])[..., 0, :]
     eff_noise = replay(combiners, noise[..., None, :, :])[..., 0, :]
     signal = (symbols[..., None, :] @ replay(combiners, channels))[..., 0, :]
-    ghat = replay(combiners, est.hhat)
+    ghat = replay(combiners, hhat)
     worst = max(_scaled_residual(soft - signal - eff_noise, soft, signal, eff_noise),
                 _scaled_residual(ghat - final.ghat, ghat, final.ghat))
     return CheckResult(
@@ -150,13 +150,13 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = rng_stream(seed, 0, 1, 0)
     h = draw_channels(scenario, rng)
-    est = mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng), stats)
-    results.append(check_covariance_decomposition(scenario, est, config))
+    hhat = mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng), stats)
+    results.append(check_covariance_decomposition(scenario, stats, config))
 
     symbols = complex_normal(rng, (config.num_ues,), std=np.sqrt(powers))
     noise = complex_normal(rng, (config.num_aps, config.antennas_per_ap), std=np.sqrt(sigma2))
-    combiners, states = zip(*stripe.stages(est, powers, sigma2))
+    combiners, states = zip(*stripe.stages(hhat, stats.impairment, powers))
     results.append(check_combiner_norms(combiners))
-    results.append(check_reconstruction(combiners, states[-1], est, h, symbols, noise))
+    results.append(check_reconstruction(combiners, states[-1], hhat, h, symbols, noise))
     results.append(check_monotone_stage_sinr(states, powers))
     return results

@@ -4,13 +4,15 @@ Each AP forms a normalized LMMSE combiner on its augmented signal: its local
 channel estimates plus the soft estimate received from the previous AP,
 whose effective-channel estimates and error-plus-noise powers arrive as side
 information. It then forwards updated soft estimates and side information.
-AP 1 starts from a zero prior (ghat = 0, impairment = sigma^2), on which the
-same rule is plain local LMMSE combining with a zero augmented coordinate.
+AP 1 starts from a zero prior (ghat = 0), on which the same rule is plain
+local LMMSE combining with a zero augmented coordinate.
 The protocol forwards the K^2 error variances of ghat, but the next stage
 and the CPU read only each UE's power-weighted sum of them; the pass carries
 that sum plus the noise, iota_k, the error-plus-noise power in UE k's soft
 estimate. Unit-norm combiners keep the propagated noise at sigma^2, so
-iota_k <- va_k^H D_l va_k + |vb_k|^2 iota_k with D_l from channel.impairment.
+iota_k <- va_k^H D_l va_k + |vb_k|^2 iota_k, with the per-AP impairments
+D_l = sum_i p_i rtilde_il + sigma^2 I that channel.estimation_statistics
+computes once per drop; the pass reads neither rtilde nor sigma^2.
 
 One generator, stages, steps the APs and yields each stage's combiners and
 forwarded state, so a consumer may stop after any AP. run_stripe is the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelEstimateSet, herm, impairment
+from .channel import herm
 
 
 @dataclass
@@ -90,26 +92,28 @@ def stage_update(
 
 
 def stages(
-    est: ChannelEstimateSet, powers: np.ndarray, sigma2: float,
+    hhat: np.ndarray, impairment: np.ndarray, powers: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, StageState]]:
     """Step the combining stages AP 1..L, one AP per iteration.
 
-    Yields each AP's (..., K, N+1) combiners and the state it forwards.
+    hhat (..., K, L, N) are the channel estimates and impairment
+    (drops..., L, N, N) the per-AP D_l. Yields each AP's (..., K, N+1)
+    combiners and the state it forwards.
     """
-    *batch, K, L, _ = est.hhat.shape
-    # computed once per drop, not once per block and stage
-    imp = impairment(est.rtilde, powers, sigma2)
-    # the zero prior: no side information reaches AP 1, only the noise
+    *batch, K, L, _ = hhat.shape
+    # the zero prior: no side information reaches AP 1. Its iota only divides
+    # the zero border (corner = schur = iota, last = 0 / iota) and is then
+    # carried with weight |0|^2, so any positive value gives the same bits
     state = StageState(ghat=np.zeros((*batch, K, K), dtype=complex),
-                       impairment=np.full((*batch, K), sigma2))
+                       impairment=np.ones((*batch, K)))
     for l in range(L):
-        hhat_l, imp_l = est.hhat[..., l, :], imp[..., l, :, :]
+        hhat_l, imp_l = hhat[..., l, :], impairment[..., l, :, :]
         V = combiner_stage(hhat_l, imp_l, state.ghat, state.impairment, powers)
         state = stage_update(V, hhat_l, imp_l, state)
         yield V, state
 
 
-def run_stripe(est: ChannelEstimateSet, powers: np.ndarray, sigma2: float) -> StageState:
+def run_stripe(hhat: np.ndarray, impairment: np.ndarray, powers: np.ndarray) -> StageState:
     """What reaches the CPU: the state AP L forwards."""
-    (_, final), = deque(stages(est, powers, sigma2), maxlen=1)
+    (_, final), = deque(stages(hhat, impairment, powers), maxlen=1)
     return final

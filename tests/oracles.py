@@ -13,8 +13,9 @@ built as one LN x LN matrix, the second route for the package's
 push-through form. psi_stages is the K x K error-variance recursion that
 the protocol forwards, the reference for the per-UE impairment the stripe
 carries. estimate is the pilot phase plus MMSE estimation that
-most tests run on one scenario; drop_block_estimates runs it on a
-real-geometry (blocks, drops, ...) batch.
+most tests run on one scenario, returning the estimates with the
+estimation statistics; drop_block_estimates runs it on a real-geometry
+(blocks, drops, ...) batch.
 """
 
 from __future__ import annotations
@@ -138,34 +139,36 @@ def synthetic_config(rng, K, L, N, tau_p) -> SimulationConfig:
 
 
 def estimate(scenario, h, config, rng, stats=None):
-    """Channel estimates of channels h from a pilot phase drawn from rng."""
+    """Channel estimates hhat of channels h from a pilot phase drawn from rng, and stats."""
     if stats is None:
         stats = estimation_statistics(scenario, config)
-    return mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng), stats)
+    z = simulate_pilot_phase(scenario, h, config, rng)
+    return mmse_estimate(scenario, z, stats), stats
 
 
 def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):
-    """Channel estimates of a real-geometry batch shaped (blocks, drops, ...)."""
+    """Estimates (blocks, drops, ...) of a real-geometry batch, and its stats (drops, ...)."""
     drops = range(num_drops)
     sc = build_scenario(cfg, [rng_stream(seed, s, 0) for s in drops])
     rngs = [[rng_stream(seed, s, 1, b) for s in drops] for b in range(num_blocks)]
     return estimate(sc, draw_channels(sc, rngs), cfg, rngs)
 
 
-def dense_lmmse_l4(est, powers, sigma2):
+def dense_lmmse_l4(hhat, rtilde, powers, sigma2):
     """Per-UE conditional SINR of the centralized receiver, (..., K), via LN x LN matrices.
 
     The stacked estimates' power-weighted Gram plus the block-diagonal
-    per-AP error load and noise, written into one (..., LN, LN) matrix per
-    block with a fancy-index scatter, and one solve for all K combiners.
+    per-AP error load, from the error covariances rtilde (drops..., K, L,
+    N, N), and the noise, written into one (..., LN, LN) matrix per block
+    with a fancy-index scatter, and one solve for all K combiners.
     """
-    *batch, K, L, N = est.hhat.shape
-    Hs = est.hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)  # (..., LN, K) stacked estimates
+    *batch, K, L, N = hhat.shape
+    Hs = hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)     # (..., LN, K) stacked estimates
 
     # per-AP error blocks, one block-diagonal term per drop, added with the
     # noise on the (..., L, L, N, N) view so the drop axes broadcast
-    *lead, _, _, _, _ = est.rtilde.shape
-    err_sum = (powers @ est.rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
+    *lead, _, _, _, _ = rtilde.shape
+    err_sum = (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
     B = ((Hs * powers) @ herm(Hs)).reshape(*batch, L, N, L, N)
     ap = np.arange(L)
     B.swapaxes(-3, -2)[..., ap, ap, :, :] += err_sum + sigma2 * np.eye(N)
@@ -335,7 +338,7 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
     seed = config.rng_seed
     scenario = build_scenario(config, rng_stream(seed, setup_index, 0))
     stats = estimation_statistics(scenario, config)
-    powers, sigma2 = config.ue_powers, config.noise_power_w
+    powers = config.ue_powers
     n_blocks = config.num_channel_realizations
     stripe_sinr = np.empty((n_blocks, config.num_ues))
     l4_sinr = np.empty((n_blocks, config.num_ues))
@@ -343,13 +346,13 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
     for b in range(n_blocks):
         rng = rng_stream(seed, setup_index, 1, b)
         h = draw_channels(scenario, rng)
-        est = estimate(scenario, h, config, rng, stats)
-        final = stripe.run_stripe(est, powers, sigma2)
+        hhat, _ = estimate(scenario, h, config, rng, stats)
+        final = stripe.run_stripe(hhat, stats.impairment, powers)
         stripe_sinr[b] = metrics.sinr_per_ue(final.ghat, final.impairment, powers)
-        l4_sinr[b] = baselines.centralized_lmmse_l4(est, powers, sigma2)
-        mr.update(est.hhat[None], h[None])
+        l4_sinr[b] = baselines.centralized_lmmse_l4(hhat, stats.impairment, powers)
+        mr.update(hhat[None], h[None])
     tau_c, tau_p = config.coherence_block, config.pilot_length
     samples = {"stripe_nlmmse": stripe_sinr, "lmmse_l4": l4_sinr,
-               "mr_l2": mr.sinr(powers, sigma2)[None, :]}
+               "mr_l2": mr.sinr(powers, config.noise_power_w)[None, :]}
     return {scheme: metrics.spectral_efficiency(samples[scheme], tau_c, tau_p)
             for scheme in schemes}

@@ -123,10 +123,10 @@ def test_criterion_5_property_suite():
     for b in range(3):
         rng = rng_stream(cfg.rng_seed, 0, 1, b)
         h = draw_channels(scenario, rng)
-        est = estimate(scenario, h, cfg, rng, stats)
+        hhat, _ = estimate(scenario, h, cfg, rng, stats)
         symbols = complex_normal(rng, (cfg.num_ues,), std=np.sqrt(powers))
         noise = complex_normal(rng, (cfg.num_aps, cfg.antennas_per_ap), std=np.sqrt(sigma2))
-        combiners, states = zip(*stages(est, powers, sigma2))
+        combiners, states = zip(*stages(hhat, stats.impairment, powers))
 
         # unit combiner norms at every stage
         for V in combiners:
@@ -135,7 +135,7 @@ def test_criterion_5_property_suite():
         # reconstruction identity at the CPU, on the chain replayed from the
         # combiners, whose estimates must be the forwarded ghat
         final = states[-1]
-        np.testing.assert_allclose(replay(combiners, est.hhat), final.ghat,
+        np.testing.assert_allclose(replay(combiners, hhat), final.ghat,
                                    rtol=1e-12, atol=0)
         soft, g, eff_noise = replayed_chain(combiners, h, symbols, noise)
         est_part = symbols @ final.ghat
@@ -154,9 +154,9 @@ def test_criterion_5_property_suite():
 
         # the forwarded impairment is the power-weighted sum of the error
         # variances from the direct quadratic form, plus the noise
-        psi = psi_stages(combiners, est.rtilde)
+        psi = psi_stages(combiners, stats.rtilde)
         for l in (1, cfg.num_aps - 1):
-            aug = build_augmented_moments(est.hhat[:, l], est.rtilde[:, l],
+            aug = build_augmented_moments(hhat[:, l], stats.rtilde[:, l],
                                           states[l - 1].ghat, psi[l - 1])
             V = combiners[l]
             direct = np.array([[(V[k].conj() @ aug.error_covariance(i, k) @ V[k]).real
@@ -170,9 +170,9 @@ def test_criterion_5_property_suite():
     t_cfg = synthetic_config(t_rng, 2, 2, 2, tau_p=1)
     t_p, t_s2 = t_cfg.ue_powers, t_cfg.noise_power_w
     t_rngs = [t_rng] * 10000   # one chain over every block, one generator
-    est = estimate(t_sc, draw_channels(t_sc, t_rngs), t_cfg, t_rngs)
+    t_hhat, t_stats = estimate(t_sc, draw_channels(t_sc, t_rngs), t_cfg, t_rngs)
     noise = complex_normal(t_rng, (len(t_rngs), 1, 2, 2), std=np.sqrt(t_s2))
-    combiners, _ = zip(*stages(est, t_p, t_s2))
+    combiners, _ = zip(*stages(t_hhat, t_stats.impairment, t_p))
     emp = (np.abs(replay(combiners, noise)[:, 0]) ** 2).mean(axis=0)
     assert np.all(np.abs(emp - t_s2) / t_s2 < 0.03)
 
@@ -194,31 +194,31 @@ def test_criterion_6_oracle_equivalence():
         cfg = synthetic_config(rng, K, 2, N, tau_p)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
         h = draw_channels(sc, rng)
-        est = estimate(sc, h, cfg, rng)
-        combiners, states = zip(*stages(est, powers, sigma2))
+        hhat, stats = estimate(sc, h, cfg, rng)
+        combiners, states = zip(*stages(hhat, stats.impairment, powers))
 
         k = int(rng.integers(K))
         # first AP: minimize the conditional MSE directly; the augmented
         # coordinate of its zero prior must carry no weight
-        w = brute_force_combiner(rng, k, powers, sigma2, est.hhat[:, 0],
-                                 est.rtilde[:, 0], n_starts=6, n_grid=100)
+        w = brute_force_combiner(rng, k, powers, sigma2, hhat[:, 0],
+                                 stats.rtilde[:, 0], n_starts=6, n_grid=100)
         angle = angle_between(np.append(w, 0.0), combiners[0][k])
         worst_angle = max(worst_angle, angle)
         assert angle < 1e-4
 
         # second AP: same, on the augmented side information
-        aug = build_augmented_moments(est.hhat[:, 1], est.rtilde[:, 1],
-                                      states[0].ghat, psi_stages(combiners, est.rtilde)[0])
+        aug = build_augmented_moments(hhat[:, 1], stats.rtilde[:, 1],
+                                      states[0].ghat, psi_stages(combiners, stats.rtilde)[0])
         chat = np.stack([aug.chat(i, k) for i in range(K)])
         w = brute_force_combiner(rng, k, powers, sigma2, chat,
-                                 est.rtilde[:, 1], psi=aug.psi_prev[:, k],
+                                 stats.rtilde[:, 1], psi=aug.psi_prev[:, k],
                                  n_starts=6, n_grid=100)
         angle = angle_between(w, combiners[1][k])
         worst_angle = max(worst_angle, angle)
         assert angle < 1e-4
 
         # centralized processing dominates the stripe on the same inputs
-        l4 = centralized_lmmse_l4(est, powers, sigma2)
+        l4 = centralized_lmmse_l4(hhat, stats.impairment, powers)
         stripe_sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].impairment, powers)
         assert np.all(l4 >= stripe_sinr * (1 - 1e-9))
     report("6 oracle equivalence",

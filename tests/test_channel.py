@@ -182,39 +182,39 @@ class TestStackedDrops:
         # broadcast against them through the whole chain.
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=5,
                       pilot_length=2)
-        powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+        powers = cfg.ue_powers
         drops, blocks = range(3), range(2)
         sc = build_scenario(cfg, [rng_stream(4, s, 0) for s in drops])
         stats = estimation_statistics(sc, cfg)
         rngs = [[rng_stream(4, s, 1, b) for s in drops] for b in blocks]
         h = draw_channels(sc, rngs)
         z = simulate_pilot_phase(sc, h, cfg, rngs)
-        est = mmse_estimate(sc, z, stats)
-        assert est.hhat.shape == (2, 3, 5, 5, 2) and est.rtilde.shape == (3, 5, 5, 2, 2)
-        final = run_stripe(est, powers, sigma2)
-        l4 = centralized_lmmse_l4(est, powers, sigma2)
+        hhat = mmse_estimate(sc, z, stats)
+        assert hhat.shape == (2, 3, 5, 5, 2) and stats.impairment.shape == (3, 5, 2, 2)
+        final = run_stripe(hhat, stats.impairment, powers)
+        l4 = centralized_lmmse_l4(hhat, stats.impairment, powers)
         mr = MrFusionAccumulator()
-        mr.update(est.hhat, h)
+        mr.update(hhat, h)
         for s in drops:
             one = build_scenario(cfg, rng_stream(4, s, 0))
             one_stats = estimation_statistics(one, cfg)
-            for field in ("filters", "rtilde"):
+            for field in ("filters", "rtilde", "impairment"):
                 assert np.array_equal(getattr(stats, field)[s], getattr(one_stats, field))
             one_rngs = [rng_stream(4, s, 1, b) for b in blocks]
             one_h = draw_channels(one, one_rngs)
             one_z = simulate_pilot_phase(one, one_h, cfg, one_rngs)
-            one_est = mmse_estimate(one, one_z, one_stats)
+            one_hhat = mmse_estimate(one, one_z, one_stats)
             assert np.array_equal(h[:, s], one_h)
             assert np.array_equal(z[:, s], one_z)
-            assert np.array_equal(est.hhat[:, s], one_est.hhat)
+            assert np.array_equal(hhat[:, s], one_hhat)
             # the stripe, L4 (its per-drop block-diagonal add) and the MR moments
-            one_final = run_stripe(one_est, powers, sigma2)
+            one_final = run_stripe(one_hhat, one_stats.impairment, powers)
             one_mr = MrFusionAccumulator()
-            one_mr.update(one_est.hhat, one_h)
+            one_mr.update(one_hhat, one_h)
             assert mr.count == one_mr.count == len(blocks)
             pairs = [(final.ghat[:, s], one_final.ghat),
                      (final.impairment[:, s], one_final.impairment),
-                     (l4[:, s], centralized_lmmse_l4(one_est, powers, sigma2)),
+                     (l4[:, s], centralized_lmmse_l4(one_hhat, one_stats.impairment, powers)),
                      (mr.sum_mean[s], one_mr.sum_mean), (mr.sum_sq[s], one_mr.sum_sq),
                      (mr.sum_noise[s], one_mr.sum_noise)]
             for got, want in pairs:
@@ -266,10 +266,10 @@ class TestMmseEstimate:
         beta = sc.large_scale[0, 0]
         cfg = replace(cfg, noise_power_w=float(1e12 * cfg.ue_powers[0] * beta))
         h = draw_channels(sc, rng)
-        est = estimate(sc, h, cfg, rng)
-        assert np.linalg.norm(est.hhat[0, 0]) < 1e-4 * np.linalg.norm(h[0, 0])
+        hhat, stats = estimate(sc, h, cfg, rng)
+        assert np.linalg.norm(hhat[0, 0]) < 1e-4 * np.linalg.norm(h[0, 0])
         R = sc.covariances[0, 0]
-        assert np.abs(est.rtilde[0, 0] - R).max() < 1e-10 * np.abs(R).max()
+        assert np.abs(stats.rtilde[0, 0] - R).max() < 1e-10 * np.abs(R).max()
 
     def test_isotropic_scalar_wiener_filter(self, rng):
         # R = beta*I, no contamination: hhat is a scalar gain times z
@@ -281,10 +281,10 @@ class TestMmseEstimate:
                       ue_power_w=p, noise_power_w=sigma2)
         h = draw_channels(sc, rng)
         z = simulate_pilot_phase(sc, h, cfg, rng)
-        est = mmse_estimate(sc, z, estimation_statistics(sc, cfg))
+        hhat = mmse_estimate(sc, z, estimation_statistics(sc, cfg))
         gain = np.sqrt(p * tau_p) * beta / (tau_p * p * beta + sigma2)
         for l in range(L):
-            assert np.allclose(est.hhat[0, l], gain * z[l, 0], rtol=1e-10)
+            assert np.allclose(hhat[0, l], gain * z[l, 0], rtol=1e-10)
 
     def test_estimate_statistics_match_montecarlo(self, rng):
         # over many pairs: cov(hhat) ~ rhat and E{hhat htilde^H} ~ 0 (z < 4)
@@ -300,9 +300,9 @@ class TestMmseEstimate:
                       num_ues=K, coherence_block=10, pilot_length=tau_p,
                       ue_power_w=1.2, noise_power_w=0.5)
         h = draw_channels(sc, rng)
-        est = estimate(sc, h, cfg, rng)
-        hhat, htilde = est.hhat[0], (h - est.hhat)[0]
-        rhat, rtilde = R - est.rtilde[0, 0], est.rtilde[0, 0]
+        hhat, stats = estimate(sc, h, cfg, rng)
+        hhat, htilde = hhat[0], (h - hhat)[0]
+        rhat, rtilde = R - stats.rtilde[0, 0], stats.rtilde[0, 0]
 
         emp = np.einsum("lm,ln->mn", hhat, hhat.conj()) / n
         se = np.sqrt(np.outer(np.diag(rhat).real, np.diag(rhat).real) / n)
@@ -318,10 +318,10 @@ class TestMmseEstimate:
         cfg = synthetic_config(rng, 2, 3, 2, tau_p=1)
         stats = estimation_statistics(sc, cfg)
         h = draw_channels(sc, rng)
-        est = estimate(sc, h, cfg, rng, stats)
+        hhat, _ = estimate(sc, h, cfg, rng, stats)
         for l in range(3):
             link = stats.filters[1, l] @ np.linalg.inv(stats.filters[0, l])
-            assert np.allclose(est.hhat[1, l], link @ est.hhat[0, l], rtol=1e-8)
+            assert np.allclose(hhat[1, l], link @ hhat[0, l], rtol=1e-8)
 
 
 class TestImpairment:
@@ -330,12 +330,14 @@ class TestImpairment:
         return np.stack([[random_psd(rng, N, 1e-9) for _ in range(L)] for _ in range(K)])
 
     def test_roundoff_negative_eigenvalue_passes_and_a_larger_one_raises(self, rng):
+        # covariances of 1e-9: their roundoff bound is far below the noise's
         rtilde = self.error_covariances(rng)
+        R = rtilde + self.error_covariances(rng)
         powers, sigma2 = rng.uniform(0.5, 2.0, 3), 1e-12
         # UE 2 at AP 4: a roundoff-negative eigenvalue, -1e-17 of the largest
         rtilde[1, 3] = 1e-9 * np.diag([-1e-17, 1.0, 0.5]).astype(complex)
         expect = np.einsum("k,klmn->lmn", powers, rtilde) + sigma2 * np.eye(3)
-        np.testing.assert_allclose(impairment(rtilde, powers, sigma2), expect,
+        np.testing.assert_allclose(impairment(rtilde, R, powers, sigma2), expect,
                                    rtol=0, atol=1e-15 * np.abs(expect).max())
 
         # UE 3 at AP 1, estimated far above the noise: its error covariance is
@@ -343,15 +345,48 @@ class TestImpairment:
         # only -1e-10 of sigma2 / p
         scale = 1e-3 * sigma2 / powers[2]
         rtilde[2, 0] = scale * np.diag([-1e-7, 1.0, 0.5]).astype(complex)
-        impairment(rtilde, powers, sigma2)
+        impairment(rtilde, R, powers, sigma2)
 
         rtilde[1, 3, 0, 0] = -1e-6 * 1e-9
         with pytest.raises(ValueError, match="at AP 4: the error covariance of UE 2 is not PSD"):
-            impairment(rtilde, powers, sigma2)
+            impairment(rtilde, R, powers, sigma2)
+
+    def test_roundoff_of_the_covariance_passes_far_below_the_noise(self, rng):
+        # rtilde = R - rhat loses digits of R, not of rtilde: an eigenvalue of
+        # -2.5 eps max diag R (the worst seen on real drops) passes however
+        # small the noise, and one of -100 N eps max diag R does not
+        N, eps = 3, np.finfo(float).eps
+        rtilde = self.error_covariances(rng, N=N)
+        R = 1e9 * rtilde
+        powers, sigma2 = np.ones(3), 1e-30
+        top = np.diagonal(R[0, 2]).real.max()
+        rtilde[0, 2] = np.diag([-2.5 * eps * top, 1e-9, 0.5e-9]).astype(complex)
+        impairment(rtilde, R, powers, sigma2)
+        rtilde[0, 2, 0, 0] = -100 * N * eps * top
+        with pytest.raises(ValueError, match="at AP 3: the error covariance of UE 1 is not PSD"):
+            impairment(rtilde, R, powers, sigma2)
 
     def test_first_failing_drop_ue_then_ap_is_named(self, rng):
         rtilde = np.stack([self.error_covariances(rng)] * 2)        # (drops, K, L, N, N)
+        R = rtilde.copy()
         rtilde[1, 0, 3] = -np.eye(3)
         rtilde[1, 2, 1] = -np.eye(3)
         with pytest.raises(ValueError, match="at AP 4: the error covariance of UE 1 "):
-            impairment(rtilde, np.ones(3), 1e-12)
+            impairment(rtilde, R, np.ones(3), 1e-12)
+
+    def test_non_psd_error_covariance_raises_naming_the_ap_and_ue(self):
+        # fault injection: UE 2's covariance at AP 3 gets an eigenvalue of
+        # -sigma2 / (10 p tau_p), so its pilot covariance stays PD but its
+        # error covariance does not; the stripe and L4 never see it
+        cfg = replace(SimulationConfig(), num_aps=4, antennas_per_ap=2, num_ues=3,
+                      pilot_length=4)
+        sc = build_scenario(cfg, rng_stream(0, 0, 0))
+        k, l = 1, 2
+        lam, U = np.linalg.eigh(sc.covariances[k, l])
+        lam[0] = -cfg.noise_power_w / (10 * cfg.ue_powers[k] * cfg.pilot_length)
+        covariances = sc.covariances.copy()
+        covariances[k, l] = (U * lam) @ U.conj().T
+        bad = replace(sc, covariances=covariances)
+        with pytest.raises(ValueError, match="negative error variance at AP 3: "
+                                             "the error covariance of UE 2 is not PSD"):
+            estimation_statistics(bad, cfg)

@@ -1,10 +1,16 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import estimate
+import stripesim
 from stripesim import cli, stripe
 from stripesim.channel import draw_channels
 from stripesim.cli import main
@@ -177,6 +183,49 @@ class TestRun:
             assert "Traceback" not in err
             assert not out.exists()
 
+    def test_interrupt_exits_130_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_mini(tmp_path)), "--out", str(out)]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not out.exists()
+
+    def test_ctrl_c_on_a_pooled_run_exits_130_without_traceback(self, tmp_path):
+        # SIGINT to the whole process group, as a terminal sends Ctrl-C, once
+        # the pool has returned a first job: the workers must ignore it and
+        # the parent alone report it
+        path = tmp_path / "config.ini"
+        save_config(replace(SimulationConfig(), num_setups=40, num_channel_realizations=200),
+                    path)
+        out = tmp_path / "out"
+        src = str(Path(stripesim.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stripesim.cli", "run", "--config", str(path),
+             "--workers", "2", "--out", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            for line in proc.stdout:
+                if line.startswith("  setup"):
+                    break
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err
+        assert err == "error: interrupted\n"
+        assert not out.exists()
+        with pytest.raises(ProcessLookupError):   # the terminated pool left no worker
+            os.killpg(proc.pid, 0)
+
     def test_invalid_swept_config_names_its_value(self, tmp_path, capsys):
         # the per-UE powers fit the config's K=3 but not the swept K=2; the
         # error comes before any output, naming the value
@@ -308,13 +357,13 @@ class TestSelftest:
         sc = build_scenario(cfg, rng_stream(0, 0, 0))
         h_rng = rng_stream(0, 0, 1, 0)
         h = draw_channels(sc, h_rng)
-        est = estimate(sc, h, cfg, h_rng)
-        assert check_covariance_decomposition(sc, est, cfg).passed
+        _, stats = estimate(sc, h, cfg, h_rng)
+        assert check_covariance_decomposition(sc, stats, cfg).passed
 
-        skew = np.zeros_like(est.rtilde)
-        skew[..., 0, -1] = 1e-6 * np.abs(est.rtilde).max()
-        est.rtilde = est.rtilde + skew
-        assert not check_covariance_decomposition(sc, est, cfg).passed
+        skew = np.zeros_like(stats.rtilde)
+        skew[..., 0, -1] = 1e-6 * np.abs(stats.rtilde).max()
+        stats.rtilde = stats.rtilde + skew
+        assert not check_covariance_decomposition(sc, stats, cfg).passed
 
     def test_fault_injection_skewed_ghat_breaks_reconstruction_check(self, monkeypatch):
         # a forwarded ghat 1e-6 off the combiners' own must trip the replayed

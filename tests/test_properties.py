@@ -42,20 +42,21 @@ def tiny_configs(draw):
 
 
 def simulate(cfg):
-    """Channel estimates of BLOCKS blocks of one drop, and each stage's combiners and state."""
+    """Estimates of BLOCKS blocks of one drop, their stats, each stage's combiners and state."""
     scenario = build_scenario(cfg, rng_stream(cfg.rng_seed, 0, 0))
     rngs = [rng_stream(cfg.rng_seed, 0, 1, b) for b in range(BLOCKS)]
     h = draw_channels(scenario, rngs)
     z = simulate_pilot_phase(scenario, h, cfg, rngs)
-    est = mmse_estimate(scenario, z, estimation_statistics(scenario, cfg))
-    combiners, states = zip(*stages(est, cfg.ue_powers, cfg.noise_power_w))
-    return est, combiners, states
+    stats = estimation_statistics(scenario, cfg)
+    hhat = mmse_estimate(scenario, z, stats)
+    combiners, states = zip(*stages(hhat, stats.impairment, cfg.ue_powers))
+    return hhat, stats, combiners, states
 
 
 @settings(deadline=None)
 @given(tiny_configs())
 def test_combiners_are_unit_norm(cfg):
-    _, combiners, _ = simulate(cfg)
+    _, _, combiners, _ = simulate(cfg)
     for V in combiners:
         assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
 
@@ -63,7 +64,7 @@ def test_combiners_are_unit_norm(cfg):
 @settings(deadline=None)
 @given(tiny_configs())
 def test_stage_sinr_never_decreases_and_impairment_is_at_least_the_noise(cfg):
-    _, _, states = simulate(cfg)
+    *_, states = simulate(cfg)
     prev = np.zeros((BLOCKS, cfg.num_ues))
     for state in states:
         assert np.all(state.impairment >= cfg.noise_power_w * (1.0 - REL))
@@ -75,25 +76,26 @@ def test_stage_sinr_never_decreases_and_impairment_is_at_least_the_noise(cfg):
 @settings(deadline=None)
 @given(tiny_configs())
 def test_impairment_is_the_weighted_psi_of_the_recursion(cfg):
-    est, combiners, states = simulate(cfg)
+    _, stats, combiners, states = simulate(cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-    for state, psi in zip(states, psi_stages(combiners, est.rtilde), strict=True):
+    for state, psi in zip(states, psi_stages(combiners, stats.rtilde), strict=True):
         np.testing.assert_allclose(state.impairment, powers @ psi + sigma2, rtol=1e-10, atol=0)
 
 
 @settings(deadline=None)
 @given(tiny_configs())
 def test_l4_at_least_stripe_per_ue_and_block(cfg):
-    est, _, states = simulate(cfg)
-    powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+    hhat, stats, _, states = simulate(cfg)
+    powers = cfg.ue_powers
     stripe = metrics.sinr_per_ue(states[-1].ghat, states[-1].impairment, powers)
-    assert np.all(centralized_lmmse_l4(est, powers, sigma2) >= stripe * (1.0 - REL))
+    assert np.all(centralized_lmmse_l4(hhat, stats.impairment, powers) >= stripe * (1.0 - REL))
 
 
 @settings(deadline=None)
 @given(tiny_configs())
 def test_l4_equals_the_dense_receiver(cfg):
-    est, _, _ = simulate(cfg)
+    hhat, stats, _, _ = simulate(cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-    np.testing.assert_allclose(centralized_lmmse_l4(est, powers, sigma2),
-                               dense_lmmse_l4(est, powers, sigma2), rtol=REL, atol=0)
+    np.testing.assert_allclose(centralized_lmmse_l4(hhat, stats.impairment, powers),
+                               dense_lmmse_l4(hhat, stats.rtilde, powers, sigma2),
+                               rtol=REL, atol=0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import per_block_setup
-from stripesim import runner
+from stripesim import baselines, channel, runner, stripe
 from stripesim.config import SimulationConfig
 from stripesim.runner import (
     ALL_SCHEMES, SCHEME_STRIPE, config_fingerprint, drop_groups, rng_stream,
@@ -205,6 +205,38 @@ def test_chunked_setup_matches_per_block_reference(monkeypatch, chunk):
     for scheme in ALL_SCHEMES:
         np.testing.assert_allclose(got[scheme][0], ref[scheme], rtol=1e-12, atol=0,
                                    err_msg=scheme)
+
+
+def test_impairment_is_computed_once_per_drop_group(monkeypatch):
+    # three chunks and every scheme share the group's per-AP impairments
+    cfg = mini_config(num_aps=6, num_ues=4, num_channel_realizations=9)
+    K, L, N = cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap
+    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", 3 * L * N * (K + cfg.pilot_length))
+    assert runner.blocks_per_chunk(cfg) == 3
+    calls = []
+    real = channel.impairment
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    # wherever a module holds the function, as a from-import would
+    for module in (channel, stripe, baselines):
+        if hasattr(module, "impairment"):
+            monkeypatch.setattr(module, "impairment", counted)
+    simulate_setup(cfg, range(0, 2), ALL_SCHEMES)
+    assert calls == [(2, K, L, N, N)]
+
+
+def test_error_covariance_roundoff_of_strong_channels_is_accepted():
+    # 8 antennas, 1 W, APs 1 m above the UEs: R is so large against the
+    # noise that the roundoff of R - rhat alone exceeds 1e-9 sigma2 / p
+    cfg = mini_config(num_aps=24, antennas_per_ap=8, num_ues=10, coherence_block=200,
+                      pilot_length=20, ue_power_w=1.0, ap_ue_height_gap_m=1.0,
+                      num_setups=40, num_channel_realizations=1, rng_seed=0)
+    out = simulate_setup(cfg, range(0, 2), ALL_SCHEMES)
+    for se in out.values():
+        assert se.shape == (2, cfg.num_ues) and np.all(np.isfinite(se))
 
 
 def drop_elements(cfg):

@@ -11,8 +11,7 @@ from oracles import (
     replayed_chain, synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
-from stripesim.channel import ChannelEstimateSet, complex_normal, draw_channels
-from stripesim.channel import impairment as channel_impairment
+from stripesim.channel import complex_normal, draw_channels
 from stripesim.config import SimulationConfig
 from stripesim.scenario import psd_factor
 from stripesim.selftest import replay
@@ -37,20 +36,21 @@ def side_info(rng, K, scale=1.0):
 def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True):
     """Full small pipeline on O(1) synthetic statistics.
 
-    Returns every stage's combiners and forwarded state, AP 1..L. With
-    payload, pay is (symbols (K,), noise (L, N)) of one uplink symbol.
+    Returns every stage's combiners and forwarded state, AP 1..L, the
+    estimates and their statistics. With payload, pay is (symbols (K,),
+    noise (L, N)) of one uplink symbol.
     """
     sc = synthetic_scenario(rng, K, L, N, tau_p)
     cfg = synthetic_config(rng, K, L, N, tau_p)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
     h = draw_channels(sc, rng)
-    est = estimate(sc, h, cfg, rng)
+    hhat, stats = estimate(sc, h, cfg, rng)
     pay = None
     if payload:
         pay = (complex_normal(rng, (K,), std=np.sqrt(powers)),
                complex_normal(rng, (L, N), std=np.sqrt(sigma2)))
-    combiners, states = zip(*stages(est, powers, sigma2))
-    return combiners, states, est, h, pay, powers, sigma2
+    combiners, states = zip(*stages(hhat, stats.impairment, powers))
+    return combiners, states, hhat, stats, h, pay, powers, sigma2
 
 
 class TestFirstApCombiner:
@@ -203,10 +203,10 @@ class TestStageCombiner:
 
 class TestStageUpdate:
     def test_reconstruction_identity_every_stage(self, rng):
-        combiners, states, est, h, (symbols, noise), powers, sigma2 = random_run(rng)
+        combiners, states, hhat, stats, h, (symbols, noise), powers, sigma2 = random_run(rng)
         for l, state in enumerate(states):
             prefix = combiners[:l + 1]
-            np.testing.assert_allclose(replay(prefix, est.hhat), state.ghat,
+            np.testing.assert_allclose(replay(prefix, hhat), state.ghat,
                                        rtol=1e-12, atol=0)
             soft, g, eff_noise = replayed_chain(prefix, h, symbols, noise)
             signal = symbols @ g
@@ -216,7 +216,7 @@ class TestStageUpdate:
 
     def test_estimated_decomposition_at_cpu(self, rng):
         # soft = sum ghat*s + sum (g - ghat)*s + noise, exactly
-        combiners, states, est, h, (symbols, noise), powers, sigma2 = random_run(rng)
+        combiners, states, hhat, stats, h, (symbols, noise), powers, sigma2 = random_run(rng)
         final = states[-1]
         soft, g, eff_noise = replayed_chain(combiners, h, symbols, noise)
         est_part = symbols @ final.ghat
@@ -229,8 +229,8 @@ class TestStageUpdate:
         # iota_k = va^H D_l va + |vb|^2 iota_prev with ||v|| = 1 is a convex
         # combination of a Rayleigh quotient of D_l and the previous iota,
         # so it never falls below the noise
-        combiners, states, est, h, pay, powers, sigma2 = random_run(rng)
-        D = channel_impairment(est.rtilde, powers, sigma2)
+        combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(rng)
+        D = stats.impairment
         prev = np.full(len(powers), sigma2)
         for l, state in enumerate(states):
             lam = np.linalg.eigvalsh(D[l])
@@ -243,15 +243,15 @@ class TestStageUpdate:
         # the K x K error variances the protocol forwards, each from its
         # augmented error covariance; the carried impairment is their
         # power-weighted sum plus the noise
-        combiners, states, est, h, pay, powers, sigma2 = random_run(rng)
-        psi = psi_stages(combiners, est.rtilde)
+        combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(rng)
+        psi = psi_stages(combiners, stats.rtilde)
         for l in range(len(states)):
             np.testing.assert_allclose(states[l].impairment, powers @ psi[l] + sigma2,
                                        rtol=1e-12, atol=0)
             if l == 0:
                 continue
             aug = build_augmented_moments(
-                est.hhat[:, l], est.rtilde[:, l], states[l - 1].ghat, psi[l - 1]
+                hhat[:, l], stats.rtilde[:, l], states[l - 1].ghat, psi[l - 1]
             )
             V = combiners[l]
             for i in range(len(powers)):
@@ -265,27 +265,18 @@ class TestStageUpdate:
         # freeze one stage's combiner; resample what impairs UE k's soft
         # estimate: every UE's local estimation error times its symbol, the
         # local noise, and the previous stage's error plus noise
-        combiners, states, est, h, pay, powers, sigma2 = random_run(rng)
+        combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(rng)
         l, k = 2, 0
         va, vb = combiners[l][k, :-1], combiners[l][k, -1]
         n = 40000
         local = complex_normal(rng, (n, va.size), std=np.sqrt(sigma2))
         for i, p in enumerate(powers):
-            htilde = complex_gaussian(rng, (n, va.size)) @ psd_factor(est.rtilde[i, l]).T
+            htilde = complex_gaussian(rng, (n, va.size)) @ psd_factor(stats.rtilde[i, l]).T
             local += complex_normal(rng, (n, 1), std=np.sqrt(p)) * htilde
         prior = np.sqrt(states[l - 1].impairment[k]) * complex_gaussian(rng, n)
         power = np.abs(local @ va.conj() + np.conj(vb) * prior) ** 2
         z = abs(power.mean() - states[l].impairment[k]) / (power.std() / np.sqrt(n))
         assert z < 4.0
-
-    def test_non_psd_error_covariance_raises_naming_the_ap(self, rng):
-        # fault injection: one UE's error covariance at the third AP is negative definite
-        *_, est, h, pay, powers, sigma2 = random_run(rng, payload=False)
-        rtilde = est.rtilde.copy()
-        rtilde[1, 2] = -np.eye(rtilde.shape[-1])
-        bad = ChannelEstimateSet(hhat=est.hhat, rtilde=rtilde)
-        with pytest.raises(ValueError, match="negative error variance at AP 3"):
-            run_stripe(bad, powers, sigma2)
 
 
 class TestRunStripe:
@@ -295,15 +286,16 @@ class TestRunStripe:
             assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
 
     def test_single_ap_network_collapses_to_local_combining(self, rng):
-        combiners, states, est, h, pay, powers, sigma2 = random_run(rng, L=1, payload=False)
-        V = first_ap_lmmse(est.hhat[:, 0], est.rtilde[:, 0], powers, sigma2)
+        combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(
+            rng, L=1, payload=False)
+        V = first_ap_lmmse(hhat[:, 0], stats.rtilde[:, 0], powers, sigma2)
         assert np.allclose(combiners[0], np.pad(V, ((0, 0), (0, 1))))
         sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].impairment, powers)
         # against a direct evaluation of the single-AP conditional SINR
         for k in range(len(powers)):
-            g = V[k].conj() @ est.hhat[:, 0].T
+            g = V[k].conj() @ hhat[:, 0].T
             err = np.array([
-                (V[k].conj() @ est.rtilde[i, 0] @ V[k]).real
+                (V[k].conj() @ stats.rtilde[i, 0] @ V[k]).real
                 for i in range(len(powers))
             ])
             num = powers[k] * abs(g[k]) ** 2
@@ -312,7 +304,7 @@ class TestRunStripe:
 
     def test_stage_sinr_monotone_nondecreasing(self, rng):
         for trial in range(5):
-            combiners, states, est, h, pay, powers, sigma2 = random_run(
+            combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(
                 rng, K=3, L=6, N=2, payload=False
             )
             prev = None
@@ -331,9 +323,9 @@ class TestRunStripe:
         n = 10000
         # one chain over n blocks, each drawn from the same generator
         rngs = [rng] * n
-        est = estimate(sc, draw_channels(sc, rngs), cfg, rngs)
+        hhat, stats = estimate(sc, draw_channels(sc, rngs), cfg, rngs)
         noise = complex_normal(rng, (n, 1, L, N), std=np.sqrt(sigma2))
-        combiners, _ = zip(*stages(est, powers, sigma2))
+        combiners, _ = zip(*stages(hhat, stats.impairment, powers))
         emp = (np.abs(replay(combiners, noise)[:, 0]) ** 2).mean(axis=0)
         assert np.all(np.abs(emp - sigma2) / sigma2 < 0.03)
 
@@ -352,14 +344,13 @@ class TestRunStripe:
         K, L, N, tau_p, B = 3, 4, 2, 2, 5
         sc = synthetic_scenario(rng, K, L, N, tau_p)
         cfg = synthetic_config(rng, K, L, N, tau_p)
-        powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+        powers = cfg.ue_powers
         rngs = [np.random.default_rng(b) for b in range(B)]
         h = draw_channels(sc, rngs)
-        est = estimate(sc, h, cfg, rngs)
-        combiners, states = zip(*stages(est, powers, sigma2))
+        hhat, stats = estimate(sc, h, cfg, rngs)
+        combiners, states = zip(*stages(hhat, stats.impairment, powers))
         for b in range(B):
-            one = ChannelEstimateSet(hhat=est.hhat[b], rtilde=est.rtilde)
-            combiners_one, states_one = zip(*stages(one, powers, sigma2))
+            combiners_one, states_one = zip(*stages(hhat[b], stats.impairment, powers))
             for field in ("ghat", "impairment"):
                 np.testing.assert_allclose(getattr(states[-1], field)[b],
                                            getattr(states_one[-1], field), rtol=1e-12, atol=0)
@@ -372,10 +363,10 @@ class TestReplay:
         # the runner's chains are shaped (blocks, drops, ...)
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=4,
                       pilot_length=2)
-        est = drop_block_estimates(cfg, 8)
-        combiners, states = zip(*stages(est, cfg.ue_powers, cfg.noise_power_w))
+        hhat, stats = drop_block_estimates(cfg, 8)
+        combiners, states = zip(*stages(hhat, stats.impairment, cfg.ue_powers))
         assert states[-1].ghat.shape == (3, 2, 4, 4)
-        np.testing.assert_allclose(replay(combiners, est.hhat), states[-1].ghat,
+        np.testing.assert_allclose(replay(combiners, hhat), states[-1].ghat,
                                    rtol=1e-12, atol=0)
 
 
@@ -386,20 +377,19 @@ class TestStages:
                   pilot_length=2)
 
     def test_run_stripe_is_the_last_stage(self):
-        est = drop_block_estimates(self.CFG, 11)
-        powers, sigma2 = self.CFG.ue_powers, self.CFG.noise_power_w
-        *_, (_, last) = stages(est, powers, sigma2)
-        final = run_stripe(est, powers, sigma2)
+        hhat, stats = drop_block_estimates(self.CFG, 11)
+        *_, (_, last) = stages(hhat, stats.impairment, self.CFG.ue_powers)
+        final = run_stripe(hhat, stats.impairment, self.CFG.ue_powers)
         assert final.ghat.shape == (3, 2, 4, 4)
         assert np.array_equal(final.ghat, last.ghat)
         assert np.array_equal(final.impairment, last.impairment)
 
     @pytest.mark.parametrize("stop", [1, 3, 6])
     def test_stopping_after_an_ap_gives_the_full_pass_prefix(self, stop):
-        est = drop_block_estimates(self.CFG, 12)
-        powers, sigma2 = self.CFG.ue_powers, self.CFG.noise_power_w
-        full = list(stages(est, powers, sigma2))
-        head = list(itertools.islice(stages(est, powers, sigma2), stop))
+        hhat, stats = drop_block_estimates(self.CFG, 12)
+        args = hhat, stats.impairment, self.CFG.ue_powers
+        full = list(stages(*args))
+        head = list(itertools.islice(stages(*args), stop))
         assert len(head) == stop
         for (V, state), (V_full, state_full) in zip(head, full[:stop], strict=True):
             assert np.array_equal(V, V_full)
@@ -408,7 +398,7 @@ class TestStages:
 
     def test_steps_stage_update_through_the_module_once_per_consumed_ap(self, monkeypatch):
         # the fault-injection selftest test patches stripe.stage_update
-        est = drop_block_estimates(self.CFG, 13)
+        hhat, stats = drop_block_estimates(self.CFG, 13)
         calls = []
 
         def counted(combiners, hhat_l, *args):
@@ -416,8 +406,8 @@ class TestStages:
             return stage_update(combiners, hhat_l, *args)
 
         monkeypatch.setattr(stripe, "stage_update", counted)
-        steps = stages(est, self.CFG.ue_powers, self.CFG.noise_power_w)
+        steps = stages(hhat, stats.impairment, self.CFG.ue_powers)
         list(itertools.islice(steps, 2))
         assert len(calls) == 2
         for l, hhat_l in enumerate(calls):
-            assert np.array_equal(hhat_l, est.hhat[..., l, :])
+            assert np.array_equal(hhat_l, hhat[..., l, :])
