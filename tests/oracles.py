@@ -15,7 +15,8 @@ the protocol forwards, the reference for the per-UE impairment the stripe
 carries. estimate is the pilot phase plus MMSE estimation that
 most tests run on one scenario, returning the estimates with the
 estimation statistics; drop_block_estimates runs it on a real-geometry
-(blocks, drops, ...) batch.
+(blocks, drops, ...) batch. with_negative_eigenvalue is the fault injection
+that leaves a pilot covariance PD but one UE's error covariance not PSD.
 """
 
 from __future__ import annotations
@@ -144,6 +145,17 @@ def estimate(scenario, h, config, rng, stats=None):
         stats = estimation_statistics(scenario, config)
     z = simulate_pilot_phase(scenario, h, config, rng)
     return mmse_estimate(scenario, z, stats), stats
+
+
+def with_negative_eigenvalue(scenario, config, k, l):
+    """scenario with UE k's covariance at AP l given a lowest eigenvalue of
+    -sigma2 / (10 p_k tau_p): its pilot covariance stays PD, but its error
+    covariance does not (0-based k and l)."""
+    lam, U = np.linalg.eigh(scenario.covariances[k, l])
+    lam[0] = -config.noise_power_w / (10 * config.ue_powers[k] * config.pilot_length)
+    covariances = scenario.covariances.copy()
+    covariances[k, l] = (U * lam) @ U.conj().T
+    return replace(scenario, covariances=covariances)
 
 
 def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):

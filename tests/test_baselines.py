@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (
     complex_gaussian, dense_lmmse_l4, drop_block_estimates, estimate, synthetic_config,
-    synthetic_scenario,
+    synthetic_scenario, with_negative_eigenvalue,
 )
 from stripesim import metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
@@ -77,6 +77,18 @@ class TestCentralizedLmmse:
             final = run_stripe(hhat, stats.impairment, powers)
             stripe = metrics.sinr_per_ue(final.ghat, final.impairment, powers)
             assert np.all(l4 >= stripe * (1 - 1e-9))
+
+    def test_non_psd_error_covariance_raises_naming_the_ap(self, rng):
+        # fault injection on the L4 input path: UE 2's error covariance at
+        # AP 3 is not PSD, so the impairment L4 would read is refused where
+        # it is built
+        sc = synthetic_scenario(rng, 3, 4, 2, tau_p=2)
+        cfg = synthetic_config(rng, 3, 4, 2, tau_p=2)
+        bad = with_negative_eigenvalue(sc, cfg, 1, 2)
+        with pytest.raises(ValueError, match="negative error variance at AP 3: "
+                                             "the error covariance of UE 2 is not PSD"):
+            hhat, stats = estimate(bad, draw_channels(bad, rng), cfg, rng)
+            centralized_lmmse_l4(hhat, stats.impairment, cfg.ue_powers)
 
 
 class TestAgainstDenseReceiver:

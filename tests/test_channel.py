@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (
     complex_gaussian, estimate, estimate_covariance, per_pilot_statistics,
-    pilot_covariances, random_psd, synthetic_config, synthetic_scenario,
+    pilot_covariances, random_psd, synthetic_config, synthetic_scenario, with_negative_eigenvalue,
 )
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import (
@@ -381,12 +381,7 @@ class TestImpairment:
         cfg = replace(SimulationConfig(), num_aps=4, antennas_per_ap=2, num_ues=3,
                       pilot_length=4)
         sc = build_scenario(cfg, rng_stream(0, 0, 0))
-        k, l = 1, 2
-        lam, U = np.linalg.eigh(sc.covariances[k, l])
-        lam[0] = -cfg.noise_power_w / (10 * cfg.ue_powers[k] * cfg.pilot_length)
-        covariances = sc.covariances.copy()
-        covariances[k, l] = (U * lam) @ U.conj().T
-        bad = replace(sc, covariances=covariances)
+        bad = with_negative_eigenvalue(sc, cfg, 1, 2)
         with pytest.raises(ValueError, match="negative error variance at AP 3: "
                                              "the error covariance of UE 2 is not PSD"):
             estimation_statistics(bad, cfg)

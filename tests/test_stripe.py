@@ -8,7 +8,7 @@ from dataclasses import replace
 from oracles import (
     angle_between, brute_force_combiner, build_augmented_moments, complex_gaussian,
     drop_block_estimates, estimate, first_ap_lmmse, impairment, psi_stages, random_psd,
-    replayed_chain, synthetic_config, synthetic_scenario,
+    replayed_chain, synthetic_config, synthetic_scenario, with_negative_eigenvalue,
 )
 from stripesim import metrics
 from stripesim.channel import complex_normal, draw_channels
@@ -277,6 +277,18 @@ class TestStageUpdate:
         power = np.abs(local @ va.conj() + np.conj(vb) * prior) ** 2
         z = abs(power.mean() - states[l].impairment[k]) / (power.std() / np.sqrt(n))
         assert z < 4.0
+
+    def test_non_psd_error_covariance_raises_naming_the_ap(self, rng):
+        # fault injection on the stripe's input path: UE 2's error covariance
+        # at AP 3 is not PSD, so the impairment the stages would read is
+        # refused where it is built, before any stage runs
+        sc = synthetic_scenario(rng, 3, 4, 2, tau_p=2)
+        cfg = synthetic_config(rng, 3, 4, 2, tau_p=2)
+        bad = with_negative_eigenvalue(sc, cfg, 1, 2)
+        with pytest.raises(ValueError, match="negative error variance at AP 3: "
+                                             "the error covariance of UE 2 is not PSD"):
+            hhat, stats = estimate(bad, draw_channels(bad, rng), cfg, rng)
+            run_stripe(hhat, stats.impairment, cfg.ue_powers)
 
 
 class TestRunStripe:
