@@ -2,8 +2,8 @@
 
 The centralized scheme stacks all APs' estimates into one LN-dim receiver
 whose error covariance is block diagonal in the per-AP impairments D_l,
-the ones channel.estimation_statistics computes once per drop for the
-stripe too, and is scored by the stripe's SINR function,
+the ones channel.estimation_statistics computes once per drop, PSD by
+construction, for the stripe too, and is scored by the stripe's SINR function,
 metrics.sinr_per_ue, with sum_l v_l^H D_l v_l as the impairment. The MR
 scheme lets every AP apply its own estimate as a matched filter, averages
 the L local soft estimates at the CPU with equal weights, and is scored

@@ -3,10 +3,11 @@
 Per coherence block a fresh correlated Rayleigh realization is drawn, the
 despread pilot signal is formed directly (the full pilot-length receive
 matrix is never materialized), and the linear MMSE estimate of each (UE, AP)
-is computed from the covariance of that UE's own pilot. The filters, the error
+is formed from the despread signal on that UE's own pilot. The filters, the error
 covariances and the per-AP impairments D_l = sum_i p_i rtilde_il + sigma^2 I,
 which the stripe and lmmse_l4 condition on, depend only on the scenario, so
-they are computed, and D_l checked, once per drop group.
+they are computed once per drop group. The error covariances are Gram
+matrices of the covariance factors, so every D_l is PSD by construction.
 
 The per-block functions take either one generator, for one block, or a
 sequence of generators, one stream per block; the per-block arrays then
@@ -71,59 +72,6 @@ def simulate_pilot_phase(
     return z + _block_normal(rngs, (L, tau_p, N), std=np.sqrt(config.noise_power_w))
 
 
-def _check_pilot_covariance(own: np.ndarray, pilots: np.ndarray) -> None:
-    """Raise naming the AP (1..L) and pilot t_k of the first (drop, UE k, AP) not PD.
-
-    A stacked Cholesky factorization of every UE's own pilot covariance that
-    succeeds proves them all PD; only a failure pays for the eigenvalues.
-    """
-    try:
-        np.linalg.cholesky(own)
-        return
-    except np.linalg.LinAlgError:
-        pass
-    bad = np.argwhere(np.linalg.eigvalsh(own).min(axis=-1) <= 0.0)   # rows (drop..., k, l)
-    if len(bad):
-        *ue, l = bad[0]
-        raise ValueError(f"pilot covariance at AP {l + 1}, pilot {pilots[tuple(ue)]} is not PD")
-
-
-# rtilde_kl enters D_l as p_k rtilde_kl beside sigma2 I, so an eigenvalue above
-# -_PSD_NOISE_TOL * sigma2 / p_k moves D_l by less than that share of the noise;
-# and roundoff in rtilde = R - rhat scales with R, not with rtilde, so one above
-# -_PSD_ROUNDOFF_ULPS * N * eps * max diag R_kl is roundoff. The guard admits both.
-_PSD_NOISE_TOL = 1e-9
-_PSD_ROUNDOFF_ULPS = 8
-
-
-def impairment(
-    rtilde: np.ndarray, covariances: np.ndarray, powers: np.ndarray, sigma2: float,
-) -> np.ndarray:
-    """Per-AP D_l = sum_i p_i rtilde_il + sigma2 I: (..., K, L, N, N) -> (..., L, N, N).
-
-    A non-PSD rtilde_kl raises here, naming UE k (1..K) and AP l (1..L);
-    covariances are the R_kl that rtilde_kl was subtracted from. A stacked
-    Cholesky factorization of every rtilde shifted by its roundoff tolerance
-    that succeeds proves them all PSD within it; only a failure pays for
-    eigenvalues.
-    """
-    *lead, K, L, N, _ = rtilde.shape
-    scale = np.diagonal(covariances, axis1=-2, axis2=-1).real.max(axis=-1)   # (..., K, L)
-    tol = np.maximum((_PSD_NOISE_TOL * sigma2 / powers)[:, None],
-                     _PSD_ROUNDOFF_ULPS * N * np.finfo(float).eps * scale)
-    try:
-        np.linalg.cholesky(rtilde + tol[..., None, None] * np.eye(N))
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(rtilde).min(axis=-1)
-        bad = np.argwhere(low < -tol)                                   # rows (drop..., k, l)
-        if len(bad):
-            *_, k, l = bad[0]
-            raise ValueError(f"negative error variance at AP {l + 1}: the error covariance of "
-                             f"UE {k + 1} is not PSD (min eigenvalue {low[tuple(bad[0])]:.3e})")
-    load = (powers @ rtilde.reshape(*lead, K, L * N * N)).reshape(*lead, L, N, N)
-    return load + sigma2 * np.eye(N)
-
-
 @dataclass
 class EstimationStatistics:
     """Setup-constant MMSE quantities per drop; the stripe and L4 read only impairment."""
@@ -134,30 +82,40 @@ class EstimationStatistics:
 
 
 def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> EstimationStatistics:
-    """MMSE filters, error covariances and checked per-AP impairments of every drop."""
+    """MMSE filters, error covariances and per-AP impairments of every drop.
+
+    With Q_kl = sigma^2 I + sum over the other UEs i on pilot t_k of tau_p p_i R_il
+    and R_kl = F F^H (F = cov_factors), UE k's own pilot covariance is
+    Psi = Q + a F F^H with a = tau_p p_k. By Woodbury, rtilde = R - a R Psi^-1 R is
+    F G^-1 F^H with G = I + a F^H Q^-1 F, and R Psi^-1 = rtilde Q^-1. So with
+    G = C C^H and Y = C^-1 [F^H, (Q^-1 F)^H], one product Y_F^H Y gives
+    rtilde = Y_F^H Y_F, a Gram matrix and PSD to its own precision, and the
+    filters sqrt(a) Y_F^H Y_Q. Nothing is subtracted, so nothing cancels.
+    """
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
     tau_p = config.pilot_length
     powers = config.ue_powers
     pilots = scenario.pilot_index
-    R = scenario.covariances
     drops = pilots.shape[:-1]
+    F = scenario.cov_factors
 
-    # UE k's own pilot covariance Psi_kl = sum over UEs i on pilot t_k of
-    # tau_p p_i R_il, plus sigma^2 I: (..., K, K) weights tau_p p_i [t_i = t_k]
-    copilot = np.where(pilots[..., :, None] == pilots[..., None, :], tau_p * powers, 0.0)
-    own = (copilot @ R.reshape(*drops, K, L * N * N)).reshape(*drops, K, L, N, N)
-    own += config.noise_power_w * np.eye(N)
-    _check_pilot_covariance(own, pilots)
-
-    amp = np.sqrt(powers * tau_p)[:, None, None, None]
-    # R @ Psi^{-1} = (Psi^{-1} @ R)^H since both are Hermitian
-    filters = amp * herm(np.linalg.solve(own, R))
-    rhat = amp * filters @ R
-    rhat = 0.5 * (rhat + herm(rhat))
-    rtilde = R - rhat
-    rtilde = 0.5 * (rtilde + herm(rtilde))
-    return EstimationStatistics(filters=filters, rtilde=rtilde,
-                                impairment=impairment(rtilde, R, powers, config.noise_power_w))
+    # (..., K, K) weights tau_p p_i [t_i = t_k, i != k]
+    copilot = np.where((pilots[..., :, None] == pilots[..., None, :]) & ~np.eye(K, dtype=bool),
+                       tau_p * powers, 0.0)
+    Q = (copilot @ scenario.covariances.reshape(*drops, K, L * N * N)).reshape(*drops, K, L, N, N)
+    Q += config.noise_power_w * np.eye(N)
+    QF = np.linalg.solve(Q, F)
+    a = (tau_p * powers)[:, None, None, None]
+    G = np.eye(N) + a * (herm(F) @ QF)
+    # F^H (Q^-1 F) is Hermitian only to roundoff, which Cholesky can refuse
+    C = np.linalg.cholesky(0.5 * (G + herm(G)))
+    Y = np.linalg.solve(C, np.concatenate([herm(F), herm(QF)], axis=-1))   # (..., N, 2N)
+    both = herm(Y[..., :N]) @ Y
+    rtilde = np.ascontiguousarray(both[..., :N])      # a view would keep all of both alive
+    load = powers @ rtilde.reshape(*drops, K, L * N * N)
+    return EstimationStatistics(
+        filters=np.sqrt(a) * both[..., N:], rtilde=rtilde,
+        impairment=load.reshape(*drops, L, N, N) + config.noise_power_w * np.eye(N))
 
 
 def mmse_estimate(

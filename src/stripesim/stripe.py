@@ -12,7 +12,8 @@ that sum plus the noise, iota_k, the error-plus-noise power in UE k's soft
 estimate. Unit-norm combiners keep the propagated noise at sigma^2, so
 iota_k <- va_k^H D_l va_k + |vb_k|^2 iota_k, with the per-AP impairments
 D_l = sum_i p_i rtilde_il + sigma^2 I that channel.estimation_statistics
-computes once per drop; the pass reads neither rtilde nor sigma^2.
+computes once per drop, PSD by construction; the pass reads neither rtilde
+nor sigma^2, and checks nothing of D_l.
 
 One generator, stages, steps the APs and yields each stage's combiners and
 forwarded state, so a consumer may stop after any AP. run_stripe is the

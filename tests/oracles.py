@@ -15,8 +15,7 @@ the protocol forwards, the reference for the per-UE impairment the stripe
 carries. estimate is the pilot phase plus MMSE estimation that
 most tests run on one scenario, returning the estimates with the
 estimation statistics; drop_block_estimates runs it on a real-geometry
-(blocks, drops, ...) batch. with_negative_eigenvalue is the fault injection
-that leaves a pilot covariance PD but one UE's error covariance not PSD.
+(blocks, drops, ...) batch.
 """
 
 from __future__ import annotations
@@ -147,17 +146,6 @@ def estimate(scenario, h, config, rng, stats=None):
     return mmse_estimate(scenario, z, stats), stats
 
 
-def with_negative_eigenvalue(scenario, config, k, l):
-    """scenario with UE k's covariance at AP l given a lowest eigenvalue of
-    -sigma2 / (10 p_k tau_p): its pilot covariance stays PD, but its error
-    covariance does not (0-based k and l)."""
-    lam, U = np.linalg.eigh(scenario.covariances[k, l])
-    lam[0] = -config.noise_power_w / (10 * config.ue_powers[k] * config.pilot_length)
-    covariances = scenario.covariances.copy()
-    covariances[k, l] = (U * lam) @ U.conj().T
-    return replace(scenario, covariances=covariances)
-
-
 def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):
     """Estimates (blocks, drops, ...) of a real-geometry batch, and its stats (drops, ...)."""
     drops = range(num_drops)
@@ -258,8 +246,9 @@ def pilot_covariances(scenario, config):
 def per_pilot_statistics(scenario, config):
     """MMSE filters and error covariances from pilot_covariances gathered per UE.
 
-    The same formulas as estimation_statistics, on each UE's own pilot
-    covariance taken out of the per-pilot ones.
+    The textbook route: each UE's own pilot covariance Psi taken out of the
+    per-pilot ones, filters sqrt(p tau_p) R Psi^-1 and rtilde = R - rhat by
+    subtraction, where estimation_statistics forms neither Psi nor rhat.
     """
     psi = pilot_covariances(scenario, config)
     gather = scenario.pilot_index[..., None, :, None, None]

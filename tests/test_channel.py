@@ -5,11 +5,11 @@ import pytest
 
 from oracles import (
     complex_gaussian, estimate, estimate_covariance, per_pilot_statistics,
-    pilot_covariances, random_psd, synthetic_config, synthetic_scenario, with_negative_eigenvalue,
+    pilot_covariances, random_psd, synthetic_config, synthetic_scenario,
 )
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import (
-    draw_channels, estimation_statistics, impairment, mmse_estimate, simulate_pilot_phase,
+    draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
 )
 from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import rng_stream
@@ -136,34 +136,15 @@ class TestPilotPhase:
         se = diag[..., :, None] * diag[..., None, :] / np.sqrt(n)
         assert np.all(np.abs(emp - psi) / se < 4.5)
 
-    def test_not_pd_pilot_covariance_names_ap_and_pilot(self, rng):
-        sc = synthetic_scenario(rng, 2, 3, 2, tau_p=2)
-        cfg = synthetic_config(rng, 2, 3, 2, tau_p=2)
-        covariances = sc.covariances.copy()
-        covariances[sc.pilot_index == 1, 2] *= -1e3
-        bad = Scenario(**{**sc.__dict__, "covariances": covariances})
-        with pytest.raises(ValueError, match="pilot covariance at AP 3, pilot 1 is not PD"):
-            estimation_statistics(bad, cfg)
-
-    def test_first_failing_ue_then_ap_is_named(self, rng):
-        # UE 0 (pilot 1) fails at the third AP and UE 1 (pilot 0) at the first:
-        # the first failing (drop, UE, AP) is named, with that UE's pilot
-        sc = synthetic_scenario(rng, 2, 3, 2, tau_p=2)
-        cfg = synthetic_config(rng, 2, 3, 2, tau_p=2)
-        covariances = sc.covariances.copy()
-        covariances[0, 2] *= -1e3
-        covariances[1, 0] *= -1e3
-        bad = Scenario(**{**sc.__dict__, "covariances": covariances,
-                          "pilot_index": np.array([1, 0])})
-        with pytest.raises(ValueError, match="pilot covariance at AP 3, pilot 1 is not PD"):
-            estimation_statistics(bad, cfg)
-
 
 class TestOwnPilotStatistics:
     @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("drops", [None, 3], ids=["one_drop", "stacked"])
     def test_equal_to_per_pilot_covariances_gathered_per_ue(self, model, drops):
-        # K > tau_p, so UEs share pilots; bit for bit, not to a tolerance
+        # K > tau_p, so UEs share pilots. The oracle inverts each own-pilot
+        # covariance and subtracts rhat from R, the package builds rtilde as
+        # a Gram matrix without either: they agree to roundoff, on the scale
+        # of R_kl for rtilde and of each filter's largest entry for filters.
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=3, num_ues=6,
                       pilot_length=4, correlation_model=model,
                       ue_power_w=(0.05, 0.1, 0.02, 0.07, 0.04, 0.09))
@@ -171,8 +152,15 @@ class TestOwnPilotStatistics:
         sc = build_scenario(cfg, rngs)
         stats = estimation_statistics(sc, cfg)
         filters, rtilde = per_pilot_statistics(sc, cfg)
-        assert np.array_equal(stats.filters, filters)
-        assert np.array_equal(stats.rtilde, rtilde)
+        top = np.diagonal(sc.covariances, axis1=-2, axis2=-1).real.max(axis=-1)
+        assert np.all(np.abs(stats.rtilde - rtilde).max(axis=(-2, -1)) <= 1e-11 * top)
+        top = np.abs(filters).max(axis=(-2, -1))
+        assert np.all(np.abs(stats.filters - filters).max(axis=(-2, -1)) <= 1e-11 * top)
+        # D_l is the power-weighted sum of the error covariances plus the noise
+        expect = (np.einsum("k,...klmn->...lmn", cfg.ue_powers, stats.rtilde)
+                  + cfg.noise_power_w * np.eye(3))
+        np.testing.assert_allclose(stats.impairment, expect,
+                                   rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
 class TestStackedDrops:
@@ -219,19 +207,6 @@ class TestStackedDrops:
                      (mr.sum_noise[s], one_mr.sum_noise)]
             for got, want in pairs:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-    def test_not_pd_pilot_covariance_in_a_stacked_drop(self, rng):
-        sc = synthetic_scenario(rng, 2, 3, 2, tau_p=2)
-        cfg = synthetic_config(rng, 2, 3, 2, tau_p=2)
-        covariances = sc.covariances.copy()
-        covariances[sc.pilot_index == 0, 1] *= -1e3
-        stacked = {**sc.__dict__}
-        for field in ("ue_positions", "distances", "large_scale", "cov_factors",
-                      "pilot_index"):
-            stacked[field] = np.stack([stacked[field]] * 2)
-        stacked["covariances"] = np.stack([sc.covariances, covariances])
-        with pytest.raises(ValueError, match="pilot covariance at AP 2, pilot 0 is not PD"):
-            estimation_statistics(Scenario(**stacked), cfg)
 
 
 class TestMmseEstimate:
@@ -322,66 +297,3 @@ class TestMmseEstimate:
         for l in range(3):
             link = stats.filters[1, l] @ np.linalg.inv(stats.filters[0, l])
             assert np.allclose(hhat[1, l], link @ hhat[0, l], rtol=1e-8)
-
-
-class TestImpairment:
-    @staticmethod
-    def error_covariances(rng, K=3, L=4, N=3):
-        return np.stack([[random_psd(rng, N, 1e-9) for _ in range(L)] for _ in range(K)])
-
-    def test_roundoff_negative_eigenvalue_passes_and_a_larger_one_raises(self, rng):
-        # covariances of 1e-9: their roundoff bound is far below the noise's
-        rtilde = self.error_covariances(rng)
-        R = rtilde + self.error_covariances(rng)
-        powers, sigma2 = rng.uniform(0.5, 2.0, 3), 1e-12
-        # UE 2 at AP 4: a roundoff-negative eigenvalue, -1e-17 of the largest
-        rtilde[1, 3] = 1e-9 * np.diag([-1e-17, 1.0, 0.5]).astype(complex)
-        expect = np.einsum("k,klmn->lmn", powers, rtilde) + sigma2 * np.eye(3)
-        np.testing.assert_allclose(impairment(rtilde, R, powers, sigma2), expect,
-                                   rtol=0, atol=1e-15 * np.abs(expect).max())
-
-        # UE 3 at AP 1, estimated far above the noise: its error covariance is
-        # 1e-3 of sigma2 / p, and its roundoff -1e-7 of itself is still
-        # only -1e-10 of sigma2 / p
-        scale = 1e-3 * sigma2 / powers[2]
-        rtilde[2, 0] = scale * np.diag([-1e-7, 1.0, 0.5]).astype(complex)
-        impairment(rtilde, R, powers, sigma2)
-
-        rtilde[1, 3, 0, 0] = -1e-6 * 1e-9
-        with pytest.raises(ValueError, match="at AP 4: the error covariance of UE 2 is not PSD"):
-            impairment(rtilde, R, powers, sigma2)
-
-    def test_roundoff_of_the_covariance_passes_far_below_the_noise(self, rng):
-        # rtilde = R - rhat loses digits of R, not of rtilde: an eigenvalue of
-        # -2.5 eps max diag R (the worst seen on real drops) passes however
-        # small the noise, and one of -100 N eps max diag R does not
-        N, eps = 3, np.finfo(float).eps
-        rtilde = self.error_covariances(rng, N=N)
-        R = 1e9 * rtilde
-        powers, sigma2 = np.ones(3), 1e-30
-        top = np.diagonal(R[0, 2]).real.max()
-        rtilde[0, 2] = np.diag([-2.5 * eps * top, 1e-9, 0.5e-9]).astype(complex)
-        impairment(rtilde, R, powers, sigma2)
-        rtilde[0, 2, 0, 0] = -100 * N * eps * top
-        with pytest.raises(ValueError, match="at AP 3: the error covariance of UE 1 is not PSD"):
-            impairment(rtilde, R, powers, sigma2)
-
-    def test_first_failing_drop_ue_then_ap_is_named(self, rng):
-        rtilde = np.stack([self.error_covariances(rng)] * 2)        # (drops, K, L, N, N)
-        R = rtilde.copy()
-        rtilde[1, 0, 3] = -np.eye(3)
-        rtilde[1, 2, 1] = -np.eye(3)
-        with pytest.raises(ValueError, match="at AP 4: the error covariance of UE 1 "):
-            impairment(rtilde, R, np.ones(3), 1e-12)
-
-    def test_non_psd_error_covariance_raises_naming_the_ap_and_ue(self):
-        # fault injection: UE 2's covariance at AP 3 gets an eigenvalue of
-        # -sigma2 / (10 p tau_p), so its pilot covariance stays PD but its
-        # error covariance does not; the stripe and L4 never see it
-        cfg = replace(SimulationConfig(), num_aps=4, antennas_per_ap=2, num_ues=3,
-                      pilot_length=4)
-        sc = build_scenario(cfg, rng_stream(0, 0, 0))
-        bad = with_negative_eigenvalue(sc, cfg, 1, 2)
-        with pytest.raises(ValueError, match="negative error variance at AP 3: "
-                                             "the error covariance of UE 2 is not PSD"):
-            estimation_statistics(bad, cfg)

@@ -208,22 +208,22 @@ def test_chunked_setup_matches_per_block_reference(monkeypatch, chunk):
 
 
 def test_impairment_is_computed_once_per_drop_group(monkeypatch):
-    # three chunks and every scheme share the group's per-AP impairments
+    # three chunks and every scheme share the group's estimation statistics
     cfg = mini_config(num_aps=6, num_ues=4, num_channel_realizations=9)
     K, L, N = cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap
     monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", 3 * L * N * (K + cfg.pilot_length))
     assert runner.blocks_per_chunk(cfg) == 3
     calls = []
-    real = channel.impairment
+    real = channel.estimation_statistics
 
-    def counted(*args):
-        calls.append(args[0].shape)
-        return real(*args)
+    def counted(scenario, config):
+        calls.append(scenario.covariances.shape)
+        return real(scenario, config)
 
     # wherever a module holds the function, as a from-import would
-    for module in (channel, stripe, baselines):
-        if hasattr(module, "impairment"):
-            monkeypatch.setattr(module, "impairment", counted)
+    for module in (channel, runner, stripe, baselines):
+        if hasattr(module, "estimation_statistics"):
+            monkeypatch.setattr(module, "estimation_statistics", counted)
     simulate_setup(cfg, range(0, 2), ALL_SCHEMES)
     assert calls == [(2, K, L, N, N)]
 
@@ -237,6 +237,38 @@ def test_error_covariance_roundoff_of_strong_channels_is_accepted():
     out = simulate_setup(cfg, range(0, 2), ALL_SCHEMES)
     for se in out.values():
         assert se.shape == (2, cfg.num_ues) and np.all(np.isfinite(se))
+
+
+# Valid configs at extreme SNR with near-rank-1 R: there R - rhat carries
+# roundoff on R's scale that reads as a negative error variance, and the
+# own-pilot covariance is not PD to Cholesky.
+EXTREME_VALID_CONFIGS = {
+    "negative_error_variance_n4": dict(
+        num_aps=5, antennas_per_ap=4, num_ues=26, pilot_length=17, ue_power_w=0.0003736,
+        noise_power_w=5.577e-15, ap_ue_height_gap_m=0.6761, angular_std_dev_rad=0.001368,
+        stripe_length_m=14.2, rng_seed=376),
+    "pilot_covariance_not_pd": dict(
+        num_aps=12, antennas_per_ap=16, num_ues=1, pilot_length=40, ue_power_w=10.0,
+        noise_power_w=1e-16, ap_ue_height_gap_m=0.001, angular_std_dev_rad=1e-4,
+        stripe_length_m=3.0, rng_seed=1),
+    # here G of the Gram form fails Cholesky unless it is symmetrized
+    "unsymmetric_gram_core": dict(
+        num_aps=10, antennas_per_ap=8, num_ues=29, pilot_length=17,
+        ue_power_w=6.843754851572363, noise_power_w=1.2024094334806175e-16,
+        ap_ue_height_gap_m=0.0023406006798183977, angular_std_dev_rad=0.030237240527544545,
+        rng_seed=2),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(EXTREME_VALID_CONFIGS))
+def test_extreme_valid_configs_run_to_finite_se(case):
+    cfg = mini_config(**EXTREME_VALID_CONFIGS[case], coherence_block=200,
+                      num_channel_realizations=2)
+    out = simulate_setup(cfg, range(0, 2), ALL_SCHEMES)
+    for scheme, se in out.items():
+        assert se.shape == (2, cfg.num_ues), scheme
+        assert np.all(np.isfinite(se)) and np.all(se >= 0), scheme
 
 
 def drop_elements(cfg):
