@@ -65,8 +65,6 @@ def cmd_run(args) -> int:
     config = load_config(args.config) if args.config else SimulationConfig()
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
-    if args.workers is not None:
-        config = replace(config, num_workers=args.workers)
 
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     if not schemes:
@@ -102,7 +100,7 @@ def cmd_run(args) -> int:
     def progress(done, total):
         print(f"  setup {done}/{total}", flush=True)
 
-    results = run_experiment([cfg for cfg, _, _ in runs], schemes, progress=progress)
+    results = run_experiment([cfg for cfg, _, _ in runs], schemes, progress, args.workers)
     for (cfg, sub, _), result in zip(runs, results):
         _write_run(cfg, result, sub)
     if sweep_field is not None:
@@ -154,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--sweep", help="sweep spec, e.g. K=5,10,15,20")
     run.add_argument("--seed", type=int, help="override the config RNG seed")
-    run.add_argument("--workers", type=int, help="override worker count (0 = all cores)")
+    run.add_argument("--workers", type=int, default=0, help="worker processes (0 = all cores)")
     run.add_argument("--out", default="results", help="output directory")
     run.set_defaults(func=cmd_run)
 

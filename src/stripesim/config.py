@@ -53,8 +53,6 @@ class SimulationConfig:
     pilot_length: int = 20             # tau_p, channel uses spent on pilots
     ue_power_w: float | tuple[float, ...] = 0.05   # per-UE transmit power (50 mW); tuple = per-UE values
     noise_power_w: float = 10.0 ** (-12.2)         # -92 dBm
-    carrier_freq_hz: float = 2.0e9     # informational only
-    bandwidth_hz: float = 20.0e6       # informational only
 
     # Geometry: stripe wrapped around a square perimeter, UEs inside
     stripe_length_m: float = 500.0
@@ -68,7 +66,6 @@ class SimulationConfig:
     num_setups: int = 50
     num_channel_realizations: int = 200
     rng_seed: int = 1
-    num_workers: int = 0               # 0 = all available cores
 
     @property
     def square_side_m(self) -> float:
@@ -127,7 +124,7 @@ def _has_type(value, kind) -> bool:
 _LOWER = {
     "num_aps": 2, "antennas_per_ap": 1, "num_ues": 1, "coherence_block": 1,
     "pilot_length": 1, "num_setups": 1, "num_channel_realizations": 1,
-    "rng_seed": 0, "num_workers": 0, "ue_power_w": 0.0, "noise_power_w": 0.0,
+    "rng_seed": 0, "ue_power_w": 0.0, "noise_power_w": 0.0,
     "stripe_length_m": 0.0, "ap_ue_height_gap_m": 0.0, "angular_std_dev_rad": 0.0,
 }
 
@@ -136,11 +133,10 @@ _LOWER = {
 # writes them; they round-trip exactly via Python float repr.
 _SECTIONS = {
     "network": ("num_aps", "antennas_per_ap", "num_ues"),
-    "radio": ("coherence_block", "pilot_length", "ue_power_w", "noise_power_w",
-              "carrier_freq_hz", "bandwidth_hz"),
+    "radio": ("coherence_block", "pilot_length", "ue_power_w", "noise_power_w"),
     "geometry": ("stripe_length_m", "ap_ue_height_gap_m"),
     "channel_model": ("correlation_model", "angular_std_dev_rad"),
-    "montecarlo": ("num_setups", "num_channel_realizations", "rng_seed", "num_workers"),
+    "montecarlo": ("num_setups", "num_channel_realizations", "rng_seed"),
 }
 
 _TYPES = typing.get_type_hints(SimulationConfig)  # field name -> declared type

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import multiprocessing
+import numbers
 import os
 import signal
 from dataclasses import fields
@@ -158,15 +159,17 @@ def run_experiment(
     configs: list[SimulationConfig],
     schemes: tuple[str, ...] = ALL_SCHEMES,
     progress=None,
+    workers: int = 0,
 ) -> list[dict[str, np.ndarray]]:
     """Simulate every config's setups; per config, scheme -> SE (num_setups, K).
 
     A plain run passes one config, a sweep one per value. Each (config, group
     of setups) is one job; all jobs, in config order and then group order, go
-    through one pool, so the configs must share num_workers. A call of one
-    job in total starts no pool. progress(done, total) counts setups over
-    the whole call as each job returns. An error raised in a job re-raises
-    as a ValueError naming its config and setups.
+    through one pool of at most workers processes (0 = every CPU this process
+    may run on), and the results do not depend on workers. A call of one job
+    in total starts no pool. progress(done, total) counts setups over the
+    whole call as each job returns. An error raised in a job re-raises as a
+    ValueError naming its config and setups.
 
     Every loaded OpenBLAS runs single-threaded for the duration (see blas),
     in pool workers too, whatever the start method. Pool workers ignore
@@ -175,8 +178,8 @@ def run_experiment(
     """
     if not configs:
         raise ValueError("at least one config is required")
-    if len({config.num_workers for config in configs}) > 1:
-        raise ValueError("all configs of one run must have the same num_workers")
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 0:
+        raise ValueError(f"workers must be an integer >= 0, got {workers!r}")
     for scheme in schemes:
         if scheme not in ALL_SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -187,12 +190,12 @@ def run_experiment(
     jobs = [(config, group, tuple(schemes))
             for config, config_groups in zip(configs, groups) for group in config_groups]
     total = sum(config.num_setups for config in configs)
-    workers = worker_count(configs[0].num_workers, len(jobs))
+    processes = worker_count(workers, len(jobs))
     per_job = []
     with one_blas_thread(), contextlib.ExitStack() as stack:
-        if workers > 1:
+        if processes > 1:
             pool = stack.enter_context(
-                multiprocessing.Pool(processes=workers, initializer=_init_worker))
+                multiprocessing.Pool(processes=processes, initializer=_init_worker))
             outs = pool.imap(_setup_worker, jobs, chunksize=1)
         else:
             outs = map(_setup_worker, jobs)

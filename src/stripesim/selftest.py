@@ -18,7 +18,7 @@ from .channel import (
     mmse_estimate, simulate_pilot_phase,
 )
 from .config import SimulationConfig
-from .runner import rng_stream
+from .runner import _BLOCK_TAG, _SCENARIO_TAG, rng_stream
 from .scenario import Scenario, build_scenario
 
 
@@ -135,20 +135,20 @@ def selftest_config(seed: int = 0) -> SimulationConfig:
         num_aps=4, antennas_per_ap=2, num_ues=3,
         coherence_block=40, pilot_length=2,
         num_setups=1, num_channel_realizations=8,
-        rng_seed=seed, num_workers=1,
+        rng_seed=seed,
     )
 
 
 def run_selftest(seed: int = 0) -> list[CheckResult]:
     """Build a tiny instance and run every invariant check on it."""
     config = selftest_config(seed)
-    scenario = build_scenario(config, rng_stream(seed, 0, 0))
+    scenario = build_scenario(config, rng_stream(seed, 0, _SCENARIO_TAG))
     stats = estimation_statistics(scenario, config)
     powers = config.ue_powers
     sigma2 = config.noise_power_w
 
     results: list[CheckResult] = []
-    rng = rng_stream(seed, 0, 1, 0)
+    rng = rng_stream(seed, 0, _BLOCK_TAG, 0)
     h = draw_channels(scenario, rng)
     hhat = mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng), stats)
     results.append(check_covariance_decomposition(scenario, stats, config))

@@ -134,7 +134,7 @@ def synthetic_config(rng, K, L, N, tau_p) -> SimulationConfig:
         coherence_block=tau_p + 10, pilot_length=tau_p,
         ue_power_w=tuple(rng.uniform(0.5, 2.0, K)),
         noise_power_w=float(rng.uniform(0.5, 2.0)),
-        num_setups=1, num_channel_realizations=1, num_workers=1,
+        num_setups=1, num_channel_realizations=1,
     )
 
 

@@ -22,7 +22,7 @@ from stripesim.channel import complex_normal, draw_channels, estimation_statisti
 from stripesim.cli import main
 from stripesim.config import CorrelationModel, SimulationConfig, save_config
 from stripesim.runner import (
-    ALL_SCHEMES, SCHEME_L4, SCHEME_MR, SCHEME_STRIPE, rng_stream, run_experiment,
+    ALL_SCHEMES, SCHEME_L4, SCHEME_MR, SCHEME_STRIPE, drop_groups, rng_stream, run_experiment,
 )
 from stripesim.scenario import build_scenario
 from stripesim.selftest import replay
@@ -33,7 +33,7 @@ DESK_SEED = 20260809
 
 def desk_config(**overrides):
     base = dict(num_setups=20, num_channel_realizations=100,
-                rng_seed=DESK_SEED, num_workers=0)
+                rng_seed=DESK_SEED)
     base.update(overrides)
     return replace(SimulationConfig(), **base)
 
@@ -106,7 +106,7 @@ def test_criterion_4_ue_count_trend(stripe_by_num_ues):
 
 def test_criterion_5_property_suite():
     start = time.time()
-    cfg = desk_config(num_setups=1, num_channel_realizations=1, num_workers=1)
+    cfg = desk_config(num_setups=1, num_channel_realizations=1)
     scenario = build_scenario(cfg, rng_stream(cfg.rng_seed, 0, 0))
     stats = estimation_statistics(scenario, cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
@@ -227,18 +227,19 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_determinism(tmp_path):
-    cfg = desk_config(num_setups=2, num_channel_realizations=5)
+    # two drop groups, so --workers 2 starts a pool
+    cfg = desk_config(num_setups=8, num_channel_realizations=5)
+    assert len(drop_groups(cfg)) == 2
     path = tmp_path / "config.ini"
     save_config(cfg, path)
-    names = ["se_stripe_nlmmse.csv", "se_mr_l2.csv", "se_lmmse_l4.csv",
-             "cdf_stripe_nlmmse.csv", "cdf_mr_l2.csv", "cdf_lmmse_l4.csv"]
     outs = [tmp_path / d for d in ("a", "b", "c")]
     main(["run", "--config", str(path), "--out", str(outs[0]), "--workers", "1"])
     main(["run", "--config", str(path), "--out", str(outs[1]), "--workers", "1"])
     main(["run", "--config", str(path), "--out", str(outs[2]), "--workers", "2"])
-    for name in names:
-        ref = (outs[0] / name).read_bytes()
-        assert (outs[1] / name).read_bytes() == ref, name
-        assert (outs[2] / name).read_bytes() == ref, name
+    ref, *others = [{p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+                    for out in outs]
+    assert len(ref) == 2 + 2 * len(ALL_SCHEMES)  # config, summary, SE and CDF per scheme
+    for tree in others:
+        assert tree == ref
     report("7 determinism",
-           "byte-identical CSVs across reruns and worker-pool sizes")
+           f"byte-identical output trees ({len(ref)} files) across reruns and worker-pool sizes")

@@ -3,7 +3,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,8 +44,8 @@ def test_run_experiment_restores_thread_counts():
         outer = thread_counts()
         config = SimulationConfig(num_aps=2, antennas_per_ap=2, num_ues=2,
                                   pilot_length=2, coherence_block=10, num_setups=1,
-                                  num_channel_realizations=2, num_workers=1)
-        run_experiment([config], (SCHEME_STRIPE,))
+                                  num_channel_realizations=2)
+        run_experiment([config], (SCHEME_STRIPE,), workers=1)
         assert thread_counts() == outer
     finally:
         set_all(1)
@@ -74,9 +73,9 @@ def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     config = SimulationConfig(num_aps=24, antennas_per_ap=16, num_ues=3, pilot_length=2,
                               coherence_block=20, num_setups=3,
-                              num_channel_realizations=4, num_workers=1)
+                              num_channel_realizations=4)
     assert len(drop_groups(config)) == 2
-    serial = run_experiment([config], ALL_SCHEMES)[0]
+    serial = run_experiment([config], ALL_SCHEMES, workers=1)[0]
 
     spawn = multiprocessing.get_context("spawn")
     reported = []
@@ -87,7 +86,7 @@ def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
         return started
 
     monkeypatch.setattr(runner, "multiprocessing", SimpleNamespace(Pool=pool))
-    pooled = run_experiment([replace(config, num_workers=2)], ALL_SCHEMES)[0]
+    pooled = run_experiment([config], ALL_SCHEMES, workers=2)[0]
     # a worker maps numpy's OpenBLAS (scipy's only if a test imported scipy here)
     assert reported and all(counts and set(counts) == {1} for counts in reported)
     for scheme in ALL_SCHEMES:
@@ -143,8 +142,8 @@ def test_cli_run_imports_no_scipy(tmp_path):
     """numpy is the only runtime dependency: a whole run never imports scipy."""
     config = SimulationConfig(num_aps=2, antennas_per_ap=2, num_ues=3, pilot_length=2,
                               coherence_block=10, num_setups=2,
-                              num_channel_realizations=2, num_workers=1)
+                              num_channel_realizations=2)
     save_config(config, tmp_path / "tiny.ini")
     assert run_child(RUN_CHILD, dict(os.environ), "--config", str(tmp_path / "tiny.ini"),
-                     "--out", str(tmp_path / "out")) == []
+                     "--workers", "1", "--out", str(tmp_path / "out")) == []
     assert (tmp_path / "out" / "se_lmmse_l4.csv").exists()

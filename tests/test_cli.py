@@ -23,7 +23,7 @@ MINI = replace(
     SimulationConfig(),
     num_aps=4, antennas_per_ap=2, num_ues=3, coherence_block=40,
     pilot_length=2, num_setups=2, num_channel_realizations=4,
-    rng_seed=7, num_workers=1,
+    rng_seed=7,
 )
 
 RUN_FILES = [
@@ -41,23 +41,29 @@ def write_mini(tmp_path, **overrides):
     return path
 
 
-def read_all(out_dir, names):
-    return {name: (out_dir / name).read_bytes() for name in names}
+def run(*args, workers=1):
+    """`stripesim run` with args, at one worker unless asked otherwise."""
+    return main(["run", "--workers", str(workers), *args])
+
+
+def read_tree(out_dir):
+    """Relative path -> bytes of every file under out_dir."""
+    return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
 
 
 class TestRun:
     def test_writes_all_artifacts(self, tmp_path):
         cfg = write_mini(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run("--config", str(cfg), "--out", str(out)) == 0
         for name in RUN_FILES:
             assert (out / name).exists(), name
 
     def test_csv_layout(self, tmp_path):
         cfg = write_mini(tmp_path)
         out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out),
-              "--schemes", "stripe_nlmmse"])
+        run("--config", str(cfg), "--out", str(out),
+            "--schemes", "stripe_nlmmse")
         lines = (out / "se_stripe_nlmmse.csv").read_text().splitlines()
         assert lines[0] == "scheme,setup,ue,se_bits_per_hz"
         assert len(lines) == 1 + MINI.num_setups * MINI.num_ues
@@ -72,7 +78,7 @@ class TestRun:
     def test_summary_schema(self, tmp_path):
         cfg = write_mini(tmp_path)
         out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out)])
+        run("--config", str(cfg), "--out", str(out))
         summary = json.loads((out / "summary.json").read_text())
         assert summary["schema_version"] == 1
         for scheme in ("stripe_nlmmse", "mr_l2", "lmmse_l4"):
@@ -87,44 +93,40 @@ class TestRun:
     def test_byte_identical_reruns_and_worker_independence(self, tmp_path):
         cfg = write_mini(tmp_path)
         outs = [tmp_path / f"out{i}" for i in range(3)]
-        main(["run", "--config", str(cfg), "--out", str(outs[0])])
-        main(["run", "--config", str(cfg), "--out", str(outs[1])])
-        main(["run", "--config", str(cfg), "--out", str(outs[2]),
-              "--workers", "2"])
-        ref = read_all(outs[0], RUN_FILES)
+        run("--config", str(cfg), "--out", str(outs[0]))
+        run("--config", str(cfg), "--out", str(outs[1]))
+        run("--config", str(cfg), "--out", str(outs[2]), workers=2)
+        ref = read_tree(outs[0])
+        assert sorted(map(str, ref)) == sorted(RUN_FILES)
         for out in outs[1:]:
-            got = read_all(out, RUN_FILES)
-            for name in RUN_FILES:
-                if name == "config_resolved.ini" and out is outs[2]:
-                    continue  # worker count is recorded in the snapshot
-                assert got[name] == ref[name], name
+            assert read_tree(out) == ref
 
     def test_resolved_config_round_trip(self, tmp_path):
         cfg = write_mini(tmp_path)
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
-        main(["run", "--config", str(cfg), "--out", str(out1)])
+        run("--config", str(cfg), "--out", str(out1))
         snapshot = out1 / "config_resolved.ini"
         assert load_config(snapshot) == MINI
-        main(["run", "--config", str(snapshot), "--out", str(out2)])
+        run("--config", str(snapshot), "--out", str(out2))
         for name in RUN_FILES:
             assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
 
     def test_seed_override(self, tmp_path):
         cfg = write_mini(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["run", "--config", str(cfg), "--out", str(out1), "--seed", "99",
-              "--schemes", "stripe_nlmmse"])
-        main(["run", "--config", str(cfg), "--out", str(out2),
-              "--schemes", "stripe_nlmmse"])
+        run("--config", str(cfg), "--out", str(out1), "--seed", "99",
+            "--schemes", "stripe_nlmmse")
+        run("--config", str(cfg), "--out", str(out2),
+            "--schemes", "stripe_nlmmse")
         assert (out1 / "se_stripe_nlmmse.csv").read_bytes() != \
             (out2 / "se_stripe_nlmmse.csv").read_bytes()
 
     def test_sweep_num_ues_layout(self, tmp_path):
         cfg = write_mini(tmp_path)
         out = tmp_path / "sweep"
-        assert main(["run", "--config", str(cfg), "--out", str(out),
-                     "--schemes", "stripe_nlmmse", "--sweep", "K=2,3"]) == 0
+        assert run("--config", str(cfg), "--out", str(out),
+                   "--schemes", "stripe_nlmmse", "--sweep", "K=2,3") == 0
         manifest = json.loads((out / "sweep.json").read_text())
         assert manifest["variable"] == "num_ues"
         dirs = [run["dir"] for run in manifest["runs"]]
@@ -152,17 +154,11 @@ class TestRun:
         cfg = write_mini(tmp_path)
         outs = [tmp_path / f"w{w}" for w in (1, 2)]
         for w, out in zip((1, 2), outs):
-            assert main(["run", "--config", str(cfg), "--out", str(out),
-                         "--sweep", "K=2,3", "--workers", str(w)]) == 0
-        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
-        assert len(files) == 1 + 2 * len(RUN_FILES)
-        for name in files:
-            a, b = (out / name for out in outs)
-            if name.name == "config_resolved.ini":
-                assert load_config(a) == replace(load_config(b), num_workers=1)
-            else:
-                assert a.read_bytes() == b.read_bytes(), name
+            assert run("--config", str(cfg), "--out", str(out), "--sweep", "K=2,3",
+                       workers=w) == 0
+        trees = [read_tree(out) for out in outs]
+        assert len(trees[0]) == 1 + 2 * len(RUN_FILES)
+        assert trees[1] == trees[0]
 
     def test_failing_job_exits_1_naming_its_setups(self, tmp_path, monkeypatch, capsys):
         from stripesim import runner
@@ -175,8 +171,8 @@ class TestRun:
                 raise error("injected failure")
 
             monkeypatch.setattr(runner, "simulate_setup", failing)
-            assert main(["run", "--config", str(cfg), "--out", str(out),
-                         "--sweep", "K=2,3"]) == 1
+            assert run("--config", str(cfg), "--out", str(out),
+                       "--sweep", "K=2,3") == 1
             err = capsys.readouterr().err
             assert err.startswith("error: config ")
             assert "num_ues=2" in err and "setups 0-1" in err and "injected failure" in err
@@ -189,7 +185,7 @@ class TestRun:
 
         monkeypatch.setattr(cli, "run_experiment", interrupted)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(write_mini(tmp_path)), "--out", str(out)]) == 130
+        assert run("--config", str(write_mini(tmp_path)), "--out", str(out)) == 130
         assert capsys.readouterr().err == "error: interrupted\n"
         assert not out.exists()
 
@@ -231,8 +227,8 @@ class TestRun:
         # error comes before any output, naming the value
         cfg = write_mini(tmp_path, ue_power_w=(0.05, 0.04, 0.03))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out),
-                     "--sweep", "K=3,2"]) == 1
+        assert run("--config", str(cfg), "--out", str(out),
+                   "--sweep", "K=3,2") == 1
         captured = capsys.readouterr()
         assert captured.err == (
             "error: num_ues=2: ue_power_w must be scalar or length 2, got (3,)\n")
@@ -247,8 +243,8 @@ class TestRun:
     def test_repeated_sweep_value_exits_1(self, tmp_path, capsys, sweep, repeat):
         cfg = write_mini(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out),
-                     "--schemes", "stripe_nlmmse", "--sweep", sweep]) == 1
+        assert run("--config", str(cfg), "--out", str(out),
+                   "--schemes", "stripe_nlmmse", "--sweep", sweep) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: sweep repeats {repeat}\n"
         assert captured.out == ""
@@ -276,14 +272,14 @@ class TestRun:
 
     def test_unknown_scheme_gives_nonzero_exit(self, tmp_path):
         cfg = write_mini(tmp_path)
-        assert main(["run", "--config", str(cfg), "--schemes", "zf",
-                     "--out", str(tmp_path / "x")]) == 1
+        assert run("--config", str(cfg), "--schemes", "zf",
+                   "--out", str(tmp_path / "x")) == 1
 
     def test_repeated_scheme_exits_1(self, tmp_path, capsys):
         cfg = write_mini(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out),
-                     "--schemes", "stripe_nlmmse,stripe_nlmmse,mr_l2"]) == 1
+        assert run("--config", str(cfg), "--out", str(out),
+                   "--schemes", "stripe_nlmmse,stripe_nlmmse,mr_l2") == 1
         captured = capsys.readouterr()
         assert captured.err == "error: scheme list repeats stripe_nlmmse\n"
         assert captured.out == ""
@@ -299,7 +295,7 @@ class TestRun:
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
         out = afile.joinpath(*sub)
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert run("--config", str(cfg), "--out", str(out)) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: --out {out}: {afile} is not a directory\n"
         assert "running" not in captured.out
@@ -307,17 +303,23 @@ class TestRun:
 
     def test_bad_sweep_gives_nonzero_exit(self, tmp_path):
         cfg = write_mini(tmp_path)
-        assert main(["run", "--config", str(cfg), "--sweep", "L=2,3",
-                     "--out", str(tmp_path / "x")]) == 1
+        assert run("--config", str(cfg), "--sweep", "L=2,3",
+                   "--out", str(tmp_path / "x")) == 1
 
     def test_unparseable_sweep_value_names_sweep_and_value(self, tmp_path, capsys):
         cfg = write_mini(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out),
-                     "--sweep", "K=5,ten"]) == 1
+        assert run("--config", str(cfg), "--out", str(out),
+                   "--sweep", "K=5,ten") == 1
         captured = capsys.readouterr()
         assert captured.err == "error: sweep num_ues: 'ten' is not an integer\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_negative_worker_count_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("--config", str(write_mini(tmp_path)), "--out", str(out), workers=-1) == 1
+        assert capsys.readouterr().err == "error: workers must be an integer >= 0, got -1\n"
         assert not out.exists()
 
 

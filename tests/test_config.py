@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +37,6 @@ def configs(draw):
         pilot_length=draw(st.integers(1, coherence_block)),
         ue_power_w=draw(POSITIVE | per_ue),
         noise_power_w=draw(POSITIVE),
-        carrier_freq_hz=draw(st.floats(allow_nan=False, allow_infinity=False)),
-        bandwidth_hz=draw(st.floats(allow_nan=False, allow_infinity=False)),
         stripe_length_m=draw(POSITIVE),
         ap_ue_height_gap_m=draw(POSITIVE),
         correlation_model=draw(st.sampled_from(CorrelationModel)),
@@ -44,7 +44,6 @@ def configs(draw):
         num_setups=draw(st.integers(1, 10_000)),
         num_channel_realizations=draw(st.integers(1, 10_000)),
         rng_seed=draw(st.integers(0, 2 ** 64 - 1)),
-        num_workers=draw(st.integers(0, 256)),
     )
 
 
@@ -60,15 +59,12 @@ def bad_values(cfg):
         "pilot_length": st.integers(max_value=0) | st.integers(min_value=cfg.coherence_block + 1),
         "ue_power_w": BAD_POSITIVE | one_bad_power,
         "noise_power_w": BAD_POSITIVE,
-        "carrier_freq_hz": NON_FINITE,
-        "bandwidth_hz": NON_FINITE,
         "stripe_length_m": BAD_POSITIVE,
         "ap_ue_height_gap_m": BAD_POSITIVE,
         "angular_std_dev_rad": BAD_POSITIVE,
         "num_setups": st.integers(max_value=0),
         "num_channel_realizations": st.integers(max_value=0),
         "rng_seed": st.integers(max_value=-1) | st.integers(min_value=2 ** 64),
-        "num_workers": st.integers(max_value=-1),
         "correlation_model": st.sampled_from([m.value for m in CorrelationModel]),
     }
 
@@ -85,7 +81,6 @@ def test_defaults_match_reference_setup():
     assert cfg.stripe_length_m == 500.0
     assert cfg.square_side_m == 125.0
     assert cfg.ap_ue_height_gap_m == 5.0
-    assert cfg.bandwidth_hz == 20e6
     assert cfg.correlation_model is CorrelationModel.GAUSSIAN_LOCAL_SCATTERING
 
 
@@ -148,6 +143,17 @@ def test_per_ue_power_vector():
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_ini("[network]\nnum_apps = 24\n")
+    # the worker count belongs to the run, and nothing reads a carrier or bandwidth
+    for section, key in (("radio", "carrier_freq_hz"), ("radio", "bandwidth_hz"),
+                         ("montecarlo", "num_workers")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown config key [{section}] {key}")):
+            config_from_ini(f"[{section}]\n{key} = 0\n")
+
+
+def test_readme_example_is_the_default_config():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example_ini,) = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    assert config_from_ini(example_ini) == SimulationConfig()
 
 
 def test_duplicate_unit_spellings_rejected():
@@ -169,7 +175,6 @@ def test_duplicate_unit_spellings_rejected():
         {"angular_std_dev_rad": 0.0},
         {"num_setups": 0},
         {"rng_seed": -1},
-        {"num_workers": -2},
         {"ue_power_w": (0.05, 0.04)},  # wrong vector length for K=10
         {"stripe_length_m": math.inf},
         {"noise_power_w": math.nan},

@@ -25,8 +25,8 @@ CONFIG = {"num_aps": 6, "antennas_per_ap": 2, "num_ues": 4, "pilot_length": 2,
 
 
 def golden_se() -> dict[str, np.ndarray]:
-    config = replace(SimulationConfig(), **CONFIG, num_workers=1)
-    return run_experiment([config], ALL_SCHEMES)[0]
+    config = replace(SimulationConfig(), **CONFIG)
+    return run_experiment([config], ALL_SCHEMES, workers=1)[0]
 
 
 def test_se_matches_golden():

@@ -43,7 +43,7 @@ def tiny_configs(draw):
         num_ues=num_ues, pilot_length=draw(st.integers(1, num_ues)),
         correlation_model=draw(st.sampled_from(CorrelationModel)),
         rng_seed=draw(st.integers(0, 2 ** 32 - 1)),
-        num_setups=1, num_channel_realizations=BLOCKS, num_workers=1,
+        num_setups=1, num_channel_realizations=BLOCKS,
     )
 
 
@@ -63,7 +63,7 @@ def valid_configs(draw):
         stripe_length_m=draw(log_uniform(3.0, 3000.0)),
         correlation_model=draw(st.sampled_from(CorrelationModel)),
         rng_seed=draw(st.integers(0, 2 ** 32 - 1)),
-        num_setups=2, num_channel_realizations=2, num_workers=1,
+        num_setups=2, num_channel_realizations=2,
     )
 
 

@@ -18,7 +18,7 @@ from stripesim.runner import (
 def mini_config(**overrides):
     base = dict(num_aps=4, antennas_per_ap=2, num_ues=3, coherence_block=40,
                 pilot_length=2, num_setups=2, num_channel_realizations=4,
-                rng_seed=11, num_workers=1)
+                rng_seed=11)
     base.update(overrides)
     return replace(SimulationConfig(), **base)
 
@@ -42,28 +42,28 @@ def test_simulate_setup_shapes():
 
 def test_run_experiment_results():
     cfg = mini_config()
-    results = run_experiment([cfg], ALL_SCHEMES)[0]
+    results = run_experiment([cfg], ALL_SCHEMES, workers=1)[0]
     assert list(results) == list(ALL_SCHEMES)
     for se in results.values():
         assert se.shape == (cfg.num_setups, cfg.num_ues)
 
 
 def test_scheme_subset_only_computes_requested():
-    results = run_experiment([mini_config()], (SCHEME_STRIPE,))[0]
+    results = run_experiment([mini_config()], (SCHEME_STRIPE,), workers=1)[0]
     assert list(results) == [SCHEME_STRIPE]
 
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
-        run_experiment([mini_config()], ("zf",))
+        run_experiment([mini_config()], ("zf",), workers=1)
     with pytest.raises(ValueError):
-        run_experiment([mini_config()], ())
+        run_experiment([mini_config()], (), workers=1)
 
 
 def test_bitwise_deterministic_across_runs():
     cfg = mini_config()
-    a = run_experiment([cfg], ALL_SCHEMES)[0]
-    b = run_experiment([cfg], ALL_SCHEMES)[0]
+    a = run_experiment([cfg], ALL_SCHEMES, workers=1)[0]
+    b = run_experiment([cfg], ALL_SCHEMES, workers=1)[0]
     for scheme in ALL_SCHEMES:
         assert np.array_equal(a[scheme], b[scheme])
 
@@ -94,9 +94,9 @@ def recording_pool(monkeypatch):
 
 def test_worker_count_does_not_change_results(monkeypatch):
     assert [len(g) for g in drop_groups(pool_config())] == [2, 2, 1]
-    serial = run_experiment([pool_config(num_workers=1)], ALL_SCHEMES)[0]
+    serial = run_experiment([pool_config()], ALL_SCHEMES, workers=1)[0]
     sizes = recording_pool(monkeypatch)
-    pooled = run_experiment([pool_config(num_workers=2)], ALL_SCHEMES)[0]
+    pooled = run_experiment([pool_config()], ALL_SCHEMES, workers=2)[0]
     assert sizes == [2]
     for scheme in ALL_SCHEMES:
         assert np.array_equal(serial[scheme], pooled[scheme])
@@ -105,7 +105,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
 def test_one_group_starts_no_pool(monkeypatch):
     sizes = recording_pool(monkeypatch)
     assert len(drop_groups(mini_config())) == 1
-    run_experiment([mini_config(num_workers=2)], ALL_SCHEMES)
+    run_experiment([mini_config()], ALL_SCHEMES, workers=2)
     assert sizes == []
 
 
@@ -121,36 +121,44 @@ def fork_pool(monkeypatch):
 def test_sweep_equals_single_config_calls(workers):
     # K = 5 > tau_p = 2 reuses pilots; each value is its own config
     ks = (2, 3, 5)
-    configs = [mini_config(num_ues=k, num_workers=workers) for k in ks]
-    swept = run_experiment(configs, ALL_SCHEMES)
+    configs = [mini_config(num_ues=k) for k in ks]
+    swept = run_experiment(configs, ALL_SCHEMES, workers=workers)
     assert len(swept) == len(ks)
     for k, config, got in zip(ks, configs, swept):
-        ref = run_experiment([config], ALL_SCHEMES)[0]
+        ref = run_experiment([config], ALL_SCHEMES, workers=workers)[0]
         for scheme in ALL_SCHEMES:
             assert np.array_equal(got[scheme], ref[scheme]), (k, scheme)
 
 
 def test_sweep_starts_one_pool_for_all_values(monkeypatch):
-    configs = [mini_config(num_ues=k, num_workers=2) for k in (2, 3, 4, 5)]
+    configs = [mini_config(num_ues=k) for k in (2, 3, 4, 5)]
     assert all(len(drop_groups(c)) == 1 for c in configs)
     sizes = recording_pool(monkeypatch)
-    run_experiment(configs, (SCHEME_STRIPE,))
+    run_experiment(configs, (SCHEME_STRIPE,), workers=2)
     assert sizes == [2]
 
 
-def test_configs_must_share_the_worker_count():
-    with pytest.raises(ValueError, match="num_workers"):
-        run_experiment([mini_config(num_workers=1), mini_config(num_workers=2)])
+def test_no_configs_rejected():
     with pytest.raises(ValueError):
         run_experiment([])
 
 
+@pytest.mark.parametrize("workers", [-1, -2, True, 1.0, None, "2"])
+def test_bad_worker_count_rejected_before_any_job(monkeypatch, workers):
+    def never(*args):
+        raise AssertionError("a job started")
+
+    monkeypatch.setattr(runner, "_setup_worker", never)
+    with pytest.raises(ValueError, match="workers must be an integer >= 0"):
+        run_experiment([mini_config()], workers=workers)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_progress_counts_setups_over_the_whole_call(workers):
-    configs = [pool_config(num_ues=k, num_workers=workers) for k in (3, 4)]
+    configs = [pool_config(num_ues=k) for k in (3, 4)]
     assert [[len(g) for g in drop_groups(c)] for c in configs] == [[2, 2, 1]] * 2
     calls = []
-    run_experiment(configs, (SCHEME_STRIPE,), progress=lambda *a: calls.append(a))
+    run_experiment(configs, (SCHEME_STRIPE,), lambda *a: calls.append(a), workers=workers)
     assert calls == [(2, 10), (4, 10), (5, 10), (7, 10), (9, 10), (10, 10)]
 
 
@@ -158,7 +166,7 @@ def test_progress_counts_setups_over_the_whole_call(workers):
 def test_failing_job_names_its_config_and_setups(monkeypatch, workers):
     if workers > 1:
         fork_pool(monkeypatch)
-    configs = [pool_config(num_ues=k, num_workers=workers) for k in (3, 4)]
+    configs = [pool_config(num_ues=k) for k in (3, 4)]
     bad = drop_groups(configs[1])[1]
     real = runner.simulate_setup
     # a ValueError (LinAlgError is one) and any other exception alike
@@ -171,7 +179,7 @@ def test_failing_job_names_its_config_and_setups(monkeypatch, workers):
 
         monkeypatch.setattr(runner, "simulate_setup", failing)
         with pytest.raises(ValueError) as info:
-            run_experiment(configs, (SCHEME_STRIPE,))
+            run_experiment(configs, (SCHEME_STRIPE,), workers=workers)
         message = str(info.value)
         assert config_fingerprint(configs[1]) in message
         assert "num_ues=4" in message
@@ -181,8 +189,8 @@ def test_failing_job_names_its_config_and_setups(monkeypatch, workers):
 
 
 def test_seed_changes_results():
-    a = run_experiment([mini_config(rng_seed=11)], (SCHEME_STRIPE,))[0]
-    b = run_experiment([mini_config(rng_seed=12)], (SCHEME_STRIPE,))[0]
+    a = run_experiment([mini_config(rng_seed=11)], (SCHEME_STRIPE,), workers=1)[0]
+    b = run_experiment([mini_config(rng_seed=12)], (SCHEME_STRIPE,), workers=1)[0]
     assert not np.array_equal(a[SCHEME_STRIPE], b[SCHEME_STRIPE])
 
 
@@ -310,10 +318,10 @@ def test_grouped_drops_equal_one_drop_groups(monkeypatch, case):
                           num_channel_realizations=2)
     monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", drop_elements(cfg))
     assert all(len(g) == 1 for g in drop_groups(cfg))
-    single = run_experiment([cfg], ALL_SCHEMES)[0]
+    single = run_experiment([cfg], ALL_SCHEMES, workers=1)[0]
     monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", 3 * drop_elements(cfg))
     assert len(drop_groups(cfg)[0]) == 3 and len(drop_groups(cfg)[-1]) == 1
-    grouped = run_experiment([cfg], ALL_SCHEMES)[0]
+    grouped = run_experiment([cfg], ALL_SCHEMES, workers=1)[0]
     for scheme in ALL_SCHEMES:
         assert np.array_equal(grouped[scheme], single[scheme]), scheme
 

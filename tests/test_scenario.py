@@ -14,7 +14,7 @@ from stripesim.scenario import (
 
 def small_config(**overrides):
     base = dict(num_aps=8, antennas_per_ap=2, num_ues=4, num_setups=1,
-                num_channel_realizations=1, num_workers=1)
+                num_channel_realizations=1)
     base.update(overrides)
     return replace(SimulationConfig(), **base)
 
