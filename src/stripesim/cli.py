@@ -17,7 +17,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import metrics  # noqa: E402
 from .config import SimulationConfig, format_value, load_config, parse_value, save_config  # noqa: E402
-from .runner import ALL_SCHEMES, SCHEME_L4, SCHEME_STRIPE, run_experiment  # noqa: E402
+from .runner import ALL_SCHEMES, SCHEME_L4, SCHEME_STRIPE, check_schemes, run_experiment  # noqa: E402
 
 _SWEEPABLE = {
     "k": "num_ues",
@@ -67,13 +67,7 @@ def cmd_run(args) -> int:
         config = replace(config, rng_seed=args.seed)
 
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    if not schemes:
-        raise ValueError("scheme list must be nonempty")
-    for i, scheme in enumerate(schemes):
-        if scheme not in ALL_SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r} (valid: {', '.join(ALL_SCHEMES)})")
-        if scheme in schemes[:i]:
-            raise ValueError(f"scheme list repeats {scheme}")
+    check_schemes(schemes)
     sweep_field, sweep_values = _parse_sweep(args.sweep) if args.sweep else (None, ())
     out_dir = Path(args.out)
     # fail before simulating if out_dir, or else its nearest existing ancestor, is no directory

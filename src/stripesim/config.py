@@ -184,7 +184,8 @@ def format_value(value) -> str:
 
 def config_from_ini(text: str) -> SimulationConfig:
     """Parse a config from INI text; unknown keys and unparseable values name their key."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header spells the empty name, so [DEFAULT] is an unknown section too
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

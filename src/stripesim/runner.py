@@ -155,6 +155,17 @@ def _job_name(configs: list[SimulationConfig], config: SimulationConfig, setups:
     return f"config {config_fingerprint(config)}{where}, setups {setups.start}-{setups.stop - 1}"
 
 
+def check_schemes(schemes: tuple[str, ...]) -> None:
+    """Reject an empty scheme list, an unknown scheme and a repeated one."""
+    if not schemes:
+        raise ValueError("scheme list must be nonempty")
+    for i, scheme in enumerate(schemes):
+        if scheme not in ALL_SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r} (valid: {', '.join(ALL_SCHEMES)})")
+        if scheme in schemes[:i]:
+            raise ValueError(f"scheme list repeats {scheme}")
+
+
 def run_experiment(
     configs: list[SimulationConfig],
     schemes: tuple[str, ...] = ALL_SCHEMES,
@@ -180,11 +191,7 @@ def run_experiment(
         raise ValueError("at least one config is required")
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 0:
         raise ValueError(f"workers must be an integer >= 0, got {workers!r}")
-    for scheme in schemes:
-        if scheme not in ALL_SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
-    if not schemes:
-        raise ValueError("at least one scheme is required")
+    check_schemes(schemes)
 
     groups = [drop_groups(config) for config in configs]
     jobs = [(config, group, tuple(schemes))

@@ -1,14 +1,13 @@
 """Deterministic part of a simulation drop.
 
-Builds the stripe geometry (APs equally spaced along the square perimeter,
-arrays flush with the walls), UE placement, large-scale gains, spatial
-covariance matrices, and the pilot assignment. Everything here is a pure
-function of (config, rng); a Scenario is immutable once built and can be
-shared read-only across Monte Carlo workers.
+From the stripe geometry (APs equally spaced along the square perimeter,
+arrays flush with the walls) and the UE placement, builds the spatial
+covariance matrices and the pilot assignment, all that the receivers see of
+a drop. Everything here is a pure function of (config, rng); a Scenario is
+immutable once built and can be shared read-only across Monte Carlo workers.
 
 Given a sequence of generators, one per drop, build_scenario stacks the
-drops: every UE-dependent field gets a leading drop axis (D, ...), while the
-AP layout, the same in every drop, has none.
+drops: every field gets a leading drop axis (D, ...).
 """
 
 from __future__ import annotations
@@ -29,11 +28,9 @@ _PL_SLOPE_DB = 36.7
 _PSD_TOL = 1e-10
 
 
-def pathloss_db(distance_m) -> np.ndarray | float:
+def pathloss_db(distance_m: np.ndarray) -> np.ndarray:
     """Distance-dependent channel gain in dB; distances are clamped at 1 m."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), 1.0)
-    out = _PL_CONST_DB - _PL_SLOPE_DB * np.log10(d)
-    return float(out) if out.ndim == 0 else out
+    return _PL_CONST_DB - _PL_SLOPE_DB * np.log10(np.maximum(distance_m, 1.0))
 
 
 def local_scattering_covariance(
@@ -126,27 +123,22 @@ def per_stream(rngs: Rngs, draw: Callable[[np.random.Generator], np.ndarray]) ->
 
 @dataclass
 class Scenario:
-    """Random drops: geometry, channel statistics, and pilot allocation.
+    """Random drops as the receivers see them: channel statistics and pilots.
 
-    The UE-dependent fields carry the leading drop axes (...), if any.
+    Every field carries the leading drop axes (...), if any.
     """
 
-    ap_positions: np.ndarray      # (L, 3) m
-    ap_orientations: np.ndarray   # (L,) boresight azimuth, rad (normal to wall)
-    ue_positions: np.ndarray      # (..., K, 3) m
-    distances: np.ndarray         # (..., K, L) m, includes the AP-UE height gap
-    large_scale: np.ndarray       # (..., K, L) linear power gain
     covariances: np.ndarray       # (..., K, L, N, N) Hermitian PSD
     cov_factors: np.ndarray       # (..., K, L, N, N), factor @ factor^H = covariance
     pilot_index: np.ndarray       # (..., K) int; same index <=> shared pilot
 
     @property
     def num_ues(self) -> int:
-        return self.distances.shape[-2]
+        return self.pilot_index.shape[-1]
 
     @property
     def num_aps(self) -> int:
-        return self.distances.shape[-1]
+        return self.covariances.shape[-3]
 
     @property
     def num_antennas(self) -> int:
@@ -187,18 +179,16 @@ def nominal_angles(ap_xy: np.ndarray, boresight: np.ndarray, ue_xy: np.ndarray) 
 
 
 def build_scenario(config: SimulationConfig, rngs: Rngs) -> Scenario:
-    """Draw one drop, or one per generator: AP/UE geometry, gains, covariances, pilots."""
+    """Draw one drop, or one per generator: UE placement, covariances, pilots."""
     L, K, N = config.num_aps, config.num_ues, config.antennas_per_ap
     side = config.square_side_m
     gap = config.ap_ue_height_gap_m
 
     ap_xy, boresight = _perimeter_layout(L, side)
-    ap_positions = np.column_stack([ap_xy, np.full(L, gap)])
 
     # per drop, the UE positions come first in the stream, then the pilots
     ue_xy = per_stream(rngs, lambda rng: rng.uniform(0.0, side, size=(K, 2)))
     pilot_index = per_stream(rngs, lambda rng: assign_pilots(K, config.pilot_length, rng))
-    ue_positions = np.concatenate([ue_xy, np.zeros((*ue_xy.shape[:-1], 1))], axis=-1)
 
     horizontal = np.linalg.norm(ue_xy[..., :, None, :] - ap_xy, axis=-1)
     distances = np.hypot(horizontal, gap)
@@ -215,16 +205,7 @@ def build_scenario(config: SimulationConfig, rngs: Rngs) -> Scenario:
         )
         factors = psd_factor(covariances)
 
-    scenario = Scenario(
-        ap_positions=ap_positions,
-        ap_orientations=boresight,
-        ue_positions=ue_positions,
-        distances=distances,
-        large_scale=large_scale,
-        covariances=covariances,
-        cov_factors=factors,
-        pilot_index=pilot_index,
-    )
+    scenario = Scenario(covariances=covariances, cov_factors=factors, pilot_index=pilot_index)
     for arr in vars(scenario).values():
         arr.flags.writeable = False
     return scenario

@@ -22,6 +22,12 @@ from .runner import _BLOCK_TAG, _SCENARIO_TAG, rng_stream
 from .scenario import Scenario, build_scenario
 
 
+_DECOMPOSITION_TOL = 1e-10
+_NORM_TOL = 1e-12
+_RECONSTRUCTION_TOL = 1e-10
+_SINR_DROP_TOL = 1e-9
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -31,7 +37,6 @@ class CheckResult:
 
 def check_covariance_decomposition(
     scenario: Scenario, stats: EstimationStatistics, config: SimulationConfig,
-    rel_tol: float = 1e-10,
 ) -> CheckResult:
     """R - rtilde must be the MMSE estimate covariance p_k tau_p R Psi^-1 R.
 
@@ -52,22 +57,20 @@ def check_covariance_decomposition(
             worst = max(worst, gap / np.abs(R).max())
     return CheckResult(
         name="covariance_decomposition",
-        passed=worst < rel_tol,
-        detail=f"max relative residual {worst:.3e} (tol {rel_tol:.0e})",
+        passed=worst < _DECOMPOSITION_TOL,
+        detail=f"max relative residual {worst:.3e} (tol {_DECOMPOSITION_TOL:.0e})",
     )
 
 
-def check_combiner_norms(
-    combiners: Sequence[np.ndarray], tol: float = 1e-12,
-) -> CheckResult:
+def check_combiner_norms(combiners: Sequence[np.ndarray]) -> CheckResult:
     """All combiners along the stripe must be unit norm."""
     worst = 0.0
     for V in combiners:
         worst = max(worst, np.abs(np.linalg.norm(V, axis=-1) - 1.0).max())
     return CheckResult(
         name="combiner_norms",
-        passed=worst < tol,
-        detail=f"max |norm - 1| {worst:.3e} (tol {tol:.0e})",
+        passed=worst < _NORM_TOL,
+        detail=f"max |norm - 1| {worst:.3e} (tol {_NORM_TOL:.0e})",
     )
 
 
@@ -92,7 +95,7 @@ def _scaled_residual(resid: np.ndarray, *parts: np.ndarray) -> float:
 
 def check_reconstruction(
     combiners: Sequence[np.ndarray], final: stripe.StageState, hhat: np.ndarray,
-    channels: np.ndarray, symbols: np.ndarray, noise: np.ndarray, rel_tol: float = 1e-10,
+    channels: np.ndarray, symbols: np.ndarray, noise: np.ndarray,
 ) -> CheckResult:
     """Replayed soft estimates must decompose exactly into signal and noise parts.
 
@@ -109,13 +112,13 @@ def check_reconstruction(
                 _scaled_residual(ghat - final.ghat, ghat, final.ghat))
     return CheckResult(
         name="reconstruction_identity",
-        passed=worst < rel_tol,
-        detail=f"max scaled residual {worst:.3e} (tol {rel_tol:.0e})",
+        passed=worst < _RECONSTRUCTION_TOL,
+        detail=f"max scaled residual {worst:.3e} (tol {_RECONSTRUCTION_TOL:.0e})",
     )
 
 
 def check_monotone_stage_sinr(
-    states: Sequence[stripe.StageState], powers: np.ndarray, rel_tol: float = 1e-9,
+    states: Sequence[stripe.StageState], powers: np.ndarray,
 ) -> CheckResult:
     """The per-stage effective SINR must never decrease along the stripe."""
     sinr = [metrics.sinr_per_ue(state.ghat, state.impairment, powers) for state in states]
@@ -123,8 +126,8 @@ def check_monotone_stage_sinr(
                          for prev, cur in zip(sinr, sinr[1:])])
     return CheckResult(
         name="monotone_stage_sinr",
-        passed=worst < rel_tol,
-        detail=f"max relative SINR drop {worst:.3e} (tol {rel_tol:.0e})",
+        passed=worst < _SINR_DROP_TOL,
+        detail=f"max relative SINR drop {worst:.3e} (tol {_SINR_DROP_TOL:.0e})",
     )
 
 

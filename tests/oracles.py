@@ -100,10 +100,10 @@ def brute_force_combiner(
 
 
 def synthetic_scenario(rng, K, L, N, tau_p, beta_scale=1.0) -> Scenario:
-    """Scenario with O(1) random PD covariances and trivial geometry.
+    """Scenario with O(1) random PD covariances.
 
     Keeps the estimation chain numerically friendly for optimizer-based
-    oracles; geometry fields are placeholders.
+    oracles.
     """
     covariances = np.empty((K, L, N, N), dtype=complex)
     factors = np.empty((K, L, N, N), dtype=complex)
@@ -112,18 +112,8 @@ def synthetic_scenario(rng, K, L, N, tau_p, beta_scale=1.0) -> Scenario:
             R = random_psd(rng, N, beta_scale) + 0.05 * beta_scale * np.eye(N)
             covariances[k, l] = R
             factors[k, l] = np.linalg.cholesky(R)
-    large_scale = np.trace(covariances, axis1=2, axis2=3).real / N
     pilot_index = assign_pilots(K, tau_p, rng)
-    return Scenario(
-        ap_positions=np.zeros((L, 3)),
-        ap_orientations=np.zeros(L),
-        ue_positions=np.zeros((K, 3)),
-        distances=np.ones((K, L)),
-        large_scale=large_scale,
-        covariances=covariances,
-        cov_factors=factors,
-        pilot_index=pilot_index,
-    )
+    return Scenario(covariances=covariances, cov_factors=factors, pilot_index=pilot_index)
 
 
 def synthetic_config(rng, K, L, N, tau_p) -> SimulationConfig:

@@ -23,12 +23,7 @@ def identity_cov_scenario(rng, K, L, N, beta, tau_p=None):
     covariances = np.tile(beta * np.eye(N, dtype=complex), (K, L, 1, 1))
     factors = np.tile(np.sqrt(beta) * np.eye(N, dtype=complex), (K, L, 1, 1))
     pilot_index = assign_pilots(K, tau_p, rng)
-    return Scenario(
-        ap_positions=np.zeros((L, 3)), ap_orientations=np.zeros(L),
-        ue_positions=np.zeros((K, 3)), distances=np.ones((K, L)),
-        large_scale=np.full((K, L), beta), covariances=covariances,
-        cov_factors=factors, pilot_index=pilot_index,
-    )
+    return Scenario(covariances=covariances, cov_factors=factors, pilot_index=pilot_index)
 
 
 class TestDrawChannels:
@@ -238,12 +233,12 @@ class TestMmseEstimate:
         # overwhelming noise: estimate ~ 0 and error covariance ~ R
         sc = synthetic_scenario(rng, 1, 1, 2, tau_p=1)
         cfg = synthetic_config(rng, 1, 1, 2, tau_p=1)
-        beta = sc.large_scale[0, 0]
+        R = sc.covariances[0, 0]
+        beta = np.trace(R).real / 2
         cfg = replace(cfg, noise_power_w=float(1e12 * cfg.ue_powers[0] * beta))
         h = draw_channels(sc, rng)
         hhat, stats = estimate(sc, h, cfg, rng)
         assert np.linalg.norm(hhat[0, 0]) < 1e-4 * np.linalg.norm(h[0, 0])
-        R = sc.covariances[0, 0]
         assert np.abs(stats.rtilde[0, 0] - R).max() < 1e-10 * np.abs(R).max()
 
     def test_isotropic_scalar_wiener_filter(self, rng):

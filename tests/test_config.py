@@ -150,6 +150,15 @@ def test_unknown_key_rejected():
             config_from_ini(f"[{section}]\n{key} = 0\n")
 
 
+@pytest.mark.parametrize("beside", ["", "[network]\nnum_ues = 3\n", "[radio]\nue_power_mw = 50\n"],
+                         ids=["alone", "network", "radio"])
+def test_default_section_rejected_like_any_unknown_section(beside):
+    # configparser would otherwise fold [DEFAULT] into every other section:
+    # dropped when there is none, applied or misreported when there is
+    with pytest.raises(ValueError, match=re.escape("unknown config key [DEFAULT] num_aps")):
+        config_from_ini("[DEFAULT]\nnum_aps = 8\n" + beside)
+
+
 def test_readme_example_is_the_default_config():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     (example_ini,) = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -58,6 +59,16 @@ def test_unknown_scheme_rejected():
         run_experiment([mini_config()], ("zf",), workers=1)
     with pytest.raises(ValueError):
         run_experiment([mini_config()], (), workers=1)
+
+
+def test_scheme_list_checked_as_the_cli_checks_it():
+    # the same rules and messages as stripesim run --schemes
+    cases = {(): "scheme list must be nonempty",
+             ("zf",): "unknown scheme 'zf' (valid: stripe_nlmmse, mr_l2, lmmse_l4)",
+             (SCHEME_STRIPE, SCHEME_STRIPE): "scheme list repeats stripe_nlmmse"}
+    for schemes, message in cases.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment([mini_config()], schemes, workers=1)
 
 
 def test_bitwise_deterministic_across_runs():

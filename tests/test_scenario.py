@@ -8,7 +8,8 @@ from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim import scenario
 from stripesim.runner import rng_stream
 from stripesim.scenario import (
-    Scenario, _clip_psd, assign_pilots, build_scenario, local_scattering_covariance, pathloss_db,
+    Scenario, _clip_psd, _perimeter_layout, assign_pilots, build_scenario,
+    local_scattering_covariance, pathloss_db,
 )
 
 
@@ -119,11 +120,30 @@ class TestPilotAssignment:
         assert sorted(len(m) for m in set(map(frozenset, sets))) == [2, 2, 3, 3, 3]
 
 
+def hand_large_scale(cfg, seed):
+    """Gains beta (K, L) and pilots of drop 0, redrawn from its stream by hand.
+
+    The stream yields the UE positions first, then the pilots; beta is the
+    path loss at d = sqrt(dx^2 + dy^2 + gap^2) from each UE to each AP.
+    """
+    rng = rng_stream(seed, 0, 0)
+    side, gap = cfg.square_side_m, cfg.ap_ue_height_gap_m
+    ue_xy = rng.uniform(0.0, side, size=(cfg.num_ues, 2))
+    pilots = assign_pilots(cfg.num_ues, cfg.pilot_length, rng)
+    ap_xy, _ = _perimeter_layout(cfg.num_aps, side)
+    beta = np.empty((cfg.num_ues, cfg.num_aps))
+    for k in range(cfg.num_ues):
+        for l in range(cfg.num_aps):
+            dx, dy = ue_xy[k] - ap_xy[l]
+            d = math.sqrt(dx * dx + dy * dy + gap * gap)
+            beta[k, l] = 10 ** (pathloss_db(d) / 10)
+    return beta, pilots
+
+
 class TestBuildScenario:
     def test_ap_perimeter_spacing(self):
-        cfg = replace(SimulationConfig(), num_ues=1)
-        sc = build_scenario(cfg, rng_stream(1, 0, 0))
-        xy = sc.ap_positions[:, :2]
+        cfg = SimulationConfig()
+        xy, _ = _perimeter_layout(cfg.num_aps, cfg.square_side_m)
         # walking the perimeter, consecutive APs (wrap included) are separated
         # by stripe_length / L; along the walls that is the L1 distance
         spacing = cfg.stripe_length_m / cfg.num_aps
@@ -132,48 +152,26 @@ class TestBuildScenario:
         assert spacing == pytest.approx(500.0 / 24.0)
 
     def test_all_aps_on_walls_at_height(self):
-        cfg = small_config()
-        sc = build_scenario(cfg, rng_stream(3, 0, 0))
+        cfg = small_config(num_ues=50)
         side = cfg.square_side_m
-        x, y, z = sc.ap_positions.T
+        x, y = _perimeter_layout(cfg.num_aps, side)[0].T
         on_wall = (np.isclose(x, 0) | np.isclose(x, side)
                    | np.isclose(y, 0) | np.isclose(y, side))
         assert on_wall.all()
-        assert np.allclose(z, cfg.ap_ue_height_gap_m)
-
-    def test_distances_match_hand_computation(self):
-        cfg = small_config()
-        sc = build_scenario(cfg, rng_stream(4, 0, 0))
-        for k in range(cfg.num_ues):
-            for l in range(cfg.num_aps):
-                dx = sc.ue_positions[k, 0] - sc.ap_positions[l, 0]
-                dy = sc.ue_positions[k, 1] - sc.ap_positions[l, 1]
-                expect = math.sqrt(dx * dx + dy * dy + cfg.ap_ue_height_gap_m ** 2)
-                assert sc.distances[k, l] == pytest.approx(expect, rel=1e-12)
-        assert np.all(sc.distances >= cfg.ap_ue_height_gap_m)
-
-    def test_ues_inside_square(self):
-        cfg = small_config(num_ues=50)
-        sc = build_scenario(cfg, rng_stream(5, 0, 0))
-        side = cfg.square_side_m
-        assert np.all((sc.ue_positions[:, :2] >= 0) & (sc.ue_positions[:, :2] <= side))
-        assert np.allclose(sc.ue_positions[:, 2], 0.0)
-
-    def test_large_scale_from_pathloss(self):
-        cfg = small_config()
-        sc = build_scenario(cfg, rng_stream(6, 0, 0))
-        assert np.allclose(
-            sc.large_scale, 10 ** (pathloss_db(sc.distances) / 10), rtol=1e-12
-        )
+        # no UE comes nearer to an AP than the height gap
+        sc = build_scenario(cfg, rng_stream(3, 0, 0))
+        gains = np.diagonal(sc.covariances, axis1=-2, axis2=-1).real
+        assert gains.max() <= 10 ** (pathloss_db(cfg.ap_ue_height_gap_m) / 10)
 
     def test_covariance_invariants(self):
         cfg = small_config(antennas_per_ap=4)
         sc = build_scenario(cfg, rng_stream(7, 0, 0))
+        large_scale, _ = hand_large_scale(cfg, 7)
         N = cfg.antennas_per_ap
         for k in range(cfg.num_ues):
             for l in range(cfg.num_aps):
                 R = sc.covariances[k, l]
-                beta = sc.large_scale[k, l]
+                beta = large_scale[k, l]
                 assert abs(np.trace(R).real / N - beta) / beta < 1e-10
                 assert np.abs(R - R.conj().T).max() < 1e-12
                 assert np.linalg.eigvalsh(R).min() > -1e-10 * beta
@@ -181,20 +179,26 @@ class TestBuildScenario:
                 assert np.abs(F @ F.conj().T - R).max() < 1e-12 * beta
 
     def test_uncorrelated_model_is_scaled_identity(self):
-        cfg = small_config(correlation_model=CorrelationModel.UNCORRELATED)
+        # R_kl = beta_kl * I exactly, with beta_kl from the UE placement,
+        # the height gap and the path loss, and the pilots drawn after the
+        # positions; this pins the whole geometry of a drop
+        cfg = small_config(num_ues=6, pilot_length=4,
+                           correlation_model=CorrelationModel.UNCORRELATED)
         sc = build_scenario(cfg, rng_stream(8, 0, 0))
-        N = cfg.antennas_per_ap
-        for k in range(cfg.num_ues):
-            for l in range(cfg.num_aps):
-                assert np.allclose(
-                    sc.covariances[k, l], sc.large_scale[k, l] * np.eye(N)
-                )
+        large_scale, pilots = hand_large_scale(cfg, 8)
+        eye = np.eye(cfg.antennas_per_ap)
+        assert np.array_equal(sc.covariances != 0, np.broadcast_to(eye, sc.covariances.shape))
+        assert np.array_equal(sc.cov_factors != 0, np.broadcast_to(eye, sc.cov_factors.shape))
+        for n in range(cfg.antennas_per_ap):
+            assert np.allclose(sc.covariances[..., n, n], large_scale, rtol=1e-12, atol=0)
+            assert np.allclose(sc.cov_factors[..., n, n], np.sqrt(large_scale),
+                               rtol=1e-12, atol=0)
+        assert np.array_equal(sc.pilot_index, pilots)
 
     def test_same_seed_same_scenario(self):
         cfg = small_config()
         a = build_scenario(cfg, rng_stream(9, 0, 0))
         b = build_scenario(cfg, rng_stream(9, 0, 0))
-        assert np.array_equal(a.ue_positions, b.ue_positions)
         assert np.array_equal(a.covariances, b.covariances)
         assert np.array_equal(a.pilot_index, b.pilot_index)
 
@@ -212,14 +216,14 @@ class TestBuildScenario:
     def test_eight_ap_layout_is_pinned(self):
         # one AP at the middle of each half wall, walked counterclockwise from
         # the origin, each facing into the square; exact values
-        sc = build_scenario(small_config(), rng_stream(10, 0, 0))
-        assert sc.ap_positions.tolist() == [
-            [31.25, 0.0, 5.0], [93.75, 0.0, 5.0], [125.0, 31.25, 5.0], [125.0, 93.75, 5.0],
-            [93.75, 125.0, 5.0], [31.25, 125.0, 5.0], [0.0, 93.75, 5.0], [0.0, 31.25, 5.0],
+        xy, boresight = _perimeter_layout(8, small_config().square_side_m)
+        assert xy.tolist() == [
+            [31.25, 0.0], [93.75, 0.0], [125.0, 31.25], [125.0, 93.75],
+            [93.75, 125.0], [31.25, 125.0], [0.0, 93.75], [0.0, 31.25],
         ]
         half, pi = math.pi / 2, math.pi
-        assert sc.ap_orientations.tolist() == [half, half, pi, pi, -half, -half, 0.0, 0.0]
-        assert not np.signbit(sc.ap_positions).any()
+        assert boresight.tolist() == [half, half, pi, pi, -half, -half, 0.0, 0.0]
+        assert not np.signbit(xy).any()
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -236,7 +240,7 @@ class TestBuildScenario:
 
     @pytest.mark.parametrize("model", list(CorrelationModel))
     def test_stacked_drops_equal_single_drops(self, model):
-        # one generator per drop: every UE field gets a leading drop axis and
+        # one generator per drop: every field gets a leading drop axis and
         # each drop is exactly the drop built from its generator alone
         cfg = small_config(num_ues=5, pilot_length=2, correlation_model=model)
         stacked = build_scenario(cfg, [rng_stream(13, s, 0) for s in range(3)])
@@ -244,7 +248,6 @@ class TestBuildScenario:
         assert stacked.pilot_index.shape == (3, 5)
         for s in range(3):
             single = build_scenario(cfg, rng_stream(13, s, 0))
-            for field in ("ue_positions", "distances", "large_scale", "covariances",
-                          "cov_factors", "pilot_index"):
-                assert np.array_equal(getattr(stacked, field)[s], getattr(single, field)), field
-            assert np.array_equal(stacked.ap_positions, single.ap_positions)
+            for field in fields(Scenario):
+                name = field.name
+                assert np.array_equal(getattr(stacked, name)[s], getattr(single, name)), name
