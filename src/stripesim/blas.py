@@ -26,7 +26,7 @@ def _loaded_openblas() -> list[tuple]:
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n") for line in fh
                             if "openblas" in line.lower() and ".so" in line})
     except OSError:
         return []

@@ -99,12 +99,9 @@ def cmd_run(args) -> int:
         _write_run(cfg, result, sub)
     if sweep_field is not None:
         manifest = [{"value": label, "dir": sub.name} for _, sub, label in runs]
-        with open(out_dir / "sweep.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {"schema_version": 1, "variable": sweep_field, "runs": manifest},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        metrics.write_summary_json(
+            out_dir / "sweep.json",
+            {"schema_version": 1, "variable": sweep_field, "runs": manifest})
     print("done", flush=True)
     return 0
 

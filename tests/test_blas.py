@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -147,3 +148,31 @@ def test_cli_run_imports_no_scipy(tmp_path):
     assert run_child(RUN_CHILD, dict(os.environ), "--config", str(tmp_path / "tiny.ini"),
                      "--workers", "1", "--out", str(tmp_path / "out")) == []
     assert (tmp_path / "out" / "se_lmmse_l4.csv").exists()
+
+
+COPY_CHILD = """
+import ctypes, json, sys
+import numpy
+from stripesim.blas import _SYMBOL_FORMS, _loaded_openblas, one_blas_thread
+before = len(_loaded_openblas())
+copy = ctypes.CDLL(sys.argv[1])
+form = next(form for form in _SYMBOL_FORMS if hasattr(copy, form.format("set")))
+getattr(copy, form.format("set"))(2)
+with one_blas_thread():
+    print(json.dumps([before, len(_loaded_openblas()), getattr(copy, form.format("get"))()]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+def test_pins_an_openblas_mapped_from_a_path_with_spaces(tmp_path):
+    """A second OpenBLAS loaded from a directory whose name holds spaces is found and pinned."""
+    bundled = sorted(Path(np.__file__).resolve().parents[1].glob("numpy.libs/*openblas*.so*"))
+    if not bundled:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    target = tmp_path / "sp a" / "x y"
+    target.mkdir(parents=True)
+    copy = target / bundled[0].name
+    shutil.copyfile(bundled[0], copy)
+    before, found, copy_threads = run_child(COPY_CHILD, dict(os.environ), str(copy))
+    assert found == before + 1
+    assert copy_threads == 1

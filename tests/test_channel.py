@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
-    complex_gaussian, estimate, estimate_covariance, per_pilot_statistics,
+    complex_gaussian, estimate, per_pilot_statistics,
     pilot_covariances, random_psd, synthetic_config, synthetic_scenario,
 )
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
@@ -14,6 +14,7 @@ from stripesim.channel import (
 from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import rng_stream
 from stripesim.scenario import Scenario, assign_pilots, build_scenario
+from stripesim.selftest import check_covariance_decomposition
 from stripesim.stripe import run_stripe
 
 
@@ -210,13 +211,8 @@ class TestMmseEstimate:
         cfg = replace(SimulationConfig(), num_ues=6, pilot_length=3,
                       num_aps=6, antennas_per_ap=3)
         sc = build_scenario(cfg, rng_stream(21, 0, 0))
-        stats = estimation_statistics(sc, cfg)
-        rhat = estimate_covariance(sc, cfg)
-        for k in range(cfg.num_ues):
-            for l in range(cfg.num_aps):
-                R = sc.covariances[k, l]
-                gap = np.abs(rhat[k, l] + stats.rtilde[k, l] - R).max()
-                assert gap / np.abs(R).max() < 1e-10
+        check = check_covariance_decomposition(sc, estimation_statistics(sc, cfg), cfg)
+        assert check.passed, check.detail
 
     def test_estimate_covariances_hermitian_psd(self, rng):
         sc = synthetic_scenario(rng, 3, 2, 3, tau_p=1)

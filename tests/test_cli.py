@@ -17,7 +17,10 @@ from stripesim.cli import main
 from stripesim.config import SimulationConfig, load_config, save_config
 from stripesim.runner import rng_stream
 from stripesim.scenario import build_scenario
-from stripesim.selftest import check_covariance_decomposition, run_selftest, selftest_config
+from stripesim.selftest import (
+    check_combiner_norms, check_covariance_decomposition, check_monotone_stage_sinr,
+    check_reconstruction, run_selftest, selftest_config,
+)
 
 MINI = replace(
     SimulationConfig(),
@@ -345,7 +348,52 @@ class TestFronthaul:
         assert payload["stripe"] == 3 * 9 + 2 * 3 * 38
 
 
+def selftest_checks(plant_nan):
+    """Every selftest check on the selftest's first block, by name.
+
+    With plant_nan, each check's input holds one NaN: an entry of the third
+    AP's combiners, of the ghat forwarded by AP 2, of rtilde for UE 1 at AP
+    3, or of the ghat that reaches the CPU, which alone then differs from
+    the estimates replayed through the combiners.
+    """
+    cfg = selftest_config()
+    sc = build_scenario(cfg, rng_stream(0, 0, 0))
+    h_rng = rng_stream(0, 0, 1, 0)
+    hhat, stats = estimate(sc, draw_channels(sc, h_rng), cfg, h_rng)
+    combiners, states = zip(*stripe.stages(hhat, stats.impairment, cfg.ue_powers))
+
+    def planted(array, index):
+        out = array.copy()
+        if plant_nan:
+            out[index] = np.nan
+        return out
+
+    checks = [
+        check_combiner_norms([*combiners[:2], planted(combiners[2], (1, 0)), *combiners[3:]]),
+        check_monotone_stage_sinr(
+            [states[0], replace(states[1], ghat=planted(states[1].ghat, (0, 0))), *states[2:]],
+            cfg.ue_powers),
+        check_covariance_decomposition(
+            sc, replace(stats, rtilde=planted(stats.rtilde, (1, 2, 0, 0))), cfg),
+        check_reconstruction(
+            combiners, replace(states[-1], ghat=planted(states[-1].ghat, (0, 0))), hhat),
+    ]
+    return {check.name: check for check in checks}
+
+
+SELFTEST_CHECKS = ("combiner_norms", "monotone_stage_sinr", "covariance_decomposition",
+                   "reconstruction_identity")
+
+
 class TestSelftest:
+    @pytest.mark.parametrize("name", SELFTEST_CHECKS)
+    def test_each_check_passes_valid_input_with_a_bool(self, name):
+        assert selftest_checks(plant_nan=False)[name].passed is True
+
+    @pytest.mark.parametrize("name", SELFTEST_CHECKS)
+    def test_a_planted_nan_fails_each_check(self, name):
+        assert selftest_checks(plant_nan=True)[name].passed is False
+
     def test_passes_on_fresh_build(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out

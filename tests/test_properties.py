@@ -28,6 +28,7 @@ from stripesim.channel import (
 from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import ALL_SCHEMES, rng_stream, simulate_setup
 from stripesim.scenario import build_scenario
+from stripesim.selftest import check_combiner_norms, check_monotone_stage_sinr
 from stripesim.stripe import stages
 
 BLOCKS = 3
@@ -83,20 +84,18 @@ def simulate(cfg):
 @given(tiny_configs())
 def test_combiners_are_unit_norm(cfg):
     _, _, combiners, _ = simulate(cfg)
-    for V in combiners:
-        assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
+    check = check_combiner_norms(combiners)
+    assert check.passed, check.detail
 
 
 @settings(deadline=None)
 @given(tiny_configs())
 def test_stage_sinr_never_decreases_and_impairment_is_at_least_the_noise(cfg):
     *_, states = simulate(cfg)
-    prev = np.zeros((BLOCKS, cfg.num_ues))
     for state in states:
         assert np.all(state.impairment >= cfg.noise_power_w * (1.0 - REL))
-        sinr = metrics.sinr_per_ue(state.ghat, state.impairment, cfg.ue_powers)
-        assert np.all(sinr >= prev * (1.0 - REL))
-        prev = sinr
+    check = check_monotone_stage_sinr(states, cfg.ue_powers)
+    assert check.passed, check.detail
 
 
 @settings(deadline=None)
@@ -134,8 +133,9 @@ def test_every_valid_config_runs(cfg):
     for scheme, se in simulate_setup(cfg, range(2), ALL_SCHEMES).items():
         assert np.all(np.isfinite(se)) and np.all(se >= 0), scheme
     hhat, stats = drop_block_estimates(cfg, cfg.rng_seed, num_drops=2, num_blocks=2)
-    for V, _ in stages(hhat, stats.impairment, cfg.ue_powers):
-        assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
+    combiners, _ = zip(*stages(hhat, stats.impairment, cfg.ue_powers))
+    check = check_combiner_norms(combiners)
+    assert check.passed, check.detail
     # PSD to roundoff on rtilde's own scale, not on R's
     top = np.diagonal(stats.rtilde, axis1=-2, axis2=-1).real.max(axis=-1)
     low = np.linalg.eigvalsh(stats.rtilde).min(axis=-1)
