@@ -53,11 +53,13 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
 def _write_run(config: SimulationConfig, se_by_scheme: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config_resolved.ini")
+    cdfs = {}
     for scheme, se in se_by_scheme.items():
         metrics.write_se_csv(out_dir / f"se_{scheme}.csv", scheme, se)
-        metrics.write_cdf_csv(out_dir / f"cdf_{scheme}.csv", metrics.empirical_cdf(se))
+        cdfs[scheme] = metrics.empirical_cdf(se)
+        metrics.write_cdf_csv(out_dir / f"cdf_{scheme}.csv", cdfs[scheme])
 
-    payload = metrics.summary_payload(se_by_scheme, metrics.fronthaul_load(config))
+    payload = metrics.summary_payload(cdfs, metrics.fronthaul_load(config))
     metrics.write_summary_json(out_dir / "summary.json", payload)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,25 @@ def empirical_cdf(samples) -> CdfSeries:
 
 def percentile(samples, q: float) -> float:
     """Percentile with linear interpolation between order statistics."""
-    values = np.asarray(samples, dtype=float).ravel()
-    if values.size == 0 or np.any(np.isnan(values)):
-        raise ValueError("need finite samples")
-    return float(np.percentile(values, q))
+    return _sorted_percentile(empirical_cdf(samples).values, q)
+
+
+def _sorted_percentile(values: np.ndarray, q: float) -> float:
+    """np.percentile's default (linear) method on sorted values, bit for bit.
+
+    numpy's own call imports all of numpy.ma on its first use (through
+    np.unique), a large share of a short run's start-up; this is its
+    arithmetic written out.
+    """
+    quantile = float(q) / 100.0
+    if not 0.0 <= quantile <= 1.0:
+        raise ValueError(f"percentile must lie in [0, 100], got {q!r}")
+    last = values.size - 1
+    pos = last * quantile
+    i = math.floor(pos)
+    t = pos - i
+    a, b = float(values[i]), float(values[min(i + 1, last)])
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def write_se_csv(path, scheme: str, se: np.ndarray) -> None:
@@ -94,15 +110,18 @@ def write_cdf_csv(path, series: CdfSeries) -> None:
             writer.writerow([repr(float(v)), repr(float(p))])
 
 
-def summary_payload(se_by_scheme: dict[str, np.ndarray], fronthaul: dict) -> dict:
-    """JSON-ready summary: per-scheme percentiles plus the front-haul counts."""
+def summary_payload(cdf_by_scheme: dict[str, CdfSeries], fronthaul: dict) -> dict:
+    """JSON-ready summary: per-scheme percentiles plus the front-haul counts.
+
+    The percentiles are read off each CDF's sorted values, so one sort serves
+    the CDF file and the summary.
+    """
     out: dict = {"schema_version": 1}
-    for scheme, se in sorted(se_by_scheme.items()):
-        flat = np.asarray(se, dtype=float).ravel()
+    for scheme, series in sorted(cdf_by_scheme.items()):
         out[scheme] = {
-            "median_se": percentile(flat, 50.0),
-            "p05_se": percentile(flat, 5.0),
-            "n_samples": int(flat.size),
+            "median_se": _sorted_percentile(series.values, 50.0),
+            "p05_se": _sorted_percentile(series.values, 5.0),
+            "n_samples": int(series.values.size),
         }
     out["fronthaul"] = fronthaul
     return out

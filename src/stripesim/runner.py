@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import multiprocessing
 import numbers
 import os
 import signal
@@ -137,6 +136,15 @@ def _init_worker() -> None:
     pin_one_thread()
 
 
+def pool_context():
+    """The multiprocessing context a run's pool starts from. multiprocessing
+    (with socket, selectors and array) loads here, so a run that starts no
+    pool never imports it."""
+    import multiprocessing
+
+    return multiprocessing.get_context()
+
+
 def worker_count(requested: int, num_jobs: int) -> int:
     """Pool size: the request, or (0) every CPU this process may run on."""
     if requested == 0 and hasattr(os, "sched_getaffinity"):
@@ -202,7 +210,7 @@ def run_experiment(
     with one_blas_thread(), contextlib.ExitStack() as stack:
         if processes > 1:
             pool = stack.enter_context(
-                multiprocessing.Pool(processes=processes, initializer=_init_worker))
+                pool_context().Pool(processes=processes, initializer=_init_worker))
             outs = pool.imap(_setup_worker, jobs, chunksize=1)
         else:
             outs = map(_setup_worker, jobs)

@@ -86,7 +86,7 @@ def test_spawned_workers_are_pinned_and_match_serial(monkeypatch):
         reported.extend(started.map(thread_counts, range(2 * processes), chunksize=1))
         return started
 
-    monkeypatch.setattr(runner, "multiprocessing", SimpleNamespace(Pool=pool))
+    monkeypatch.setattr(runner, "pool_context", lambda: SimpleNamespace(Pool=pool))
     pooled = run_experiment([config], ALL_SCHEMES, workers=2)[0]
     # a worker maps numpy's OpenBLAS (scipy's only if a test imported scipy here)
     assert reported and all(counts and set(counts) == {1} for counts in reported)
@@ -133,21 +133,39 @@ def test_cli_process_starts_no_blas_threads(inherited):
 
 RUN_CHILD = """
 import json, sys
+from types import SimpleNamespace
+from stripesim import runner
 from stripesim.cli import main
-assert main(["run", *sys.argv[1:]]) == 0
-print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")))
+sizes, real = [], runner.pool_context
+runner.pool_context = lambda: SimpleNamespace(
+    Pool=lambda processes, **kwargs: sizes.append(processes) or real().Pool(processes, **kwargs))
+assert main(sys.argv[1:]) == 0
+print(json.dumps([sizes, [name for name in ("multiprocessing", "numpy.ma", "scipy")
+                          if name in sys.modules]]))
 """
 
 
-def test_cli_run_imports_no_scipy(tmp_path):
-    """numpy is the only runtime dependency: a whole run never imports scipy."""
-    config = SimulationConfig(num_aps=2, antennas_per_ap=2, num_ues=3, pilot_length=2,
-                              coherence_block=10, num_setups=2,
-                              num_channel_realizations=2)
+def run_cli_child(tmp_path, *args: str):
+    """stripesim at 2 drops x 2 blocks in a fresh interpreter: its pool sizes,
+    and which of multiprocessing, numpy.ma and scipy it imported."""
+    config = SimulationConfig(num_setups=2, num_channel_realizations=2)
     save_config(config, tmp_path / "tiny.ini")
-    assert run_child(RUN_CHILD, dict(os.environ), "--config", str(tmp_path / "tiny.ini"),
-                     "--workers", "1", "--out", str(tmp_path / "out")) == []
-    assert (tmp_path / "out" / "se_lmmse_l4.csv").exists()
+    return run_child(RUN_CHILD, dict(os.environ), *args, "--config", str(tmp_path / "tiny.ini"))
+
+
+@pytest.mark.parametrize("command", ["run", "fronthaul"])
+def test_a_process_imports_only_what_it_uses(tmp_path, command):
+    """numpy is the only runtime dependency, so no command imports scipy. A
+    one-job run starts no pool and computes its percentiles without numpy.ma."""
+    args = ["--workers", "0", "--out", str(tmp_path / "out")] if command == "run" else []
+    assert run_cli_child(tmp_path, command, *args) == [[], []]
+
+
+def test_a_two_job_run_starts_a_pool_of_two(tmp_path):
+    sizes, imported = run_cli_child(tmp_path, "run", "--workers", "2", "--sweep", "K=5,10",
+                                    "--out", str(tmp_path / "out"))
+    assert sizes == [2]
+    assert imported == ["multiprocessing"]
 
 
 COPY_CHILD = """

@@ -93,6 +93,17 @@ class TestRun:
         assert fh["l4"] == 2 * 2 * 4 * 40
         assert fh["stripe"] == 3 * 9 + 2 * 3 * 38
 
+    def test_summary_percentiles_are_numpys_of_the_se_rows(self, tmp_path):
+        cfg = write_mini(tmp_path)
+        out = tmp_path / "out"
+        run("--config", str(cfg), "--out", str(out))
+        summary = json.loads((out / "summary.json").read_text())
+        for scheme in ("stripe_nlmmse", "mr_l2", "lmmse_l4"):
+            rows = (out / f"se_{scheme}.csv").read_text().splitlines()[1:]
+            se = [float(row.split(",")[3]) for row in rows]
+            assert summary[scheme]["median_se"] == float(np.percentile(se, 50.0))
+            assert summary[scheme]["p05_se"] == float(np.percentile(se, 5.0))
+
     def test_byte_identical_reruns_and_worker_independence(self, tmp_path):
         cfg = write_mini(tmp_path)
         outs = [tmp_path / f"out{i}" for i in range(3)]

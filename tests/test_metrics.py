@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stripesim.config import SimulationConfig
 from stripesim.metrics import (
@@ -186,3 +188,43 @@ class TestEmpiricalCdf:
 
     def test_median_linear_interpolation(self):
         assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5)
+
+
+@st.composite
+def tied_samples(draw):
+    """1 to 2,000 samples drawn with replacement from at most 30 distinct values.
+
+    Tenths such as 0.1 and 0.7 are not exact binary fractions, so they are
+    where the two forms of numpy's interpolation round apart.
+    """
+    value = st.floats(allow_nan=False) | st.integers(-1000, 1000).map(lambda i: i / 10)
+    pool = draw(st.lists(value, min_size=1, max_size=30))
+    n = draw(st.integers(1, 2000))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).choice(np.array(pool), n)
+
+
+class TestPercentile:
+    @settings(deadline=None)
+    @given(tied_samples(), st.one_of(st.sampled_from([0.0, 5.0, 50.0, 100.0]),
+                                     st.floats(0.0, 100.0)))
+    # t = 0.5 takes b - (b - a)(1 - t): 0.39999999999999997, where a + (b - a)t gives 0.4
+    @example(np.array([0.1, 0.7]), 50.0)
+    # t = 0.05 takes a + (b - a)t: 0.33999999999999997, where the other form gives 0.3400000000000001
+    @example(np.array([0.3, 1.1]), 5.0)
+    def test_equals_numpy_bit_for_bit(self, samples, q):
+        with np.errstate(invalid="ignore"):  # inf - inf in numpy's interpolation
+            want = float(np.percentile(samples, q))
+        got = percentile(samples, q)
+        # Equal floats have equal bits, but for the sign of zero: where -0.0
+        # and +0.0 tie, numpy's partition and the CDF's sort may order them
+        # differently (an SE is never -0.0).
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+    @pytest.mark.parametrize("samples, q", [
+        ([], 50.0), ([1.0, np.nan], 50.0), ([1.0, 2.0], -1.0), ([1.0, 2.0], 100.5),
+        ([1.0, 2.0], np.nan),
+    ])
+    def test_rejects_no_samples_nan_and_q_outside_0_100(self, samples, q):
+        with pytest.raises(ValueError):
+            percentile(samples, q)

@@ -99,7 +99,7 @@ def recording_pool(monkeypatch):
         sizes.append(processes)
         return multiprocessing.Pool(processes, **kwargs)
 
-    monkeypatch.setattr(runner, "multiprocessing", SimpleNamespace(Pool=pool))
+    monkeypatch.setattr(runner, "pool_context", lambda: SimpleNamespace(Pool=pool))
     return sizes
 
 
@@ -124,8 +124,7 @@ def fork_pool(monkeypatch):
     """Pools of the fork start method, whose workers see the test's monkeypatches."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("needs the fork start method")
-    monkeypatch.setattr(runner, "multiprocessing",
-                        SimpleNamespace(Pool=multiprocessing.get_context("fork").Pool))
+    monkeypatch.setattr(runner, "pool_context", lambda: multiprocessing.get_context("fork"))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
