@@ -1,14 +1,14 @@
 """Reference schemes bracketing the stripe: centralized LMMSE and fused MR.
 
-The centralized scheme stacks all APs' estimates into one LN-dim receiver
-whose error covariance is block diagonal in the per-AP impairments D_l,
-the ones channel.estimation_statistics computes once per drop, PSD by
-construction, for the stripe too, and is scored by the stripe's SINR function,
-metrics.sinr_per_ue, with sum_l v_l^H D_l v_l as the impairment. The MR
-scheme lets every AP apply its own estimate as a matched filter, averages
-the L local soft estimates at the CPU with equal weights, and is scored
-with the use-and-then-forget bound whose expectations are estimated from
-the shared channel realizations.
+The centralized scheme stacks all APs' whitened estimates (see channel) into
+one LN-dim receiver. Its error-plus-noise covariance is block diagonal in
+the per-AP D_l, which whitening makes the identity, and it is scored by the
+stripe's SINR function, metrics.sinr_per_ue: a unit-norm combiner v sees
+sum_l v_l^H D_l v_l = ||v||^2 = 1. The MR scheme lets every AP apply its own
+estimate, in its original coordinates, as a matched filter, averages the L
+local soft estimates at the CPU with equal weights, and is scored with the
+use-and-then-forget bound whose expectations are estimated from the shared
+channel realizations.
 """
 
 from __future__ import annotations
@@ -21,30 +21,21 @@ from .channel import herm
 from .metrics import sinr_per_ue
 
 
-def centralized_lmmse_l4(
-    hhat: np.ndarray, impairment: np.ndarray, powers: np.ndarray,
-) -> np.ndarray:
+def centralized_lmmse_l4(hhat: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Per-UE conditional SINR of the fully centralized receiver, shape (..., K).
 
-    hhat (..., K, L, N) are the channel estimates and impairment
-    (drops..., L, N, N) the per-AP D_l = sum_i p_i rtilde_il + sigma2 I.
-    The LMMSE combiners (D + H P H^H)^-1 H on the stacked estimates H come
-    from the push-through identity as D^-1 H M^-1 P^-1, M = P^-1 + H^H D^-1 H:
-    one N x N solve per AP and one K x K solve, never an LN x LN matrix; the
-    P^-1 column scaling drops out with the unit norm. The SINR charges the
-    estimation errors and the noise as sum_l v_l^H D_l v_l.
+    hhat (..., K, L, N) are the whitened channel estimates. The LMMSE
+    combiners (I + H P H^H)^-1 H on the stacked estimates H come from the
+    push-through identity as H M^-1 P^-1, M = P^-1 + H^H H: one K x K
+    product and one K x K solve, never an LN x LN matrix; the P^-1 column
+    scaling drops out with the unit norm.
     """
     *batch, K, L, N = hhat.shape
     Hs = hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)     # (..., LN, K) stacked estimates
-    X = np.linalg.solve(impairment, Hs.reshape(*batch, L, N, K)).reshape(*batch, L * N, K)
-    M = herm(Hs) @ X + np.diag(1.0 / powers)
-    V = np.linalg.solve(M.swapaxes(-1, -2), X.swapaxes(-1, -2)).swapaxes(-1, -2)  # X M^-1
+    M = herm(Hs) @ Hs + np.diag(1.0 / powers)
+    V = np.linalg.solve(M.swapaxes(-1, -2), Hs.swapaxes(-1, -2)).swapaxes(-1, -2)  # H M^-1
     V /= np.linalg.norm(V, axis=-2, keepdims=True)
-
-    G = Hs.swapaxes(-1, -2) @ V.conj()                         # G[i, k] = v_k^H hhat_i
-    Vl = V.reshape(*batch, L, N, K)
-    impaired = (Vl.conj() * (impairment @ Vl)).sum(axis=(-3, -2)).real
-    return sinr_per_ue(G, impaired, powers)
+    return sinr_per_ue(Hs.swapaxes(-1, -2) @ V.conj(), powers)   # [i, k] = v_k^H hhat_i
 
 
 @dataclass
@@ -59,10 +50,15 @@ class MrFusionAccumulator:
     sum_noise: np.ndarray | float = 0.0  # (..., K) sum of combiner energies
     count: int = 0                       # blocks per drop
 
-    def update(self, hhat: np.ndarray, channels: np.ndarray) -> None:
-        """Fold in B blocks: hhat and channels are (B, ..., K, L, N)."""
+    def update(self, hhat: np.ndarray, channels: np.ndarray, whitener: np.ndarray) -> None:
+        """Fold in B blocks: whitened estimates hhat and channels are (B, ..., K, L, N).
+
+        MR combines with each AP's estimates in their original coordinates,
+        C_l hhat_kl, with the whiteners C_l (drops..., L, N, N).
+        """
         *_, K, L, N = hhat.shape
-        hh = hhat.reshape(*hhat.shape[:-2], L * N)
+        hh = np.einsum("...lmn,...kln->...klm", whitener, hhat, optimize=True)
+        hh = hh.reshape(*hhat.shape[:-2], L * N)
         z = channels.reshape(hh.shape) @ herm(hh) / L          # z[b, ..., i, k]
         energy = (hh.conj() * hh).real.sum(axis=-1) / L ** 2
         self.sum_mean = self.sum_mean + np.diagonal(z, axis1=-2, axis2=-1).sum(axis=0)

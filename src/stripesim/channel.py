@@ -3,11 +3,21 @@
 Per coherence block a fresh correlated Rayleigh realization is drawn, the
 despread pilot signal is formed directly (the full pilot-length receive
 matrix is never materialized), and the linear MMSE estimate of each (UE, AP)
-is formed from the despread signal on that UE's own pilot. The filters, the error
-covariances and the per-AP impairments D_l = sum_i p_i rtilde_il + sigma^2 I,
-which the stripe and lmmse_l4 condition on, depend only on the scenario, so
-they are computed once per drop group. The error covariances are Gram
-matrices of the covariance factors, so every D_l is PSD by construction.
+is formed from the despread signal on that UE's own pilot. The filters and
+the error covariances depend only on the scenario, so they are computed once
+per drop group. The error covariances are Gram matrices of the covariance
+factors, so they are PSD by construction.
+
+The estimates come out whitened. Each AP's error-plus-noise covariance
+D_l = sum_i p_i rtilde_il + sigma^2 I depends only on its own statistics, so
+the AP can whiten its signal with C_l^-1 (D_l = C_l C_l^H, its Cholesky
+factor) at no front-haul cost. estimation_statistics folds C_l^-1 into the
+MMSE filters once per drop, so mmse_estimate yields C_l^-1 hhat_kl with no
+per-block work, and in these coordinates D_l = I. LMMSE is equivariant under
+an invertible map of the observation, so every SINR is unchanged. D_l is
+formed here and nowhere else: the stripe and lmmse_l4 take the whitened
+estimates alone, and mr_l2, which combines with the estimates themselves,
+maps them back with C_l.
 
 The per-block functions take either one generator, for one block, or a
 sequence of generators, one stream per block; the per-block arrays then
@@ -74,15 +84,15 @@ def simulate_pilot_phase(
 
 @dataclass
 class EstimationStatistics:
-    """Setup-constant MMSE quantities per drop; the stripe and L4 read only impairment."""
+    """Setup-constant MMSE quantities per drop, in each AP's whitened coordinates."""
 
-    filters: np.ndarray           # (..., K, L, N, N), hhat_kl = filters[k, l] @ z_{t_k, l}
-    rtilde: np.ndarray            # (..., K, L, N, N) error covariance
-    impairment: np.ndarray        # (..., L, N, N) D_l = sum_i p_i rtilde_il + sigma2 I
+    filters: np.ndarray           # (..., K, L, N, N), C_l^-1 hhat_kl = filters[k, l] @ z_{t_k, l}
+    rtilde: np.ndarray            # (..., K, L, N, N) error covariance of hhat_kl
+    whitener: np.ndarray          # (..., L, N, N) C_l, lower triangular, D_l = C_l C_l^H
 
 
 def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> EstimationStatistics:
-    """MMSE filters, error covariances and per-AP impairments of every drop.
+    """Whitened MMSE filters, error covariances and whiteners of every drop.
 
     With Q_kl = sigma^2 I + sum over the other UEs i on pilot t_k of tau_p p_i R_il
     and R_kl = F F^H (F = cov_factors), UE k's own pilot covariance is
@@ -91,6 +101,9 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
     G = C C^H and Y = C^-1 [F^H, (Q^-1 F)^H], one product Y_F^H Y gives
     rtilde = Y_F^H Y_F, a Gram matrix and PSD to its own precision, and the
     filters sqrt(a) Y_F^H Y_Q. Nothing is subtracted, so nothing cancels.
+    D_l = sum_i p_i rtilde_il + sigma^2 I is then PD: one Cholesky of every D_l
+    gives the whiteners C_l, and one solve with C_l per (UE, AP) folds C_l^-1
+    into the filters.
     """
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
     tau_p = config.pilot_length
@@ -112,16 +125,16 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
     Y = np.linalg.solve(C, np.concatenate([herm(F), herm(QF)], axis=-1))   # (..., N, 2N)
     both = herm(Y[..., :N]) @ Y
     rtilde = np.ascontiguousarray(both[..., :N])      # a view would keep all of both alive
-    load = powers @ rtilde.reshape(*drops, K, L * N * N)
-    return EstimationStatistics(
-        filters=np.sqrt(a) * both[..., N:], rtilde=rtilde,
-        impairment=load.reshape(*drops, L, N, N) + config.noise_power_w * np.eye(N))
+    load = (powers @ rtilde.reshape(*drops, K, L * N * N)).reshape(*drops, L, N, N)
+    whitener = np.linalg.cholesky(load + config.noise_power_w * np.eye(N))
+    filters = np.linalg.solve(whitener[..., None, :, :, :], np.sqrt(a) * both[..., N:])
+    return EstimationStatistics(filters=filters, rtilde=rtilde, whitener=whitener)
 
 
 def mmse_estimate(
     scenario: Scenario, despread: np.ndarray, stats: EstimationStatistics,
 ) -> np.ndarray:
-    """MMSE channel estimates hhat (..., K, L, N) from the despread pilot signal."""
+    """Whitened MMSE channel estimates C_l^-1 hhat_kl, (..., K, L, N), from the despread signal."""
     # (..., K, L, N): despread vector on each UE's own pilot
     pilots = scenario.pilot_index[..., None, :, None]
     pilots = np.broadcast_to(pilots, (*despread.shape[:-3], *pilots.shape[-3:]))

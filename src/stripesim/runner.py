@@ -41,7 +41,7 @@ _BLOCK_TAG = 1
 # _CHUNK_ELEMENTS. Drops with fewer blocks than a chunk are grouped: per drop
 # a group holds its constants, about L*N*N*(4K + tau_p) entries (covariances,
 # their factors, the MMSE filters and the error covariances, with tau_p more
-# as headroom for temporaries and the L*N*N per-AP impairments), plus its
+# as headroom for temporaries and the L*N*N per-AP whiteners), plus its
 # blocks. Both depend on the config only, never on the worker count, so the
 # floating-point work is the same.
 _CHUNK_ELEMENTS = 1 << 18
@@ -108,14 +108,12 @@ def simulate_setup(
         z = simulate_pilot_phase(scenario, h, config, rngs)
         hhat = mmse_estimate(scenario, z, stats)
         if SCHEME_STRIPE in samples:
-            final = stripe.run_stripe(hhat, stats.impairment, powers)
             samples[SCHEME_STRIPE][start:blocks.stop] = metrics.sinr_per_ue(
-                final.ghat, final.impairment, powers)
+                stripe.run_stripe(hhat, powers), powers)
         if SCHEME_L4 in samples:
-            samples[SCHEME_L4][start:blocks.stop] = baselines.centralized_lmmse_l4(
-                hhat, stats.impairment, powers)
+            samples[SCHEME_L4][start:blocks.stop] = baselines.centralized_lmmse_l4(hhat, powers)
         if SCHEME_MR in schemes:
-            mr_acc.update(hhat, h)
+            mr_acc.update(hhat, h, stats.whitener)
 
     if SCHEME_MR in schemes:
         samples[SCHEME_MR] = mr_acc.sinr(powers, config.noise_power_w)[None]

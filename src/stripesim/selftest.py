@@ -74,9 +74,11 @@ def replay(combiners: Sequence[np.ndarray], inputs: np.ndarray) -> np.ndarray:
     """Push per-AP inputs through the stripe's combiners, (..., M, L, N) -> (..., M, K).
 
     Stage l maps x to inputs[..., l, :] V_a^H + conj(v_b) x from a zero
-    start, with V = [V_a, v_b] its (..., K, N+1) combiners: the channel
-    estimates give ghat, the true channels g, a received signal (M = 1) the
-    soft estimates and the receiver noise the effective noise.
+    start, with V = [V_a, v_b] its (..., K, N+1) combiners. The combiners act
+    on whitened signals (see channel), so the inputs are whitened by each
+    AP's C_l^-1: the channel estimates give ghat, the true channels g, a
+    received signal (M = 1) the soft estimates and the receiver noise the
+    effective noise.
     """
     x = 0.0
     for l, V in enumerate(combiners):
@@ -85,20 +87,18 @@ def replay(combiners: Sequence[np.ndarray], inputs: np.ndarray) -> np.ndarray:
 
 
 def check_reconstruction(
-    combiners: Sequence[np.ndarray], final: stripe.StageState, hhat: np.ndarray,
+    combiners: Sequence[np.ndarray], final: np.ndarray, hhat: np.ndarray,
 ) -> CheckResult:
-    """The ghat AP L forwards in final must be the estimates replayed through the combiners."""
+    """The ghat AP L forwards, final, must be the estimates replayed through the combiners."""
     ghat = replay(combiners, hhat)
-    scale = np.maximum(np.abs(ghat) + np.abs(final.ghat), np.finfo(float).tiny)
-    return _verdict("reconstruction_identity", [np.abs(ghat - final.ghat) / scale],
+    scale = np.maximum(np.abs(ghat) + np.abs(final), np.finfo(float).tiny)
+    return _verdict("reconstruction_identity", [np.abs(ghat - final) / scale],
                     _RECONSTRUCTION_TOL, "scaled residual")
 
 
-def check_monotone_stage_sinr(
-    states: Sequence[stripe.StageState], powers: np.ndarray,
-) -> CheckResult:
-    """The per-stage effective SINR must never decrease along the stripe."""
-    sinr = [metrics.sinr_per_ue(state.ghat, state.impairment, powers) for state in states]
+def check_monotone_stage_sinr(ghats: Sequence[np.ndarray], powers: np.ndarray) -> CheckResult:
+    """The per-stage effective SINR, from the ghat each AP forwards, must never decrease."""
+    sinr = [metrics.sinr_per_ue(ghat, powers) for ghat in ghats]
     drops = [(prev - cur) / np.maximum(prev, np.finfo(float).tiny)
              for prev, cur in zip(sinr, sinr[1:])]
     return _verdict("monotone_stage_sinr", drops, _SINR_DROP_TOL, "relative SINR drop")
@@ -125,8 +125,8 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     rng = rng_stream(seed, 0, _BLOCK_TAG, 0)
     h = draw_channels(scenario, rng)
     hhat = mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng), stats)
-    combiners, states = zip(*stripe.stages(hhat, stats.impairment, powers))
+    combiners, ghats = zip(*stripe.stages(hhat, powers))
     return [check_covariance_decomposition(scenario, stats, config),
             check_combiner_norms(combiners),
-            check_reconstruction(combiners, states[-1], hhat),
-            check_monotone_stage_sinr(states, powers)]
+            check_reconstruction(combiners, ghats[-1], hhat),
+            check_monotone_stage_sinr(ghats, powers)]

@@ -9,13 +9,16 @@ rule are the same kind of second route, as are the covariances of the
 despread pilot signal of every pilot;
 per_block_setup is the one-drop, one-block-at-a-time reference for the
 grouped and chunked runner. dense_lmmse_l4 is the centralized receiver
-built as one LN x LN matrix, the second route for the package's
-push-through form. psi_stages is the K x K error-variance recursion that
-the protocol forwards, the reference for the per-UE impairment the stripe
-carries. estimate is the pilot phase plus MMSE estimation that
-most tests run on one scenario, returning the estimates with the
-estimation statistics; drop_block_estimates runs it on a real-geometry
-(blocks, drops, ...) batch.
+built as one LN x LN matrix in the original coordinates, the second route
+for the package's push-through form on whitened estimates. psi_stages is
+the K x K error-variance recursion that the protocol forwards; run on
+original_chain, the stripe's combiners mapped back to the original
+coordinates, it is the reference for the unit error-plus-noise power the
+whitened stripe assumes. estimate is the pilot phase plus MMSE estimation
+that most tests run on one scenario, returning the (whitened) estimates
+with the estimation statistics; drop_block_estimates runs it on a
+real-geometry (blocks, drops, ...) batch, and unwhitened maps estimates
+back to the original coordinates.
 """
 
 from __future__ import annotations
@@ -142,6 +145,50 @@ def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):
     sc = build_scenario(cfg, [rng_stream(seed, s, 0) for s in drops])
     rngs = [[rng_stream(seed, s, 1, b) for s in drops] for b in range(num_blocks)]
     return estimate(sc, draw_channels(sc, rngs), cfg, rngs)
+
+
+def unwhitened(x, whitener):
+    """C_l x_kl: per-AP vectors x (..., K, L, N) in the original coordinates."""
+    return (whitener[..., None, :, :, :] @ x[..., None])[..., 0]
+
+
+def whitened(x, whitener):
+    """C_l^-1 x_kl: per-AP vectors x (..., K, L, N) in the whitened coordinates."""
+    return np.linalg.solve(whitener[..., None, :, :, :], x[..., None])[..., 0]
+
+
+def original_chain(combiners, whitener):
+    """The stripe's whitened combiners as unit-norm combiners of the original signals.
+
+    AP l's combiner [v_a, v_b] acts on C_l^-1 y_l and on the whitened chain's
+    soft estimate, which is c times the original chain's. On the original
+    signals it is [C_l^-H v_a, c v_b]; normalized, and c becomes its norm.
+    These are the combiners the stripe computes without whitening.
+    """
+    scale, out = 1.0, []
+    for l, V in enumerate(combiners):
+        C = whitener[..., l, :, :]
+        va = np.linalg.solve(herm(C), V[..., :-1].swapaxes(-1, -2)).swapaxes(-1, -2)
+        U = np.concatenate([va, scale * V[..., -1:]], axis=-1)
+        scale = np.linalg.norm(U, axis=-1, keepdims=True)
+        out.append(U / scale)
+    return out
+
+
+def unit_impairment_scale(ghat, ghat_whitened):
+    """1 / c_k^2, (..., K), with c_k the ratio of UE k's whitened soft estimate to the
+    original chain's: the original chain's error-plus-noise power when the whitened
+    one is 1. Read off the own effective channels ghat[k, k], which are never small."""
+    own = np.abs(np.diagonal(ghat, axis1=-2, axis2=-1)) ** 2
+    return own / np.abs(np.diagonal(ghat_whitened, axis1=-2, axis2=-1)) ** 2
+
+
+def impaired_sinr(ghat, impairment, powers):
+    """Conditional SINR (..., K) from ghat (..., K, K) [i, k] and each UE's
+    error-plus-noise power impairment (..., K), in any coordinates."""
+    gains = np.abs(ghat) ** 2
+    num = powers * np.diagonal(gains, axis1=-2, axis2=-1)
+    return num / (powers @ gains - num + impairment)
 
 
 def dense_lmmse_l4(hhat, rtilde, powers, sigma2):
@@ -288,8 +335,9 @@ def psi_stages(combiners, rtilde):
     """Error variances psi[i, k] of ghat[i, k] after each stage, (..., K, K) per AP.
 
     psi[i, k] <- va_k^H rtilde_il va_k + |vb_k|^2 psi[i, k] from a zero
-    prior, every (i, k) pair from its own quadratic form. The stripe's
-    impairment after the same stage is powers @ psi + sigma2.
+    prior, every (i, k) pair from its own quadratic form. With unit-norm
+    combiners of the original signals (original_chain), UE k's
+    error-plus-noise power after the same stage is powers @ psi + sigma2.
     """
     psi, out = 0.0, []
     for l, V in enumerate(combiners):
@@ -318,10 +366,9 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
         rng = rng_stream(seed, setup_index, 1, b)
         h = draw_channels(scenario, rng)
         hhat, _ = estimate(scenario, h, config, rng, stats)
-        final = stripe.run_stripe(hhat, stats.impairment, powers)
-        stripe_sinr[b] = metrics.sinr_per_ue(final.ghat, final.impairment, powers)
-        l4_sinr[b] = baselines.centralized_lmmse_l4(hhat, stats.impairment, powers)
-        mr.update(hhat[None], h[None])
+        stripe_sinr[b] = metrics.sinr_per_ue(stripe.run_stripe(hhat, powers), powers)
+        l4_sinr[b] = baselines.centralized_lmmse_l4(hhat, powers)
+        mr.update(hhat[None], h[None], stats.whitener)
     tau_c, tau_p = config.coherence_block, config.pilot_length
     samples = {"stripe_nlmmse": stripe_sinr, "lmmse_l4": l4_sinr,
                "mr_l2": mr.sinr(powers, config.noise_power_w)[None, :]}

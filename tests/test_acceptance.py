@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    angle_between, brute_force_combiner, build_augmented_moments, estimate, psi_stages,
-    synthetic_config, synthetic_scenario,
+    angle_between, brute_force_combiner, build_augmented_moments, estimate, original_chain,
+    psi_stages, synthetic_config, synthetic_scenario, unit_impairment_scale, unwhitened,
 )
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
@@ -122,29 +122,33 @@ def test_criterion_5_property_suite():
         rng = rng_stream(cfg.rng_seed, 0, 1, b)
         h = draw_channels(scenario, rng)
         hhat, _ = estimate(scenario, h, cfg, rng, stats)
-        combiners, states = zip(*stages(hhat, stats.impairment, powers))
+        combiners, ghats = zip(*stages(hhat, powers))
 
         # unit combiner norms at every stage, and per-stage effective SINR
         # that never decreases along the stripe
         for check in (check_combiner_norms(combiners),
-                      check_monotone_stage_sinr(states, powers)):
+                      check_monotone_stage_sinr(ghats, powers)):
             assert check.passed, check.detail
 
         # the estimates replayed through the combiners are the forwarded ghat
-        np.testing.assert_allclose(replay(combiners, hhat), states[-1].ghat,
-                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(replay(combiners, hhat), ghats[-1], rtol=1e-12, atol=0)
 
-        # the forwarded impairment is the power-weighted sum of the error
-        # variances from the direct quadratic form, plus the noise
-        psi = psi_stages(combiners, stats.rtilde)
+        # in the original coordinates, the error variances from the direct
+        # quadratic form, power-weighted, plus the noise are the whitened
+        # pass's unit error-plus-noise power
+        original = unwhitened(hhat, stats.whitener)
+        chain = original_chain(combiners, stats.whitener)
+        psi = psi_stages(chain, stats.rtilde)
         for l in (1, cfg.num_aps - 1):
-            aug = build_augmented_moments(hhat[:, l], stats.rtilde[:, l],
-                                          states[l - 1].ghat, psi[l - 1])
-            V = combiners[l]
+            aug = build_augmented_moments(original[:, l], stats.rtilde[:, l],
+                                          replay(chain[:l], original), psi[l - 1])
+            V = chain[l]
             direct = np.array([[(V[k].conj() @ aug.error_covariance(i, k) @ V[k]).real
                                 for k in range(cfg.num_ues)] for i in range(cfg.num_ues)])
-            np.testing.assert_allclose(states[l].impairment, powers @ direct + sigma2,
-                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                powers @ direct + sigma2,
+                unit_impairment_scale(replay(chain[:l + 1], original), ghats[l]),
+                rtol=1e-12, atol=0)
 
     # effective-noise variance stays sigma2 through the chain (10^4 samples)
     t_rng = np.random.default_rng(DESK_SEED)
@@ -154,7 +158,7 @@ def test_criterion_5_property_suite():
     t_rngs = [t_rng] * 10000   # one chain over every block, one generator
     t_hhat, t_stats = estimate(t_sc, draw_channels(t_sc, t_rngs), t_cfg, t_rngs)
     noise = complex_normal(t_rng, (len(t_rngs), 1, 2, 2), std=np.sqrt(t_s2))
-    combiners, _ = zip(*stages(t_hhat, t_stats.impairment, t_p))
+    combiners, _ = zip(*stages(t_hhat, t_p))
     emp = (np.abs(replay(combiners, noise)[:, 0]) ** 2).mean(axis=0)
     assert np.all(np.abs(emp - t_s2) / t_s2 < 0.03)
 
@@ -162,7 +166,7 @@ def test_criterion_5_property_suite():
     assert elapsed < 60.0
     report("5 property suite",
            f"decomposition, norms, reconstruction, noise variance, "
-           f"monotone SINR, impairment recursion all within tolerance ({elapsed:.1f} s)")
+           f"monotone SINR, error-variance recursion all within tolerance ({elapsed:.1f} s)")
 
 
 def test_criterion_6_oracle_equivalence():
@@ -176,32 +180,36 @@ def test_criterion_6_oracle_equivalence():
         cfg = synthetic_config(rng, K, 2, N, tau_p)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
         h = draw_channels(sc, rng)
-        hhat, stats = estimate(sc, h, cfg, rng)
-        combiners, states = zip(*stages(hhat, stats.impairment, powers))
+        htilde, stats = estimate(sc, h, cfg, rng)
+        combiners, ghats = zip(*stages(htilde, powers))
+        # the combiners and estimates in the original coordinates, where the
+        # brute force minimizes the conditional MSE
+        hhat = unwhitened(htilde, stats.whitener)
+        chain = original_chain(combiners, stats.whitener)
 
         k = int(rng.integers(K))
         # first AP: minimize the conditional MSE directly; the augmented
         # coordinate of its zero prior must carry no weight
         w = brute_force_combiner(rng, k, powers, sigma2, hhat[:, 0],
                                  stats.rtilde[:, 0], n_starts=6, n_grid=100)
-        angle = angle_between(np.append(w, 0.0), combiners[0][k])
+        angle = angle_between(np.append(w, 0.0), chain[0][k])
         worst_angle = max(worst_angle, angle)
         assert angle < 1e-4
 
         # second AP: same, on the augmented side information
         aug = build_augmented_moments(hhat[:, 1], stats.rtilde[:, 1],
-                                      states[0].ghat, psi_stages(combiners, stats.rtilde)[0])
+                                      replay(chain[:1], hhat), psi_stages(chain, stats.rtilde)[0])
         chat = np.stack([aug.chat(i, k) for i in range(K)])
         w = brute_force_combiner(rng, k, powers, sigma2, chat,
                                  stats.rtilde[:, 1], psi=aug.psi_prev[:, k],
                                  n_starts=6, n_grid=100)
-        angle = angle_between(w, combiners[1][k])
+        angle = angle_between(w, chain[1][k])
         worst_angle = max(worst_angle, angle)
         assert angle < 1e-4
 
         # centralized processing dominates the stripe on the same inputs
-        l4 = centralized_lmmse_l4(hhat, stats.impairment, powers)
-        stripe_sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].impairment, powers)
+        l4 = centralized_lmmse_l4(htilde, powers)
+        stripe_sinr = metrics.sinr_per_ue(ghats[-1], powers)
         assert np.all(l4 >= stripe_sinr * (1 - 1e-9))
     report("6 oracle equivalence",
            f"100 tiny instances: worst combiner angle {worst_angle:.2e} rad "

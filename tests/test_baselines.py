@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (
     complex_gaussian, dense_lmmse_l4, drop_block_estimates, estimate, synthetic_config,
-    synthetic_scenario,
+    synthetic_scenario, unwhitened,
 )
 from stripesim import metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
@@ -23,16 +23,16 @@ class TestCentralizedLmmse:
         powers = cfg.ue_powers
         h = draw_channels(sc, rng)
         hhat, stats = estimate(sc, h, cfg, rng)
-        l4 = centralized_lmmse_l4(hhat, stats.impairment, powers)
-        final = run_stripe(hhat, stats.impairment, powers)
-        local = metrics.sinr_per_ue(final.ghat, final.impairment, powers)
+        l4 = centralized_lmmse_l4(hhat, powers)
+        local = metrics.sinr_per_ue(run_stripe(hhat, powers), powers)
         assert np.allclose(l4, local, rtol=1e-9)
 
     def test_single_user_perfect_csi_matched_filter_bound(self, rng):
-        # K=1, rtilde=0, so D_l = sigma2 I: SINR = (p / sigma2) * sum_l ||h_l||^2
+        # K=1, rtilde=0, so D_l = sigma2 I and the estimates are whitened to
+        # h / sigma: SINR = (p / sigma2) * sum_l ||h_l||^2
         h = complex_gaussian(rng, (1, 3, 2))
         p, sigma2 = 1.7, 0.4
-        sinr = centralized_lmmse_l4(h, np.tile(sigma2 * np.eye(2), (3, 1, 1)), np.array([p]))
+        sinr = centralized_lmmse_l4(h / np.sqrt(sigma2), np.array([p]))
         expect = p * np.sum(np.abs(h) ** 2) / sigma2
         assert sinr[0] == pytest.approx(expect, rel=1e-10)
 
@@ -46,9 +46,9 @@ class TestCentralizedLmmse:
         cfg = synthetic_config(rng, K, L, N, tau_p=2)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
         h = draw_channels(sc, rng)
-        hhat, stats = estimate(sc, h, cfg, rng)
+        htilde, stats = estimate(sc, h, cfg, rng)
 
-        Hs = hhat.reshape(K, L * N).T
+        Hs = unwhitened(htilde, stats.whitener).reshape(K, L * N).T
         C = [block_diag(*[stats.rtilde[i, l] for l in range(L)]) for i in range(K)]
         B = sigma2 * np.eye(L * N, dtype=complex)
         for i in range(K):
@@ -62,8 +62,7 @@ class TestCentralizedLmmse:
                 den += powers[i] * (abs(v.conj() @ Hs[:, i]) ** 2
                                     + (v.conj() @ C[i] @ v).real)
             expect[k] = num / den
-        assert np.allclose(centralized_lmmse_l4(hhat, stats.impairment, powers), expect,
-                           rtol=1e-10)
+        assert np.allclose(centralized_lmmse_l4(htilde, powers), expect, rtol=1e-10)
 
     def test_dominates_stripe_per_realization(self, rng):
         for trial in range(20):
@@ -72,21 +71,22 @@ class TestCentralizedLmmse:
             cfg = synthetic_config(rng, K, 3, 2, tau_p=max(1, K - 1))
             powers = cfg.ue_powers
             h = draw_channels(sc, rng)
-            hhat, stats = estimate(sc, h, cfg, rng)
-            l4 = centralized_lmmse_l4(hhat, stats.impairment, powers)
-            final = run_stripe(hhat, stats.impairment, powers)
-            stripe = metrics.sinr_per_ue(final.ghat, final.impairment, powers)
+            hhat, _ = estimate(sc, h, cfg, rng)
+            l4 = centralized_lmmse_l4(hhat, powers)
+            stripe = metrics.sinr_per_ue(run_stripe(hhat, powers), powers)
             assert np.all(l4 >= stripe * (1 - 1e-9))
 
 
 class TestAgainstDenseReceiver:
-    """The push-through form against the LN x LN oracle, per UE, at rel 1e-9."""
+    """The push-through form on whitened estimates against the LN x LN oracle in the
+    original coordinates, per UE, at rel 1e-9."""
 
     @staticmethod
     def assert_matches_dense_per_block(cfg, seed, num_drops=2, num_blocks=3):
-        hhat, stats = drop_block_estimates(cfg, seed, num_drops, num_blocks)
+        htilde, stats = drop_block_estimates(cfg, seed, num_drops, num_blocks)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-        got = centralized_lmmse_l4(hhat, stats.impairment, powers)
+        got = centralized_lmmse_l4(htilde, powers)
+        hhat = unwhitened(htilde, stats.whitener)
         assert got.shape == (num_blocks, num_drops, cfg.num_ues)
         for b in range(num_blocks):
             for d in range(num_drops):
@@ -124,7 +124,7 @@ class TestMrFusion:
         beta, p, sigma2 = 0.8, 1.5, 0.6
         acc = MrFusionAccumulator()
         h = np.sqrt(beta) * complex_gaussian(rng, (n, 1, 1, N))
-        acc.update(h, h)
+        acc.update(h, h, np.eye(N)[None])
         sinr = acc.sinr(np.array([p]), sigma2)
         expect = p * N * beta / (p * beta + sigma2)
         assert sinr[0] == pytest.approx(expect, rel=0.03)
@@ -136,7 +136,7 @@ class TestMrFusion:
         acc = MrFusionAccumulator()
         h1 = np.sqrt(beta) * complex_gaussian(rng, (n, 1, 1, N))
         h = np.tile(h1, (1, 1, L, 1))
-        acc.update(h, h)
+        acc.update(h, h, np.tile(np.eye(N), (L, 1, 1)))
         sinr = acc.sinr(np.array([p]), sigma2)
         expect = p * N * beta / (p * beta + sigma2 / L)
         assert sinr[0] == pytest.approx(expect, rel=0.03)
@@ -146,13 +146,13 @@ class TestMrFusion:
         cfg = synthetic_config(rng, 2, 3, 2, tau_p=1)
         rngs = [np.random.default_rng([3, b]) for b in range(5)]
         h = draw_channels(sc, rngs)
-        hhat, _ = estimate(sc, h, cfg, rngs)
+        hhat, stats = estimate(sc, h, cfg, rngs)
         acc = MrFusionAccumulator()
         for b in range(5):
-            acc.update(hhat[b:b + 1], h[b:b + 1])
+            acc.update(hhat[b:b + 1], h[b:b + 1], stats.whitener)
         batch = MrFusionAccumulator()
-        batch.update(hhat[:2], h[:2])
-        batch.update(hhat[2:], h[2:])
+        batch.update(hhat[:2], h[:2], stats.whitener)
+        batch.update(hhat[2:], h[2:], stats.whitener)
         assert batch.count == acc.count == 5
         np.testing.assert_allclose(batch.sinr(cfg.ue_powers, cfg.noise_power_w),
                                    acc.sinr(cfg.ue_powers, cfg.noise_power_w),
@@ -166,7 +166,7 @@ class TestMrFusion:
         # single realization: sample variance term is zero but noise term is not
         acc = MrFusionAccumulator()
         h = complex_gaussian(rng, (1, 2, 2, 2))
-        acc.update(h, h)
+        acc.update(h, h, np.eye(2)[None])
         sinr = acc.sinr(np.array([1.0, 1.0]), 0.5)
         assert np.all(np.isfinite(sinr)) and np.all(sinr >= 0)
 
@@ -178,9 +178,7 @@ def test_l4_block_axis_matches_single_blocks(rng):
     powers = cfg.ue_powers
     rngs = [np.random.default_rng([5, b]) for b in range(B)]
     h = draw_channels(sc, rngs)
-    hhat, stats = estimate(sc, h, cfg, rngs)
-    batched = centralized_lmmse_l4(hhat, stats.impairment, powers)
+    hhat, _ = estimate(sc, h, cfg, rngs)
+    batched = centralized_lmmse_l4(hhat, powers)
     for b in range(B):
-        np.testing.assert_allclose(batched[b],
-                                   centralized_lmmse_l4(hhat[b], stats.impairment, powers),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(batched[b], centralized_lmmse_l4(hhat[b], powers), rtol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (
     complex_gaussian, estimate, per_pilot_statistics,
-    pilot_covariances, random_psd, synthetic_config, synthetic_scenario,
+    pilot_covariances, random_psd, synthetic_config, synthetic_scenario, unwhitened,
 )
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import (
@@ -140,7 +140,8 @@ class TestOwnPilotStatistics:
         # K > tau_p, so UEs share pilots. The oracle inverts each own-pilot
         # covariance and subtracts rhat from R, the package builds rtilde as
         # a Gram matrix without either: they agree to roundoff, on the scale
-        # of R_kl for rtilde and of each filter's largest entry for filters.
+        # of R_kl for rtilde and of each filter's largest entry for filters,
+        # which the package whitens by C_l^-1 and C_l maps back.
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=3, num_ues=6,
                       pilot_length=4, correlation_model=model,
                       ue_power_w=(0.05, 0.1, 0.02, 0.07, 0.04, 0.09))
@@ -151,11 +152,15 @@ class TestOwnPilotStatistics:
         top = np.diagonal(sc.covariances, axis1=-2, axis2=-1).real.max(axis=-1)
         assert np.all(np.abs(stats.rtilde - rtilde).max(axis=(-2, -1)) <= 1e-11 * top)
         top = np.abs(filters).max(axis=(-2, -1))
-        assert np.all(np.abs(stats.filters - filters).max(axis=(-2, -1)) <= 1e-11 * top)
-        # D_l is the power-weighted sum of the error covariances plus the noise
+        got = stats.whitener[..., None, :, :, :] @ stats.filters
+        assert np.all(np.abs(got - filters).max(axis=(-2, -1)) <= 1e-11 * top)
+        # C_l is the lower Cholesky factor of D_l, the power-weighted sum of
+        # the error covariances plus the noise
+        C = stats.whitener
+        assert np.all(np.triu(C, 1) == 0) and np.all(np.diagonal(C, axis1=-2, axis2=-1).real > 0)
         expect = (np.einsum("k,...klmn->...lmn", cfg.ue_powers, stats.rtilde)
                   + cfg.noise_power_w * np.eye(3))
-        np.testing.assert_allclose(stats.impairment, expect,
+        np.testing.assert_allclose(C @ C.conj().swapaxes(-1, -2), expect,
                                    rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
@@ -174,15 +179,15 @@ class TestStackedDrops:
         h = draw_channels(sc, rngs)
         z = simulate_pilot_phase(sc, h, cfg, rngs)
         hhat = mmse_estimate(sc, z, stats)
-        assert hhat.shape == (2, 3, 5, 5, 2) and stats.impairment.shape == (3, 5, 2, 2)
-        final = run_stripe(hhat, stats.impairment, powers)
-        l4 = centralized_lmmse_l4(hhat, stats.impairment, powers)
+        assert hhat.shape == (2, 3, 5, 5, 2) and stats.whitener.shape == (3, 5, 2, 2)
+        final = run_stripe(hhat, powers)
+        l4 = centralized_lmmse_l4(hhat, powers)
         mr = MrFusionAccumulator()
-        mr.update(hhat, h)
+        mr.update(hhat, h, stats.whitener)
         for s in drops:
             one = build_scenario(cfg, rng_stream(4, s, 0))
             one_stats = estimation_statistics(one, cfg)
-            for field in ("filters", "rtilde", "impairment"):
+            for field in ("filters", "rtilde", "whitener"):
                 assert np.array_equal(getattr(stats, field)[s], getattr(one_stats, field))
             one_rngs = [rng_stream(4, s, 1, b) for b in blocks]
             one_h = draw_channels(one, one_rngs)
@@ -192,13 +197,11 @@ class TestStackedDrops:
             assert np.array_equal(z[:, s], one_z)
             assert np.array_equal(hhat[:, s], one_hhat)
             # the stripe, L4 (its per-drop block-diagonal add) and the MR moments
-            one_final = run_stripe(one_hhat, one_stats.impairment, powers)
             one_mr = MrFusionAccumulator()
-            one_mr.update(one_hhat, one_h)
+            one_mr.update(one_hhat, one_h, one_stats.whitener)
             assert mr.count == one_mr.count == len(blocks)
-            pairs = [(final.ghat[:, s], one_final.ghat),
-                     (final.impairment[:, s], one_final.impairment),
-                     (l4[:, s], centralized_lmmse_l4(one_hhat, one_stats.impairment, powers)),
+            pairs = [(final[:, s], run_stripe(one_hhat, powers)),
+                     (l4[:, s], centralized_lmmse_l4(one_hhat, powers)),
                      (mr.sum_mean[s], one_mr.sum_mean), (mr.sum_sq[s], one_mr.sum_sq),
                      (mr.sum_noise[s], one_mr.sum_noise)]
             for got, want in pairs:
@@ -234,6 +237,7 @@ class TestMmseEstimate:
         cfg = replace(cfg, noise_power_w=float(1e12 * cfg.ue_powers[0] * beta))
         h = draw_channels(sc, rng)
         hhat, stats = estimate(sc, h, cfg, rng)
+        hhat = unwhitened(hhat, stats.whitener)
         assert np.linalg.norm(hhat[0, 0]) < 1e-4 * np.linalg.norm(h[0, 0])
         assert np.abs(stats.rtilde[0, 0] - R).max() < 1e-10 * np.abs(R).max()
 
@@ -247,7 +251,8 @@ class TestMmseEstimate:
                       ue_power_w=p, noise_power_w=sigma2)
         h = draw_channels(sc, rng)
         z = simulate_pilot_phase(sc, h, cfg, rng)
-        hhat = mmse_estimate(sc, z, estimation_statistics(sc, cfg))
+        stats = estimation_statistics(sc, cfg)
+        hhat = unwhitened(mmse_estimate(sc, z, stats), stats.whitener)
         gain = np.sqrt(p * tau_p) * beta / (tau_p * p * beta + sigma2)
         for l in range(L):
             assert np.allclose(hhat[0, l], gain * z[l, 0], rtol=1e-10)
@@ -267,6 +272,7 @@ class TestMmseEstimate:
                       ue_power_w=1.2, noise_power_w=0.5)
         h = draw_channels(sc, rng)
         hhat, stats = estimate(sc, h, cfg, rng)
+        hhat = unwhitened(hhat, stats.whitener)
         hhat, htilde = hhat[0], (h - hhat)[0]
         rhat, rtilde = R - stats.rtilde[0, 0], stats.rtilde[0, 0]
 
@@ -279,7 +285,8 @@ class TestMmseEstimate:
         assert np.all(np.abs(cross) / se < 5.0)
 
     def test_copilot_estimates_linearly_locked(self, rng):
-        # same despread vector feeds both estimates: hhat_k = W_k W_i^{-1} hhat_i
+        # same despread vector feeds both estimates: hhat_k = W_k W_i^{-1} hhat_i,
+        # whitened or not
         sc = synthetic_scenario(rng, 2, 3, 2, tau_p=1)
         cfg = synthetic_config(rng, 2, 3, 2, tau_p=1)
         stats = estimation_statistics(sc, cfg)

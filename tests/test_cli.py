@@ -371,7 +371,7 @@ def selftest_checks(plant_nan):
     sc = build_scenario(cfg, rng_stream(0, 0, 0))
     h_rng = rng_stream(0, 0, 1, 0)
     hhat, stats = estimate(sc, draw_channels(sc, h_rng), cfg, h_rng)
-    combiners, states = zip(*stripe.stages(hhat, stats.impairment, cfg.ue_powers))
+    combiners, ghats = zip(*stripe.stages(hhat, cfg.ue_powers))
 
     def planted(array, index):
         out = array.copy()
@@ -381,13 +381,11 @@ def selftest_checks(plant_nan):
 
     checks = [
         check_combiner_norms([*combiners[:2], planted(combiners[2], (1, 0)), *combiners[3:]]),
-        check_monotone_stage_sinr(
-            [states[0], replace(states[1], ghat=planted(states[1].ghat, (0, 0))), *states[2:]],
-            cfg.ue_powers),
+        check_monotone_stage_sinr([ghats[0], planted(ghats[1], (0, 0)), *ghats[2:]],
+                                  cfg.ue_powers),
         check_covariance_decomposition(
             sc, replace(stats, rtilde=planted(stats.rtilde, (1, 2, 0, 0))), cfg),
-        check_reconstruction(
-            combiners, replace(states[-1], ghat=planted(states[-1].ghat, (0, 0))), hhat),
+        check_reconstruction(combiners, planted(ghats[-1], (0, 0)), hhat),
     ]
     return {check.name: check for check in checks}
 
@@ -432,8 +430,7 @@ class TestSelftest:
         honest = stripe.stage_update
 
         def skewed(*args, **kwargs):
-            state = honest(*args, **kwargs)
-            return replace(state, ghat=state.ghat * (1 + 1e-6))
+            return honest(*args, **kwargs) * (1 + 1e-6)
 
         monkeypatch.setattr(stripe, "stage_update", skewed)
         passed = {check.name: check.passed for check in run_selftest(0)}

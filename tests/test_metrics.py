@@ -5,90 +5,69 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import impaired_sinr
 from stripesim.config import SimulationConfig
 from stripesim.metrics import (
     empirical_cdf, fronthaul_load, percentile, sinr_per_ue, spectral_efficiency,
 )
 
 
-def scalar_sinr(ghat, psi, powers, sigma2, target):
-    """Effective SINR of one UE, term by term: ghat/psi[i] over interferers i."""
+def scalar_sinr(ghat, powers, target):
+    """Effective SINR of one UE, term by term, over a unit error-plus-noise power."""
     gains = [p * abs(g) ** 2 for p, g in zip(powers, ghat)]
-    den = sum(gains) - gains[target] + sum(p * v for p, v in zip(powers, psi)) + sigma2
-    return gains[target] / den
+    return gains[target] / (sum(gains) - gains[target] + 1.0)
 
 
-def impairment(psi, powers, sigma2):
-    """Each UE's error-plus-noise power, sum_i p_i psi[..., i, k] + sigma2."""
-    return powers @ psi + sigma2
-
-
-def one_target_sinr(ghat, psi, powers, sigma2, target):
-    """sinr_per_ue for the target UE, given its column of ghat and psi."""
+def one_target_sinr(ghat, powers, target):
+    """sinr_per_ue for the target UE, given its column of ghat."""
     K = len(powers)
-    powers = np.asarray(powers, dtype=float)
     g = np.zeros((K, K), dtype=complex)
-    v = np.zeros((K, K))
-    g[:, target], v[:, target] = ghat, psi
-    return sinr_per_ue(g, impairment(v, powers, sigma2), powers)[target]
+    g[:, target] = ghat
+    return sinr_per_ue(g, np.asarray(powers, dtype=float))[target]
 
 
 class TestInstantaneousSinr:
     def test_single_user_unit_values(self):
-        assert sinr_per_ue(
-            np.array([[1.0 + 0j]]), np.array([1.0]), np.array([1.0])
-        ) == pytest.approx([1.0])
+        assert sinr_per_ue(np.array([[1.0 + 0j]]), np.array([1.0])) == pytest.approx([1.0])
 
     def test_zero_numerator(self):
-        assert one_target_sinr(
-            np.array([0.0 + 0j, 1.0]), np.array([0.0, 0.0]),
-            np.array([1.0, 1.0]), 0.5, 0
-        ) == 0.0
+        assert one_target_sinr(np.array([0.0 + 0j, 1.0]), np.array([1.0, 1.0]), 0) == 0.0
 
     def test_hand_evaluated_two_user_case(self):
-        # p=(1,1), ghat=(1, 0.5), psi=(0.1, 0.2), sigma2=0.5
-        # -> 1 / (0.25 + 0.3 + 0.5) = 1/1.05
-        val = one_target_sinr(
-            np.array([1.0 + 0j, 0.5]), np.array([0.1, 0.2]),
-            np.array([1.0, 1.0]), 0.5, 0
-        )
-        assert val == pytest.approx(1.0 / 1.05, rel=1e-12)
-        assert val == pytest.approx(0.9524, abs=5e-5)
+        # p=(1,2), ghat=(1, 0.5) -> 1 / (2 * 0.25 + 1) = 1/1.5
+        val = one_target_sinr(np.array([1.0 + 0j, 0.5]), np.array([1.0, 2.0]), 0)
+        assert val == pytest.approx(1.0 / 1.5, rel=1e-12)
+        assert val == pytest.approx(0.6667, abs=5e-5)
 
     def test_scale_invariance(self, rng):
-        # SINR is degree-0: scaling powers by c and the channel-gain
-        # quantities (|ghat|^2, psi) by d leaves it fixed, provided sigma2
-        # carries the product c*d (every denominator term is such a product)
+        # the error-plus-noise power is the unit of the whitened coordinates:
+        # powers scaled by c and ghat by 1 / sqrt(c) leave every SINR fixed
         K = 4
         ghat = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-        psi = np.abs(rng.standard_normal((K, K)))
         powers = rng.uniform(0.5, 2.0, K)
-        sigma2 = 0.7
-        a = sinr_per_ue(ghat, impairment(psi, powers, sigma2), powers)
-        c, d = 13.7, 0.31
-        # power-unit change alone
-        np.testing.assert_allclose(
-            sinr_per_ue(ghat, impairment(psi, c * powers, c * sigma2), c * powers), a,
-            rtol=1e-12)
-        # gain-unit change alone
-        np.testing.assert_allclose(
-            sinr_per_ue(np.sqrt(d) * ghat, impairment(d * psi, powers, d * sigma2), powers), a,
-            rtol=1e-12)
-        # both together
-        np.testing.assert_allclose(
-            sinr_per_ue(np.sqrt(d) * ghat, impairment(d * psi, c * powers, c * d * sigma2),
-                        c * powers), a, rtol=1e-12)
+        c = 13.7
+        np.testing.assert_allclose(sinr_per_ue(ghat / np.sqrt(c), c * powers),
+                                   sinr_per_ue(ghat, powers), rtol=1e-12)
+
+    def test_unit_impairment_is_any_impairment_rescaled(self, rng):
+        # UE k's soft estimate with error-plus-noise power iota_k, divided by
+        # sqrt(iota_k), has power 1 and the same SINR
+        B, K = 3, 4
+        ghat = rng.standard_normal((B, K, K)) + 1j * rng.standard_normal((B, K, K))
+        iota = rng.uniform(0.1, 10.0, (B, K))
+        powers = rng.uniform(0.5, 2.0, K)
+        np.testing.assert_allclose(sinr_per_ue(ghat / np.sqrt(iota)[..., None, :], powers),
+                                   impaired_sinr(ghat, iota, powers), rtol=1e-12)
 
     def test_monotone_in_target_power(self, rng):
         K = 3
         ghat = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-        psi = np.abs(rng.standard_normal((K, K)))
         base = rng.uniform(0.5, 2.0, K)
         prev = -1.0
         for pk in np.linspace(0.1, 10.0, 25):
             powers = base.copy()
             powers[1] = pk
-            cur = sinr_per_ue(ghat, impairment(psi, powers, 0.4), powers)[1]
+            cur = sinr_per_ue(ghat, powers)[1]
             assert cur >= prev
             prev = cur
 
@@ -96,14 +75,13 @@ class TestInstantaneousSinr:
         # every UE of a stacked (blocks, K, K) call against the term-by-term sum
         B, K = 3, 4
         ghat = rng.standard_normal((B, K, K)) + 1j * rng.standard_normal((B, K, K))
-        psi = np.abs(rng.standard_normal((B, K, K)))
         powers = rng.uniform(0.5, 2.0, K)
-        vec = sinr_per_ue(ghat, impairment(psi, powers, 0.9), powers)
+        vec = sinr_per_ue(ghat, powers)
         assert vec.shape == (B, K)
         for b in range(B):
             for k in range(K):
                 assert vec[b, k] == pytest.approx(
-                    scalar_sinr(ghat[b, :, k], psi[b, :, k], powers, 0.9, k), rel=1e-12
+                    scalar_sinr(ghat[b, :, k], powers, k), rel=1e-12
                 )
 
 

@@ -2,9 +2,11 @@
 
 Each tiny example builds a drop of the real geometry and channel model (L
 2-4, N 1-3, K 1-5, tau_p 1..K, either correlation model) and runs a few
-coherence blocks through the estimation chain, the stripe and L4. The
-stripe's per-UE impairment is checked against the oracles' K x K
-error-variance recursion, and L4 against their dense LN x LN receiver.
+coherence blocks through the estimation chain, the stripe and L4. Both run
+on whitened estimates, where every error-plus-noise power is 1: the
+stripe's per-stage SINR is checked against the oracles' K x K
+error-variance recursion in the original coordinates, and L4 against their
+dense LN x LN receiver there.
 
 The valid-config property spans the whole physical range instead (N up to
 16, K and tau_p up to 40, powers, noise, heights, angular spreads and room
@@ -19,7 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_lmmse_l4, drop_block_estimates, psi_stages
+from oracles import (
+    dense_lmmse_l4, drop_block_estimates, impaired_sinr, impairment, original_chain, psi_stages,
+    unwhitened,
+)
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
 from stripesim.channel import (
@@ -28,7 +33,7 @@ from stripesim.channel import (
 from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import ALL_SCHEMES, rng_stream, simulate_setup
 from stripesim.scenario import build_scenario
-from stripesim.selftest import check_combiner_norms, check_monotone_stage_sinr
+from stripesim.selftest import check_combiner_norms, check_monotone_stage_sinr, replay
 from stripesim.stripe import stages
 
 BLOCKS = 3
@@ -69,15 +74,16 @@ def valid_configs(draw):
 
 
 def simulate(cfg):
-    """Estimates of BLOCKS blocks of one drop, their stats, each stage's combiners and state."""
+    """Whitened estimates of BLOCKS blocks of one drop, their stats, and each stage's
+    combiners and ghat."""
     scenario = build_scenario(cfg, rng_stream(cfg.rng_seed, 0, 0))
     rngs = [rng_stream(cfg.rng_seed, 0, 1, b) for b in range(BLOCKS)]
     h = draw_channels(scenario, rngs)
     z = simulate_pilot_phase(scenario, h, cfg, rngs)
     stats = estimation_statistics(scenario, cfg)
     hhat = mmse_estimate(scenario, z, stats)
-    combiners, states = zip(*stages(hhat, stats.impairment, cfg.ue_powers))
-    return hhat, stats, combiners, states
+    combiners, ghats = zip(*stages(hhat, cfg.ue_powers))
+    return hhat, stats, combiners, ghats
 
 
 @settings(deadline=None)
@@ -90,38 +96,54 @@ def test_combiners_are_unit_norm(cfg):
 
 @settings(deadline=None)
 @given(tiny_configs())
-def test_stage_sinr_never_decreases_and_impairment_is_at_least_the_noise(cfg):
-    *_, states = simulate(cfg)
-    for state in states:
-        assert np.all(state.impairment >= cfg.noise_power_w * (1.0 - REL))
-    check = check_monotone_stage_sinr(states, cfg.ue_powers)
+def test_stage_sinr_never_decreases(cfg):
+    *_, ghats = simulate(cfg)
+    check = check_monotone_stage_sinr(ghats, cfg.ue_powers)
     assert check.passed, check.detail
+
+
+def original_whiteners(stats, cfg):
+    """C_l from D_l = sum_i p_i rtilde_il + sigma^2 I built here, AP by AP."""
+    return np.stack([np.linalg.cholesky(impairment(stats.rtilde[:, l], cfg.ue_powers,
+                                                   cfg.noise_power_w))
+                     for l in range(cfg.num_aps)])
 
 
 @settings(deadline=None)
 @given(tiny_configs())
-def test_impairment_is_the_weighted_psi_of_the_recursion(cfg):
-    _, stats, combiners, states = simulate(cfg)
+def test_whitened_stripe_equals_the_psi_recursion_in_original_coordinates(cfg):
+    # the whitened pass assumes each soft estimate's error-plus-noise power
+    # is 1; in the original coordinates, with hhat = C_l htilde and the
+    # combiners mapped back, it is powers @ psi + sigma2 of the K x K
+    # recursion, and the SINR each stage reaches is the same
+    htilde, stats, combiners, ghats = simulate(cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-    for state, psi in zip(states, psi_stages(combiners, stats.rtilde), strict=True):
-        np.testing.assert_allclose(state.impairment, powers @ psi + sigma2, rtol=1e-10, atol=0)
+    whitener = original_whiteners(stats, cfg)
+    hhat = unwhitened(htilde, whitener)
+    chain = original_chain(combiners, whitener)
+    for l, psi in enumerate(psi_stages(chain, stats.rtilde)):
+        ghat = replay(chain[:l + 1], hhat)
+        np.testing.assert_allclose(metrics.sinr_per_ue(ghats[l], powers),
+                                   impaired_sinr(ghat, powers @ psi + sigma2, powers),
+                                   rtol=1e-10, atol=0)
 
 
 @settings(deadline=None)
 @given(tiny_configs())
 def test_l4_at_least_stripe_per_ue_and_block(cfg):
-    hhat, stats, _, states = simulate(cfg)
+    hhat, _, _, ghats = simulate(cfg)
     powers = cfg.ue_powers
-    stripe = metrics.sinr_per_ue(states[-1].ghat, states[-1].impairment, powers)
-    assert np.all(centralized_lmmse_l4(hhat, stats.impairment, powers) >= stripe * (1.0 - REL))
+    stripe = metrics.sinr_per_ue(ghats[-1], powers)
+    assert np.all(centralized_lmmse_l4(hhat, powers) >= stripe * (1.0 - REL))
 
 
 @settings(deadline=None)
 @given(tiny_configs())
 def test_l4_equals_the_dense_receiver(cfg):
-    hhat, stats, _, _ = simulate(cfg)
+    htilde, stats, _, _ = simulate(cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-    np.testing.assert_allclose(centralized_lmmse_l4(hhat, stats.impairment, powers),
+    hhat = unwhitened(htilde, original_whiteners(stats, cfg))
+    np.testing.assert_allclose(centralized_lmmse_l4(htilde, powers),
                                dense_lmmse_l4(hhat, stats.rtilde, powers, sigma2),
                                rtol=REL, atol=0)
 
@@ -133,7 +155,7 @@ def test_every_valid_config_runs(cfg):
     for scheme, se in simulate_setup(cfg, range(2), ALL_SCHEMES).items():
         assert np.all(np.isfinite(se)) and np.all(se >= 0), scheme
     hhat, stats = drop_block_estimates(cfg, cfg.rng_seed, num_drops=2, num_blocks=2)
-    combiners, _ = zip(*stages(hhat, stats.impairment, cfg.ue_powers))
+    combiners, _ = zip(*stages(hhat, cfg.ue_powers))
     check = check_combiner_norms(combiners)
     assert check.passed, check.detail
     # PSD to roundoff on rtilde's own scale, not on R's

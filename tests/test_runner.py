@@ -225,8 +225,9 @@ def test_chunked_setup_matches_per_block_reference(monkeypatch, chunk):
                                    err_msg=scheme)
 
 
-def test_impairment_is_computed_once_per_drop_group(monkeypatch):
-    # three chunks and every scheme share the group's estimation statistics
+def test_estimation_statistics_are_computed_once_per_drop_group(monkeypatch):
+    # three chunks and every scheme share the group's estimation statistics:
+    # the whitened filters, and the whiteners MR maps back with
     cfg = mini_config(num_aps=6, num_ues=4, num_channel_realizations=9)
     K, L, N = cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap
     monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", 3 * L * N * (K + cfg.pilot_length))

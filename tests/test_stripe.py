@@ -7,8 +7,9 @@ from dataclasses import replace
 
 from oracles import (
     angle_between, brute_force_combiner, build_augmented_moments, complex_gaussian,
-    drop_block_estimates, estimate, first_ap_lmmse, impairment, psi_stages, random_psd,
-    replayed_chain, synthetic_config, synthetic_scenario,
+    drop_block_estimates, estimate, first_ap_lmmse, impairment, original_chain, psi_stages,
+    random_psd, replayed_chain, synthetic_config, synthetic_scenario, unit_impairment_scale,
+    unwhitened, whitened,
 )
 from stripesim import metrics
 from stripesim.channel import complex_normal, draw_channels
@@ -19,11 +20,27 @@ from stripesim import stripe
 from stripesim.stripe import combiner_stage, run_stripe, stage_update, stages
 
 
+def original_stage(hhat, rtilde, ghat_prev, iota_prev, powers, sigma2):
+    """combiner_stage in the original coordinates, unit norm, (K, N+1).
+
+    The local estimates hhat (K, N) are whitened by C, D = sum_i p_i
+    rtilde_i + sigma2 I = C C^H, and UE k's side information ghat_prev[:, k]
+    is divided by sqrt(iota_prev[k]), so that the error-plus-noise power
+    iota_prev[k] of its soft estimate becomes 1; the whitened combiner
+    [w_a, w_b] maps back to [C^-H w_a, w_b / sqrt(iota_prev[k])].
+    """
+    C = np.linalg.cholesky(impairment(rtilde, powers, sigma2))
+    scale = np.sqrt(iota_prev)
+    W = combiner_stage(np.linalg.solve(C, hhat.T).T, ghat_prev / scale, powers)
+    V = np.concatenate([np.linalg.solve(C.conj().T, W[:, :-1].T).T, (W[:, -1] / scale)[:, None]],
+                       axis=1)
+    return V / np.linalg.norm(V, axis=1, keepdims=True)
+
+
 def zero_prior_combiner(hhat, rtilde, powers, sigma2):
     """The AP-1 rule: the stage combiner on a zero prior, local coordinates."""
     K = hhat.shape[0]
-    V = combiner_stage(hhat, impairment(rtilde, powers, sigma2),
-                       np.zeros((K, K), dtype=complex), np.full(K, sigma2), powers)
+    V = original_stage(hhat, rtilde, np.zeros((K, K), dtype=complex), np.ones(K), powers, sigma2)
     assert np.abs(V[:, -1]).max() < 1e-14
     return V[:, :-1]
 
@@ -36,9 +53,9 @@ def side_info(rng, K, scale=1.0):
 def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True):
     """Full small pipeline on O(1) synthetic statistics.
 
-    Returns every stage's combiners and forwarded state, AP 1..L, the
-    estimates and their statistics. With payload, pay is (symbols (K,),
-    noise (L, N)) of one uplink symbol.
+    Returns every stage's combiners and forwarded ghat, AP 1..L, the
+    whitened estimates and their statistics. With payload, pay is (symbols
+    (K,), noise (L, N)) of one uplink symbol.
     """
     sc = synthetic_scenario(rng, K, L, N, tau_p)
     cfg = synthetic_config(rng, K, L, N, tau_p)
@@ -49,8 +66,8 @@ def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True):
     if payload:
         pay = (complex_normal(rng, (K,), std=np.sqrt(powers)),
                complex_normal(rng, (L, N), std=np.sqrt(sigma2)))
-    combiners, states = zip(*stages(hhat, stats.impairment, powers))
-    return combiners, states, hhat, stats, h, pay, powers, sigma2
+    combiners, ghats = zip(*stages(hhat, powers))
+    return combiners, ghats, hhat, stats, h, pay, powers, sigma2
 
 
 class TestFirstApCombiner:
@@ -145,8 +162,8 @@ class TestStageCombiner:
         rtilde = np.stack([random_psd(rng, N, 0.3) for _ in range(K)])
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.8
-        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2),
-                           np.zeros((K, K), dtype=complex), np.full(K, sigma2), powers)
+        V = original_stage(hhat, rtilde, np.zeros((K, K), dtype=complex), np.full(K, sigma2),
+                           powers, sigma2)
         V_first = first_ap_lmmse(hhat, rtilde, powers, sigma2)
         assert np.abs(V[:, -1]).max() < 1e-14
         assert np.allclose(V[:, :N], V_first, atol=1e-12)
@@ -158,8 +175,7 @@ class TestStageCombiner:
         rtilde = np.zeros((K, N, N), dtype=complex)
         ghat_prev = np.eye(K, dtype=complex)
         powers = np.array([1.0, 2.0])
-        V = combiner_stage(hhat, impairment(rtilde, powers, 0.5), ghat_prev, np.full(K, 0.5),
-                           powers)
+        V = original_stage(hhat, rtilde, ghat_prev, np.full(K, 0.5), powers, 0.5)
         expect = np.zeros((K, N + 1))
         expect[:, N] = 1.0
         assert np.allclose(V, expect, atol=1e-14)
@@ -172,8 +188,7 @@ class TestStageCombiner:
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = float(rng.uniform(0.5, 2.0))
         aug = build_augmented_moments(hhat, rtilde, ghat_prev, psi_prev)
-        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2), ghat_prev,
-                           powers @ psi_prev + sigma2, powers)
+        V = original_stage(hhat, rtilde, ghat_prev, powers @ psi_prev + sigma2, powers, sigma2)
         for k in range(K):
             chat = np.stack([aug.chat(i, k) for i in range(K)])
             w = brute_force_combiner(rng, k, powers, sigma2, chat, rtilde,
@@ -190,8 +205,7 @@ class TestStageCombiner:
         powers = rng.uniform(0.5, 2.0, K)
         sigma2 = 0.7
         aug = build_augmented_moments(hhat, rtilde, ghat_prev, psi_prev)
-        V = combiner_stage(hhat, impairment(rtilde, powers, sigma2), ghat_prev,
-                           powers @ psi_prev + sigma2, powers)
+        V = original_stage(hhat, rtilde, ghat_prev, powers @ psi_prev + sigma2, powers, sigma2)
         for k in range(K):
             B = sigma2 * np.eye(N + 1, dtype=complex)
             for i in range(K):
@@ -203,46 +217,37 @@ class TestStageCombiner:
 
 class TestStageUpdate:
     def test_reconstruction_identity_every_stage(self, rng):
-        combiners, states, hhat, stats, h, (symbols, noise), powers, sigma2 = random_run(rng)
-        for l, state in enumerate(states):
+        combiners, ghats, hhat, stats, h, (symbols, noise), powers, sigma2 = random_run(rng)
+        # the combiners act on whitened signals: channels and noise through C_l^-1
+        h, noise = whitened(h, stats.whitener), whitened(noise[None], stats.whitener)[0]
+        for l, ghat in enumerate(ghats):
             prefix = combiners[:l + 1]
-            np.testing.assert_allclose(replay(prefix, hhat), state.ghat,
-                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(replay(prefix, hhat), ghat, rtol=1e-12, atol=0)
             soft, g, eff_noise = replayed_chain(prefix, h, symbols, noise)
             signal = symbols @ g
             resid = np.abs(soft - signal - eff_noise)
             scale = np.abs(soft) + np.abs(signal) + np.abs(eff_noise)
             assert np.all(resid <= 1e-10 * np.maximum(scale, 1e-300))
 
-    def test_impairment_between_the_stage_inputs(self, rng):
-        # iota_k = va^H D_l va + |vb|^2 iota_prev with ||v|| = 1 is a convex
-        # combination of a Rayleigh quotient of D_l and the previous iota,
-        # so it never falls below the noise
-        combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(rng)
-        D = stats.impairment
-        prev = np.full(len(powers), sigma2)
-        for l, state in enumerate(states):
-            lam = np.linalg.eigvalsh(D[l])
-            assert np.all(state.impairment >= sigma2 * (1 - 1e-12))
-            assert np.all(state.impairment >= np.minimum(lam[0], prev) * (1 - 1e-12))
-            assert np.all(state.impairment <= np.maximum(lam[-1], prev) * (1 + 1e-12))
-            prev = state.impairment
-
     def test_psi_recursion_equals_direct_quadratic_form(self, rng):
         # the K x K error variances the protocol forwards, each from its
-        # augmented error covariance; the carried impairment is their
-        # power-weighted sum plus the noise
-        combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(rng)
-        psi = psi_stages(combiners, stats.rtilde)
-        for l in range(len(states)):
-            np.testing.assert_allclose(states[l].impairment, powers @ psi[l] + sigma2,
-                                       rtol=1e-12, atol=0)
+        # augmented error covariance, in the original coordinates; their
+        # power-weighted sum plus the noise is the whitened pass's unit
+        # error-plus-noise power there
+        combiners, ghats, hhat, stats, h, pay, powers, sigma2 = random_run(rng)
+        hhat = unwhitened(hhat, stats.whitener)
+        chain = original_chain(combiners, stats.whitener)
+        psi = psi_stages(chain, stats.rtilde)
+        for l in range(len(ghats)):
+            np.testing.assert_allclose(
+                powers @ psi[l] + sigma2,
+                unit_impairment_scale(replay(chain[:l + 1], hhat), ghats[l]), rtol=1e-12, atol=0)
             if l == 0:
                 continue
             aug = build_augmented_moments(
-                hhat[:, l], stats.rtilde[:, l], states[l - 1].ghat, psi[l - 1]
+                hhat[:, l], stats.rtilde[:, l], replay(chain[:l], hhat), psi[l - 1]
             )
-            V = combiners[l]
+            V = chain[l]
             for i in range(len(powers)):
                 for k in range(len(powers)):
                     direct = float(
@@ -252,9 +257,10 @@ class TestStageUpdate:
 
     def test_effective_error_variance_matches_resampling(self, rng):
         # freeze one stage's combiner; resample what impairs UE k's soft
-        # estimate: every UE's local estimation error times its symbol, the
-        # local noise, and the previous stage's error plus noise
-        combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(rng)
+        # estimate: every UE's local estimation error times its symbol and
+        # the local noise, whitened by C_l^-1, and the previous stage's error
+        # plus noise. In whitened coordinates that power is 1 at every stage.
+        combiners, ghats, hhat, stats, h, pay, powers, sigma2 = random_run(rng)
         l, k = 2, 0
         va, vb = combiners[l][k, :-1], combiners[l][k, -1]
         n = 40000
@@ -262,9 +268,10 @@ class TestStageUpdate:
         for i, p in enumerate(powers):
             htilde = complex_gaussian(rng, (n, va.size)) @ psd_factor(stats.rtilde[i, l]).T
             local += complex_normal(rng, (n, 1), std=np.sqrt(p)) * htilde
-        prior = np.sqrt(states[l - 1].impairment[k]) * complex_gaussian(rng, n)
+        local = np.linalg.solve(stats.whitener[l], local.T).T
+        prior = complex_gaussian(rng, n)
         power = np.abs(local @ va.conj() + np.conj(vb) * prior) ** 2
-        z = abs(power.mean() - states[l].impairment[k]) / (power.std() / np.sqrt(n))
+        z = abs(power.mean() - 1.0) / (power.std() / np.sqrt(n))
         assert z < 4.0
 
 
@@ -275,11 +282,13 @@ class TestRunStripe:
         assert check.passed, check.detail
 
     def test_single_ap_network_collapses_to_local_combining(self, rng):
-        combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(
+        combiners, ghats, hhat, stats, h, pay, powers, sigma2 = random_run(
             rng, L=1, payload=False)
+        hhat = unwhitened(hhat, stats.whitener)
         V = first_ap_lmmse(hhat[:, 0], stats.rtilde[:, 0], powers, sigma2)
-        assert np.allclose(combiners[0], np.pad(V, ((0, 0), (0, 1))))
-        sinr = metrics.sinr_per_ue(states[-1].ghat, states[-1].impairment, powers)
+        assert np.allclose(original_chain(combiners, stats.whitener)[0],
+                           np.pad(V, ((0, 0), (0, 1))))
+        sinr = metrics.sinr_per_ue(ghats[-1], powers)
         # against a direct evaluation of the single-AP conditional SINR
         for k in range(len(powers)):
             g = V[k].conj() @ hhat[:, 0].T
@@ -293,14 +302,14 @@ class TestRunStripe:
 
     def test_stage_sinr_monotone_nondecreasing(self, rng):
         for trial in range(5):
-            combiners, states, hhat, stats, h, pay, powers, sigma2 = random_run(
+            combiners, ghats, hhat, stats, h, pay, powers, sigma2 = random_run(
                 rng, K=3, L=6, N=2, payload=False
             )
-            check = check_monotone_stage_sinr(states, powers)
+            check = check_monotone_stage_sinr(ghats, powers)
             assert check.passed, check.detail
 
     def test_effective_noise_variance_stays_sigma2(self, rng):
-        # the unit-norm chain forwards noise of variance sigma2 at every hop
+        # the unit-norm chain forwards white noise of variance sigma2 at every hop
         K, L, N, tau_p = 2, 2, 2, 1
         sc = synthetic_scenario(rng, K, L, N, tau_p)
         cfg = synthetic_config(rng, K, L, N, tau_p)
@@ -310,7 +319,7 @@ class TestRunStripe:
         rngs = [rng] * n
         hhat, stats = estimate(sc, draw_channels(sc, rngs), cfg, rngs)
         noise = complex_normal(rng, (n, 1, L, N), std=np.sqrt(sigma2))
-        combiners, _ = zip(*stages(hhat, stats.impairment, powers))
+        combiners, _ = zip(*stages(hhat, powers))
         emp = (np.abs(replay(combiners, noise)[:, 0]) ** 2).mean(axis=0)
         assert np.all(np.abs(emp - sigma2) / sigma2 < 0.03)
 
@@ -333,12 +342,10 @@ class TestRunStripe:
         rngs = [np.random.default_rng(b) for b in range(B)]
         h = draw_channels(sc, rngs)
         hhat, stats = estimate(sc, h, cfg, rngs)
-        combiners, states = zip(*stages(hhat, stats.impairment, powers))
+        combiners, ghats = zip(*stages(hhat, powers))
         for b in range(B):
-            combiners_one, states_one = zip(*stages(hhat[b], stats.impairment, powers))
-            for field in ("ghat", "impairment"):
-                np.testing.assert_allclose(getattr(states[-1], field)[b],
-                                           getattr(states_one[-1], field), rtol=1e-12, atol=0)
+            combiners_one, ghats_one = zip(*stages(hhat[b], powers))
+            np.testing.assert_allclose(ghats[-1][b], ghats_one[-1], rtol=1e-12, atol=0)
             for V, V_one in zip(combiners, combiners_one, strict=True):
                 np.testing.assert_allclose(V[b], V_one, rtol=1e-12, atol=0)
 
@@ -349,10 +356,9 @@ class TestReplay:
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=4,
                       pilot_length=2)
         hhat, stats = drop_block_estimates(cfg, 8)
-        combiners, states = zip(*stages(hhat, stats.impairment, cfg.ue_powers))
-        assert states[-1].ghat.shape == (3, 2, 4, 4)
-        np.testing.assert_allclose(replay(combiners, hhat), states[-1].ghat,
-                                   rtol=1e-12, atol=0)
+        combiners, ghats = zip(*stages(hhat, cfg.ue_powers))
+        assert ghats[-1].shape == (3, 2, 4, 4)
+        np.testing.assert_allclose(replay(combiners, hhat), ghats[-1], rtol=1e-12, atol=0)
 
 
 class TestStages:
@@ -362,28 +368,26 @@ class TestStages:
                   pilot_length=2)
 
     def test_run_stripe_is_the_last_stage(self):
-        hhat, stats = drop_block_estimates(self.CFG, 11)
-        *_, (_, last) = stages(hhat, stats.impairment, self.CFG.ue_powers)
-        final = run_stripe(hhat, stats.impairment, self.CFG.ue_powers)
-        assert final.ghat.shape == (3, 2, 4, 4)
-        assert np.array_equal(final.ghat, last.ghat)
-        assert np.array_equal(final.impairment, last.impairment)
+        hhat, _ = drop_block_estimates(self.CFG, 11)
+        *_, (_, last) = stages(hhat, self.CFG.ue_powers)
+        final = run_stripe(hhat, self.CFG.ue_powers)
+        assert final.shape == (3, 2, 4, 4)
+        assert np.array_equal(final, last)
 
     @pytest.mark.parametrize("stop", [1, 3, 6])
     def test_stopping_after_an_ap_gives_the_full_pass_prefix(self, stop):
-        hhat, stats = drop_block_estimates(self.CFG, 12)
-        args = hhat, stats.impairment, self.CFG.ue_powers
+        hhat, _ = drop_block_estimates(self.CFG, 12)
+        args = hhat, self.CFG.ue_powers
         full = list(stages(*args))
         head = list(itertools.islice(stages(*args), stop))
         assert len(head) == stop
-        for (V, state), (V_full, state_full) in zip(head, full[:stop], strict=True):
+        for (V, ghat), (V_full, ghat_full) in zip(head, full[:stop], strict=True):
             assert np.array_equal(V, V_full)
-            assert np.array_equal(state.ghat, state_full.ghat)
-            assert np.array_equal(state.impairment, state_full.impairment)
+            assert np.array_equal(ghat, ghat_full)
 
     def test_steps_stage_update_through_the_module_once_per_consumed_ap(self, monkeypatch):
         # the fault-injection selftest test patches stripe.stage_update
-        hhat, stats = drop_block_estimates(self.CFG, 13)
+        hhat, _ = drop_block_estimates(self.CFG, 13)
         calls = []
 
         def counted(combiners, hhat_l, *args):
@@ -391,7 +395,7 @@ class TestStages:
             return stage_update(combiners, hhat_l, *args)
 
         monkeypatch.setattr(stripe, "stage_update", counted)
-        steps = stages(hhat, stats.impairment, self.CFG.ue_powers)
+        steps = stages(hhat, self.CFG.ue_powers)
         list(itertools.islice(steps, 2))
         assert len(calls) == 2
         for l, hhat_l in enumerate(calls):
