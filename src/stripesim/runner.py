@@ -143,6 +143,31 @@ def pool_context():
     return multiprocessing.get_context()
 
 
+def _pooled(results, workers):
+    """The pool's results in job order; an error once one of workers died.
+
+    A worker killed mid-job (SIGKILL, the OOM killer) takes its job along:
+    multiprocessing.Pool starts a replacement but never returns that job, so
+    an unbounded wait would block for ever. Each wait lasts at most half a
+    second, and one that runs out checks the pool's first workers, which
+    live until the pool ends. The error falls on the first job not yet
+    returned, which is the lost one once the jobs dispatched before it have
+    returned.
+    """
+    import multiprocessing
+
+    while True:
+        try:
+            yield results.next(timeout=0.5)
+        except StopIteration:
+            return
+        except multiprocessing.TimeoutError:
+            for worker in workers:
+                if worker.exitcode is not None:  # negative: the signal that ended it
+                    raise ChildProcessError(
+                        f"a pool worker died (exit code {worker.exitcode})") from None
+
+
 def worker_count(requested: int, num_jobs: int) -> int:
     """Pool size: the request, or (0) every CPU this process may run on."""
     if requested == 0 and hasattr(os, "sched_getaffinity"):
@@ -159,6 +184,12 @@ def _job_name(configs: list[SimulationConfig], config: SimulationConfig, setups:
             swept.append(f"{field.name}={format_value(value)}")
     where = f" ({', '.join(swept)})" if swept else ""
     return f"config {config_fingerprint(config)}{where}, setups {setups.start}-{setups.stop - 1}"
+
+
+def check_workers(workers: int) -> None:
+    """Reject a worker count that is not an integer >= 0."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 0:
+        raise ValueError(f"workers must be an integer >= 0, got {workers!r}")
 
 
 def check_schemes(schemes: tuple[str, ...]) -> None:
@@ -186,7 +217,8 @@ def run_experiment(
     may run on), and the results do not depend on workers. A call of one job
     in total starts no pool. progress(done, total) counts setups over the
     whole call as each job returns. An error raised in a job re-raises as a
-    ValueError naming its config and setups.
+    ValueError naming its config and setups, and so does a pool worker's
+    death (see _pooled), within a second, instead of a wait for ever.
 
     Every loaded OpenBLAS runs single-threaded for the duration (see blas),
     in pool workers too, whatever the start method. Pool workers ignore
@@ -195,8 +227,7 @@ def run_experiment(
     """
     if not configs:
         raise ValueError("at least one config is required")
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 0:
-        raise ValueError(f"workers must be an integer >= 0, got {workers!r}")
+    check_workers(workers)
     check_schemes(schemes)
 
     groups = [drop_groups(config) for config in configs]
@@ -207,9 +238,13 @@ def run_experiment(
     per_job = []
     with one_blas_thread(), contextlib.ExitStack() as stack:
         if processes > 1:
+            from multiprocessing import active_children
+
+            before = set(active_children())
             pool = stack.enter_context(
                 pool_context().Pool(processes=processes, initializer=_init_worker))
-            outs = pool.imap(_setup_worker, jobs, chunksize=1)
+            started = set(active_children()) - before
+            outs = _pooled(pool.imap(_setup_worker, jobs, chunksize=1), started)
         else:
             outs = map(_setup_worker, jobs)
         done = 0

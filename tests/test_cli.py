@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -52,6 +53,13 @@ def run(*args, workers=1):
 def read_tree(out_dir):
     """Relative path -> bytes of every file under out_dir."""
     return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+
+def fresh_env():
+    """This environment, with this stripesim first on the import path."""
+    src = str(Path(stripesim.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 class TestRun:
@@ -211,13 +219,10 @@ class TestRun:
         save_config(replace(SimulationConfig(), num_setups=40, num_channel_realizations=200),
                     path)
         out = tmp_path / "out"
-        src = str(Path(stripesim.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.Popen(
             [sys.executable, "-m", "stripesim.cli", "run", "--config", str(path),
              "--workers", "2", "--out", str(out)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True)
         try:
             for line in proc.stdout:
@@ -333,7 +338,9 @@ class TestRun:
     def test_negative_worker_count_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("--config", str(write_mini(tmp_path)), "--out", str(out), workers=-1) == 1
-        assert capsys.readouterr().err == "error: workers must be an integer >= 0, got -1\n"
+        captured = capsys.readouterr()
+        assert captured.err == "error: workers must be an integer >= 0, got -1\n"
+        assert captured.out == ""      # checked before anything prints
         assert not out.exists()
 
 
@@ -357,6 +364,108 @@ class TestFronthaul:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["l4"] == 2 * 2 * 4 * 40
         assert payload["stripe"] == 3 * 9 + 2 * 3 * 38
+
+
+# What the `stripesim` console script runs, as the benchmark does.
+ENTRY = "import sys; from stripesim.cli import main; sys.exit(main())"
+
+# The job of K=10 SIGKILLs its pool worker, as the OOM killer would.
+# Workers fork, so they see the patched simulate_setup.
+KILLED_WORKER = """
+import multiprocessing, os, signal, sys
+from stripesim import runner
+from stripesim.cli import main
+simulate = runner.simulate_setup
+
+def simulate_setup(config, setups, schemes):
+    if config.num_ues == 10:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return simulate(config, setups, schemes)
+
+runner.simulate_setup = simulate_setup
+runner.pool_context = lambda: multiprocessing.get_context("fork")
+sys.exit(main())
+"""
+
+# atexit runs its handlers last in, first out, so this one, registered before
+# stripesim.cli is imported, runs after the CLI's.
+FREEZE_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from stripesim.cli import main
+sys.exit(main())
+"""
+
+
+def fresh_cli(*args, code=ENTRY, timeout=60):
+    """Run code with args in a fresh interpreter in its own process group;
+    its exit code, stdout and stderr. A process group still running at
+    timeout is killed, and the test fails; so it does if a process of the
+    group (a pool worker) outlives the interpreter."""
+    proc = subprocess.Popen([sys.executable, "-c", code, *args], env=fresh_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return proc.returncode, out, err
+
+
+class TestFreshInterpreter:
+    """The CLI as the console script and the benchmark run it: its own process."""
+
+    def test_run_exits_0_with_the_in_process_tree(self, tmp_path):
+        cfg = str(write_mini(tmp_path))
+        out = tmp_path / "fresh"
+        # two jobs at --workers 2: a pool, and multiprocessing's own exit handler
+        code, stdout, err = fresh_cli("run", "--config", cfg, "--sweep", "K=2,3",
+                                      "--workers", "2", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert stdout.endswith("done\n")
+        assert run("--config", cfg, "--sweep", "K=2,3", "--out", str(tmp_path / "here")) == 0
+        assert read_tree(out) == read_tree(tmp_path / "here")
+
+    def test_fronthaul_exits_0_with_the_json_last(self):
+        code, stdout, err = fresh_cli("fronthaul")
+        assert (code, err) == (0, "")
+        assert json.loads(stdout.splitlines()[-1]) == {"l4": 38400, "stripe": 3900,
+                                                       "reduction": 0.8984375}
+
+    def test_missing_config_exits_1_with_one_error_line(self, tmp_path):
+        code, stdout, err = fresh_cli("run", "--config", str(tmp_path / "absent.ini"),
+                                      "--out", str(tmp_path / "out"))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "absent.ini" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_subcommand_exits_2(self):
+        code, stdout, _ = fresh_cli("simulate")
+        assert (code, stdout) == (2, "")
+
+    @pytest.mark.parametrize("command", ["fronthaul", "selftest"])
+    def test_heap_is_frozen_at_exit(self, command):
+        code, stdout, _ = fresh_cli(command, code=FREEZE_AT_EXIT)
+        assert code == 0
+        assert stdout.splitlines()[-1] == "frozen at exit: True"
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_killed_pool_worker_fails_the_run_instead_of_hanging(self, tmp_path):
+        config = replace(SimulationConfig(), num_setups=2, num_channel_realizations=2)
+        save_config(config, tmp_path / "tiny.ini")
+        out = tmp_path / "out"
+        code, stdout, err = fresh_cli("run", "--config", str(tmp_path / "tiny.ini"),
+                                      "--sweep", "K=5,10", "--workers", "2",
+                                      "--out", str(out), code=KILLED_WORKER, timeout=30)
+        assert code == 1, (stdout, err)
+        assert err.startswith("error: config ") and err.count("\n") == 1
+        assert "(num_ues=10), setups 0-1: " in err and "pool worker died" in err
+        assert not out.exists()
 
 
 def selftest_checks(plant_nan):
