@@ -18,7 +18,7 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import metrics  # noqa: E402
-from .config import SimulationConfig, format_value, load_config, parse_value, save_config  # noqa: E402
+from .config import SimulationConfig, format_value, load_config, parse_value  # noqa: E402
 from .runner import (  # noqa: E402
     ALL_SCHEMES, SCHEME_L4, SCHEME_STRIPE, check_schemes, check_workers, run_experiment,
 )
@@ -64,19 +64,6 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
     return field, tuple(parsed)
 
 
-def _write_run(config: SimulationConfig, se_by_scheme: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_config(config, out_dir / "config_resolved.ini")
-    cdfs = {}
-    for scheme, se in se_by_scheme.items():
-        metrics.write_se_csv(out_dir / f"se_{scheme}.csv", scheme, se)
-        cdfs[scheme] = metrics.empirical_cdf(se)
-        metrics.write_cdf_csv(out_dir / f"cdf_{scheme}.csv", cdfs[scheme])
-
-    payload = metrics.summary_payload(cdfs, metrics.fronthaul_load(config))
-    metrics.write_summary_json(out_dir / "summary.json", payload)
-
-
 def cmd_run(args) -> int:
     config = load_config(args.config) if args.config else SimulationConfig()
     if args.seed is not None:
@@ -87,10 +74,6 @@ def cmd_run(args) -> int:
     check_workers(args.workers)
     sweep_field, sweep_values = _parse_sweep(args.sweep) if args.sweep else (None, ())
     out_dir = Path(args.out)
-    # fail before simulating if out_dir, or else its nearest existing ancestor, is no directory
-    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not existing.is_dir():
-        raise ValueError(f"--out {out_dir}: {existing} is not a directory")
 
     # (config, output directory, sweep label) of each run, all built (and so
     # checked) before anything prints, then simulated in one call
@@ -104,6 +87,11 @@ def cmd_run(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{sweep_field}={label}: {exc}") from exc
         runs.append((swept, out_dir / f"{sweep_field}_{label}", label))
+    for _, sub, _ in runs:
+        # fail before simulating if sub, or else its nearest existing ancestor, is no directory
+        existing = next(path for path in (sub, *sub.parents) if path.exists())
+        if not existing.is_dir():
+            raise ValueError(f"--out {sub}: {existing} is not a directory")
     for _, sub, label in runs:
         what = ", ".join(schemes) if label is None else f"{sweep_field}={label}"
         print(f"running {what} -> {sub}", flush=True)
@@ -113,7 +101,7 @@ def cmd_run(args) -> int:
 
     results = run_experiment([cfg for cfg, _, _ in runs], schemes, progress, args.workers)
     for (cfg, sub, _), result in zip(runs, results):
-        _write_run(cfg, result, sub)
+        metrics.write_run(sub, cfg, result)
     if sweep_field is not None:
         manifest = [{"value": label, "dir": sub.name} for _, sub, label in runs]
         metrics.write_summary_json(

@@ -1,4 +1,4 @@
-"""Spectral-efficiency metrics, front-haul accounting, and result emission.
+"""Spectral-efficiency metrics, front-haul accounting, and the run directory's files.
 
 The stripe and lmmse_l4 share one conditional SINR. Both apply unit-norm
 combiners to whitened estimates (see channel). In those coordinates each
@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .config import SimulationConfig
+from .config import SimulationConfig, save_config
 
 
 def sinr_per_ue(ghat: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -59,79 +59,65 @@ def fronthaul_load(config: SimulationConfig) -> dict:
     return {"l4": l4, "stripe": stripe, "reduction": 1.0 - stripe / l4}
 
 
-@dataclass
-class CdfSeries:
-    """Empirical distribution: sorted values with cumulative probabilities."""
-
-    values: np.ndarray
-    probabilities: np.ndarray
-
-
-def empirical_cdf(samples) -> CdfSeries:
-    """Standard empirical CDF with probabilities i/n at the sorted samples."""
+def empirical_cdf(samples) -> np.ndarray:
+    """The samples, flattened and sorted: the empirical CDF takes i/n at the i-th."""
     values = np.asarray(samples, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("need at least one sample")
     if np.any(np.isnan(values)):
         raise ValueError("samples contain NaN")
-    values = np.sort(values, kind="stable")
-    probs = np.arange(1, values.size + 1) / values.size
-    return CdfSeries(values=values, probabilities=probs)
-
-
-def percentile(samples, q: float) -> float:
-    """Percentile with linear interpolation between order statistics."""
-    return _sorted_percentile(empirical_cdf(samples).values, q)
+    return np.sort(values, kind="stable")
 
 
 def _sorted_percentile(values: np.ndarray, q: float) -> float:
-    """np.percentile's default (linear) method on sorted values, bit for bit.
+    """np.percentile's default (linear) method on sorted values, bit for bit,
+    for q in [0, 100] (the summary's are the constants 5 and 50).
 
     numpy's own call imports all of numpy.ma on its first use (through
     np.unique), a large share of a short run's start-up; this is its
     arithmetic written out.
     """
-    quantile = float(q) / 100.0
-    if not 0.0 <= quantile <= 1.0:
-        raise ValueError(f"percentile must lie in [0, 100], got {q!r}")
     last = values.size - 1
-    pos = last * quantile
+    pos = last * (q / 100.0)
     i = math.floor(pos)
     t = pos - i
     a, b = float(values[i]), float(values[min(i + 1, last)])
     return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
+def _write_rows(path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_se_csv(path, scheme: str, se: np.ndarray) -> None:
     """One row per UE-drop: scheme, setup, ue, se_bits_per_hz. se is (S, K)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme", "setup", "ue", "se_bits_per_hz"])
-        for s in range(se.shape[0]):
-            for k in range(se.shape[1]):
-                writer.writerow([scheme, s, k, repr(float(se[s, k]))])
+    _write_rows(path, ["scheme", "setup", "ue", "se_bits_per_hz"],
+                ([scheme, s, k, repr(float(v))] for s, row in enumerate(se)
+                 for k, v in enumerate(row)))
 
 
-def write_cdf_csv(path, series: CdfSeries) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["se_bits_per_hz", "cum_prob"])
-        for v, p in zip(series.values, series.probabilities):
-            writer.writerow([repr(float(v)), repr(float(p))])
+def write_cdf_csv(path, values: np.ndarray) -> None:
+    """One row per sorted value (see empirical_cdf), with its probability i/n."""
+    probs = np.arange(1, values.size + 1) / values.size
+    _write_rows(path, ["se_bits_per_hz", "cum_prob"],
+                ([repr(float(v)), repr(float(p))] for v, p in zip(values, probs)))
 
 
-def summary_payload(cdf_by_scheme: dict[str, CdfSeries], fronthaul: dict) -> dict:
+def summary_payload(sorted_by_scheme: dict[str, np.ndarray], fronthaul: dict) -> dict:
     """JSON-ready summary: per-scheme percentiles plus the front-haul counts.
 
-    The percentiles are read off each CDF's sorted values, so one sort serves
+    The percentiles are read off each scheme's sorted SE, so one sort serves
     the CDF file and the summary.
     """
     out: dict = {"schema_version": 1}
-    for scheme, series in sorted(cdf_by_scheme.items()):
+    for scheme, values in sorted(sorted_by_scheme.items()):
         out[scheme] = {
-            "median_se": _sorted_percentile(series.values, 50.0),
-            "p05_se": _sorted_percentile(series.values, 5.0),
-            "n_samples": int(series.values.size),
+            "median_se": _sorted_percentile(values, 50.0),
+            "p05_se": _sorted_percentile(values, 5.0),
+            "n_samples": int(values.size),
         }
     out["fronthaul"] = fronthaul
     return out
@@ -141,3 +127,18 @@ def write_summary_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_run(out_dir, config: SimulationConfig, se_by_scheme: dict[str, np.ndarray]) -> None:
+    """Write one run directory, made if missing, from scheme -> SE (S, K):
+    config_resolved.ini, se_<scheme>.csv, cdf_<scheme>.csv and summary.json."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_config(config, out_dir / "config_resolved.ini")
+    sorted_by_scheme = {}
+    for scheme, se in se_by_scheme.items():
+        write_se_csv(out_dir / f"se_{scheme}.csv", scheme, se)
+        sorted_by_scheme[scheme] = empirical_cdf(se)
+        write_cdf_csv(out_dir / f"cdf_{scheme}.csv", sorted_by_scheme[scheme])
+    write_summary_json(out_dir / "summary.json",
+                       summary_payload(sorted_by_scheme, fronthaul_load(config)))

@@ -13,7 +13,6 @@ it simulates (one config, or one per sweep value), all through one pool.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import numbers
 import os
 import signal
@@ -79,6 +78,8 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 def config_fingerprint(config: SimulationConfig) -> str:
     """Short digest identifying the resolved config (seed included)."""
+    import hashlib  # only a failing job's message needs the digest
+
     return hashlib.sha256(config_to_ini(config).encode()).hexdigest()[:12]
 
 
@@ -137,8 +138,11 @@ def _init_worker() -> None:
 def pool_context():
     """The multiprocessing context a run's pool starts from. multiprocessing
     (with socket, selectors and array) loads here, so a run that starts no
-    pool never imports it."""
+    pool never imports it. Every job draws random numbers, so numpy.random
+    loads here too: once, before the workers fork, not in each of them."""
     import multiprocessing
+
+    import numpy.random  # noqa: F401
 
     return multiprocessing.get_context()
 

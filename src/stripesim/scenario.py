@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -111,7 +112,8 @@ def assign_pilots(num_ues: int, pilot_length: int, rng: np.random.Generator) -> 
     return pilot_index
 
 
-Rngs = np.random.Generator | Sequence["Rngs"]
+# named as a string, so that importing this module loads no numpy.random
+Rngs = Union["np.random.Generator", Sequence["Rngs"]]
 
 
 def per_stream(rngs: Rngs, draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:

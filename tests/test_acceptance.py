@@ -74,12 +74,12 @@ def test_criterion_1_fronthaul_arithmetic():
 
 def test_criterion_2_scheme_ordering(fig1_results):
     se = {s: fig1_results[s].ravel() for s in ALL_SCHEMES}
-    medians = {s: metrics.percentile(se[s], 50.0) for s in ALL_SCHEMES}
+    medians = {s: np.percentile(se[s], 50.0) for s in ALL_SCHEMES}
     assert medians[SCHEME_MR] < medians[SCHEME_STRIPE] < medians[SCHEME_L4]
     for q in (10.0, 50.0, 90.0):
-        lo = metrics.percentile(se[SCHEME_MR], q)
-        mid = metrics.percentile(se[SCHEME_STRIPE], q)
-        hi = metrics.percentile(se[SCHEME_L4], q)
+        lo = np.percentile(se[SCHEME_MR], q)
+        mid = np.percentile(se[SCHEME_STRIPE], q)
+        hi = np.percentile(se[SCHEME_L4], q)
         assert lo <= mid <= hi, f"ordering violated at percentile {q}"
     report(
         "2 scheme ordering",
@@ -90,15 +90,15 @@ def test_criterion_2_scheme_ordering(fig1_results):
 
 
 def test_criterion_3_correlation_ordering(fig1_results, stripe_uncorrelated):
-    corr = metrics.percentile(fig1_results[SCHEME_STRIPE], 50.0)
-    uncorr = metrics.percentile(stripe_uncorrelated, 50.0)
+    corr = np.percentile(fig1_results[SCHEME_STRIPE], 50.0)
+    uncorr = np.percentile(stripe_uncorrelated, 50.0)
     assert uncorr >= corr
     report("3 correlation ordering",
            f"median SE uncorrelated={uncorr:.2f} >= correlated={corr:.2f}")
 
 
 def test_criterion_4_ue_count_trend(stripe_by_num_ues):
-    medians = [metrics.percentile(stripe_by_num_ues[k], 50.0)
+    medians = [np.percentile(stripe_by_num_ues[k], 50.0)
                for k in (5, 10, 15, 20)]
     assert all(a > b for a, b in zip(medians, medians[1:])), medians
     report("4 UE-count trend",

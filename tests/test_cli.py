@@ -320,6 +320,24 @@ class TestRun:
         assert "running" not in captured.out
         assert afile.read_text() == "keep\n"
 
+    def test_sweep_directory_that_cannot_be_made_exits_1_before_simulating(
+            self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        cfg = write_mini(tmp_path)
+        out = tmp_path / "d"
+        out.mkdir()
+        afile = out / "num_ues_3"
+        afile.write_text("keep\n")
+        assert run("--config", str(cfg), "--out", str(out), "--sweep", "K=2,3") == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {afile}: {afile} is not a directory\n"
+        assert "running" not in captured.out
+        assert not (out / "num_ues_2").exists()
+        assert afile.read_text() == "keep\n"
+
     def test_bad_sweep_gives_nonzero_exit(self, tmp_path):
         cfg = write_mini(tmp_path)
         assert run("--config", str(cfg), "--sweep", "L=2,3",

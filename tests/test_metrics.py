@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from oracles import impaired_sinr
 from stripesim.config import SimulationConfig
 from stripesim.metrics import (
-    empirical_cdf, fronthaul_load, percentile, sinr_per_ue, spectral_efficiency,
+    _sorted_percentile, empirical_cdf, fronthaul_load, sinr_per_ue, spectral_efficiency,
+    write_cdf_csv, write_run,
 )
 
 
@@ -142,21 +143,22 @@ class TestFronthaul:
 
 class TestEmpiricalCdf:
     def test_singleton(self):
-        series = empirical_cdf([1.0])
-        assert np.array_equal(series.values, [1.0])
-        assert np.array_equal(series.probabilities, [1.0])
+        assert np.array_equal(empirical_cdf([1.0]), [1.0])
 
     def test_three_samples(self):
-        series = empirical_cdf([3.0, 1.0, 2.0])
-        assert np.array_equal(series.values, [1.0, 2.0, 3.0])
-        assert np.allclose(series.probabilities, [1 / 3, 2 / 3, 1.0])
+        assert np.array_equal(empirical_cdf([3.0, 1.0, 2.0]), [1.0, 2.0, 3.0])
 
-    def test_valid_distribution_function(self, rng):
-        series = empirical_cdf(rng.standard_normal(500))
-        assert np.all(np.diff(series.values) >= 0)
-        assert np.all(np.diff(series.probabilities) > 0)
-        assert series.probabilities[-1] == 1.0
-        assert np.all((series.probabilities > 0) & (series.probabilities <= 1))
+    def test_valid_distribution_function(self, rng, tmp_path):
+        values = empirical_cdf(rng.standard_normal(500))
+        assert np.all(np.diff(values) >= 0)
+        write_cdf_csv(tmp_path / "cdf.csv", values)
+        rows = (tmp_path / "cdf.csv").read_text().splitlines()
+        assert rows[0] == "se_bits_per_hz,cum_prob"
+        assert [float(row.split(",")[0]) for row in rows[1:]] == values.tolist()
+        probs = np.array([float(row.split(",")[1]) for row in rows[1:]])
+        assert np.allclose(probs, np.arange(1, 501) / 500)
+        assert np.all(np.diff(probs) > 0)
+        assert probs[-1] == 1.0
 
     def test_rejects_nan_and_empty(self):
         with pytest.raises(ValueError):
@@ -165,7 +167,7 @@ class TestEmpiricalCdf:
             empirical_cdf([])
 
     def test_median_linear_interpolation(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5)
+        assert _sorted_percentile(empirical_cdf([4.0, 1.0, 3.0, 2.0]), 50.0) == 2.5
 
 
 @st.composite
@@ -193,16 +195,56 @@ class TestPercentile:
     def test_equals_numpy_bit_for_bit(self, samples, q):
         with np.errstate(invalid="ignore"):  # inf - inf in numpy's interpolation
             want = float(np.percentile(samples, q))
-        got = percentile(samples, q)
+        got = _sorted_percentile(empirical_cdf(samples), q)
         # Equal floats have equal bits, but for the sign of zero: where -0.0
         # and +0.0 tie, numpy's partition and the CDF's sort may order them
         # differently (an SE is never -0.0).
         assert got == want or (np.isnan(got) and np.isnan(want))
 
-    @pytest.mark.parametrize("samples, q", [
-        ([], 50.0), ([1.0, np.nan], 50.0), ([1.0, 2.0], -1.0), ([1.0, 2.0], 100.5),
-        ([1.0, 2.0], np.nan),
-    ])
-    def test_rejects_no_samples_nan_and_q_outside_0_100(self, samples, q):
-        with pytest.raises(ValueError):
-            percentile(samples, q)
+
+class TestWriteRun:
+    def test_writes_these_bytes(self, tmp_path):
+        """A run directory from hand-written SE, 2 setups x 2 UEs: a tie (2.5)
+        and tenths, which no binary fraction holds exactly, pinned byte for byte."""
+        config = replace(SimulationConfig(), num_aps=4, antennas_per_ap=2, num_ues=2,
+                         coherence_block=40, pilot_length=2, num_setups=2,
+                         num_channel_realizations=4, rng_seed=7)
+        se = {"stripe_nlmmse": np.array([[2.5, 0.1], [1.0, 2.5]]),
+              "mr_l2": np.array([[0.3, 0.7], [0.1, 1.1]])}
+        write_run(tmp_path / "run", config, se)
+        written = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+        assert written == {
+            "config_resolved.ini": (
+                b"[network]\nnum_aps = 4\nantennas_per_ap = 2\nnum_ues = 2\n\n"
+                b"[radio]\ncoherence_block = 40\npilot_length = 2\nue_power_w = 0.05\n"
+                b"noise_power_w = 6.309573444801942e-13\n\n"
+                b"[geometry]\nstripe_length_m = 500.0\nap_ue_height_gap_m = 5.0\n\n"
+                b"[channel_model]\ncorrelation_model = gaussian_local_scattering\n"
+                b"angular_std_dev_rad = 0.2617993877991494\n\n"
+                b"[montecarlo]\nnum_setups = 2\nnum_channel_realizations = 4\nrng_seed = 7\n\n"
+            ),
+            "se_stripe_nlmmse.csv": (
+                b"scheme,setup,ue,se_bits_per_hz\r\n"
+                b"stripe_nlmmse,0,0,2.5\r\nstripe_nlmmse,0,1,0.1\r\n"
+                b"stripe_nlmmse,1,0,1.0\r\nstripe_nlmmse,1,1,2.5\r\n"
+            ),
+            "se_mr_l2.csv": (
+                b"scheme,setup,ue,se_bits_per_hz\r\n"
+                b"mr_l2,0,0,0.3\r\nmr_l2,0,1,0.7\r\nmr_l2,1,0,0.1\r\nmr_l2,1,1,1.1\r\n"
+            ),
+            "cdf_stripe_nlmmse.csv": (
+                b"se_bits_per_hz,cum_prob\r\n0.1,0.25\r\n1.0,0.5\r\n2.5,0.75\r\n2.5,1.0\r\n"
+            ),
+            "cdf_mr_l2.csv": (
+                b"se_bits_per_hz,cum_prob\r\n0.1,0.25\r\n0.3,0.5\r\n0.7,0.75\r\n1.1,1.0\r\n"
+            ),
+            "summary.json": (
+                b'{\n  "fronthaul": {\n    "l4": 640,\n    "reduction": 0.74375,\n'
+                b'    "stripe": 164\n  },\n'
+                b'  "mr_l2": {\n    "median_se": 0.5,\n    "n_samples": 4,\n'
+                b'    "p05_se": 0.13\n  },\n'
+                b'  "schema_version": 1,\n'
+                b'  "stripe_nlmmse": {\n    "median_se": 1.75,\n    "n_samples": 4,\n'
+                b'    "p05_se": 0.23500000000000004\n  }\n}\n'
+            ),
+        }
