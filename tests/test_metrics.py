@@ -201,6 +201,12 @@ class TestPercentile:
         # differently (an SE is never -0.0).
         assert got == want or (np.isnan(got) and np.isnan(want))
 
+    # q is the summary's constant 5 or 50, so only the samples can be refused.
+    @pytest.mark.parametrize("samples, q", [([], 50.0), ([1.0, np.nan], 50.0)])
+    def test_rejects_no_samples_nan_and_q_outside_0_100(self, samples, q):
+        with pytest.raises(ValueError):
+            _sorted_percentile(empirical_cdf(samples), q)
+
 
 class TestWriteRun:
     def test_writes_these_bytes(self, tmp_path):
