@@ -5,8 +5,21 @@ despread pilot signal is formed directly (the full pilot-length receive
 matrix is never materialized), and the linear MMSE estimate of each (UE, AP)
 is formed from the despread signal on that UE's own pilot. The filters and
 the error covariances depend only on the scenario, so they are computed once
-per drop group. The error covariances are Gram matrices of the covariance
-factors, so they are PSD by construction.
+per drop group, in one of two ways:
+
+- A UE alone on its pilot has the closed form of the textbook MMSE
+  estimator (Bjornson, Hoydis and Sanguinetti, Massive MIMO Networks, 2017,
+  sec. 3): with R = F F^H and F's columns orthogonal, the error covariance
+  is F with its columns scaled, times its conjugate transpose. No solve and
+  no factorization. This needs Scenario.cov_factors to be the eigen-factor,
+  which build_scenario gives.
+- The UEs that share a pilot take one complete QR per (drop, pilot, AP) of
+  the stacked factors [sigma I; sqrt(tau_p p_i) F_i^H ...]. The pilot
+  covariance is never formed, so the accuracy follows the stacked factors'
+  conditioning, not its own, which reaches 1e16 at sigma^2 = 1e-16 W.
+
+Either way the error covariances come out as Gram matrices, so they are PSD
+by construction, and nothing is subtracted.
 
 The estimates come out whitened. Each AP's error-plus-noise covariance
 D_l = sum_i p_i rtilde_il + sigma^2 I depends only on its own statistics, so
@@ -24,7 +37,9 @@ sequence of generators, one stream per block; the per-block arrays then
 carry a leading block axis (B, ...). With a scenario stacking D drops each
 block entry is a sequence of D generators, one per drop, and the per-block
 arrays are (B, D, ...): the per-drop constants (D, ...) broadcast against
-them by numpy's trailing-axis rule.
+them by numpy's trailing-axis rule. Where a per-drop matrix multiplies a
+per-block vector (the channel factors, the MMSE filters), the block axis
+becomes the columns of one product per matrix, and one block is B = 1.
 """
 
 from __future__ import annotations
@@ -53,11 +68,21 @@ def herm(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _per_matrix(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats[..., k, l] @ vecs[b, ..., k, l] for every block b, shape vecs.shape.
+
+    mats (..., K, L, N, N) is per drop; vecs carries a block axis in front or,
+    for one block, none. The block axis becomes the columns of one (N x N)
+    (N x B) product per matrix, one block being B = 1.
+    """
+    cols = vecs.reshape(-1, *mats.shape[:-1])          # (B, ..., K, L, N)
+    return np.moveaxis(mats @ np.moveaxis(cols, 0, -1), -1, 0).reshape(vecs.shape)
+
+
 def draw_channels(scenario: Scenario, rngs: Rngs) -> np.ndarray:
     """Correlated Rayleigh realizations h_kl, shape (..., K, L, N)."""
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
-    white = _block_normal(rngs, (K, L, N))
-    return (scenario.cov_factors @ white[..., None])[..., 0]
+    return _per_matrix(scenario.cov_factors, _block_normal(rngs, (K, L, N)))
 
 
 def simulate_pilot_phase(
@@ -94,41 +119,87 @@ class EstimationStatistics:
 def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> EstimationStatistics:
     """Whitened MMSE filters, error covariances and whiteners of every drop.
 
-    With Q_kl = sigma^2 I + sum over the other UEs i on pilot t_k of tau_p p_i R_il
-    and R_kl = F F^H (F = cov_factors), UE k's own pilot covariance is
-    Psi = Q + a F F^H with a = tau_p p_k. By Woodbury, rtilde = R - a R Psi^-1 R is
-    F G^-1 F^H with G = I + a F^H Q^-1 F, and R Psi^-1 = rtilde Q^-1. So with
-    G = C C^H and Y = C^-1 [F^H, (Q^-1 F)^H], one product Y_F^H Y gives
-    rtilde = Y_F^H Y_F, a Gram matrix and PSD to its own precision, and the
-    filters sqrt(a) Y_F^H Y_Q. Nothing is subtracted, so nothing cancels.
-    D_l = sum_i p_i rtilde_il + sigma^2 I is then PD: one Cholesky of every D_l
-    gives the whiteners C_l, and one solve with C_l per (UE, AP) folds C_l^-1
-    into the filters.
-    """
-    K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
-    tau_p = config.pilot_length
-    powers = config.ue_powers
-    pilots = scenario.pilot_index
-    drops = pilots.shape[:-1]
-    F = scenario.cov_factors
+    UE k on pilot t sees the despread signal with covariance
+    Psi = sigma^2 I + sum over the UEs i on pilot t of a_i R_il (a_i = tau_p
+    p_i). Its MMSE filter is sqrt(a_k) R_kl Psi^-1, and its error covariance
+    R_kl - a_k R_kl Psi^-1 R_kl. Neither is formed that way: a UE alone on its
+    pilot takes _own_pilot_statistics, the UEs that share one
+    _pilot_group_statistics, and both give rtilde as a Gram matrix.
 
-    # (..., K, K) weights tau_p p_i [t_i = t_k, i != k]
-    copilot = np.where((pilots[..., :, None] == pilots[..., None, :]) & ~np.eye(K, dtype=bool),
-                       tau_p * powers, 0.0)
-    Q = (copilot @ scenario.covariances.reshape(*drops, K, L * N * N)).reshape(*drops, K, L, N, N)
-    Q += config.noise_power_w * np.eye(N)
-    QF = np.linalg.solve(Q, F)
-    a = (tau_p * powers)[:, None, None, None]
-    G = np.eye(N) + a * (herm(F) @ QF)
-    # F^H (Q^-1 F) is Hermitian only to roundoff, which Cholesky can refuse
-    C = np.linalg.cholesky(0.5 * (G + herm(G)))
-    Y = np.linalg.solve(C, np.concatenate([herm(F), herm(QF)], axis=-1))   # (..., N, 2N)
-    both = herm(Y[..., :N]) @ Y
-    rtilde = np.ascontiguousarray(both[..., :N])      # a view would keep all of both alive
+    D_l = sum_i p_i rtilde_il + sigma^2 I is then PD: one Cholesky of every D_l
+    gives the whiteners C_l, and C_l^-1, formed once per (drop, AP), folds into
+    the filters with one product per (UE, AP).
+    """
+    tau_p, sigma2 = config.pilot_length, config.noise_power_w
+    powers = config.ue_powers
+    K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
+    shape = scenario.cov_factors.shape
+    drops = shape[:-4]
+    pilots = scenario.pilot_index.reshape(-1, K)            # the drop axes flattened
+    F = scenario.cov_factors.reshape(-1, K, L, N, N)
+    a = tau_p * powers
+
+    same = pilots[:, :, None] == pilots[:, None, :]
+    alone = same.sum(axis=-1) == 1
+    rtilde, filters = np.empty_like(F), np.empty_like(F)
+    rtilde[alone], filters[alone] = _own_pilot_statistics(
+        F[alone], np.broadcast_to(a, alone.shape)[alone], sigma2)
+    # every shared pilot once, at its first UE; its members padded to the largest group
+    first = np.nonzero(~alone & (same.argmax(axis=-1) == np.arange(K)))
+    if first[0].size:
+        members = same[first]                                             # (G, K)
+        ues = np.argsort(~members, axis=-1, kind="stable")[:, :members.sum(axis=-1).max()]
+        real = np.take_along_axis(members, ues, axis=-1)                  # (G, M), not padding
+        drop = np.broadcast_to(first[0][:, None], ues.shape)
+        group_rtilde, group_filters = _pilot_group_statistics(
+            F[drop, ues], np.where(real, np.sqrt(a[ues]), 0.0), sigma2)
+        rtilde[drop[real], ues[real]] = group_rtilde[real]
+        filters[drop[real], ues[real]] = group_filters[real]
+
+    rtilde = rtilde.reshape(shape)
     load = (powers @ rtilde.reshape(*drops, K, L * N * N)).reshape(*drops, L, N, N)
-    whitener = np.linalg.cholesky(load + config.noise_power_w * np.eye(N))
-    filters = np.linalg.solve(whitener[..., None, :, :, :], np.sqrt(a) * both[..., N:])
+    whitener = np.linalg.cholesky(load + sigma2 * np.eye(N))
+    filters = np.linalg.inv(whitener)[..., None, :, :, :] @ filters.reshape(shape)
     return EstimationStatistics(filters=filters, rtilde=rtilde, whitener=whitener)
+
+
+def _own_pilot_statistics(F, a, sigma2):
+    """rtilde and the filter sqrt(a_k) R Psi^-1, (P, L, N, N), of P UEs alone on their pilots.
+
+    Psi = a_k F F^H + sigma^2 I. By Woodbury rtilde = F G^-1 F^H, with
+    G = I + (a_k/sigma^2) F^H F, and the filter is (sqrt(a_k)/sigma^2) rtilde.
+    F's columns f_j are orthogonal (see Scenario), so G is the diagonal
+    1 + (a_k/sigma^2)||f_j||^2: rtilde = S S^H with S = F G^-1/2, F with its
+    columns scaled. No solve, no factorization.
+    """
+    gain = 1.0 + (a / sigma2)[:, None, None] * np.linalg.norm(F, axis=-2) ** 2
+    S = F / np.sqrt(gain)[..., None, :]
+    rtilde = S @ herm(S)
+    return rtilde, rtilde * (np.sqrt(a) / sigma2)[:, None, None, None]
+
+
+def _pilot_group_statistics(F, amp, sigma2):
+    """rtilde and the filter sqrt(a_i) R Psi^-1, (G, M, L, N, N), of G groups of M UEs on one pilot.
+
+    F (G, M, L, N, N) are the members' factors and amp (G, M) their sqrt(a_i),
+    0 for padding. Psi = B^H B with B = [sigma I; sqrt(a_i) F_i^H ...], so the
+    complete QR B = Q [T; 0] gives Psi = T^H T without forming Psi: the
+    accuracy follows B's conditioning, not Psi's. Q's block rows are
+    [Q_0, P_0] for sigma I and [Q_i, P_i] for member i, N and M N columns;
+    sigma I = Q_0 T and sqrt(a_i) F_i^H = Q_i T. So T^-1 = Q_0 / sigma and the
+    filter is sqrt(a_i) F_i F_i^H T^-1 T^-H = F_i Q_i T^-H. The rows of Q are
+    orthonormal, I - Q_i Q_i^H = P_i P_i^H, so rtilde_i = F_i (I - Q_i Q_i^H)
+    F_i^H = Z Z^H with Z = F_i P_i.
+    """
+    G, M, L, N = F.shape[:4]
+    B = np.empty((G, L, M + 1, N, N), dtype=complex)
+    B[:, :, 0] = np.sqrt(sigma2) * np.eye(N)
+    np.multiply(np.moveaxis(herm(F), 1, 2), amp[:, None, :, None, None], out=B[:, :, 1:])
+    Q, _ = np.linalg.qr(B.reshape(G, L, -1, N), mode="complete")
+    Q[..., :N] = Q[..., :N] @ (herm(Q[..., :N, :N]) / np.sqrt(sigma2))      # [Q_i T^-H, P_i]
+    rows = np.moveaxis(Q.reshape(G, L, M + 1, N, (M + 1) * N)[:, :, 1:], 2, 1)
+    FW = F @ rows                                                            # [filter, Z]
+    return FW[..., N:] @ herm(FW[..., N:]), FW[..., :N]
 
 
 def mmse_estimate(
@@ -139,4 +210,4 @@ def mmse_estimate(
     pilots = scenario.pilot_index[..., None, :, None]
     pilots = np.broadcast_to(pilots, (*despread.shape[:-3], *pilots.shape[-3:]))
     z_own = np.take_along_axis(despread, pilots, axis=-2).swapaxes(-3, -2)
-    return (stats.filters @ z_own[..., None])[..., 0]
+    return _per_matrix(stats.filters, z_own)

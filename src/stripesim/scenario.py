@@ -89,7 +89,10 @@ def _clip_psd(corr: np.ndarray) -> np.ndarray:
 
 
 def psd_factor(matrix: np.ndarray) -> np.ndarray:
-    """Factor A with A @ A^H = matrix of a PSD stack; roundoff-negative eigenvalues count as 0."""
+    """Eigen-factor V sqrt(Lambda) of a PSD stack: A @ A^H = matrix, A's columns orthogonal.
+
+    Roundoff-negative eigenvalues count as 0.
+    """
     eigvals, eigvecs = np.linalg.eigh(matrix)
     return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))[..., None, :]
 
@@ -127,11 +130,16 @@ def per_stream(rngs: Rngs, draw: Callable[[np.random.Generator], np.ndarray]) ->
 class Scenario:
     """Random drops as the receivers see them: channel statistics and pilots.
 
-    Every field carries the leading drop axes (...), if any.
+    Every field carries the leading drop axes (...), if any. Each covariance
+    factor F is the eigen-factor V sqrt(Lambda) of its covariance, or
+    sqrt(beta) I in the uncorrelated model: its columns are orthogonal, so
+    F^H F is diagonal. channel.estimation_statistics relies on that for a
+    UE alone on its pilot; another factor of the same covariance gives wrong
+    statistics there, which selftest.check_covariance_decomposition catches.
     """
 
     covariances: np.ndarray       # (..., K, L, N, N) Hermitian PSD
-    cov_factors: np.ndarray       # (..., K, L, N, N), factor @ factor^H = covariance
+    cov_factors: np.ndarray       # (..., K, L, N, N), factor @ factor^H = covariance, F^H F diagonal
     pilot_index: np.ndarray       # (..., K) int; same index <=> shared pilot
 
     @property

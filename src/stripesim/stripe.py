@@ -19,6 +19,14 @@ iota_k = 1, and the update keeps it 1 at every later stage: iota_k is 1
 all along the stripe, and the pass carries only ghat. The pass reads
 neither rtilde nor sigma^2, and no D_l.
 
+At AP l, UE k's combiner solves [A_l b_k; b_k^H c_k] v = [hhat_kl; ghat[k, k]].
+The block A_l = I + sum_i p_i hhat_il hhat_il^H is the same for every UE
+and does not depend on ghat; only the border b_k and the corner c_k do. So
+A_l and A_l^-1 hhat_il, for all L APs, come from one batched solve before
+the first stage (shared_solves). In the loop, every UE's border and
+A_l^-1 b_k then come from one (2N x K) product with ghat, and the augmented
+coordinate from the Schur complement (combiner_stage).
+
 One generator, stages, steps the APs and yields each stage's combiners and
 forwarded ghat, so a consumer may stop after any AP. run_stripe is the
 CPU's view: only the ghat AP L forwards. The SE at the CPU follows from it
@@ -42,33 +50,44 @@ import numpy as np
 from .channel import herm
 
 
-def combiner_stage(hhat: np.ndarray, ghat_prev: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Unit-norm LMMSE combiners on the augmented signal, shape (..., K, N+1).
+def shared_solves(hhat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each AP's share of its stage that the side information does not enter.
 
-    hhat (..., K, N) are this AP's whitened estimates and ghat_prev (..., K, K)
-    the side information. The top-left N x N block A = I + sum_i p_i hhat_i
-    hhat_i^H of the conditioning matrix is common to all served UEs; only the
-    border b_k (cross terms with the augmented coordinate) and the corner
-    c_k = sum_i p_i |ghat_prev[i, k]|^2 + 1 are UE-specific. One solve with A
-    for the K estimates serves every UE: b_k is linear in the hhat_i, so
-    A^-1 b_k follows from those solutions, and the augmented coordinate from
-    the Schur complement c_k - b_k^H A^-1 b_k.
+    hhat (..., K, L, N) are the whitened estimates. Per AP, A_l = I + sum_i
+    p_i hhat_il hhat_il^H is common to all served UEs, and one batched solve
+    for all L APs gives a_h (..., L, N, K), column k A_l^-1 hhat_kl. pull
+    (..., L, 2N, K) is [p_i hhat_il; p_i A_l^-1 hhat_il]^H over the UEs i as
+    columns: pull_l @ ghat_prev yields every UE's border b_k and A_l^-1 b_k
+    in one product.
     """
-    weighted = powers[:, None] * hhat
-    shared = weighted.swapaxes(-1, -2) @ hhat.conj()
-    shared += np.eye(hhat.shape[-1])
-    border = herm(ghat_prev) @ weighted                                   # (..., K, N)
-    corner = powers @ np.abs(ghat_prev) ** 2 + 1.0                        # (..., K)
+    cols = np.moveaxis(hhat, -3, -1)                                     # (..., L, N, K)
+    weighted = cols * powers
+    shared = weighted @ herm(cols) + np.eye(hhat.shape[-1])
+    a_h = np.linalg.solve(shared, cols)
+    return a_h, np.concatenate([weighted, a_h * powers], axis=-2).conj()
 
-    # UE k solves [A b_k; b_k^H c_k] v = [hhat_k; ghat_prev[k, k]], its own
-    # augmented estimate; rows k of a_h and a_b are A^-1 hhat_k and A^-1 b_k
-    a_h = np.linalg.solve(shared, hhat.swapaxes(-1, -2)).swapaxes(-1, -2)
-    a_b = herm(ghat_prev) @ (powers[:, None] * a_h)
-    schur = corner - (border.conj() * a_b).sum(axis=-1).real
-    last = (np.diagonal(ghat_prev, axis1=-2, axis2=-1)
-            - (border.conj() * a_h).sum(axis=-1)) / schur
-    v = np.concatenate([a_h - a_b * last[..., None], last[..., None]], axis=-1)
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+def combiner_stage(
+    a_h: np.ndarray, pull: np.ndarray, ghat_prev: np.ndarray, powers: np.ndarray,
+) -> np.ndarray:
+    """Unit-norm LMMSE combiners of one AP on the augmented signal, shape (..., K, N+1).
+
+    a_h (..., N, K) and pull (..., 2N, K) are the AP's share of shared_solves,
+    ghat_prev (..., K, K) the side information. UE k solves
+    [A b_k; b_k^H c_k] v = [hhat_k; ghat_prev[k, k]], its own augmented
+    estimate, with the border b_k = sum_i conj(ghat_prev[i, k]) p_i hhat_i and
+    the corner c_k = sum_i p_i |ghat_prev[i, k]|^2 + 1. b_k is linear in the
+    hhat_i, so A^-1 b_k follows from A^-1 hhat_i, and the augmented
+    coordinate from the Schur complement c_k - b_k^H A^-1 b_k.
+    """
+    N = a_h.shape[-2]
+    proj = pull @ ghat_prev                                 # columns conj(b_k), conj(A^-1 b_k)
+    border, a_b = proj[..., :N, :], proj[..., N:, :].conj()
+    schur = powers @ np.abs(ghat_prev) ** 2 + 1.0 - (border * a_b).sum(axis=-2).real
+    last = (np.diagonal(ghat_prev, axis1=-2, axis2=-1) - (border * a_h).sum(axis=-2)) / schur
+    v = np.concatenate([a_h - a_b * last[..., None, :], last[..., None, :]], axis=-2)
+    v /= np.linalg.norm(v, axis=-2, keepdims=True)
+    return v.swapaxes(-1, -2)
 
 
 def stage_update(combiners: np.ndarray, hhat_l: np.ndarray, ghat_prev: np.ndarray) -> np.ndarray:
@@ -84,10 +103,11 @@ def stages(hhat: np.ndarray, powers: np.ndarray) -> Iterator[tuple[np.ndarray, n
     (..., K, N+1) combiners and the ghat it forwards.
     """
     *batch, K, L, _ = hhat.shape
+    a_h, pull = shared_solves(hhat, powers)
     ghat = np.zeros((*batch, K, K), dtype=complex)     # the zero prior
     for l in range(L):
         hhat_l = hhat[..., l, :]
-        V = combiner_stage(hhat_l, ghat, powers)
+        V = combiner_stage(a_h[..., l, :, :], pull[..., l, :, :], ghat, powers)
         ghat = stage_update(V, hhat_l, ghat)
         yield V, ghat
 

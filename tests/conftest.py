@@ -4,8 +4,9 @@ from hypothesis import settings
 
 from stripesim.blas import one_blas_thread
 
-# Deeper runs of the property tests: pytest --hypothesis-profile=ci
-settings.register_profile("ci", max_examples=1000)
+# Deeper runs of the property tests: pytest --hypothesis-profile=ci. A
+# failure prints a @reproduce_failure blob, so the log alone replays it.
+settings.register_profile("ci", max_examples=1000, print_blob=True)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -34,7 +34,7 @@ from stripesim.channel import (
 )
 from stripesim.config import SimulationConfig
 from stripesim.runner import ALL_SCHEMES, rng_stream
-from stripesim.scenario import Scenario, assign_pilots, build_scenario
+from stripesim.scenario import Scenario, assign_pilots, build_scenario, psd_factor
 from stripesim.selftest import replay
 
 
@@ -114,7 +114,7 @@ def synthetic_scenario(rng, K, L, N, tau_p, beta_scale=1.0) -> Scenario:
         for l in range(L):
             R = random_psd(rng, N, beta_scale) + 0.05 * beta_scale * np.eye(N)
             covariances[k, l] = R
-            factors[k, l] = np.linalg.cholesky(R)
+            factors[k, l] = psd_factor(R)
     pilot_index = assign_pilots(K, tau_p, rng)
     return Scenario(covariances=covariances, cov_factors=factors, pilot_index=pilot_index)
 

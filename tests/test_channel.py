@@ -7,13 +7,16 @@ from oracles import (
     complex_gaussian, estimate, per_pilot_statistics,
     pilot_covariances, random_psd, synthetic_config, synthetic_scenario, unwhitened,
 )
+from stripesim import metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import (
     draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
 )
 from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import rng_stream
-from stripesim.scenario import Scenario, assign_pilots, build_scenario
+from stripesim.scenario import (
+    Scenario, assign_pilots, build_scenario, local_scattering_covariance, psd_factor,
+)
 from stripesim.selftest import check_covariance_decomposition
 from stripesim.stripe import run_stripe
 
@@ -48,7 +51,6 @@ class TestDrawChannels:
         u = complex_gaussian(rng, 3)
         u /= np.linalg.norm(u)
         R = 2.0 * np.outer(u, u.conj())
-        from stripesim.scenario import psd_factor
         F = psd_factor(R)
         sc = identity_cov_scenario(rng, 1, 200, 3, 1.0)
         sc = Scenario(**{**sc.__dict__,
@@ -63,7 +65,7 @@ class TestDrawChannels:
         # correlated R: sample covariance converges element-wise (z < 4)
         n = 20000
         R = random_psd(rng, 3, 1.0) + 0.1 * np.eye(3)
-        F = np.linalg.cholesky(R)
+        F = psd_factor(R)
         sc = identity_cov_scenario(rng, 1, n, 3, 1.0)
         sc = Scenario(**{**sc.__dict__,
                          "covariances": np.tile(R, (1, n, 1, 1)),
@@ -164,6 +166,50 @@ class TestOwnPilotStatistics:
                                    rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
+class TestClosedFormAndCopilots:
+    def test_planted_non_orthogonal_factor_fails_the_decomposition_check(self):
+        # every UE has a pilot of its own, so every statistic takes the closed
+        # form, which reads F^H F as diagonal. A Cholesky factor of the same
+        # covariances breaks that precondition, and the check must see it.
+        cfg = replace(SimulationConfig(), num_aps=4, antennas_per_ap=3, num_ues=3, pilot_length=3)
+        sc = build_scenario(cfg, rng_stream(22, 0, 0))
+        check = check_covariance_decomposition(sc, estimation_statistics(sc, cfg), cfg)
+        assert check.passed, check.detail
+        planted = Scenario(covariances=sc.covariances, cov_factors=np.linalg.cholesky(sc.covariances),
+                           pilot_index=sc.pilot_index)
+        np.testing.assert_allclose(planted.cov_factors @ planted.cov_factors.conj().swapaxes(-1, -2),
+                                   sc.covariances, rtol=0, atol=1e-12 * np.abs(sc.covariances).max())
+        assert not check_covariance_decomposition(planted, estimation_statistics(planted, cfg),
+                                                  cfg).passed
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rank_one_copilot_at_tiny_noise_runs_to_a_finite_se(self):
+        # UE 1 shares UE 0's pilot with a rank-one covariance, at
+        # sigma^2 = 1e-16 W: Q = sigma^2 I + a R_1 has a condition number of
+        # about 1e16. A solve with Q left no correct digit in F^H Q^-1 F, so
+        # the error covariances came out wrong, or Cholesky refused G.
+        K, L, N = 2, 2, 16
+        angles = np.array([[0.89, 0.02], [0.95, -0.84]])
+        R = local_scattering_covariance(0.1, angles, 0.3, N)
+        steer = np.exp(1j * np.pi * np.arange(N) * np.sin(angles[1])[:, None]) / np.sqrt(N)
+        R[1] = 0.1 * steer[:, :, None] * steer[:, None, :].conj()
+        sc = Scenario(covariances=R, cov_factors=psd_factor(R), pilot_index=np.zeros(K, dtype=np.int64))
+        cfg = replace(SimulationConfig(), num_aps=L, antennas_per_ap=N, num_ues=K, pilot_length=1,
+                      coherence_block=10, ue_power_w=10.0, noise_power_w=1e-16)
+        rngs = [np.random.default_rng(b) for b in range(4)]
+        h = draw_channels(sc, rngs)
+        hhat, stats = estimate(sc, h, cfg, rngs)
+        check = check_covariance_decomposition(sc, stats, cfg)
+        assert check.passed, check.detail
+        powers = cfg.ue_powers
+        mr = MrFusionAccumulator()
+        mr.update(hhat, h, stats.whitener)
+        for sinr in (metrics.sinr_per_ue(run_stripe(hhat, powers), powers),
+                     centralized_lmmse_l4(hhat, powers), mr.sinr(powers, cfg.noise_power_w)[None]):
+            se = metrics.spectral_efficiency(sinr, cfg.coherence_block, cfg.pilot_length)
+            assert np.all(np.isfinite(se)) and np.all(se > 0)
+
+
 class TestStackedDrops:
     def test_stacked_drops_equal_single_drops(self):
         # K > tau_p: each drop has its own pilot permutation to gather with.
@@ -262,7 +308,7 @@ class TestMmseEstimate:
         n = 10000
         K, N, tau_p = 1, 2, 1
         R = random_psd(rng, N, 1.0) + 0.1 * np.eye(N)
-        F = np.linalg.cholesky(R)
+        F = psd_factor(R)
         sc = identity_cov_scenario(rng, K, n, N, 1.0, tau_p=tau_p)
         sc = Scenario(**{**sc.__dict__,
                          "covariances": np.tile(R, (K, n, 1, 1)),

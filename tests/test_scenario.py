@@ -195,6 +195,25 @@ class TestBuildScenario:
                                rtol=1e-12, atol=0)
         assert np.array_equal(sc.pilot_index, pilots)
 
+    @pytest.mark.parametrize("model, spread", [
+        (CorrelationModel.UNCORRELATED, math.radians(15.0)),
+        (CorrelationModel.GAUSSIAN_LOCAL_SCATTERING, math.radians(15.0)),
+        (CorrelationModel.GAUSSIAN_LOCAL_SCATTERING, 1e-6),
+    ], ids=["uncorrelated", "local_scattering", "clipped"])
+    def test_factors_have_orthogonal_columns(self, model, spread):
+        # estimation_statistics reads F^H F as diagonal for a UE alone on its
+        # pilot. At a 1e-6 rad spread the covariances are numerically rank
+        # one: _clip_psd clips them, and they are singular.
+        cfg = small_config(antennas_per_ap=8, correlation_model=model, angular_std_dev_rad=spread)
+        sc = build_scenario(cfg, [rng_stream(14, s, 0) for s in range(2)])
+        if spread < 1e-3:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(sc.covariances)
+        gram = sc.cov_factors.conj().swapaxes(-1, -2) @ sc.cov_factors
+        norms = np.diagonal(gram, axis1=-2, axis2=-1).real
+        off = np.abs(gram - norms[..., None] * np.eye(cfg.antennas_per_ap)).max(axis=(-2, -1))
+        assert np.all(off <= 1e-12 * norms.max(axis=-1))
+
     def test_same_seed_same_scenario(self):
         cfg = small_config()
         a = build_scenario(cfg, rng_stream(9, 0, 0))

@@ -17,7 +17,7 @@ from stripesim.config import SimulationConfig
 from stripesim.scenario import psd_factor
 from stripesim.selftest import check_combiner_norms, check_monotone_stage_sinr, replay
 from stripesim import stripe
-from stripesim.stripe import combiner_stage, run_stripe, stage_update, stages
+from stripesim.stripe import combiner_stage, run_stripe, shared_solves, stage_update, stages
 
 
 def original_stage(hhat, rtilde, ghat_prev, iota_prev, powers, sigma2):
@@ -31,7 +31,8 @@ def original_stage(hhat, rtilde, ghat_prev, iota_prev, powers, sigma2):
     """
     C = np.linalg.cholesky(impairment(rtilde, powers, sigma2))
     scale = np.sqrt(iota_prev)
-    W = combiner_stage(np.linalg.solve(C, hhat.T).T, ghat_prev / scale, powers)
+    a_h, pull = shared_solves(np.linalg.solve(C, hhat.T).T[:, None, :], powers)
+    W = combiner_stage(a_h[0], pull[0], ghat_prev / scale, powers)
     V = np.concatenate([np.linalg.solve(C.conj().T, W[:, :-1].T).T, (W[:, -1] / scale)[:, None]],
                        axis=1)
     return V / np.linalg.norm(V, axis=1, keepdims=True)
