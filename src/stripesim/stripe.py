@@ -55,16 +55,18 @@ def shared_solves(hhat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.
 
     hhat (..., K, L, N) are the whitened estimates. Per AP, A_l = I + sum_i
     p_i hhat_il hhat_il^H is common to all served UEs, and one batched solve
-    for all L APs gives a_h (..., L, N, K), column k A_l^-1 hhat_kl. pull
-    (..., L, 2N, K) is [p_i hhat_il; p_i A_l^-1 hhat_il]^H over the UEs i as
-    columns: pull_l @ ghat_prev yields every UE's border b_k and A_l^-1 b_k
-    in one product.
+    for all L APs gives a_h (L, ..., N, K), column k A_l^-1 hhat_kl. pull
+    (L, ..., 2N, K) is [p_i hhat_il; p_i A_l^-1 hhat_il]^H over the UEs i as
+    columns: pull[l] @ ghat_prev yields every UE's border b_k and A_l^-1 b_k
+    in one product. The AP axis leads, so each stage reads contiguous memory.
     """
-    cols = np.moveaxis(hhat, -3, -1)                                     # (..., L, N, K)
-    weighted = cols * powers
-    shared = weighted @ herm(cols) + np.eye(hhat.shape[-1])
-    a_h = np.linalg.solve(shared, cols)
-    return a_h, np.concatenate([weighted, a_h * powers], axis=-2).conj()
+    cols = np.ascontiguousarray(np.moveaxis(hhat, (-2, -3), (0, -1)))    # (L, ..., N, K)
+    N = cols.shape[-2]
+    pull = np.empty((*cols.shape[:-2], 2 * N, cols.shape[-1]), dtype=complex)
+    np.multiply(cols.conj(), powers, out=pull[..., :N, :])
+    a_h = np.linalg.solve(cols @ pull[..., :N, :].swapaxes(-1, -2) + np.eye(N), cols)
+    np.multiply(a_h.conj(), powers, out=pull[..., N:, :])
+    return a_h, pull
 
 
 def combiner_stage(
@@ -107,7 +109,7 @@ def stages(hhat: np.ndarray, powers: np.ndarray) -> Iterator[tuple[np.ndarray, n
     ghat = np.zeros((*batch, K, K), dtype=complex)     # the zero prior
     for l in range(L):
         hhat_l = hhat[..., l, :]
-        V = combiner_stage(a_h[..., l, :, :], pull[..., l, :, :], ghat, powers)
+        V = combiner_stage(a_h[l], pull[l], ghat, powers)
         ghat = stage_update(V, hhat_l, ghat)
         yield V, ghat
 
