@@ -51,6 +51,8 @@ import numpy as np
 from .config import SimulationConfig
 from .scenario import Rngs, Scenario, per_stream
 
+_QR_ELEMENTS = 1 << 18   # entries of the co-pilot route's complete Q held at once
+
 
 def complex_normal(rng: np.random.Generator, shape, std=1.0) -> np.ndarray:
     """Circularly symmetric complex Gaussian samples with per-entry variance std^2."""
@@ -151,10 +153,14 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
         ues = np.argsort(~members, axis=-1, kind="stable")[:, :members.sum(axis=-1).max()]
         real = np.take_along_axis(members, ues, axis=-1)                  # (G, M), not padding
         drop = np.broadcast_to(first[0][:, None], ues.shape)
-        group_rtilde, group_filters = _pilot_group_statistics(
-            F[drop, ues], np.where(real, np.sqrt(a[ues]), 0.0), sigma2)
-        rtilde[drop[real], ues[real]] = group_rtilde[real]
-        filters[drop[real], ues[real]] = group_filters[real]
+        amp = np.where(real, np.sqrt(a[ues]), 0.0)
+        # Q holds ((M+1)N)^2 entries per (group, AP): the APs go in slices
+        # within _QR_ELEMENTS, each copied out at once (its filters are a view)
+        step = max(1, _QR_ELEMENTS // (len(ues) * ((ues.shape[1] + 1) * N) ** 2))
+        for aps in (slice(l, l + step) for l in range(0, L, step)):
+            group_rtilde, group_filters = _pilot_group_statistics(F[drop, ues, aps], amp, sigma2)
+            rtilde[drop[real], ues[real], aps] = group_rtilde[real]
+            filters[drop[real], ues[real], aps] = group_filters[real]
 
     rtilde = rtilde.reshape(shape)
     load = (powers @ rtilde.reshape(*drops, K, L * N * N)).reshape(*drops, L, N, N)

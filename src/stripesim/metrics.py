@@ -51,7 +51,9 @@ def fronthaul_load(config: SimulationConfig) -> dict:
     The centralized scheme (l4) ships every AP's received payload block to
     the CPU, 2*N*L*tau_c; the stripe ships soft estimates, K^2 complex ghat
     and K^2 error variances over each segment, the CPU link included,
-    3K^2 + 2K(tau_c - tau_p). The reduction is the stripe's saving on that link.
+    3K^2 + 2K(tau_c - tau_p), as the paper's protocol does; the whitened pass
+    (see stripe) forwards only ghat's 2K^2 reals. The reduction is the
+    stripe's saving on that link.
     """
     K, tau_c = config.num_ues, config.coherence_block
     l4 = 2 * config.antennas_per_ap * config.num_aps * tau_c

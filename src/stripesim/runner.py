@@ -38,11 +38,11 @@ _BLOCK_TAG = 1
 # L*N*(K + tau_p) complex entries, whatever the schemes: the K*L*N channels
 # and estimates and the L*tau_p*N despread pilot signal. A chunk holds about
 # _CHUNK_ELEMENTS. Drops with fewer blocks than a chunk are grouped: per drop
-# a group holds its constants, about L*N*N*(4K + tau_p) entries (covariances,
-# their factors, the MMSE filters and the error covariances, with tau_p more
-# as headroom for temporaries and the L*N*N per-AP whiteners), plus its
-# blocks. Both depend on the config only, never on the worker count, so the
-# floating-point work is the same.
+# a group holds its constants, about L*N*N*(4K + tau_p) entries (the
+# covariance factors, the error covariances and the raw and whitened MMSE
+# filters, with tau_p more as headroom for temporaries and the L*N*N per-AP
+# whiteners), plus its blocks. Both depend on the config only, never on the
+# worker count, so the floating-point work is the same.
 _CHUNK_ELEMENTS = 1 << 18
 
 

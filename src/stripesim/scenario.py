@@ -1,10 +1,11 @@
 """Deterministic part of a simulation drop.
 
 From the stripe geometry (APs equally spaced along the square perimeter,
-arrays flush with the walls) and the UE placement, builds the spatial
-covariance matrices and the pilot assignment, all that the receivers see of
-a drop. Everything here is a pure function of (config, rng); a Scenario is
-immutable once built and can be shared read-only across Monte Carlo workers.
+arrays flush with the walls) and the UE placement, builds the factors F of
+the spatial covariances R = F F^H and the pilot assignment, all that the
+receivers see of a drop. Everything here is a pure function of (config,
+rng); a Scenario is immutable once built and can be shared read-only
+across Monte Carlo workers.
 
 Given a sequence of generators, one per drop, build_scenario stacks the
 drops: every field gets a leading drop axis (D, ...).
@@ -128,18 +129,17 @@ def per_stream(rngs: Rngs, draw: Callable[[np.random.Generator], np.ndarray]) ->
 
 @dataclass
 class Scenario:
-    """Random drops as the receivers see them: channel statistics and pilots.
+    """Random drops as the receivers see them: covariance factors and pilots.
 
-    Every field carries the leading drop axes (...), if any. Each covariance
-    factor F is the eigen-factor V sqrt(Lambda) of its covariance, or
-    sqrt(beta) I in the uncorrelated model: its columns are orthogonal, so
-    F^H F is diagonal. channel.estimation_statistics relies on that for a
-    UE alone on its pilot; another factor of the same covariance gives wrong
-    statistics there, which selftest.check_covariance_decomposition catches.
+    Every field carries the leading drop axes (...), if any. Channels are
+    drawn as h = F w, w white, so R = F F^H. F is the eigen-factor
+    V sqrt(Lambda) of R, or sqrt(beta) I if uncorrelated, whose orthogonal
+    columns channel.estimation_statistics relies on for a UE alone on its
+    pilot; another factor of the same R gives wrong statistics there, which
+    selftest.check_covariance_decomposition catches.
     """
 
-    covariances: np.ndarray       # (..., K, L, N, N) Hermitian PSD
-    cov_factors: np.ndarray       # (..., K, L, N, N), factor @ factor^H = covariance, F^H F diagonal
+    cov_factors: np.ndarray       # (..., K, L, N, N), R = F F^H, F^H F diagonal
     pilot_index: np.ndarray       # (..., K) int; same index <=> shared pilot
 
     @property
@@ -148,11 +148,11 @@ class Scenario:
 
     @property
     def num_aps(self) -> int:
-        return self.covariances.shape[-3]
+        return self.cov_factors.shape[-3]
 
     @property
     def num_antennas(self) -> int:
-        return self.covariances.shape[-1]
+        return self.cov_factors.shape[-1]
 
 
 # Per wall, walked counterclockwise from the origin (bottom, right, top,
@@ -189,7 +189,7 @@ def nominal_angles(ap_xy: np.ndarray, boresight: np.ndarray, ue_xy: np.ndarray) 
 
 
 def build_scenario(config: SimulationConfig, rngs: Rngs) -> Scenario:
-    """Draw one drop, or one per generator: UE placement, covariances, pilots."""
+    """Draw one drop, or one per generator: UE placement, covariance factors, pilots."""
     L, K, N = config.num_aps, config.num_ues, config.antennas_per_ap
     side = config.square_side_m
     gap = config.ap_ue_height_gap_m
@@ -205,17 +205,13 @@ def build_scenario(config: SimulationConfig, rngs: Rngs) -> Scenario:
     large_scale = 10.0 ** (pathloss_db(distances) / 10.0)
 
     if config.correlation_model is CorrelationModel.UNCORRELATED:
-        eye = np.eye(N, dtype=complex)
-        covariances = large_scale[..., None, None] * eye
-        factors = np.sqrt(large_scale)[..., None, None] * eye
+        factors = np.sqrt(large_scale)[..., None, None] * np.eye(N, dtype=complex)
     else:
         angles = nominal_angles(ap_xy, boresight, ue_xy)
-        covariances = local_scattering_covariance(
-            large_scale, angles, config.angular_std_dev_rad, N
-        )
-        factors = psd_factor(covariances)
+        factors = psd_factor(local_scattering_covariance(
+            large_scale, angles, config.angular_std_dev_rad, N))
 
-    scenario = Scenario(covariances=covariances, cov_factors=factors, pilot_index=pilot_index)
+    scenario = Scenario(cov_factors=factors, pilot_index=pilot_index)
     for arr in vars(scenario).values():
         arr.flags.writeable = False
     return scenario

@@ -47,21 +47,16 @@ def check_covariance_decomposition(
 ) -> CheckResult:
     """R - rtilde must be the MMSE estimate covariance p_k tau_p R Psi^-1 R.
 
-    Psi is rebuilt here from the co-pilot sets S_k = {i : t_i = t_k}, one
-    (UE, AP) pair at a time, independently of estimation_statistics.
+    R = F F^H, the channels' covariance, and Psi, from the co-pilot sets
+    S_k = {i : t_i = t_k}, are rebuilt here apart from estimation_statistics.
     """
-    powers, tau_p = config.ue_powers, config.pilot_length
-    N = scenario.num_antennas
-    gaps = []
-    for k in range(scenario.num_ues):
-        copilots = np.flatnonzero(scenario.pilot_index == scenario.pilot_index[k])
-        for l in range(scenario.num_aps):
-            R = scenario.covariances[k, l]
-            psi = config.noise_power_w * np.eye(N) + sum(
-                tau_p * powers[i] * scenario.covariances[i, l] for i in copilots)
-            rhat = powers[k] * tau_p * R @ np.linalg.solve(psi, R)
-            gaps.append(np.abs(R - stats.rtilde[k, l] - rhat) / np.abs(R).max())
-    return _verdict("covariance_decomposition", gaps, _DECOMPOSITION_TOL, "relative residual")
+    a = config.pilot_length * config.ue_powers
+    R = scenario.cov_factors @ herm(scenario.cov_factors)                   # (K, L, N, N)
+    shared = scenario.pilot_index[:, None] == scenario.pilot_index          # i in S_k
+    psi = np.einsum("ki,ilmn->klmn", shared * a, R) + config.noise_power_w * np.eye(R.shape[-1])
+    rhat = a[:, None, None, None] * R @ np.linalg.solve(psi, R)
+    gaps = np.abs(R - stats.rtilde - rhat) / np.abs(R).max(axis=(-2, -1), keepdims=True)
+    return _verdict("covariance_decomposition", [gaps], _DECOMPOSITION_TOL, "relative residual")
 
 
 def check_combiner_norms(combiners: Sequence[np.ndarray]) -> CheckResult:

@@ -18,7 +18,8 @@ whitened stripe assumes. estimate is the pilot phase plus MMSE estimation
 that most tests run on one scenario, returning the (whitened) estimates
 with the estimation statistics; drop_block_estimates runs it on a
 real-geometry (blocks, drops, ...) batch, and unwhitened maps estimates
-back to the original coordinates.
+back to the original coordinates. channel_covariances is how the tests read
+a drop's covariances R = F F^H.
 """
 
 from __future__ import annotations
@@ -108,15 +109,18 @@ def synthetic_scenario(rng, K, L, N, tau_p, beta_scale=1.0) -> Scenario:
     Keeps the estimation chain numerically friendly for optimizer-based
     oracles.
     """
-    covariances = np.empty((K, L, N, N), dtype=complex)
     factors = np.empty((K, L, N, N), dtype=complex)
     for k in range(K):
         for l in range(L):
             R = random_psd(rng, N, beta_scale) + 0.05 * beta_scale * np.eye(N)
-            covariances[k, l] = R
             factors[k, l] = psd_factor(R)
     pilot_index = assign_pilots(K, tau_p, rng)
-    return Scenario(covariances=covariances, cov_factors=factors, pilot_index=pilot_index)
+    return Scenario(cov_factors=factors, pilot_index=pilot_index)
+
+
+def channel_covariances(scenario):
+    """R = F F^H of every (UE, AP), (..., K, L, N, N): the covariance the channels are drawn from."""
+    return scenario.cov_factors @ herm(scenario.cov_factors)
 
 
 def synthetic_config(rng, K, L, N, tau_p) -> SimulationConfig:
@@ -255,7 +259,7 @@ def pilot_covariances(scenario, config):
     drops = pilots.shape[:-1]
     weight = np.where(np.arange(tau_p)[:, None] == pilots[..., None, :],
                       tau_p * config.ue_powers, 0.0)              # (..., tau_p, K)
-    psi = weight @ scenario.covariances.reshape(*drops, K, L * N * N)
+    psi = weight @ channel_covariances(scenario).reshape(*drops, K, L * N * N)
     return (psi.reshape(*drops, tau_p, L, N, N).swapaxes(-4, -3)
             + config.noise_power_w * np.eye(N))
 
@@ -270,7 +274,7 @@ def per_pilot_statistics(scenario, config):
     psi = pilot_covariances(scenario, config)
     gather = scenario.pilot_index[..., None, :, None, None]
     own = np.take_along_axis(psi, gather, axis=-3).swapaxes(-4, -3)   # (..., K, L, N, N)
-    R = scenario.covariances
+    R = channel_covariances(scenario)
     amp = np.sqrt(config.ue_powers * config.pilot_length)[:, None, None, None]
     filters = amp * herm(np.linalg.solve(own, R))
     rhat = amp * filters @ R

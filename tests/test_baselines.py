@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    complex_gaussian, dense_lmmse_l4, drop_block_estimates, estimate, synthetic_config,
-    synthetic_scenario, unwhitened,
+    channel_covariances, complex_gaussian, dense_lmmse_l4, drop_block_estimates, estimate,
+    synthetic_config, synthetic_scenario, unwhitened,
 )
 from stripesim import metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
@@ -106,7 +106,7 @@ class TestAgainstDenseReceiver:
     def test_rank_deficient_covariances(self):
         cfg = replace(SimulationConfig(), num_aps=4, antennas_per_ap=4, num_ues=6,
                       pilot_length=3, angular_std_dev_rad=1e-4)
-        R = build_scenario(cfg, rng_stream(7, 0, 0)).covariances
+        R = channel_covariances(build_scenario(cfg, rng_stream(7, 0, 0)))
         eig = np.linalg.eigvalsh(R)
         assert np.all(eig[..., 0] <= 1e-12 * eig[..., -1])   # numerically singular
         self.assert_matches_dense_per_block(cfg, 7)

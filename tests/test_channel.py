@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import (
-    complex_gaussian, estimate, per_pilot_statistics,
+    channel_covariances, complex_gaussian, estimate, per_pilot_statistics,
     pilot_covariances, random_psd, synthetic_config, synthetic_scenario, unwhitened,
 )
-from stripesim import metrics
+from stripesim import channel, metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import (
     draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
@@ -24,10 +24,9 @@ from stripesim.stripe import run_stripe
 def identity_cov_scenario(rng, K, L, N, beta, tau_p=None):
     """Scenario whose covariances are all beta * I (independent fading)."""
     tau_p = K if tau_p is None else tau_p
-    covariances = np.tile(beta * np.eye(N, dtype=complex), (K, L, 1, 1))
     factors = np.tile(np.sqrt(beta) * np.eye(N, dtype=complex), (K, L, 1, 1))
     pilot_index = assign_pilots(K, tau_p, rng)
-    return Scenario(covariances=covariances, cov_factors=factors, pilot_index=pilot_index)
+    return Scenario(cov_factors=factors, pilot_index=pilot_index)
 
 
 class TestDrawChannels:
@@ -53,9 +52,7 @@ class TestDrawChannels:
         R = 2.0 * np.outer(u, u.conj())
         F = psd_factor(R)
         sc = identity_cov_scenario(rng, 1, 200, 3, 1.0)
-        sc = Scenario(**{**sc.__dict__,
-                         "covariances": np.tile(R, (1, 200, 1, 1)),
-                         "cov_factors": np.tile(F, (1, 200, 1, 1))})
+        sc = Scenario(**{**sc.__dict__, "cov_factors": np.tile(F, (1, 200, 1, 1))})
         h = draw_channels(sc, rng)
         proj = np.abs(np.einsum("kln,n->kl", h, u.conj()))
         norms = np.linalg.norm(h, axis=-1)
@@ -67,9 +64,7 @@ class TestDrawChannels:
         R = random_psd(rng, 3, 1.0) + 0.1 * np.eye(3)
         F = psd_factor(R)
         sc = identity_cov_scenario(rng, 1, n, 3, 1.0)
-        sc = Scenario(**{**sc.__dict__,
-                         "covariances": np.tile(R, (1, n, 1, 1)),
-                         "cov_factors": np.tile(F, (1, n, 1, 1))})
+        sc = Scenario(**{**sc.__dict__, "cov_factors": np.tile(F, (1, n, 1, 1))})
         h = draw_channels(sc, rng)[0]
         emp = np.einsum("lm,ln->mn", h, h.conj()) / n
         se = np.sqrt(np.outer(np.diag(R).real, np.diag(R).real) / n)
@@ -151,7 +146,7 @@ class TestOwnPilotStatistics:
         sc = build_scenario(cfg, rngs)
         stats = estimation_statistics(sc, cfg)
         filters, rtilde = per_pilot_statistics(sc, cfg)
-        top = np.diagonal(sc.covariances, axis1=-2, axis2=-1).real.max(axis=-1)
+        top = np.diagonal(channel_covariances(sc), axis1=-2, axis2=-1).real.max(axis=-1)
         assert np.all(np.abs(stats.rtilde - rtilde).max(axis=(-2, -1)) <= 1e-11 * top)
         top = np.abs(filters).max(axis=(-2, -1))
         got = stats.whitener[..., None, :, :, :] @ stats.filters
@@ -175,12 +170,26 @@ class TestClosedFormAndCopilots:
         sc = build_scenario(cfg, rng_stream(22, 0, 0))
         check = check_covariance_decomposition(sc, estimation_statistics(sc, cfg), cfg)
         assert check.passed, check.detail
-        planted = Scenario(covariances=sc.covariances, cov_factors=np.linalg.cholesky(sc.covariances),
-                           pilot_index=sc.pilot_index)
-        np.testing.assert_allclose(planted.cov_factors @ planted.cov_factors.conj().swapaxes(-1, -2),
-                                   sc.covariances, rtol=0, atol=1e-12 * np.abs(sc.covariances).max())
+        R = channel_covariances(sc)
+        planted = Scenario(cov_factors=np.linalg.cholesky(R), pilot_index=sc.pilot_index)
+        np.testing.assert_allclose(channel_covariances(planted), R,
+                                   rtol=0, atol=1e-12 * np.abs(R).max())
         assert not check_covariance_decomposition(planted, estimation_statistics(planted, cfg),
                                                   cfg).passed
+
+    @pytest.mark.parametrize("budget", [1, 1000], ids=["one_ap", "two_aps"])
+    def test_ap_slices_of_the_copilot_route_change_no_bit(self, monkeypatch, budget):
+        # 7 UEs on 3 pilots: 3 groups of up to 3, whose complete Q holds
+        # 3 * (4 * 3)^2 = 432 entries per AP. By default all 5 APs go in one
+        # slice; a budget of 1 entry runs each AP alone, one of 1000 two at a
+        # time (2 + 2 + 1).
+        cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=3, num_ues=7, pilot_length=3)
+        sc = build_scenario(cfg, rng_stream(23, 0, 0))
+        whole = estimation_statistics(sc, cfg)
+        monkeypatch.setattr(channel, "_QR_ELEMENTS", budget)
+        sliced = estimation_statistics(sc, cfg)
+        for field in ("filters", "rtilde", "whitener"):
+            assert np.array_equal(getattr(sliced, field), getattr(whole, field)), field
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rank_one_copilot_at_tiny_noise_runs_to_a_finite_se(self):
@@ -193,7 +202,7 @@ class TestClosedFormAndCopilots:
         R = local_scattering_covariance(0.1, angles, 0.3, N)
         steer = np.exp(1j * np.pi * np.arange(N) * np.sin(angles[1])[:, None]) / np.sqrt(N)
         R[1] = 0.1 * steer[:, :, None] * steer[:, None, :].conj()
-        sc = Scenario(covariances=R, cov_factors=psd_factor(R), pilot_index=np.zeros(K, dtype=np.int64))
+        sc = Scenario(cov_factors=psd_factor(R), pilot_index=np.zeros(K, dtype=np.int64))
         cfg = replace(SimulationConfig(), num_aps=L, antennas_per_ap=N, num_ues=K, pilot_length=1,
                       coherence_block=10, ue_power_w=10.0, noise_power_w=1e-16)
         rngs = [np.random.default_rng(b) for b in range(4)]
@@ -267,7 +276,7 @@ class TestMmseEstimate:
         sc = synthetic_scenario(rng, 3, 2, 3, tau_p=1)
         cfg = synthetic_config(rng, 3, 2, 3, tau_p=1)
         stats = estimation_statistics(sc, cfg)
-        for mat in (sc.covariances - stats.rtilde, stats.rtilde):
+        for mat in (channel_covariances(sc) - stats.rtilde, stats.rtilde):
             for k in range(3):
                 for l in range(2):
                     M = mat[k, l]
@@ -278,7 +287,7 @@ class TestMmseEstimate:
         # overwhelming noise: estimate ~ 0 and error covariance ~ R
         sc = synthetic_scenario(rng, 1, 1, 2, tau_p=1)
         cfg = synthetic_config(rng, 1, 1, 2, tau_p=1)
-        R = sc.covariances[0, 0]
+        R = channel_covariances(sc)[0, 0]
         beta = np.trace(R).real / 2
         cfg = replace(cfg, noise_power_w=float(1e12 * cfg.ue_powers[0] * beta))
         h = draw_channels(sc, rng)
@@ -310,9 +319,7 @@ class TestMmseEstimate:
         R = random_psd(rng, N, 1.0) + 0.1 * np.eye(N)
         F = psd_factor(R)
         sc = identity_cov_scenario(rng, K, n, N, 1.0, tau_p=tau_p)
-        sc = Scenario(**{**sc.__dict__,
-                         "covariances": np.tile(R, (K, n, 1, 1)),
-                         "cov_factors": np.tile(F, (K, n, 1, 1))})
+        sc = Scenario(**{**sc.__dict__, "cov_factors": np.tile(F, (K, n, 1, 1))})
         cfg = replace(SimulationConfig(), num_aps=n, antennas_per_ap=N,
                       num_ues=K, coherence_block=10, pilot_length=tau_p,
                       ue_power_w=1.2, noise_power_w=0.5)

@@ -1,7 +1,10 @@
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,7 +239,7 @@ def test_estimation_statistics_are_computed_once_per_drop_group(monkeypatch):
     real = channel.estimation_statistics
 
     def counted(scenario, config):
-        calls.append(scenario.covariances.shape)
+        calls.append(scenario.cov_factors.shape)
         return real(scenario, config)
 
     # wherever a module holds the function, as a from-import would
@@ -288,6 +291,32 @@ def test_extreme_valid_configs_run_to_finite_se(case):
     for scheme, se in out.items():
         assert se.shape == (2, cfg.num_ues), scheme
         assert np.all(np.isfinite(se)) and np.all(se >= 0), scheme
+
+
+COPILOT_CORNER_JOB = """
+import resource, sys
+from dataclasses import replace
+from stripesim.config import SimulationConfig
+from stripesim.runner import run_experiment
+cfg = replace(SimulationConfig(), num_aps=12, antennas_per_ap=16, num_ues=40, pilot_length=1,
+              num_setups=2, num_channel_realizations=2)
+run_experiment([cfg], workers=1)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak if sys.platform == "darwin" else peak * 1024)
+"""
+
+
+def test_copilot_corner_job_peak_memory_is_bounded():
+    # all 40 UEs on one pilot with N = 16: the co-pilot route's complete Q is
+    # ((K+1)N)^2 per (drop, AP), so holding it for all 12 APs at once takes
+    # this job of 2 drops x 2 blocks (all schemes, in process) to 289 MiB
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run([sys.executable, "-c", COPILOT_CORNER_JOB], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    peak_mib = int(child.stdout.split()[-1]) / 2 ** 20
+    assert peak_mib < 150, f"peak RSS {peak_mib:.0f} MiB"
 
 
 def drop_elements(cfg):

@@ -4,12 +4,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from oracles import channel_covariances
 from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim import scenario
 from stripesim.runner import rng_stream
 from stripesim.scenario import (
     Scenario, _clip_psd, _perimeter_layout, assign_pilots, build_scenario,
-    local_scattering_covariance, pathloss_db,
+    local_scattering_covariance, nominal_angles, pathloss_db,
 )
 
 
@@ -120,13 +121,13 @@ class TestPilotAssignment:
         assert sorted(len(m) for m in set(map(frozenset, sets))) == [2, 2, 3, 3, 3]
 
 
-def hand_large_scale(cfg, seed):
-    """Gains beta (K, L) and pilots of drop 0, redrawn from its stream by hand.
+def hand_large_scale(cfg, seed, drop=0):
+    """Gains beta (K, L), pilots and UE positions (K, 2) of a drop, redrawn from its stream by hand.
 
     The stream yields the UE positions first, then the pilots; beta is the
     path loss at d = sqrt(dx^2 + dy^2 + gap^2) from each UE to each AP.
     """
-    rng = rng_stream(seed, 0, 0)
+    rng = rng_stream(seed, drop, 0)
     side, gap = cfg.square_side_m, cfg.ap_ue_height_gap_m
     ue_xy = rng.uniform(0.0, side, size=(cfg.num_ues, 2))
     pilots = assign_pilots(cfg.num_ues, cfg.pilot_length, rng)
@@ -137,7 +138,18 @@ def hand_large_scale(cfg, seed):
             dx, dy = ue_xy[k] - ap_xy[l]
             d = math.sqrt(dx * dx + dy * dy + gap * gap)
             beta[k, l] = 10 ** (pathloss_db(d) / 10)
-    return beta, pilots
+    return beta, pilots, ue_xy
+
+
+def model_covariances(cfg, seed, drop=0):
+    """Covariances R (K, L, N, N) of a drop, rebuilt from its geometry by hand."""
+    beta, _, ue_xy = hand_large_scale(cfg, seed, drop)
+    N = cfg.antennas_per_ap
+    if cfg.correlation_model is CorrelationModel.UNCORRELATED:
+        return beta[..., None, None] * np.eye(N)
+    ap_xy, boresight = _perimeter_layout(cfg.num_aps, cfg.square_side_m)
+    angles = nominal_angles(ap_xy, boresight, ue_xy)
+    return local_scattering_covariance(beta, angles, cfg.angular_std_dev_rad, N)
 
 
 class TestBuildScenario:
@@ -160,37 +172,40 @@ class TestBuildScenario:
         assert on_wall.all()
         # no UE comes nearer to an AP than the height gap
         sc = build_scenario(cfg, rng_stream(3, 0, 0))
-        gains = np.diagonal(sc.covariances, axis1=-2, axis2=-1).real
+        gains = np.diagonal(channel_covariances(sc), axis1=-2, axis2=-1).real
         assert gains.max() <= 10 ** (pathloss_db(cfg.ap_ue_height_gap_m) / 10)
 
     def test_covariance_invariants(self):
-        cfg = small_config(antennas_per_ap=4)
-        sc = build_scenario(cfg, rng_stream(7, 0, 0))
-        large_scale, _ = hand_large_scale(cfg, 7)
-        N = cfg.antennas_per_ap
-        for k in range(cfg.num_ues):
-            for l in range(cfg.num_aps):
-                R = sc.covariances[k, l]
-                beta = large_scale[k, l]
-                assert abs(np.trace(R).real / N - beta) / beta < 1e-10
-                assert np.abs(R - R.conj().T).max() < 1e-12
-                assert np.linalg.eigvalsh(R).min() > -1e-10 * beta
-                F = sc.cov_factors[k, l]
-                assert np.abs(F @ F.conj().T - R).max() < 1e-12 * beta
+        # F F^H, the covariance the channels are drawn from, must be the model
+        # covariance rebuilt from the drop's own geometry: a wrong factor, or
+        # a wrong psd_factor, fails here
+        for model in CorrelationModel:
+            cfg = small_config(antennas_per_ap=4, correlation_model=model)
+            sc = build_scenario(cfg, rng_stream(7, 0, 0))
+            large_scale, _, _ = hand_large_scale(cfg, 7)
+            model_cov = model_covariances(cfg, 7)
+            drawn_cov = channel_covariances(sc)
+            N = cfg.antennas_per_ap
+            for k in range(cfg.num_ues):
+                for l in range(cfg.num_aps):
+                    R = model_cov[k, l]
+                    beta = large_scale[k, l]
+                    assert abs(np.trace(R).real / N - beta) / beta < 1e-10
+                    assert np.abs(R - R.conj().T).max() < 1e-12
+                    assert np.linalg.eigvalsh(R).min() > -1e-10 * beta
+                    assert np.abs(drawn_cov[k, l] - R).max() < 1e-12 * beta, model
 
     def test_uncorrelated_model_is_scaled_identity(self):
-        # R_kl = beta_kl * I exactly, with beta_kl from the UE placement,
-        # the height gap and the path loss, and the pilots drawn after the
-        # positions; this pins the whole geometry of a drop
+        # F_kl = sqrt(beta_kl) * I exactly, with beta_kl from the UE
+        # placement, the height gap and the path loss, and the pilots drawn
+        # after the positions; this pins the whole geometry of a drop
         cfg = small_config(num_ues=6, pilot_length=4,
                            correlation_model=CorrelationModel.UNCORRELATED)
         sc = build_scenario(cfg, rng_stream(8, 0, 0))
-        large_scale, pilots = hand_large_scale(cfg, 8)
+        large_scale, pilots, _ = hand_large_scale(cfg, 8)
         eye = np.eye(cfg.antennas_per_ap)
-        assert np.array_equal(sc.covariances != 0, np.broadcast_to(eye, sc.covariances.shape))
         assert np.array_equal(sc.cov_factors != 0, np.broadcast_to(eye, sc.cov_factors.shape))
         for n in range(cfg.antennas_per_ap):
-            assert np.allclose(sc.covariances[..., n, n], large_scale, rtol=1e-12, atol=0)
             assert np.allclose(sc.cov_factors[..., n, n], np.sqrt(large_scale),
                                rtol=1e-12, atol=0)
         assert np.array_equal(sc.pilot_index, pilots)
@@ -202,13 +217,13 @@ class TestBuildScenario:
     ], ids=["uncorrelated", "local_scattering", "clipped"])
     def test_factors_have_orthogonal_columns(self, model, spread):
         # estimation_statistics reads F^H F as diagonal for a UE alone on its
-        # pilot. At a 1e-6 rad spread the covariances are numerically rank
-        # one: _clip_psd clips them, and they are singular.
+        # pilot. At a 1e-6 rad spread the model covariances are numerically
+        # rank one: _clip_psd clips them, and they are singular.
         cfg = small_config(antennas_per_ap=8, correlation_model=model, angular_std_dev_rad=spread)
         sc = build_scenario(cfg, [rng_stream(14, s, 0) for s in range(2)])
         if spread < 1e-3:
             with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(sc.covariances)
+                np.linalg.cholesky(np.stack([model_covariances(cfg, 14, s) for s in range(2)]))
         gram = sc.cov_factors.conj().swapaxes(-1, -2) @ sc.cov_factors
         norms = np.diagonal(gram, axis1=-2, axis2=-1).real
         off = np.abs(gram - norms[..., None] * np.eye(cfg.antennas_per_ap)).max(axis=(-2, -1))
@@ -218,7 +233,7 @@ class TestBuildScenario:
         cfg = small_config()
         a = build_scenario(cfg, rng_stream(9, 0, 0))
         b = build_scenario(cfg, rng_stream(9, 0, 0))
-        assert np.array_equal(a.covariances, b.covariances)
+        assert np.array_equal(a.cov_factors, b.cov_factors)
         assert np.array_equal(a.pilot_index, b.pilot_index)
 
     def test_scenario_is_read_only(self):
@@ -263,7 +278,7 @@ class TestBuildScenario:
         # each drop is exactly the drop built from its generator alone
         cfg = small_config(num_ues=5, pilot_length=2, correlation_model=model)
         stacked = build_scenario(cfg, [rng_stream(13, s, 0) for s in range(3)])
-        assert stacked.covariances.shape == (3, 5, 8, 2, 2)
+        assert stacked.cov_factors.shape == (3, 5, 8, 2, 2)
         assert stacked.pilot_index.shape == (3, 5)
         for s in range(3):
             single = build_scenario(cfg, rng_stream(13, s, 0))

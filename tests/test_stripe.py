@@ -325,14 +325,17 @@ class TestRunStripe:
         assert np.all(np.abs(emp - sigma2) / sigma2 < 0.03)
 
     def test_forwarded_payload_counts(self):
-        # per block the last AP forwards K^2 complex estimates ghat[i, k], K^2
-        # real error variances and K complex soft estimates per data symbol,
-        # with or without pilot reuse (K > tau_p)
+        # per block the last AP forwards the complex ghat it yields, the
+        # protocol's K^2 real error variances and K complex soft estimates per
+        # data symbol, with or without pilot reuse (K > tau_p)
         L, N, tau_c = 4, 2, 40
         for K, tau_p in [(3, 4), (5, 2)]:
             config = replace(SimulationConfig(), antennas_per_ap=N, num_aps=L, num_ues=K,
                              coherence_block=tau_c, pilot_length=tau_p)
-            forwarded = 2 * K ** 2 + K ** 2 + 2 * K * (tau_c - tau_p)
+            hhat, _ = drop_block_estimates(config, 5, num_drops=1, num_blocks=1)
+            *_, (_, ghat) = stages(hhat, config.ue_powers)
+            assert np.iscomplexobj(ghat) and ghat.shape[-2:] == (K, K)
+            forwarded = 2 * ghat[0, 0].size + K ** 2 + 2 * K * (tau_c - tau_p)
             assert metrics.fronthaul_load(config)["stripe"] == forwarded
 
     def test_block_axis_matches_single_blocks(self, rng):
