@@ -5,15 +5,16 @@ despread pilot signal is formed directly (the full pilot-length receive
 matrix is never materialized), and the linear MMSE estimate of each (UE, AP)
 is formed from the despread signal on that UE's own pilot. The filters and
 the error covariances depend only on the scenario, so they are computed once
-per drop group, in one of two ways:
+per drop group, and on a UE's pilot only through the UEs that share it. The
+(drop, pilot) groups of each size m take one of two routes, in AP slices:
 
-- A UE alone on its pilot has the closed form of the textbook MMSE
+- A UE alone on its pilot (m = 1) has the closed form of the textbook MMSE
   estimator (Bjornson, Hoydis and Sanguinetti, Massive MIMO Networks, 2017,
   sec. 3): with R = F F^H and F's columns orthogonal, the error covariance
   is F with its columns scaled, times its conjugate transpose. No solve and
   no factorization. This needs Scenario.cov_factors to be the eigen-factor,
   which build_scenario gives.
-- The UEs that share a pilot take one complete QR per (drop, pilot, AP) of
+- A group of m > 1 UEs takes one complete QR per (drop, pilot, AP) of
   the stacked factors [sigma I; sqrt(tau_p p_i) F_i^H ...]. The pilot
   covariance is never formed, so the accuracy follows the stacked factors'
   conditioning, not its own, which reaches 1e16 at sigma^2 = 1e-16 W.
@@ -51,7 +52,7 @@ import numpy as np
 from .config import SimulationConfig
 from .scenario import Rngs, Scenario, per_stream
 
-_QR_ELEMENTS = 1 << 18   # entries of the co-pilot route's complete Q held at once
+_QR_ELEMENTS = 1 << 18   # entries of a QR's complete Q held at once, sizing the AP slices
 
 
 def complex_normal(rng: np.random.Generator, shape, std=1.0) -> np.ndarray:
@@ -124,9 +125,12 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
     UE k on pilot t sees the despread signal with covariance
     Psi = sigma^2 I + sum over the UEs i on pilot t of a_i R_il (a_i = tau_p
     p_i). Its MMSE filter is sqrt(a_k) R_kl Psi^-1, and its error covariance
-    R_kl - a_k R_kl Psi^-1 R_kl. Neither is formed that way: a UE alone on its
-    pilot takes _own_pilot_statistics, the UEs that share one
-    _pilot_group_statistics, and both give rtilde as a Gram matrix.
+    R_kl - a_k R_kl Psi^-1 R_kl. Neither is formed that way. The UEs on one
+    pilot of one drop form a group, and the groups of each size m go as one
+    (G, m) array of UEs, in ascending order, to _own_pilot_statistics for
+    m = 1 and to _pilot_group_statistics otherwise. Both give rtilde as a
+    Gram matrix, and both go in AP slices, one AP at least, sized so that a
+    QR's complete Q would hold at most _QR_ELEMENTS entries.
 
     D_l = sum_i p_i rtilde_il + sigma^2 I is then PD: one Cholesky of every D_l
     gives the whiteners C_l, and C_l^-1, formed once per (drop, AP), folds into
@@ -141,26 +145,20 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
     F = scenario.cov_factors.reshape(-1, K, L, N, N)
     a = tau_p * powers
 
+    # each group once, at its first UE
     same = pilots[:, :, None] == pilots[:, None, :]
-    alone = same.sum(axis=-1) == 1
+    size = same.sum(axis=-1)
+    first = same.argmax(axis=-1) == np.arange(K)
     rtilde, filters = np.empty_like(F), np.empty_like(F)
-    rtilde[alone], filters[alone] = _own_pilot_statistics(
-        F[alone], np.broadcast_to(a, alone.shape)[alone], sigma2)
-    # every shared pilot once, at its first UE; its members padded to the largest group
-    first = np.nonzero(~alone & (same.argmax(axis=-1) == np.arange(K)))
-    if first[0].size:
-        members = same[first]                                             # (G, K)
-        ues = np.argsort(~members, axis=-1, kind="stable")[:, :members.sum(axis=-1).max()]
-        real = np.take_along_axis(members, ues, axis=-1)                  # (G, M), not padding
-        drop = np.broadcast_to(first[0][:, None], ues.shape)
-        amp = np.where(real, np.sqrt(a[ues]), 0.0)
-        # Q holds ((M+1)N)^2 entries per (group, AP): the APs go in slices
-        # within _QR_ELEMENTS, each copied out at once (its filters are a view)
-        step = max(1, _QR_ELEMENTS // (len(ues) * ((ues.shape[1] + 1) * N) ** 2))
+    for m in np.flatnonzero(np.bincount(size.ravel())):
+        drop, ue = np.nonzero(first & (size == m))
+        ues = np.nonzero(same[drop, ue])[1].reshape(-1, m)
+        route = _own_pilot_statistics if m == 1 else _pilot_group_statistics
+        # a complete Q holds ((m+1)N)^2 entries per (group, AP)
+        step = max(1, _QR_ELEMENTS // (len(ues) * ((m + 1) * N) ** 2))
         for aps in (slice(l, l + step) for l in range(0, L, step)):
-            group_rtilde, group_filters = _pilot_group_statistics(F[drop, ues, aps], amp, sigma2)
-            rtilde[drop[real], ues[real], aps] = group_rtilde[real]
-            filters[drop[real], ues[real], aps] = group_filters[real]
+            group = drop[:, None], ues, aps
+            rtilde[group], filters[group] = route(F[group], a[ues], sigma2)
 
     rtilde = rtilde.reshape(shape)
     load = (powers @ rtilde.reshape(*drops, K, L * N * N)).reshape(*drops, L, N, N)
@@ -170,37 +168,37 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
 
 
 def _own_pilot_statistics(F, a, sigma2):
-    """rtilde and the filter sqrt(a_k) R Psi^-1, (P, L, N, N), of P UEs alone on their pilots.
+    """rtilde and the filter sqrt(a_k) R Psi^-1, (G, 1, L, N, N), of G UEs alone on their pilots.
 
-    Psi = a_k F F^H + sigma^2 I. By Woodbury rtilde = F G^-1 F^H, with
-    G = I + (a_k/sigma^2) F^H F, and the filter is (sqrt(a_k)/sigma^2) rtilde.
-    F's columns f_j are orthogonal (see Scenario), so G is the diagonal
-    1 + (a_k/sigma^2)||f_j||^2: rtilde = S S^H with S = F G^-1/2, F with its
-    columns scaled. No solve, no factorization.
+    F and a as for _pilot_group_statistics. Psi = a_k F F^H + sigma^2 I. By
+    Woodbury rtilde = F E^-1 F^H, with E = I + (a_k/sigma^2) F^H F, and the
+    filter is (sqrt(a_k)/sigma^2) rtilde. F's columns f_j are orthogonal (see
+    Scenario), so E is the diagonal 1 + (a_k/sigma^2)||f_j||^2: rtilde = S S^H
+    with S = F E^-1/2, F with its columns scaled. No solve, no factorization.
     """
-    gain = 1.0 + (a / sigma2)[:, None, None] * np.linalg.norm(F, axis=-2) ** 2
+    gain = 1.0 + (a / sigma2)[..., None, None] * np.linalg.norm(F, axis=-2) ** 2
     S = F / np.sqrt(gain)[..., None, :]
     rtilde = S @ herm(S)
-    return rtilde, rtilde * (np.sqrt(a) / sigma2)[:, None, None, None]
+    return rtilde, rtilde * (np.sqrt(a) / sigma2)[..., None, None, None]
 
 
-def _pilot_group_statistics(F, amp, sigma2):
+def _pilot_group_statistics(F, a, sigma2):
     """rtilde and the filter sqrt(a_i) R Psi^-1, (G, M, L, N, N), of G groups of M UEs on one pilot.
 
-    F (G, M, L, N, N) are the members' factors and amp (G, M) their sqrt(a_i),
-    0 for padding. Psi = B^H B with B = [sigma I; sqrt(a_i) F_i^H ...], so the
-    complete QR B = Q [T; 0] gives Psi = T^H T without forming Psi: the
-    accuracy follows B's conditioning, not Psi's. Q's block rows are
-    [Q_0, P_0] for sigma I and [Q_i, P_i] for member i, N and M N columns;
-    sigma I = Q_0 T and sqrt(a_i) F_i^H = Q_i T. So T^-1 = Q_0 / sigma and the
-    filter is sqrt(a_i) F_i F_i^H T^-1 T^-H = F_i Q_i T^-H. The rows of Q are
+    F (G, M, L, N, N) are the members' factors and a (G, M) their tau_p p_i.
+    Psi = B^H B with B = [sigma I; sqrt(a_i) F_i^H ...], so the complete QR
+    B = Q [T; 0] gives Psi = T^H T without forming Psi: the accuracy follows
+    B's conditioning, not Psi's. Q's block rows are [Q_0, P_0] for sigma I
+    and [Q_i, P_i] for member i, N and M N columns; sigma I = Q_0 T and
+    sqrt(a_i) F_i^H = Q_i T. So T^-1 = Q_0 / sigma and the filter is
+    sqrt(a_i) F_i F_i^H T^-1 T^-H = F_i Q_i T^-H. The rows of Q are
     orthonormal, I - Q_i Q_i^H = P_i P_i^H, so rtilde_i = F_i (I - Q_i Q_i^H)
     F_i^H = Z Z^H with Z = F_i P_i.
     """
     G, M, L, N = F.shape[:4]
     B = np.empty((G, L, M + 1, N, N), dtype=complex)
     B[:, :, 0] = np.sqrt(sigma2) * np.eye(N)
-    np.multiply(np.moveaxis(herm(F), 1, 2), amp[:, None, :, None, None], out=B[:, :, 1:])
+    np.multiply(np.moveaxis(herm(F), 1, 2), np.sqrt(a)[:, None, :, None, None], out=B[:, :, 1:])
     Q, _ = np.linalg.qr(B.reshape(G, L, -1, N), mode="complete")
     Q[..., :N] = Q[..., :N] @ (herm(Q[..., :N, :N]) / np.sqrt(sigma2))      # [Q_i T^-H, P_i]
     rows = np.moveaxis(Q.reshape(G, L, M + 1, N, (M + 1) * N)[:, :, 1:], 2, 1)

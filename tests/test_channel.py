@@ -132,16 +132,19 @@ class TestPilotPhase:
 
 class TestOwnPilotStatistics:
     @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
-    @pytest.mark.parametrize("drops", [None, 3], ids=["one_drop", "stacked"])
-    def test_equal_to_per_pilot_covariances_gathered_per_ue(self, model, drops):
-        # K > tau_p, so UEs share pilots. The oracle inverts each own-pilot
-        # covariance and subtracts rhat from R, the package builds rtilde as
-        # a Gram matrix without either: they agree to roundoff, on the scale
-        # of R_kl for rtilde and of each filter's largest entry for filters,
-        # which the package whitens by C_l^-1 and C_l maps back.
-        cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=3, num_ues=6,
-                      pilot_length=4, correlation_model=model,
-                      ue_power_w=(0.05, 0.1, 0.02, 0.07, 0.04, 0.09))
+    @pytest.mark.parametrize("drops, K, tau_p", [(None, 6, 4), (3, 6, 4), (None, 7, 3), (3, 7, 3)],
+                             ids=["one_drop", "stacked", "one_drop_groups_3_2_2",
+                                  "stacked_groups_3_2_2"])
+    def test_equal_to_per_pilot_covariances_gathered_per_ue(self, model, drops, K, tau_p):
+        # K > tau_p, so UEs share pilots: in groups of 2, 2, 1 and 1, or of
+        # 3, 2 and 2, which take QRs of two sizes. The oracle inverts each
+        # own-pilot covariance and subtracts rhat from R, the package builds
+        # rtilde as a Gram matrix without either: they agree to roundoff, on
+        # the scale of R_kl for rtilde and of each filter's largest entry for
+        # filters, which the package whitens by C_l^-1 and C_l maps back.
+        cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=3, num_ues=K,
+                      pilot_length=tau_p, correlation_model=model,
+                      ue_power_w=(0.05, 0.1, 0.02, 0.07, 0.04, 0.09, 0.06)[:K])
         rngs = rng_stream(6, 0, 0) if drops is None else [rng_stream(6, s, 0) for s in range(drops)]
         sc = build_scenario(cfg, rngs)
         stats = estimation_statistics(sc, cfg)
@@ -177,13 +180,18 @@ class TestClosedFormAndCopilots:
         assert not check_covariance_decomposition(planted, estimation_statistics(planted, cfg),
                                                   cfg).passed
 
-    @pytest.mark.parametrize("budget", [1, 1000], ids=["one_ap", "two_aps"])
-    def test_ap_slices_of_the_copilot_route_change_no_bit(self, monkeypatch, budget):
-        # 7 UEs on 3 pilots: 3 groups of up to 3, whose complete Q holds
-        # 3 * (4 * 3)^2 = 432 entries per AP. By default all 5 APs go in one
-        # slice; a budget of 1 entry runs each AP alone, one of 1000 two at a
-        # time (2 + 2 + 1).
-        cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=3, num_ues=7, pilot_length=3)
+    @pytest.mark.parametrize("budget, tau_p", [(1, 3), (350, 3), (1, 5), (350, 5)],
+                             ids=["one_ap", "two_aps", "one_ap_groups_2_2_1_1_1",
+                                  "two_aps_groups_2_2_1_1_1"])
+    def test_ap_slices_of_the_copilot_route_change_no_bit(self, monkeypatch, budget, tau_p):
+        # 7 UEs on 3 pilots, in groups of 3, 2 and 2, or on 5, in groups of
+        # 2, 2, 1, 1 and 1. A group of m takes ((m+1) * 3)^2 entries per AP,
+        # so the groups of each size hold 144 (one group of 3), 162 (two of
+        # 2) or 108 (three of 1) entries per AP. By default all 5 APs go in
+        # one slice; a budget of 1 entry runs each AP alone, one of 350 two
+        # at a time (2 + 2 + 1), the lone UEs three (3 + 2).
+        cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=3, num_ues=7,
+                      pilot_length=tau_p)
         sc = build_scenario(cfg, rng_stream(23, 0, 0))
         whole = estimation_statistics(sc, cfg)
         monkeypatch.setattr(channel, "_QR_ELEMENTS", budget)

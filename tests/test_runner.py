@@ -294,28 +294,29 @@ def test_extreme_valid_configs_run_to_finite_se(case):
 
 
 COPILOT_CORNER_JOB = """
-import resource, sys
 from dataclasses import replace
 from stripesim.config import SimulationConfig
 from stripesim.runner import run_experiment
 cfg = replace(SimulationConfig(), num_aps=12, antennas_per_ap=16, num_ues=40, pilot_length=1,
               num_setups=2, num_channel_realizations=2)
 run_experiment([cfg], workers=1)
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(peak if sys.platform == "darwin" else peak * 1024)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_copilot_corner_job_peak_memory_is_bounded():
     # all 40 UEs on one pilot with N = 16: the co-pilot route's complete Q is
     # ((K+1)N)^2 per (drop, AP), so holding it for all 12 APs at once takes
-    # this job of 2 drops x 2 blocks (all schemes, in process) to 289 MiB
+    # this job of 2 drops x 2 blocks (all schemes, in process) to 289 MiB.
+    # The child reports its VmHWM, which starts afresh at exec; ru_maxrss
+    # carries the peak of the process that forked it, here pytest's own.
     src = str(Path(runner.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     child = subprocess.run([sys.executable, "-c", COPILOT_CORNER_JOB], env=env,
                            capture_output=True, text=True, timeout=120, check=True)
-    peak_mib = int(child.stdout.split()[-1]) / 2 ** 20
+    peak_mib = int(child.stdout.split()[-1]) / 2 ** 10
     assert peak_mib < 150, f"peak RSS {peak_mib:.0f} MiB"
 
 
