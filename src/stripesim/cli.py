@@ -125,12 +125,10 @@ def cmd_fronthaul(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    failures = 0
-    for check in run_selftest(seed=args.seed):
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{status} {check.name}: {check.detail}")
-        failures += 0 if check.passed else 1
-    return 1 if failures else 0
+    checks = run_selftest(seed=args.seed)
+    for check in checks:
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+    return 0 if all(check.passed for check in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,13 +1,13 @@
 """Monte Carlo orchestration: groups of setups fan out to one pool, blocks run inside.
 
-Every setup and every (setup, block) work item derives its own RNG stream
-from the config seed, so results are bit-identical regardless of worker-pool
-size or completion order. A job is a group of consecutive setups (drops): it
-draws their scenarios, precomputes the estimation statistics, then sweeps
-the channel realizations in chunks of stacked blocks, shaped (blocks, drops,
-...); the SE expectation runs over realizations within a setup, the CDF
-randomness over UEs and setups. A run's jobs are the groups of every config
-it simulates (one config, or one per sweep value), all through one pool.
+A drop's RNG stream is keyed (seed, setup, 0) and a block's (seed, setup, 1,
+block), so results are bit-identical regardless of worker-pool size or
+completion order. A job is a group of consecutive setups (drops): draw_drops
+draws their scenarios and estimation statistics, then draw_blocks the channel
+realizations in chunks of stacked blocks, shaped (blocks, drops, ...); only
+these two key a stream. The SE expectation runs over realizations within a
+setup, the CDF randomness over UEs and setups. The groups of every config a
+run simulates (one, or one per sweep value) go through one pool.
 """
 
 from __future__ import annotations
@@ -22,17 +22,16 @@ import numpy as np
 
 from . import baselines, metrics, stripe
 from .blas import one_blas_thread, pin_one_thread
-from .channel import draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase
+from .channel import (
+    EstimationStatistics, draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
+)
 from .config import SimulationConfig, config_to_ini, format_value
-from .scenario import build_scenario
+from .scenario import Scenario, build_scenario
 
 SCHEME_STRIPE = "stripe_nlmmse"
 SCHEME_MR = "mr_l2"
 SCHEME_L4 = "lmmse_l4"
 ALL_SCHEMES = (SCHEME_STRIPE, SCHEME_MR, SCHEME_L4)
-
-_SCENARIO_TAG = 0
-_BLOCK_TAG = 1
 
 # Blocks run in chunks. Per block the batched call chain holds about
 # L*N*(K + tau_p) complex entries, whatever the schemes: the K*L*N channels
@@ -73,7 +72,7 @@ def drop_groups(config: SimulationConfig) -> list[range]:
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for one work item, pure in (seed, key)."""
-    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    return np.random.default_rng([seed, *key])
 
 
 def config_fingerprint(config: SimulationConfig) -> str:
@@ -83,16 +82,28 @@ def config_fingerprint(config: SimulationConfig) -> str:
     return hashlib.sha256(config_to_ini(config).encode()).hexdigest()[:12]
 
 
+def draw_drops(config: SimulationConfig, setups: range) -> tuple[Scenario, EstimationStatistics]:
+    """The scenario and estimation statistics of consecutive drops, stacked (D, ...)."""
+    scenario = build_scenario(config, [rng_stream(config.rng_seed, s, 0) for s in setups])
+    return scenario, estimation_statistics(scenario, config)
+
+
+def draw_blocks(config: SimulationConfig, scenario: Scenario, stats: EstimationStatistics,
+                setups: range, blocks: range) -> tuple[np.ndarray, np.ndarray]:
+    """Channels and whitened estimates (B, D, K, L, N) of blocks of the drops of draw_drops."""
+    rngs = [[rng_stream(config.rng_seed, s, 1, b) for s in setups] for b in blocks]
+    h = draw_channels(scenario, rngs)
+    return h, mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rngs), stats)
+
+
 def simulate_setup(
     config: SimulationConfig, setups: range, schemes: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
     """Run consecutive drops end to end in one batched call chain.
 
-    Returns scheme -> SE (D, K) for the D drops of setups.
+    Returns scheme -> SE (D, K) for the D drops of setups, or raises ValueError on a NaN or inf.
     """
-    seed = config.rng_seed
-    scenario = build_scenario(config, [rng_stream(seed, s, _SCENARIO_TAG) for s in setups])
-    stats = estimation_statistics(scenario, config)
+    scenario, stats = draw_drops(config, setups)
     powers = config.ue_powers
     n_blocks = config.num_channel_realizations
 
@@ -104,10 +115,7 @@ def simulate_setup(
     chunk = blocks_per_chunk(config)
     for start in range(0, n_blocks, chunk):
         blocks = range(start, min(start + chunk, n_blocks))
-        rngs = [[rng_stream(seed, s, _BLOCK_TAG, b) for s in setups] for b in blocks]
-        h = draw_channels(scenario, rngs)                   # (B, D, K, L, N)
-        z = simulate_pilot_phase(scenario, h, config, rngs)
-        hhat = mmse_estimate(scenario, z, stats)
+        h, hhat = draw_blocks(config, scenario, stats, setups, blocks)
         if SCHEME_STRIPE in samples:
             samples[SCHEME_STRIPE][start:blocks.stop] = metrics.sinr_per_ue(
                 stripe.run_stripe(hhat, powers), powers)
@@ -118,14 +126,17 @@ def simulate_setup(
 
     if SCHEME_MR in schemes:
         samples[SCHEME_MR] = mr_acc.sinr(powers, config.noise_power_w)[None]
-    tau_c, tau_p = config.coherence_block, config.pilot_length
-    return {scheme: metrics.spectral_efficiency(samples[scheme], tau_c, tau_p)
-            for scheme in schemes}
+    se = {scheme: metrics.spectral_efficiency(samples[scheme], config.coherence_block,
+                                               config.pilot_length) for scheme in schemes}
+    for scheme, values in se.items():
+        ue = np.flatnonzero(~np.isfinite(values).all(axis=0))
+        if ue.size:
+            raise ValueError(f"{scheme}: UE {ue[0]} has a non-finite SE")
+    return se
 
 
 def _setup_worker(args):
-    config, setups, schemes = args
-    return simulate_setup(config, setups, schemes)
+    return simulate_setup(*args)
 
 
 def _init_worker() -> None:

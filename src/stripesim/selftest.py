@@ -9,19 +9,15 @@ re-deriving the invariants. A NaN anywhere in a check's input fails it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics, stripe
-from .channel import (
-    EstimationStatistics, draw_channels, estimation_statistics, herm, mmse_estimate,
-    simulate_pilot_phase,
-)
+from .channel import EstimationStatistics, herm
 from .config import SimulationConfig
-from .runner import _BLOCK_TAG, _SCENARIO_TAG, rng_stream
-from .scenario import Scenario, build_scenario
-
+from .runner import draw_blocks, draw_drops
+from .scenario import Scenario
 
 _DECOMPOSITION_TOL = 1e-10
 _NORM_TOL = 1e-12
@@ -51,9 +47,10 @@ def check_covariance_decomposition(
     S_k = {i : t_i = t_k}, are rebuilt here apart from estimation_statistics.
     """
     a = config.pilot_length * config.ue_powers
-    R = scenario.cov_factors @ herm(scenario.cov_factors)                   # (K, L, N, N)
-    shared = scenario.pilot_index[:, None] == scenario.pilot_index          # i in S_k
-    psi = np.einsum("ki,ilmn->klmn", shared * a, R) + config.noise_power_w * np.eye(R.shape[-1])
+    R = scenario.cov_factors @ herm(scenario.cov_factors)                   # (..., K, L, N, N)
+    shared = scenario.pilot_index[..., :, None] == scenario.pilot_index[..., None, :]  # i in S_k
+    psi = (np.einsum("...ki,...ilmn->...klmn", shared * a, R)
+           + config.noise_power_w * np.eye(R.shape[-1]))
     rhat = a[:, None, None, None] * R @ np.linalg.solve(psi, R)
     gaps = np.abs(R - stats.rtilde - rhat) / np.abs(R).max(axis=(-2, -1), keepdims=True)
     return _verdict("covariance_decomposition", [gaps], _DECOMPOSITION_TOL, "relative residual")
@@ -101,8 +98,7 @@ def check_monotone_stage_sinr(ghats: Sequence[np.ndarray], powers: np.ndarray) -
 
 def selftest_config(seed: int = 0) -> SimulationConfig:
     """A deliberately tiny network with forced pilot sharing."""
-    return replace(
-        SimulationConfig(),
+    return SimulationConfig(
         num_aps=4, antennas_per_ap=2, num_ues=3,
         coherence_block=40, pilot_length=2,
         num_setups=1, num_channel_realizations=8,
@@ -111,17 +107,12 @@ def selftest_config(seed: int = 0) -> SimulationConfig:
 
 
 def run_selftest(seed: int = 0) -> list[CheckResult]:
-    """Build a tiny instance and run every invariant check on it."""
+    """Every invariant check on setup 0, block 0 of selftest_config(seed), as a run draws it."""
     config = selftest_config(seed)
-    scenario = build_scenario(config, rng_stream(seed, 0, _SCENARIO_TAG))
-    stats = estimation_statistics(scenario, config)
-    powers = config.ue_powers
-
-    rng = rng_stream(seed, 0, _BLOCK_TAG, 0)
-    h = draw_channels(scenario, rng)
-    hhat = mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rng), stats)
-    combiners, ghats = zip(*stripe.stages(hhat, powers))
+    scenario, stats = draw_drops(config, range(1))
+    _, hhat = draw_blocks(config, scenario, stats, range(1), range(1))   # (1, 1, K, L, N)
+    combiners, ghats = zip(*stripe.stages(hhat, config.ue_powers))
     return [check_covariance_decomposition(scenario, stats, config),
             check_combiner_norms(combiners),
             check_reconstruction(combiners, ghats[-1], hhat),
-            check_monotone_stage_sinr(ghats, powers)]
+            check_monotone_stage_sinr(ghats, config.ue_powers)]

@@ -16,10 +16,10 @@ original_chain, the stripe's combiners mapped back to the original
 coordinates, it is the reference for the unit error-plus-noise power the
 whitened stripe assumes. estimate is the pilot phase plus MMSE estimation
 that most tests run on one scenario, returning the (whitened) estimates
-with the estimation statistics; drop_block_estimates runs it on a
-real-geometry (blocks, drops, ...) batch, and unwhitened maps estimates
-back to the original coordinates. channel_covariances is how the tests read
-a drop's covariances R = F F^H.
+with the estimation statistics; drop_block_estimates draws a
+real-geometry (blocks, drops, ...) batch as a run draws it, and unwhitened
+maps estimates back to the original coordinates. channel_covariances is how
+the tests read a drop's covariances R = F F^H.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from stripesim.channel import (
     draw_channels, estimation_statistics, herm, mmse_estimate, simulate_pilot_phase,
 )
 from stripesim.config import SimulationConfig
-from stripesim.runner import ALL_SCHEMES, rng_stream
+from stripesim.runner import ALL_SCHEMES, draw_blocks, draw_drops, rng_stream
 from stripesim.scenario import Scenario, assign_pilots, build_scenario, psd_factor
 from stripesim.selftest import replay
 
@@ -144,11 +144,12 @@ def estimate(scenario, h, config, rng, stats=None):
 
 
 def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):
-    """Estimates (blocks, drops, ...) of a real-geometry batch, and its stats (drops, ...)."""
-    drops = range(num_drops)
-    sc = build_scenario(cfg, [rng_stream(seed, s, 0) for s in drops])
-    rngs = [[rng_stream(seed, s, 1, b) for s in drops] for b in range(num_blocks)]
-    return estimate(sc, draw_channels(sc, rngs), cfg, rngs)
+    """Estimates (blocks, drops, ...) of the first drops and blocks of cfg's run at seed,
+    drawn by the runner, and their stats (drops, ...)."""
+    cfg, drops = replace(cfg, rng_seed=seed), range(num_drops)
+    scenario, stats = draw_drops(cfg, drops)
+    _, hhat = draw_blocks(cfg, scenario, stats, drops, range(num_blocks))
+    return hhat, stats
 
 
 def unwhitened(x, whitener):

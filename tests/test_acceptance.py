@@ -18,13 +18,13 @@ from oracles import (
 )
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
-from stripesim.channel import complex_normal, draw_channels, estimation_statistics
+from stripesim.channel import complex_normal, draw_channels
 from stripesim.cli import main
 from stripesim.config import CorrelationModel, SimulationConfig, save_config
 from stripesim.runner import (
-    ALL_SCHEMES, SCHEME_L4, SCHEME_MR, SCHEME_STRIPE, drop_groups, rng_stream, run_experiment,
+    ALL_SCHEMES, SCHEME_L4, SCHEME_MR, SCHEME_STRIPE, draw_blocks, draw_drops, drop_groups,
+    run_experiment,
 )
-from stripesim.scenario import build_scenario
 from stripesim.selftest import (
     check_combiner_norms, check_covariance_decomposition, check_monotone_stage_sinr, replay,
 )
@@ -109,46 +109,45 @@ def test_criterion_4_ue_count_trend(stripe_by_num_ues):
 def test_criterion_5_property_suite():
     start = time.time()
     cfg = desk_config(num_setups=1, num_channel_realizations=1)
-    scenario = build_scenario(cfg, rng_stream(cfg.rng_seed, 0, 0))
-    stats = estimation_statistics(scenario, cfg)
+    scenario, stats = draw_drops(cfg, range(1))
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
 
     # estimate + error covariances recompose the channel covariance
     check = check_covariance_decomposition(scenario, stats, cfg)
     assert check.passed, check.detail
 
-    # a handful of full blocks on the reference setup
-    for b in range(3):
-        rng = rng_stream(cfg.rng_seed, 0, 1, b)
-        h = draw_channels(scenario, rng)
-        hhat, _ = estimate(scenario, h, cfg, rng, stats)
-        combiners, ghats = zip(*stages(hhat, powers))
+    # a handful of full blocks on the reference setup, as a run draws them,
+    # stacked (3, 1, ...)
+    _, hhat = draw_blocks(cfg, scenario, stats, range(1), range(3))
+    combiners, ghats = zip(*stages(hhat, powers))
 
-        # unit combiner norms at every stage, and per-stage effective SINR
-        # that never decreases along the stripe
-        for check in (check_combiner_norms(combiners),
-                      check_monotone_stage_sinr(ghats, powers)):
-            assert check.passed, check.detail
+    # unit combiner norms at every stage, and per-stage effective SINR
+    # that never decreases along the stripe
+    for check in (check_combiner_norms(combiners),
+                  check_monotone_stage_sinr(ghats, powers)):
+        assert check.passed, check.detail
 
-        # the estimates replayed through the combiners are the forwarded ghat
-        np.testing.assert_allclose(replay(combiners, hhat), ghats[-1], rtol=1e-12, atol=0)
+    # the estimates replayed through the combiners are the forwarded ghat
+    np.testing.assert_allclose(replay(combiners, hhat), ghats[-1], rtol=1e-12, atol=0)
 
-        # in the original coordinates, the error variances from the direct
-        # quadratic form, power-weighted, plus the noise are the whitened
-        # pass's unit error-plus-noise power
-        original = unwhitened(hhat, stats.whitener)
-        chain = original_chain(combiners, stats.whitener)
-        psi = psi_stages(chain, stats.rtilde)
-        for l in (1, cfg.num_aps - 1):
-            aug = build_augmented_moments(original[:, l], stats.rtilde[:, l],
-                                          replay(chain[:l], original), psi[l - 1])
-            V = chain[l]
+    # in the original coordinates, the error variances from the direct
+    # quadratic form, power-weighted, plus the noise are the whitened
+    # pass's unit error-plus-noise power, block by block
+    original = unwhitened(hhat, stats.whitener)
+    chain = original_chain(combiners, stats.whitener)
+    psi = psi_stages(chain, stats.rtilde)
+    rtilde = stats.rtilde[0]
+    for l in (1, cfg.num_aps - 1):
+        ghat_prev = replay(chain[:l], original)
+        unit = unit_impairment_scale(replay(chain[:l + 1], original), ghats[l])
+        for b in range(3):
+            aug = build_augmented_moments(original[b, 0, :, l], rtilde[:, l],
+                                          ghat_prev[b, 0], psi[l - 1][b, 0])
+            V = chain[l][b, 0]
             direct = np.array([[(V[k].conj() @ aug.error_covariance(i, k) @ V[k]).real
                                 for k in range(cfg.num_ues)] for i in range(cfg.num_ues)])
-            np.testing.assert_allclose(
-                powers @ direct + sigma2,
-                unit_impairment_scale(replay(chain[:l + 1], original), ghats[l]),
-                rtol=1e-12, atol=0)
+            np.testing.assert_allclose(powers @ direct + sigma2, unit[b, 0],
+                                       rtol=1e-12, atol=0)
 
     # effective-noise variance stays sigma2 through the chain (10^4 samples)
     t_rng = np.random.default_rng(DESK_SEED)

@@ -179,6 +179,15 @@ class TestClosedFormAndCopilots:
                                    rtol=0, atol=1e-12 * np.abs(R).max())
         assert not check_covariance_decomposition(planted, estimation_statistics(planted, cfg),
                                                   cfg).passed
+        # stacked drops, (2, ...): the Cholesky factor planted in drop 1 alone
+        # fails the check, at the same tolerance
+        two = build_scenario(cfg, [rng_stream(22, s, 0) for s in range(2)])
+        assert check_covariance_decomposition(two, estimation_statistics(two, cfg), cfg).passed
+        factors = two.cov_factors.copy()
+        factors[1] = np.linalg.cholesky(channel_covariances(two)[1])
+        planted = Scenario(cov_factors=factors, pilot_index=two.pilot_index)
+        assert not check_covariance_decomposition(planted, estimation_statistics(planted, cfg),
+                                                  cfg).passed
 
     @pytest.mark.parametrize("budget, tau_p", [(1, 3), (350, 3), (1, 5), (350, 5)],
                              ids=["one_ap", "two_aps", "one_ap_groups_2_2_1_1_1",

@@ -10,14 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import estimate
 import stripesim
 from stripesim import cli, stripe
-from stripesim.channel import draw_channels
 from stripesim.cli import main
 from stripesim.config import SimulationConfig, load_config, save_config
-from stripesim.runner import rng_stream
-from stripesim.scenario import build_scenario
+from stripesim.runner import draw_blocks, draw_drops
 from stripesim.selftest import (
     check_combiner_norms, check_covariance_decomposition, check_monotone_stage_sinr,
     check_reconstruction, run_selftest, selftest_config,
@@ -200,6 +197,26 @@ class TestRun:
             assert "num_ues=2" in err and "setups 0-1" in err and "injected failure" in err
             assert "Traceback" not in err
             assert not out.exists()
+
+    def test_non_finite_se_exits_1_naming_its_setups_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # a NaN in the ghat that reaches the CPU, as the stripe's Schur
+        # complement yields at an SINR near 1e16, fails the job before any
+        # output is written
+        honest = stripe.run_stripe
+
+        def nan_for_ue_1(hhat, powers):
+            ghat = honest(hhat, powers)
+            ghat[..., 1, 1] = np.nan
+            return ghat
+
+        monkeypatch.setattr(stripe, "run_stripe", nan_for_ue_1)
+        out = tmp_path / "out"
+        assert run("--config", str(write_mini(tmp_path)), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and err.count("\n") == 1
+        assert err.endswith(", setups 0-1: stripe_nlmmse: UE 1 has a non-finite SE\n")
+        assert not out.exists()
 
     def test_interrupt_exits_130_with_one_line(self, tmp_path, monkeypatch, capsys):
         def interrupted(*args, **kwargs):
@@ -489,15 +506,16 @@ class TestFreshInterpreter:
 def selftest_checks(plant_nan):
     """Every selftest check on the selftest's first block, by name.
 
-    With plant_nan, each check's input holds one NaN: an entry of the third
+    The block is drawn as a run draws it, in the run's shapes: one block of
+    one drop, (1, 1, ...) per-block arrays and (1, ...) statistics. With
+    plant_nan, each check's input holds one NaN: an entry of the third
     AP's combiners, of the ghat forwarded by AP 2, of rtilde for UE 1 at AP
     3, or of the ghat that reaches the CPU, which alone then differs from
     the estimates replayed through the combiners.
     """
     cfg = selftest_config()
-    sc = build_scenario(cfg, rng_stream(0, 0, 0))
-    h_rng = rng_stream(0, 0, 1, 0)
-    hhat, stats = estimate(sc, draw_channels(sc, h_rng), cfg, h_rng)
+    sc, stats = draw_drops(cfg, range(1))
+    _, hhat = draw_blocks(cfg, sc, stats, range(1), range(1))
     combiners, ghats = zip(*stripe.stages(hhat, cfg.ue_powers))
 
     def planted(array, index):
@@ -507,12 +525,13 @@ def selftest_checks(plant_nan):
         return out
 
     checks = [
-        check_combiner_norms([*combiners[:2], planted(combiners[2], (1, 0)), *combiners[3:]]),
-        check_monotone_stage_sinr([ghats[0], planted(ghats[1], (0, 0)), *ghats[2:]],
+        check_combiner_norms(
+            [*combiners[:2], planted(combiners[2], (0, 0, 1, 0)), *combiners[3:]]),
+        check_monotone_stage_sinr([ghats[0], planted(ghats[1], (0, 0, 0, 0)), *ghats[2:]],
                                   cfg.ue_powers),
         check_covariance_decomposition(
-            sc, replace(stats, rtilde=planted(stats.rtilde, (1, 2, 0, 0))), cfg),
-        check_reconstruction(combiners, planted(ghats[-1], (0, 0)), hhat),
+            sc, replace(stats, rtilde=planted(stats.rtilde, (0, 1, 2, 0, 0))), cfg),
+        check_reconstruction(combiners, planted(ghats[-1], (0, 0, 0, 0)), hhat),
     ]
     return {check.name: check for check in checks}
 
@@ -536,14 +555,11 @@ class TestSelftest:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
 
-    def test_fault_injection_breaks_decomposition_check(self, rng):
+    def test_fault_injection_breaks_decomposition_check(self):
         # skipping the error-covariance symmetrization (simulated by a skew
         # perturbation) must trip the decomposition check
         cfg = selftest_config()
-        sc = build_scenario(cfg, rng_stream(0, 0, 0))
-        h_rng = rng_stream(0, 0, 1, 0)
-        h = draw_channels(sc, h_rng)
-        _, stats = estimate(sc, h, cfg, h_rng)
+        sc, stats = draw_drops(cfg, range(1))
         assert check_covariance_decomposition(sc, stats, cfg).passed
 
         skew = np.zeros_like(stats.rtilde)

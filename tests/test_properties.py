@@ -27,12 +27,8 @@ from oracles import (
 )
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
-from stripesim.channel import (
-    draw_channels, estimation_statistics, mmse_estimate, simulate_pilot_phase,
-)
 from stripesim.config import CorrelationModel, SimulationConfig
-from stripesim.runner import ALL_SCHEMES, rng_stream, simulate_setup
-from stripesim.scenario import build_scenario
+from stripesim.runner import ALL_SCHEMES, simulate_setup
 from stripesim.selftest import check_combiner_norms, check_monotone_stage_sinr, replay
 from stripesim.stripe import stages
 
@@ -74,14 +70,9 @@ def valid_configs(draw):
 
 
 def simulate(cfg):
-    """Whitened estimates of BLOCKS blocks of one drop, their stats, and each stage's
-    combiners and ghat."""
-    scenario = build_scenario(cfg, rng_stream(cfg.rng_seed, 0, 0))
-    rngs = [rng_stream(cfg.rng_seed, 0, 1, b) for b in range(BLOCKS)]
-    h = draw_channels(scenario, rngs)
-    z = simulate_pilot_phase(scenario, h, cfg, rngs)
-    stats = estimation_statistics(scenario, cfg)
-    hhat = mmse_estimate(scenario, z, stats)
+    """Whitened estimates (BLOCKS, 1, ...) of setup 0 as a run draws them, their stats
+    (1, ...), and each stage's combiners and ghat."""
+    hhat, stats = drop_block_estimates(cfg, cfg.rng_seed, num_drops=1, num_blocks=BLOCKS)
     combiners, ghats = zip(*stages(hhat, cfg.ue_powers))
     return hhat, stats, combiners, ghats
 
@@ -103,10 +94,12 @@ def test_stage_sinr_never_decreases(cfg):
 
 
 def original_whiteners(stats, cfg):
-    """C_l from D_l = sum_i p_i rtilde_il + sigma^2 I built here, AP by AP."""
-    return np.stack([np.linalg.cholesky(impairment(stats.rtilde[:, l], cfg.ue_powers,
+    """C_l (1, L, N, N) of one drop from D_l = sum_i p_i rtilde_il + sigma^2 I built here,
+    AP by AP."""
+    rtilde = stats.rtilde[0]
+    return np.stack([np.linalg.cholesky(impairment(rtilde[:, l], cfg.ue_powers,
                                                    cfg.noise_power_w))
-                     for l in range(cfg.num_aps)])
+                     for l in range(cfg.num_aps)])[None]
 
 
 @settings(deadline=None)

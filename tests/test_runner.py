@@ -31,8 +31,10 @@ def test_rng_streams_are_pure_and_distinct():
     a = rng_stream(5, 1, 0).standard_normal(4)
     b = rng_stream(5, 1, 0).standard_normal(4)
     c = rng_stream(5, 2, 0).standard_normal(4)
+    d = rng_stream(5, 1, 1, 0).standard_normal(4)    # block 0 of a's setup
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
 
 
 def test_simulate_setup_shapes():
