@@ -1,14 +1,13 @@
 """Reference schemes bracketing the stripe: centralized LMMSE and fused MR.
 
-The centralized scheme stacks all APs' whitened estimates (see channel) into
-one LN-dim receiver. Its error-plus-noise covariance is block diagonal in
-the per-AP D_l, which whitening makes the identity, and it is scored by the
-stripe's SINR function, metrics.sinr_per_ue: a unit-norm combiner v sees
-sum_l v_l^H D_l v_l = ||v||^2 = 1. The MR scheme lets every AP apply its own
-estimate, in its original coordinates, as a matched filter, averages the L
-local soft estimates at the CPU with equal weights, and is scored with the
-use-and-then-forget bound whose expectations are estimated from the shared
-channel realizations.
+The centralized scheme is the stripe on one AP of LN antennas, the whitened
+estimates (see channel) stacked: its one stage, from the zero prior, is LMMSE
+combining on all of them, and the stripe's SINR scores it, since a unit-norm
+combiner v sees sum_l v_l^H D_l v_l = ||v||^2 = 1. The MR scheme lets every
+AP apply its own estimate, in its original coordinates, as a matched filter,
+averages the L local soft estimates at the CPU with equal weights, and is
+scored with the use-and-then-forget bound whose expectations are estimated
+from the shared channel realizations.
 """
 
 from __future__ import annotations
@@ -19,23 +18,15 @@ import numpy as np
 
 from .channel import herm
 from .metrics import sinr_per_ue
+from .stripe import stages
 
 
 def centralized_lmmse_l4(hhat: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Per-UE conditional SINR of the fully centralized receiver, shape (..., K).
-
-    hhat (..., K, L, N) are the whitened channel estimates. The LMMSE
-    combiners (I + H P H^H)^-1 H on the stacked estimates H come from the
-    push-through identity as H M^-1 P^-1, M = P^-1 + H^H H: one K x K
-    product and one K x K solve, never an LN x LN matrix; the P^-1 column
-    scaling drops out with the unit norm.
-    """
+    """Per-UE conditional SINR (..., K) of the stripe's stage on the whitened
+    estimates hhat (..., K, L, N) stacked as one AP of LN antennas."""
     *batch, K, L, N = hhat.shape
-    Hs = hhat.reshape(*batch, K, L * N).swapaxes(-1, -2)     # (..., LN, K) stacked estimates
-    M = herm(Hs) @ Hs + np.diag(1.0 / powers)
-    V = np.linalg.solve(M.swapaxes(-1, -2), Hs.swapaxes(-1, -2)).swapaxes(-1, -2)  # H M^-1
-    V /= np.linalg.norm(V, axis=-2, keepdims=True)
-    return sinr_per_ue(Hs.swapaxes(-1, -2) @ V.conj(), powers)   # [i, k] = v_k^H hhat_i
+    (_, ghat), = stages(hhat.reshape(*batch, K, 1, L * N), powers)
+    return sinr_per_ue(ghat, powers)
 
 
 @dataclass

@@ -100,8 +100,8 @@ class SimulationConfig:
             raise ValueError(
                 f"ue_power_w must be scalar or length {self.num_ues}, got {powers.shape}"
             )
-        if self.rng_seed >= 2 ** 64:
-            raise ValueError("rng_seed must fit in an unsigned 64-bit integer")
+        if self.rng_seed >= 2 ** 32:
+            raise ValueError(f"rng_seed must be below 2**32, one stream key word, got {self.rng_seed}")
 
 
 def _plain(value):

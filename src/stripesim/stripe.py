@@ -23,7 +23,8 @@ At AP l, UE k's combiner solves [A_l b_k; b_k^H c_k] v = [hhat_kl; ghat[k, k]].
 The block A_l = I + sum_i p_i hhat_il hhat_il^H is the same for every UE
 and does not depend on ghat; only the border b_k and the corner c_k do. So
 A_l and A_l^-1 hhat_il, for all L APs, come from one batched solve before
-the first stage (shared_solves). In the loop, every UE's border and
+the first stage (shared_solves), the package's one LMMSE solve: lmmse_l4 is
+the stripe on one AP (see baselines). In the loop, every UE's border and
 A_l^-1 b_k then come from one (2N x K) product with ghat, and the augmented
 coordinate from the Schur complement (combiner_stage).
 
@@ -59,12 +60,18 @@ def shared_solves(hhat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.
     (L, ..., 2N, K) is [p_i hhat_il; p_i A_l^-1 hhat_il]^H over the UEs i as
     columns: pull[l] @ ghat_prev yields every UE's border b_k and A_l^-1 b_k
     in one product. The AP axis leads, so each stage reads contiguous memory.
+    A_l^-1 H_l comes from an N x N solve when N <= K, else from the K x K
+    push-through H_l (P^-1 + H_l^H H_l)^-1 P^-1: in the larger space the
+    system is a low-rank Gram plus I or P^-1, which loses digits.
     """
     cols = np.ascontiguousarray(np.moveaxis(hhat, (-2, -3), (0, -1)))    # (L, ..., N, K)
-    N = cols.shape[-2]
-    pull = np.empty((*cols.shape[:-2], 2 * N, cols.shape[-1]), dtype=complex)
+    N, K = cols.shape[-2:]
+    pull = np.empty((*cols.shape[:-2], 2 * N, K), dtype=complex)
     np.multiply(cols.conj(), powers, out=pull[..., :N, :])
-    a_h = np.linalg.solve(cols @ pull[..., :N, :].swapaxes(-1, -2) + np.eye(N), cols)
+    if N <= K:
+        a_h = np.linalg.solve(cols @ pull[..., :N, :].swapaxes(-1, -2) + np.eye(N), cols)
+    else:
+        a_h = cols @ np.linalg.inv(herm(cols) @ cols + np.diag(1.0 / powers)) / powers
     np.multiply(a_h.conj(), powers, out=pull[..., N:, :])
     return a_h, pull
 
@@ -79,15 +86,17 @@ def combiner_stage(
     [A b_k; b_k^H c_k] v = [hhat_k; ghat_prev[k, k]], its own augmented
     estimate, with the border b_k = sum_i conj(ghat_prev[i, k]) p_i hhat_i and
     the corner c_k = sum_i p_i |ghat_prev[i, k]|^2 + 1. b_k is linear in the
-    hhat_i, so A^-1 b_k follows from A^-1 hhat_i, and the augmented
-    coordinate from the Schur complement c_k - b_k^H A^-1 b_k.
+    hhat_i, so A^-1 b_k follows from A^-1 hhat_i. v times the Schur
+    complement s_k = c_k - b_k^H A^-1 b_k is [s_k A^-1 hhat_k - n_k A^-1 b_k;
+    n_k], n_k = ghat_prev[k, k] - b_k^H A^-1 hhat_k: the same unit vector, with
+    no division, so it stays finite where s_k cancels to 0.
     """
     N = a_h.shape[-2]
     proj = pull @ ghat_prev                                 # columns conj(b_k), conj(A^-1 b_k)
     border, a_b = proj[..., :N, :], proj[..., N:, :].conj()
     schur = powers @ np.abs(ghat_prev) ** 2 + 1.0 - (border * a_b).sum(axis=-2).real
-    last = (np.diagonal(ghat_prev, axis1=-2, axis2=-1) - (border * a_h).sum(axis=-2)) / schur
-    v = np.concatenate([a_h - a_b * last[..., None, :], last[..., None, :]], axis=-2)
+    n = (np.diagonal(ghat_prev, axis1=-2, axis2=-1) - (border * a_h).sum(axis=-2))[..., None, :]
+    v = np.concatenate([a_h * schur[..., None, :] - a_b * n, n], axis=-2)
     v /= np.linalg.norm(v, axis=-2, keepdims=True)
     return v.swapaxes(-1, -2)
 

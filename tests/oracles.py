@@ -10,7 +10,7 @@ despread pilot signal of every pilot;
 per_block_setup is the one-drop, one-block-at-a-time reference for the
 grouped and chunked runner. dense_lmmse_l4 is the centralized receiver
 built as one LN x LN matrix in the original coordinates, the second route
-for the package's push-through form on whitened estimates. psi_stages is
+for lmmse_l4, the stripe's stage on one AP of whitened estimates. psi_stages is
 the K x K error-variance recursion that the protocol forwards; run on
 original_chain, the stripe's combiners mapped back to the original
 coordinates, it is the reference for the unit error-plus-noise power the

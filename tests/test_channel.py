@@ -214,17 +214,9 @@ class TestClosedFormAndCopilots:
         # sigma^2 = 1e-16 W: Q = sigma^2 I + a R_1 has a condition number of
         # about 1e16. A solve with Q left no correct digit in F^H Q^-1 F, so
         # the error covariances came out wrong, or Cholesky refused G.
-        K, L, N = 2, 2, 16
         angles = np.array([[0.89, 0.02], [0.95, -0.84]])
-        R = local_scattering_covariance(0.1, angles, 0.3, N)
-        steer = np.exp(1j * np.pi * np.arange(N) * np.sin(angles[1])[:, None]) / np.sqrt(N)
-        R[1] = 0.1 * steer[:, :, None] * steer[:, None, :].conj()
-        sc = Scenario(cov_factors=psd_factor(R), pilot_index=np.zeros(K, dtype=np.int64))
-        cfg = replace(SimulationConfig(), num_aps=L, antennas_per_ap=N, num_ues=K, pilot_length=1,
-                      coherence_block=10, ue_power_w=10.0, noise_power_w=1e-16)
-        rngs = [np.random.default_rng(b) for b in range(4)]
-        h = draw_channels(sc, rngs)
-        hhat, stats = estimate(sc, h, cfg, rngs)
+        sc, cfg, h, hhat, stats = rank_one_copilot_drop(
+            angles, 0.3, [np.random.default_rng(b) for b in range(4)])
         check = check_covariance_decomposition(sc, stats, cfg)
         assert check.passed, check.detail
         powers = cfg.ue_powers
@@ -234,6 +226,37 @@ class TestClosedFormAndCopilots:
                      centralized_lmmse_l4(hhat, powers), mr.sinr(powers, cfg.noise_power_w)[None]):
             se = metrics.spectral_efficiency(sinr, cfg.coherence_block, cfg.pilot_length)
             assert np.all(np.isfinite(se)) and np.all(se > 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed, angular_std_dev", [(7, 0.01), (23, 0.01), (13, 0.1)])
+    def test_rank_one_copilot_with_a_cancelling_schur_complement(self, seed, angular_std_dev):
+        # At an SINR near 1e16 a stage's Schur complement c_k - b_k^H A^-1 b_k
+        # cancels to exactly 0 in these drops; the combiners must stay finite.
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-1, 1, (2, 2))
+        _, cfg, _, hhat, _ = rank_one_copilot_drop(angles, angular_std_dev, [rng, rng])
+        powers = cfg.ue_powers
+        for sinr in (metrics.sinr_per_ue(run_stripe(hhat, powers), powers),
+                     centralized_lmmse_l4(hhat, powers)):
+            se = metrics.spectral_efficiency(sinr, cfg.coherence_block, cfg.pilot_length)
+            assert np.all(np.isfinite(se)) and np.all(se > 0)
+
+
+def rank_one_copilot_drop(angles, angular_std_dev, rngs):
+    """K = 2 on one pilot, L = 2, N = 16, p = 10 W, sigma^2 = 1e-16 W: UE 0
+    local scattering with beta = 0.1, UE 1 its rank-one co-pilot along the
+    steering vector at its own angles (angles[1]). Returns the scenario, the
+    config, and the channels, estimates and statistics of one block per rng."""
+    K, L, N = 2, 2, 16
+    R = local_scattering_covariance(0.1, angles, angular_std_dev, N)
+    steer = np.exp(1j * np.pi * np.arange(N) * np.sin(angles[1])[:, None]) / np.sqrt(N)
+    R[1] = 0.1 * steer[:, :, None] * steer[:, None, :].conj()
+    sc = Scenario(cov_factors=psd_factor(R), pilot_index=np.zeros(K, dtype=np.int64))
+    cfg = replace(SimulationConfig(), num_aps=L, antennas_per_ap=N, num_ues=K, pilot_length=1,
+                  coherence_block=10, ue_power_w=10.0, noise_power_w=1e-16)
+    h = draw_channels(sc, rngs)
+    hhat, stats = estimate(sc, h, cfg, rngs)
+    return sc, cfg, h, hhat, stats
 
 
 class TestStackedDrops:

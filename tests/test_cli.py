@@ -200,8 +200,7 @@ class TestRun:
 
     def test_non_finite_se_exits_1_naming_its_setups_and_writes_nothing(
             self, tmp_path, monkeypatch, capsys):
-        # a NaN in the ghat that reaches the CPU, as the stripe's Schur
-        # complement yields at an SINR near 1e16, fails the job before any
+        # a NaN in the ghat that reaches the CPU fails the job before any
         # output is written
         honest = stripe.run_stripe
 
