@@ -25,7 +25,7 @@ and does not depend on ghat; only the border b_k and the corner c_k do. So
 A_l and A_l^-1 hhat_il, for all L APs, come from one batched solve before
 the first stage (shared_solves), the package's one LMMSE solve: lmmse_l4 is
 the stripe on one AP (see baselines). In the loop, every UE's border and
-A_l^-1 b_k then come from one (2N x K) product with ghat, and the augmented
+A_l^-1 b_k then come from two (N x K) products with ghat, and the augmented
 coordinate from the Schur complement (combiner_stage).
 
 One generator, stages, steps the APs and yields each stage's combiners and
@@ -56,44 +56,41 @@ def shared_solves(hhat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.
 
     hhat (..., K, L, N) are the whitened estimates. Per AP, A_l = I + sum_i
     p_i hhat_il hhat_il^H is common to all served UEs, and one batched solve
-    for all L APs gives a_h (L, ..., N, K), column k A_l^-1 hhat_kl. pull
-    (L, ..., 2N, K) is [p_i hhat_il; p_i A_l^-1 hhat_il]^H over the UEs i as
-    columns: pull[l] @ ghat_prev yields every UE's border b_k and A_l^-1 b_k
-    in one product. The AP axis leads, so each stage reads contiguous memory.
+    for all L APs gives a_h (L, ..., N, K), column k A_l^-1 hhat_kl. w (L,
+    ..., N, K) has columns p_i conj(hhat_il): w[l] @ ghat_prev yields every
+    UE's conj(b_k). The AP axis leads, so each stage reads contiguous memory.
     A_l^-1 H_l comes from an N x N solve when N <= K, else from the K x K
     push-through H_l (P^-1 + H_l^H H_l)^-1 P^-1: in the larger space the
     system is a low-rank Gram plus I or P^-1, which loses digits.
     """
     cols = np.ascontiguousarray(np.moveaxis(hhat, (-2, -3), (0, -1)))    # (L, ..., N, K)
     N, K = cols.shape[-2:]
-    pull = np.empty((*cols.shape[:-2], 2 * N, K), dtype=complex)
-    np.multiply(cols.conj(), powers, out=pull[..., :N, :])
+    w = cols.conj() * powers
     if N <= K:
-        a_h = np.linalg.solve(cols @ pull[..., :N, :].swapaxes(-1, -2) + np.eye(N), cols)
+        a_h = np.linalg.solve(cols @ w.swapaxes(-1, -2) + np.eye(N), cols)
     else:
         a_h = cols @ np.linalg.inv(herm(cols) @ cols + np.diag(1.0 / powers)) / powers
-    np.multiply(a_h.conj(), powers, out=pull[..., N:, :])
-    return a_h, pull
+    return a_h, w
 
 
 def combiner_stage(
-    a_h: np.ndarray, pull: np.ndarray, ghat_prev: np.ndarray, powers: np.ndarray,
+    a_h: np.ndarray, w: np.ndarray, ghat_prev: np.ndarray, powers: np.ndarray,
 ) -> np.ndarray:
     """Unit-norm LMMSE combiners of one AP on the augmented signal, shape (..., K, N+1).
 
-    a_h (..., N, K) and pull (..., 2N, K) are the AP's share of shared_solves,
-    ghat_prev (..., K, K) the side information. UE k solves
+    a_h and w (..., N, K) are the AP's share of shared_solves, ghat_prev
+    (..., K, K) the side information. UE k solves
     [A b_k; b_k^H c_k] v = [hhat_k; ghat_prev[k, k]], its own augmented
     estimate, with the border b_k = sum_i conj(ghat_prev[i, k]) p_i hhat_i and
     the corner c_k = sum_i p_i |ghat_prev[i, k]|^2 + 1. b_k is linear in the
-    hhat_i, so A^-1 b_k follows from A^-1 hhat_i. v times the Schur
-    complement s_k = c_k - b_k^H A^-1 b_k is [s_k A^-1 hhat_k - n_k A^-1 b_k;
-    n_k], n_k = ghat_prev[k, k] - b_k^H A^-1 hhat_k: the same unit vector, with
-    no division, so it stays finite where s_k cancels to 0.
+    hhat_i, so A^-1 b_k follows from A^-1 hhat_i: both are (N x K) products
+    with ghat_prev. v times the Schur complement s_k = c_k - b_k^H A^-1 b_k
+    is [s_k A^-1 hhat_k - n_k A^-1 b_k; n_k], n_k = ghat_prev[k, k] -
+    b_k^H A^-1 hhat_k: the same unit vector, with no division, so it stays
+    finite where s_k cancels to 0.
     """
-    N = a_h.shape[-2]
-    proj = pull @ ghat_prev                                 # columns conj(b_k), conj(A^-1 b_k)
-    border, a_b = proj[..., :N, :], proj[..., N:, :].conj()
+    border = w @ ghat_prev                                  # columns conj(b_k)
+    a_b = ((a_h.conj() * powers) @ ghat_prev).conj()        # columns A^-1 b_k
     schur = powers @ np.abs(ghat_prev) ** 2 + 1.0 - (border * a_b).sum(axis=-2).real
     n = (np.diagonal(ghat_prev, axis1=-2, axis2=-1) - (border * a_h).sum(axis=-2))[..., None, :]
     v = np.concatenate([a_h * schur[..., None, :] - a_b * n, n], axis=-2)
@@ -114,11 +111,11 @@ def stages(hhat: np.ndarray, powers: np.ndarray) -> Iterator[tuple[np.ndarray, n
     (..., K, N+1) combiners and the ghat it forwards.
     """
     *batch, K, L, _ = hhat.shape
-    a_h, pull = shared_solves(hhat, powers)
+    a_h, w = shared_solves(hhat, powers)
     ghat = np.zeros((*batch, K, K), dtype=complex)     # the zero prior
     for l in range(L):
         hhat_l = hhat[..., l, :]
-        V = combiner_stage(a_h[l], pull[l], ghat, powers)
+        V = combiner_stage(a_h[l], w[l], ghat, powers)
         ghat = stage_update(V, hhat_l, ghat)
         yield V, ghat
 

@@ -18,7 +18,10 @@ whitened stripe assumes. estimate is the pilot phase plus MMSE estimation
 that most tests run on one scenario, returning the (whitened) estimates
 with the estimation statistics; drop_block_estimates draws a
 real-geometry (blocks, drops, ...) batch as a run draws it, and unwhitened
-maps estimates back to the original coordinates. channel_covariances is how
+maps estimates back to the original coordinates. FEWER_ANTENNAS_THAN_UES is
+the extreme-SNR L N < K drop two test modules run. mr_uatf_sinr is MR's
+use-and-then-forget bound in closed form, the reference for
+MrFusionAccumulator's Monte Carlo estimate. channel_covariances is how
 the tests read a drop's covariances R = F F^H.
 """
 
@@ -33,7 +36,7 @@ from stripesim import baselines, metrics, stripe
 from stripesim.channel import (
     draw_channels, estimation_statistics, herm, mmse_estimate, simulate_pilot_phase,
 )
-from stripesim.config import SimulationConfig
+from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import ALL_SCHEMES, draw_blocks, draw_drops, rng_stream
 from stripesim.scenario import Scenario, assign_pilots, build_scenario, psd_factor
 from stripesim.selftest import replay
@@ -152,6 +155,15 @@ def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):
     return hhat, stats
 
 
+# L N = 2 < K = 8 at a per-link SNR near 1e11 (run at seed 591): the K x K
+# push-through lost 6 digits on it, and both shared_solves branches take N x N
+FEWER_ANTENNAS_THAN_UES = replace(
+    SimulationConfig(), num_aps=2, antennas_per_ap=1, num_ues=8, pilot_length=15,
+    ue_power_w=5.753255846119793, noise_power_w=8.162369860498651e-16,
+    ap_ue_height_gap_m=0.0019027401306957283, stripe_length_m=17.24853518240581,
+    correlation_model=CorrelationModel.UNCORRELATED)
+
+
 def unwhitened(x, whitener):
     """C_l x_kl: per-AP vectors x (..., K, L, N) in the original coordinates."""
     return (whitener[..., None, :, :, :] @ x[..., None])[..., 0]
@@ -263,6 +275,34 @@ def pilot_covariances(scenario, config):
     psi = weight @ channel_covariances(scenario).reshape(*drops, K, L * N * N)
     return (psi.reshape(*drops, tau_p, L, N, N).swapaxes(-4, -3)
             + config.noise_power_w * np.eye(N))
+
+
+def mr_uatf_sinr(scenario, config):
+    """The use-and-then-forget SINR (..., K) of equal-weight MR fusion, in closed form.
+
+    With R = F F^H, UE k's own pilot covariance Psi_kl (pilot_covariances),
+    a_i = tau_p p_i and rhat_kl = a_k R_kl Psi_kl^-1 R_kl, the expectations
+    MrFusionAccumulator estimates from a drop's blocks are traces, and the
+    1/L fusion weights cancel (Bjornson and Sanguinetti, IEEE TWC 2020):
+    SINR_k = p_k (sum_l tr rhat_kl)^2 / (sum_i p_i sum_l tr(R_il rhat_kl)
+    + sum_{i != k, t_i = t_k} p_i a_k a_i |sum_l tr(R_kl Psi_kl^-1 R_il)|^2
+    + sigma^2 sum_l tr rhat_kl). Reads no estimation_statistics.
+    """
+    powers, sigma2 = config.ue_powers, config.noise_power_w
+    a = config.pilot_length * powers
+    R = channel_covariances(scenario)                                  # (..., K, L, N, N)
+    gather = scenario.pilot_index[..., None, :, None, None]
+    psi = np.take_along_axis(pilot_covariances(scenario, config), gather, axis=-3)
+    psi_inv_r = np.linalg.solve(psi.swapaxes(-4, -3), R)              # Psi_kl^-1 R_kl
+    rhat = a[:, None, None, None] * (R @ psi_inv_r)
+    gain = np.einsum("...klnn->...k", rhat).real
+    spread = np.einsum("...ilmn,...klnm->...ik", R, rhat).real       # sum_l tr(R_il rhat_kl)
+    coherent = np.abs(np.einsum("...ilmn,...klnm->...ik", R, psi_inv_r)) ** 2
+    pilots = scenario.pilot_index
+    copilot = (pilots[..., :, None] == pilots[..., None, :]) & ~np.eye(len(powers), dtype=bool)
+    coherent = np.where(copilot, coherent, 0.0) * (a[:, None] * a)
+    den = powers @ spread + powers @ coherent + sigma2 * gain
+    return powers * gain ** 2 / den
 
 
 def per_pilot_statistics(scenario, config):

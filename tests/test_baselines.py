@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import (
-    channel_covariances, complex_gaussian, dense_lmmse_l4, drop_block_estimates, estimate,
-    synthetic_config, synthetic_scenario, unwhitened,
+    FEWER_ANTENNAS_THAN_UES, channel_covariances, complex_gaussian, dense_lmmse_l4,
+    drop_block_estimates, estimate, mr_uatf_sinr, synthetic_config, synthetic_scenario,
+    unwhitened,
 )
 from stripesim import metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
 from stripesim.channel import draw_channels
 from stripesim.config import CorrelationModel, SimulationConfig
-from stripesim.runner import rng_stream
+from stripesim.runner import draw_blocks, draw_drops, rng_stream
 from stripesim.scenario import build_scenario
 from stripesim.stripe import run_stripe
 
@@ -104,14 +105,10 @@ class TestAgainstDenseReceiver:
         self.assert_matches_dense_per_block(cfg, 6)
 
     def test_fewer_antennas_than_ues_at_extreme_snr(self):
-        # L N = 2 < K = 8 at a per-link SNR near 1e11: a K x K solve with
-        # P^-1 + H^H H lost 6 digits here (3.1e-7); the LN x LN one keeps them
-        cfg = replace(SimulationConfig(), num_aps=2, antennas_per_ap=1, num_ues=8, pilot_length=15,
-                      ue_power_w=5.753255846119793, noise_power_w=8.162369860498651e-16,
-                      ap_ue_height_gap_m=0.0019027401306957283,
-                      stripe_length_m=17.24853518240581,
-                      correlation_model=CorrelationModel.UNCORRELATED)
-        self.assert_matches_dense_per_block(cfg, 591, num_drops=1, num_blocks=1, rtol=1e-12)
+        # a K x K solve with P^-1 + H^H H lost 6 digits here (3.1e-7); the
+        # LN x LN one keeps them
+        self.assert_matches_dense_per_block(FEWER_ANTENNAS_THAN_UES, 591, num_drops=1,
+                                            num_blocks=1, rtol=1e-12)
 
     def test_rank_deficient_covariances(self):
         cfg = replace(SimulationConfig(), num_aps=4, antennas_per_ap=4, num_ues=6,
@@ -167,6 +164,28 @@ class TestMrFusion:
         np.testing.assert_allclose(batch.sinr(cfg.ue_powers, cfg.noise_power_w),
                                    acc.sinr(cfg.ue_powers, cfg.noise_power_w),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("tau_p", [3, 2])
+    def test_converges_to_the_closed_form_uatf_bound(self, tau_p):
+        # one drop, L = 4, N = 2, K = 3, seed 0, drawn as a run draws it: at
+        # tau_p = 3 every UE is alone on its pilot; at tau_p = 2 UEs 0 and 1
+        # share one, and leaving out their coherent interference moves UE 1's
+        # SE by 10 %. Over 40 seeds at 10,000 blocks, the per-UE SE error
+        # against the closed form was at most 2.5 % (median 0.8 %) on either
+        # pilot length, so rel 5 % is twice the worst.
+        cfg = replace(SimulationConfig(), num_aps=4, antennas_per_ap=2, num_ues=3,
+                      pilot_length=tau_p, rng_seed=0)
+        drops, blocks, chunk = range(1), 10_000, 2_000
+        scenario, stats = draw_drops(cfg, drops)
+        assert len(np.unique(scenario.pilot_index)) == tau_p
+        acc = MrFusionAccumulator()
+        for start in range(0, blocks, chunk):
+            h, hhat = draw_blocks(cfg, scenario, stats, drops, range(start, start + chunk))
+            acc.update(hhat, h, stats.whitener)
+        powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+        got, expect = (metrics.spectral_efficiency(sinr, cfg.coherence_block, tau_p)
+                       for sinr in (acc.sinr(powers, sigma2), mr_uatf_sinr(scenario, cfg)))
+        np.testing.assert_allclose(got, expect, rtol=0.05, atol=0)
 
     def test_empty_accumulator_rejected(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,13 @@ import pytest
 from dataclasses import replace
 
 from oracles import (
-    angle_between, brute_force_combiner, build_augmented_moments, complex_gaussian,
-    drop_block_estimates, estimate, first_ap_lmmse, impairment, original_chain, psi_stages,
-    random_psd, replayed_chain, synthetic_config, synthetic_scenario, unit_impairment_scale,
-    unwhitened, whitened,
+    FEWER_ANTENNAS_THAN_UES, angle_between, brute_force_combiner, build_augmented_moments,
+    complex_gaussian, drop_block_estimates, estimate, first_ap_lmmse, impairment, original_chain,
+    psi_stages, random_psd, replayed_chain, synthetic_config, synthetic_scenario,
+    unit_impairment_scale, unwhitened, whitened,
 )
 from stripesim import metrics
-from stripesim.channel import complex_normal, draw_channels
+from stripesim.channel import complex_normal, draw_channels, herm
 from stripesim.config import SimulationConfig
 from stripesim.scenario import psd_factor
 from stripesim.selftest import check_combiner_norms, check_monotone_stage_sinr, replay
@@ -31,8 +31,8 @@ def original_stage(hhat, rtilde, ghat_prev, iota_prev, powers, sigma2):
     """
     C = np.linalg.cholesky(impairment(rtilde, powers, sigma2))
     scale = np.sqrt(iota_prev)
-    a_h, pull = shared_solves(np.linalg.solve(C, hhat.T).T[:, None, :], powers)
-    W = combiner_stage(a_h[0], pull[0], ghat_prev / scale, powers)
+    a_h, w = shared_solves(np.linalg.solve(C, hhat.T).T[:, None, :], powers)
+    W = combiner_stage(a_h[0], w[0], ghat_prev / scale, powers)
     V = np.concatenate([np.linalg.solve(C.conj().T, W[:, :-1].T).T, (W[:, -1] / scale)[:, None]],
                        axis=1)
     return V / np.linalg.norm(V, axis=1, keepdims=True)
@@ -404,3 +404,33 @@ class TestStages:
         assert len(calls) == 2
         for l, hhat_l in enumerate(calls):
             assert np.array_equal(hhat_l, hhat[..., l, :])
+
+
+class TestZeroPrior:
+    """From ghat = 0 the stage adds nothing to shared_solves' A^-1 hhat: AP 1 of the
+    stripe and the one AP of lmmse_l4, bit for bit, on both solve branches."""
+
+    CONFIGS = {
+        # stripe N = 4 <= K: N x N solve; L4 LN = 96 > K: K x K push-through
+        "default": (SimulationConfig(), 5),
+        # K = 2 < N = 4: the push-through for both
+        "fewer_ues_than_antennas": (replace(SimulationConfig(), num_aps=3, num_ues=2,
+                                            pilot_length=2), 6),
+        # L N = 2 < K = 8: N x N for both
+        "fewer_antennas_than_ues": (FEWER_ANTENNAS_THAN_UES, 591),
+    }
+
+    @pytest.mark.parametrize("one_ap", [False, True], ids=["stripe_ap1", "lmmse_l4"])
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_first_stage_is_the_normalised_shared_solve(self, name, one_ap):
+        cfg, seed = self.CONFIGS[name]
+        hhat, _ = drop_block_estimates(cfg, seed, num_drops=2, num_blocks=2)
+        if one_ap:
+            *batch, K, L, N = hhat.shape
+            hhat = hhat.reshape(*batch, K, 1, L * N)
+        a_h, _ = shared_solves(hhat, cfg.ue_powers)
+        V, ghat = next(stages(hhat, cfg.ue_powers))
+        expect = np.concatenate([a_h[0], np.zeros_like(a_h[0, ..., :1, :])], axis=-2)
+        expect = (expect / np.linalg.norm(a_h[0], axis=-2, keepdims=True)).swapaxes(-1, -2)
+        assert np.array_equal(V, expect)
+        assert np.array_equal(ghat, hhat[..., 0, :] @ herm(expect[..., :-1]))
