@@ -2,10 +2,8 @@
 
 Each AP forms a normalized LMMSE combiner on its augmented signal: its local
 channel estimates plus the soft estimate received from the previous AP,
-whose effective-channel estimates arrive as side information. It then
-forwards updated soft estimates and side information. AP 1 starts from a
-zero prior (ghat = 0), on which the same rule is plain local LMMSE combining
-with a zero augmented coordinate.
+whose effective-channel estimates arrive as side information, and forwards
+updated soft estimates and side information. AP 1 starts from ghat = 0.
 
 The pass runs in whitened coordinates: each AP's estimates arrive as
 C_l^-1 hhat_kl, with D_l = sum_i p_i rtilde_il + sigma^2 I = C_l C_l^H its
@@ -24,9 +22,10 @@ The block A_l = I + sum_i p_i hhat_il hhat_il^H is the same for every UE
 and does not depend on ghat; only the border b_k and the corner c_k do. So
 A_l and A_l^-1 hhat_il, for all L APs, come from one batched solve before
 the first stage (shared_solves), the package's one LMMSE solve: lmmse_l4 is
-the stripe on one AP (see baselines). In the loop, every UE's border and
-A_l^-1 b_k then come from two (N x K) products with ghat, and the augmented
-coordinate from the Schur complement (combiner_stage).
+the stripe on one AP (see baselines). From ghat = 0, b_k = 0 and c_k = 1,
+so AP 1's combiners are [A_1^-1 hhat_k1; 0] normalised. At AP 2..L, two
+(N x K) products with ghat give the borders and A_l^-1 b_k, and the Schur
+complement the augmented coordinate (combiner_stage).
 
 One generator, stages, steps the APs and yields each stage's combiners and
 forwarded ghat, so a consumer may stop after any AP. run_stripe is the
@@ -43,7 +42,6 @@ axes (B, D, ...).
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 
 import numpy as np
@@ -98,8 +96,8 @@ def combiner_stage(
     return v.swapaxes(-1, -2)
 
 
-def stage_update(combiners: np.ndarray, hhat_l: np.ndarray, ghat_prev: np.ndarray) -> np.ndarray:
-    """The ghat (..., K, K) one stage's (..., K, N+1) combiners forward."""
+def stage_update(combiners: np.ndarray, hhat_l: np.ndarray, ghat_prev) -> np.ndarray:
+    """The ghat (..., K, K) one stage's (..., K, N+1) combiners forward; ghat_prev may be 0."""
     va, vb = combiners[..., :-1], combiners[..., -1]
     return hhat_l @ herm(va) + vb.conj()[..., None, :] * ghat_prev
 
@@ -110,17 +108,18 @@ def stages(hhat: np.ndarray, powers: np.ndarray) -> Iterator[tuple[np.ndarray, n
     hhat (..., K, L, N) are the whitened channel estimates. Yields each AP's
     (..., K, N+1) combiners and the ghat it forwards.
     """
-    *batch, K, L, _ = hhat.shape
     a_h, w = shared_solves(hhat, powers)
-    ghat = np.zeros((*batch, K, K), dtype=complex)     # the zero prior
-    for l in range(L):
-        hhat_l = hhat[..., l, :]
-        V = combiner_stage(a_h[l], w[l], ghat, powers)
-        ghat = stage_update(V, hhat_l, ghat)
+    first = a_h[0] / np.linalg.norm(a_h[0], axis=-2, keepdims=True)
+    V = np.concatenate([first, np.zeros_like(first[..., :1, :])], axis=-2).swapaxes(-1, -2)
+    ghat = 0.0                                          # the zero prior
+    for l in range(len(a_h)):
+        V = combiner_stage(a_h[l], w[l], ghat, powers) if l else V    # AP 1: above
+        ghat = stage_update(V, hhat[..., l, :], ghat)
         yield V, ghat
 
 
 def run_stripe(hhat: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """What reaches the CPU: the ghat AP L forwards."""
-    (_, final), = deque(stages(hhat, powers), maxlen=1)
-    return final
+    for _, ghat in stages(hhat, powers):
+        pass
+    return ghat

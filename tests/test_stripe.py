@@ -11,7 +11,7 @@ from oracles import (
     psi_stages, random_psd, replayed_chain, synthetic_config, synthetic_scenario,
     unit_impairment_scale, unwhitened, whitened,
 )
-from stripesim import metrics
+from stripesim import baselines, metrics
 from stripesim.channel import complex_normal, draw_channels, herm
 from stripesim.config import SimulationConfig
 from stripesim.scenario import psd_factor
@@ -404,6 +404,27 @@ class TestStages:
         assert len(calls) == 2
         for l, hhat_l in enumerate(calls):
             assert np.array_equal(hhat_l, hhat[..., l, :])
+
+    @pytest.mark.parametrize("cfg", [
+        SimulationConfig(),   # N = 4 <= K = 10: the N x N solve
+        replace(SimulationConfig(), num_aps=3, num_ues=2, pilot_length=2),   # K = 2 < N = 4
+    ], ids=["default", "fewer_ues_than_antennas"])
+    def test_only_aps_with_side_information_run_the_stage(self, cfg, monkeypatch):
+        # AP 1 and lmmse_l4's one AP start from ghat = 0: their combiners are
+        # shared_solves' A^-1 hhat normalised, with no side-information stage
+        hhat, _ = drop_block_estimates(cfg, 14, num_drops=2, num_blocks=2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return combiner_stage(*args)
+
+        monkeypatch.setattr(stripe, "combiner_stage", counted)
+        run_stripe(hhat, cfg.ue_powers)
+        assert len(calls) == cfg.num_aps - 1
+        calls.clear()
+        baselines.centralized_lmmse_l4(hhat, cfg.ue_powers)
+        assert calls == []
 
 
 class TestZeroPrior:
