@@ -2,7 +2,8 @@
 
 The centralized scheme is the stripe on one AP of LN antennas, the whitened
 estimates (see channel) stacked: its one stage, from the zero prior, is LMMSE
-combining on all of them, and the stripe's SINR scores it, since a unit-norm
+combining on all of them. It forwards its ghat as the stripe's AP L does, and
+the runner scores both alike (metrics.sinr_per_ue), since a unit-norm
 combiner v sees sum_l v_l^H D_l v_l = ||v||^2 = 1. The MR scheme lets every
 AP apply its own estimate, in its original coordinates, as a matched filter,
 averages the L local soft estimates at the CPU with equal weights, and is
@@ -17,16 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import herm
-from .metrics import sinr_per_ue
 from .stripe import stages
 
 
 def centralized_lmmse_l4(hhat: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Per-UE conditional SINR (..., K) of the stripe's stage on the whitened
+    """The ghat (..., K, K) the stripe's stage forwards on the whitened
     estimates hhat (..., K, L, N) stacked as one AP of LN antennas."""
     *batch, K, L, N = hhat.shape
     (_, ghat), = stages(hhat.reshape(*batch, K, 1, L * N), powers)
-    return sinr_per_ue(ghat, powers)
+    return ghat
 
 
 @dataclass

@@ -55,15 +55,12 @@ from .scenario import Rngs, Scenario, per_stream
 _QR_ELEMENTS = 1 << 18   # entries of a QR's complete Q held at once, sizing the AP slices
 
 
-def complex_normal(rng: np.random.Generator, shape, std=1.0) -> np.ndarray:
-    """Circularly symmetric complex Gaussian samples with per-entry variance std^2."""
+def complex_normal(rngs: Rngs, shape, std=1.0) -> np.ndarray:
+    """Circularly symmetric complex Gaussian samples with per-entry variance std^2,
+    from one generator, or stacked over a (nested) sequence of them."""
     scale = std / np.sqrt(2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def _block_normal(rngs: Rngs, shape, std: float = 1.0) -> np.ndarray:
-    """complex_normal from one generator, stacked over a (nested) sequence of them."""
-    return per_stream(rngs, lambda rng: complex_normal(rng, shape, std))
+    return per_stream(
+        rngs, lambda rng: scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
 
 
 def herm(a: np.ndarray) -> np.ndarray:
@@ -85,7 +82,7 @@ def _per_matrix(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def draw_channels(scenario: Scenario, rngs: Rngs) -> np.ndarray:
     """Correlated Rayleigh realizations h_kl, shape (..., K, L, N)."""
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
-    return _per_matrix(scenario.cov_factors, _block_normal(rngs, (K, L, N)))
+    return _per_matrix(scenario.cov_factors, complex_normal(rngs, (K, L, N)))
 
 
 def simulate_pilot_phase(
@@ -107,7 +104,7 @@ def simulate_pilot_phase(
     batch = channels.shape[:-3]
     z = amp @ channels.reshape(*batch, K, L * N)                    # (..., tau_p, L*N)
     z = z.reshape(*batch, tau_p, L, N).swapaxes(-3, -2)
-    return z + _block_normal(rngs, (L, tau_p, N), std=np.sqrt(config.noise_power_w))
+    return z + complex_normal(rngs, (L, tau_p, N), std=np.sqrt(config.noise_power_w))
 
 
 @dataclass
@@ -210,8 +207,9 @@ def mmse_estimate(
     scenario: Scenario, despread: np.ndarray, stats: EstimationStatistics,
 ) -> np.ndarray:
     """Whitened MMSE channel estimates C_l^-1 hhat_kl, (..., K, L, N), from the despread signal."""
-    # (..., K, L, N): despread vector on each UE's own pilot
-    pilots = scenario.pilot_index[..., None, :, None]
-    pilots = np.broadcast_to(pilots, (*despread.shape[:-3], *pilots.shape[-3:]))
-    z_own = np.take_along_axis(despread, pilots, axis=-2).swapaxes(-3, -2)
-    return _per_matrix(stats.filters, z_own)
+    batch, K = despread.shape[:-3], scenario.num_ues
+    # despread vector on each UE's own pilot, the leading axes flattened: (-1, K, L, N)
+    pilots = np.broadcast_to(scenario.pilot_index, (*batch, K)).reshape(-1, K)
+    z = despread.reshape(-1, *despread.shape[-3:])
+    z_own = z[np.arange(len(z))[:, None], :, pilots]
+    return _per_matrix(stats.filters, z_own.reshape(*batch, *z_own.shape[1:]))

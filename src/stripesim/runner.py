@@ -101,26 +101,25 @@ def simulate_setup(
 ) -> dict[str, np.ndarray]:
     """Run consecutive drops end to end in one batched call chain.
 
+    The stripe and lmmse_l4 forward a ghat per block, scored here alike (metrics.sinr_per_ue).
     Returns scheme -> SE (D, K) for the D drops of setups, or raises ValueError on a NaN or inf.
     """
     scenario, stats = draw_drops(config, setups)
     powers = config.ue_powers
     n_blocks = config.num_channel_realizations
 
+    forward = {SCHEME_STRIPE: stripe.run_stripe, SCHEME_L4: baselines.centralized_lmmse_l4}
     # per-block SINR samples of the instantaneous schemes, (blocks, drops, K)
     samples = {scheme: np.empty((n_blocks, len(setups), config.num_ues))
-               for scheme in schemes if scheme != SCHEME_MR}
+               for scheme in schemes if scheme in forward}
     mr_acc = baselines.MrFusionAccumulator()
 
     chunk = blocks_per_chunk(config)
     for start in range(0, n_blocks, chunk):
         blocks = range(start, min(start + chunk, n_blocks))
         h, hhat = draw_blocks(config, scenario, stats, setups, blocks)
-        if SCHEME_STRIPE in samples:
-            samples[SCHEME_STRIPE][start:blocks.stop] = metrics.sinr_per_ue(
-                stripe.run_stripe(hhat, powers), powers)
-        if SCHEME_L4 in samples:
-            samples[SCHEME_L4][start:blocks.stop] = baselines.centralized_lmmse_l4(hhat, powers)
+        for scheme, sinr in samples.items():
+            sinr[start:blocks.stop] = metrics.sinr_per_ue(forward[scheme](hhat, powers), powers)
         if SCHEME_MR in schemes:
             mr_acc.update(hhat, h, stats.whitener)
 

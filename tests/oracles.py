@@ -412,7 +412,7 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
         h = draw_channels(scenario, rng)
         hhat, _ = estimate(scenario, h, config, rng, stats)
         stripe_sinr[b] = metrics.sinr_per_ue(stripe.run_stripe(hhat, powers), powers)
-        l4_sinr[b] = baselines.centralized_lmmse_l4(hhat, powers)
+        l4_sinr[b] = metrics.sinr_per_ue(baselines.centralized_lmmse_l4(hhat, powers), powers)
         mr.update(hhat[None], h[None], stats.whitener)
     tau_c, tau_p = config.coherence_block, config.pilot_length
     samples = {"stripe_nlmmse": stripe_sinr, "lmmse_l4": l4_sinr,

@@ -207,7 +207,7 @@ def test_criterion_6_oracle_equivalence():
         assert angle < 1e-4
 
         # centralized processing dominates the stripe on the same inputs
-        l4 = centralized_lmmse_l4(htilde, powers)
+        l4 = metrics.sinr_per_ue(centralized_lmmse_l4(htilde, powers), powers)
         stripe_sinr = metrics.sinr_per_ue(ghats[-1], powers)
         assert np.all(l4 >= stripe_sinr * (1 - 1e-9))
     report("6 oracle equivalence",

@@ -14,7 +14,7 @@ from stripesim.channel import draw_channels
 from stripesim.config import CorrelationModel, SimulationConfig
 from stripesim.runner import draw_blocks, draw_drops, rng_stream
 from stripesim.scenario import build_scenario
-from stripesim.stripe import run_stripe
+from stripesim.stripe import run_stripe, stages
 
 
 class TestCentralizedLmmse:
@@ -24,7 +24,7 @@ class TestCentralizedLmmse:
         powers = cfg.ue_powers
         h = draw_channels(sc, rng)
         hhat, stats = estimate(sc, h, cfg, rng)
-        l4 = centralized_lmmse_l4(hhat, powers)
+        l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
         local = metrics.sinr_per_ue(run_stripe(hhat, powers), powers)
         assert np.allclose(l4, local, rtol=1e-9)
 
@@ -33,7 +33,8 @@ class TestCentralizedLmmse:
         # h / sigma: SINR = (p / sigma2) * sum_l ||h_l||^2
         h = complex_gaussian(rng, (1, 3, 2))
         p, sigma2 = 1.7, 0.4
-        sinr = centralized_lmmse_l4(h / np.sqrt(sigma2), np.array([p]))
+        sinr = metrics.sinr_per_ue(centralized_lmmse_l4(h / np.sqrt(sigma2), np.array([p])),
+                                   np.array([p]))
         expect = p * np.sum(np.abs(h) ** 2) / sigma2
         assert sinr[0] == pytest.approx(expect, rel=1e-10)
 
@@ -63,7 +64,8 @@ class TestCentralizedLmmse:
                 den += powers[i] * (abs(v.conj() @ Hs[:, i]) ** 2
                                     + (v.conj() @ C[i] @ v).real)
             expect[k] = num / den
-        assert np.allclose(centralized_lmmse_l4(htilde, powers), expect, rtol=1e-10)
+        assert np.allclose(metrics.sinr_per_ue(centralized_lmmse_l4(htilde, powers), powers),
+                           expect, rtol=1e-10)
 
     def test_dominates_stripe_per_realization(self, rng):
         for trial in range(20):
@@ -73,7 +75,7 @@ class TestCentralizedLmmse:
             powers = cfg.ue_powers
             h = draw_channels(sc, rng)
             hhat, _ = estimate(sc, h, cfg, rng)
-            l4 = centralized_lmmse_l4(hhat, powers)
+            l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
             stripe = metrics.sinr_per_ue(run_stripe(hhat, powers), powers)
             assert np.all(l4 >= stripe * (1 - 1e-9))
 
@@ -86,7 +88,7 @@ class TestAgainstDenseReceiver:
     def assert_matches_dense_per_block(cfg, seed, num_drops=2, num_blocks=3, rtol=1e-9):
         htilde, stats = drop_block_estimates(cfg, seed, num_drops, num_blocks)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-        got = centralized_lmmse_l4(htilde, powers)
+        got = metrics.sinr_per_ue(centralized_lmmse_l4(htilde, powers), powers)
         hhat = unwhitened(htilde, stats.whitener)
         assert got.shape == (num_blocks, num_drops, cfg.num_ues)
         for b in range(num_blocks):
@@ -208,6 +210,19 @@ def test_l4_block_axis_matches_single_blocks(rng):
     rngs = [np.random.default_rng([5, b]) for b in range(B)]
     h = draw_channels(sc, rngs)
     hhat, _ = estimate(sc, h, cfg, rngs)
-    batched = centralized_lmmse_l4(hhat, powers)
+    batched = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
     for b in range(B):
-        np.testing.assert_allclose(batched[b], centralized_lmmse_l4(hhat[b], powers), rtol=1e-12)
+        one = metrics.sinr_per_ue(centralized_lmmse_l4(hhat[b], powers), powers)
+        np.testing.assert_allclose(batched[b], one, rtol=1e-12)
+
+
+def test_l4_forwards_the_one_stage_ghat():
+    # lmmse_l4 forwards, as the stripe's AP L does, the ghat of its one stage
+    # on the estimates stacked as one AP of LN antennas; the runner scores it
+    cfg = SimulationConfig()
+    hhat, _ = drop_block_estimates(cfg, 9, num_drops=2, num_blocks=2)
+    *batch, K, L, N = hhat.shape
+    (_, want), = stages(hhat.reshape(*batch, K, 1, L * N), cfg.ue_powers)
+    got = centralized_lmmse_l4(hhat, cfg.ue_powers)
+    assert got.shape == (*batch, K, K)
+    assert np.array_equal(got, want)

@@ -223,7 +223,8 @@ class TestClosedFormAndCopilots:
         mr = MrFusionAccumulator()
         mr.update(hhat, h, stats.whitener)
         for sinr in (metrics.sinr_per_ue(run_stripe(hhat, powers), powers),
-                     centralized_lmmse_l4(hhat, powers), mr.sinr(powers, cfg.noise_power_w)[None]):
+                     metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers),
+                     mr.sinr(powers, cfg.noise_power_w)[None]):
             se = metrics.spectral_efficiency(sinr, cfg.coherence_block, cfg.pilot_length)
             assert np.all(np.isfinite(se)) and np.all(se > 0)
 
@@ -237,7 +238,7 @@ class TestClosedFormAndCopilots:
         _, cfg, _, hhat, _ = rank_one_copilot_drop(angles, angular_std_dev, [rng, rng])
         powers = cfg.ue_powers
         for sinr in (metrics.sinr_per_ue(run_stripe(hhat, powers), powers),
-                     centralized_lmmse_l4(hhat, powers)):
+                     metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)):
             se = metrics.spectral_efficiency(sinr, cfg.coherence_block, cfg.pilot_length)
             assert np.all(np.isfinite(se)) and np.all(se > 0)
 
@@ -276,7 +277,7 @@ class TestStackedDrops:
         hhat = mmse_estimate(sc, z, stats)
         assert hhat.shape == (2, 3, 5, 5, 2) and stats.whitener.shape == (3, 5, 2, 2)
         final = run_stripe(hhat, powers)
-        l4 = centralized_lmmse_l4(hhat, powers)
+        l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
         mr = MrFusionAccumulator()
         mr.update(hhat, h, stats.whitener)
         for s in drops:
@@ -296,7 +297,8 @@ class TestStackedDrops:
             one_mr.update(one_hhat, one_h, one_stats.whitener)
             assert mr.count == one_mr.count == len(blocks)
             pairs = [(final[:, s], run_stripe(one_hhat, powers)),
-                     (l4[:, s], centralized_lmmse_l4(one_hhat, powers)),
+                     (l4[:, s], metrics.sinr_per_ue(centralized_lmmse_l4(one_hhat, powers),
+                                                    powers)),
                      (mr.sum_mean[s], one_mr.sum_mean), (mr.sum_sq[s], one_mr.sum_sq),
                      (mr.sum_noise[s], one_mr.sum_noise)]
             for got, want in pairs:

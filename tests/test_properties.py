@@ -127,7 +127,8 @@ def test_l4_at_least_stripe_per_ue_and_block(cfg):
     hhat, _, _, ghats = simulate(cfg)
     powers = cfg.ue_powers
     stripe = metrics.sinr_per_ue(ghats[-1], powers)
-    assert np.all(centralized_lmmse_l4(hhat, powers) >= stripe * (1.0 - REL))
+    l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
+    assert np.all(l4 >= stripe * (1.0 - REL))
 
 
 @settings(deadline=None)
@@ -136,7 +137,7 @@ def test_l4_equals_the_dense_receiver(cfg):
     htilde, stats, _, _ = simulate(cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
     hhat = unwhitened(htilde, original_whiteners(stats, cfg))
-    np.testing.assert_allclose(centralized_lmmse_l4(htilde, powers),
+    np.testing.assert_allclose(metrics.sinr_per_ue(centralized_lmmse_l4(htilde, powers), powers),
                                dense_lmmse_l4(hhat, stats.rtilde, powers, sigma2),
                                rtol=REL, atol=0)
 

@@ -42,7 +42,7 @@ def test_per_block_sinr_matches_the_50_digit_reference(name):
     _, hhat = draw_blocks(cfg, scenario, stats, SETUPS, BLOCKS)      # (B, D, K, L, N)
     stage_sinr = np.stack([metrics.sinr_per_ue(ghat, powers)
                            for _, ghat in stripe.stages(hhat, powers)], axis=-2)
-    l4_sinr = baselines.centralized_lmmse_l4(hhat, powers)
+    l4_sinr = metrics.sinr_per_ue(baselines.centralized_lmmse_l4(hhat, powers), powers)
     for d, setup in enumerate(SETUPS):
         ref_stages, ref_l4 = reference_sinr(cfg, setup, BLOCKS)
         np.testing.assert_allclose(stage_sinr[:, d], ref_stages, rtol=1e-12, atol=0)

@@ -18,7 +18,11 @@ output trees.
 
 The file holds the machine, both commits and the settings, and for every
 workload.metric each side's samples, median and quartiles, and how many
-pairs the change won, by the `better` direction BENCHMARK.json gives.
+pairs the change won, by the `better` direction BENCHMARK.json gives, and
+two verdicts: `gain_shown` (at least 9 of 10 pairs won and a median gain
+beyond the parent's quartile spread) and `regression` (`regressed`,
+`unresolved` or `none` against the metric's end-to-end bound in
+BENCHMARK.json; null where there is none, as for the headline run).
 Standard library only; the BLAS thread variables are removed from the
 environment, as perfbench/run.py removes them.
 """
@@ -128,8 +132,9 @@ def alternate(pairs: int, run) -> list[dict]:
     return records
 
 
-def summarise(records: list[dict], better: dict) -> dict:
-    """Per workload.metric: both sides' samples, medians, quartiles and the change's wins."""
+def summarise(records: list[dict], better: dict, bounds: dict | None = None) -> dict:
+    """Per workload.metric: both sides' samples, medians, quartiles, the change's wins and
+    the two verdicts (see verdicts); bounds maps workload.metric to its end-to-end bound."""
     names = sorted({m for r in records for m in r["result"]["metrics"]})
     summary = {}
     for name in names:
@@ -148,8 +153,37 @@ def summarise(records: list[dict], better: dict) -> dict:
                    else value[p, "change"] < value[p, "parent"] for p in pairs)
         summary[name] = {"unit": next(r["result"]["metrics"][name]["unit"] for r in records
                                       if name in r["result"]["metrics"]),
-                         "better": direction, "pairs": len(pairs), **sides, "change_wins": wins}
+                         "better": direction, "pairs": len(pairs), **sides, "change_wins": wins,
+                         **verdicts(sides, direction, wins, len(pairs),
+                                    (bounds or {}).get(name))}
     return summary
+
+
+def verdicts(sides: dict, direction: str, wins: int, pairs: int, bound: float | None) -> dict:
+    """Whether the change shows a gain, and whether it regressed, on one metric.
+
+    gain_shown: the change won at least 9 of 10 complete pairs (a tie is no
+    win) and its median beats the parent's by more than the parent's
+    quartile spread. regression (None without a bound): "regressed" when the
+    change's median is worse than the parent's by more than bound times the
+    parent's median; else "unresolved" when the parent's quartile spread
+    exceeds that much and not every change sample beats every parent sample;
+    else "none".
+    """
+    if not pairs:
+        return {"gain_shown": False, "regression": None if bound is None else "unresolved"}
+    parent, change = sides["parent"], sides["change"]
+    sign = 1.0 if direction == "higher" else -1.0
+    gain = sign * (change["median"] - parent["median"])     # > 0: the change is better
+    spread = parent["quartiles"][1] - parent["quartiles"][0]
+    shown = 10 * wins >= 9 * pairs and gain > spread
+    if bound is None:
+        return {"gain_shown": shown, "regression": None}
+    allowed = bound * abs(parent["median"])
+    every = min(sign * v for v in change["samples"]) > max(sign * v for v in parent["samples"])
+    regression = ("regressed" if -gain > allowed
+                  else "unresolved" if spread > allowed and not every else "none")
+    return {"gain_shown": shown, "regression": regression}
 
 
 def main(argv=None) -> int:
@@ -162,8 +196,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {f"{w['name']}.{m['name']}": m["bound"]
+              for w in benchmark["workloads"] for m in benchmark["end_to_end"]}
     env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         tmp = Path(tmp)
@@ -191,7 +227,7 @@ def main(argv=None) -> int:
             "not_correct": {side: sum(not r["result"]["correct"] for r in records + headlines
                                       if r["side"] == side) for side in trees},
             "headline_pairs_with_identical_outputs": identical,
-            "summary": summarise(records + headlines, better),
+            "summary": summarise(records + headlines, better, bounds),
             "runs": records + headlines,
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
