@@ -1,14 +1,15 @@
 """Reference schemes bracketing the stripe: centralized LMMSE and fused MR.
 
-The centralized scheme is the stripe on one AP of LN antennas, the whitened
-estimates (see channel) stacked: its one stage, from the zero prior, is LMMSE
-combining on all of them. It forwards its ghat as the stripe's AP L does, and
-the runner scores both alike (metrics.sinr_per_ue), since a unit-norm
-combiner v sees sum_l v_l^H D_l v_l = ||v||^2 = 1. The MR scheme lets every
-AP apply its own estimate, in its original coordinates, as a matched filter,
-averages the L local soft estimates at the CPU with equal weights, and is
-scored with the use-and-then-forget bound whose expectations are estimated
-from the shared channel realizations.
+The centralized scheme is the stripe on one AP of LN antennas, the whitened,
+power-scaled estimates (see channel) stacked: its one stage, from the zero
+prior, is LMMSE combining on all of them. It forwards its ghat as the
+stripe's AP L does, and the runner scores both alike (metrics.sinr_per_ue),
+since a unit-norm combiner v sees sum_l v_l^H D_l v_l = ||v||^2 = 1. The MR
+scheme lets every AP apply its own estimate, in its original coordinates and
+scaled by sqrt(p_k), which its SINR cancels, as a matched filter, averages
+the L local soft estimates at the CPU with equal weights, and is scored with
+the use-and-then-forget bound whose expectations are estimated from the
+shared channel realizations.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .channel import herm
 from .stripe import stages
 
 
-def centralized_lmmse_l4(hhat: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """The ghat (..., K, K) the stripe's stage forwards on the whitened
+def centralized_lmmse_l4(hhat: np.ndarray) -> np.ndarray:
+    """The ghat (..., K, K) the stripe's stage forwards on the whitened, power-scaled
     estimates hhat (..., K, L, N) stacked as one AP of LN antennas."""
     *batch, K, L, N = hhat.shape
-    (_, ghat), = stages(hhat.reshape(*batch, K, 1, L * N), powers)
+    (_, ghat), = stages(hhat.reshape(*batch, K, 1, L * N))
     return ghat
 
 
@@ -45,7 +46,8 @@ class MrFusionAccumulator:
         """Fold in B blocks: whitened estimates hhat and channels are (B, ..., K, L, N).
 
         MR combines with each AP's estimates in their original coordinates,
-        C_l hhat_kl, with the whiteners C_l (drops..., L, N, N).
+        C_l hhat_kl (sqrt(p_k) times the MMSE estimate), C_l (drops..., L, N, N)
+        the whiteners.
         """
         *_, K, L, N = hhat.shape
         hh = np.einsum("...lmn,...kln->...klm", whitener, hhat, optimize=True)

@@ -22,16 +22,16 @@ per drop group, and on a UE's pilot only through the UEs that share it. The
 Either way the error covariances come out as Gram matrices, so they are PSD
 by construction, and nothing is subtracted.
 
-The estimates come out whitened. Each AP's error-plus-noise covariance
-D_l = sum_i p_i rtilde_il + sigma^2 I depends only on its own statistics, so
-the AP can whiten its signal with C_l^-1 (D_l = C_l C_l^H, its Cholesky
-factor) at no front-haul cost. estimation_statistics folds C_l^-1 into the
-MMSE filters once per drop, so mmse_estimate yields C_l^-1 hhat_kl with no
-per-block work, and in these coordinates D_l = I. LMMSE is equivariant under
-an invertible map of the observation, so every SINR is unchanged. D_l is
-formed here and nowhere else: the stripe and lmmse_l4 take the whitened
-estimates alone, and mr_l2, which combines with the estimates themselves,
-maps them back with C_l.
+The estimates come out whitened and power-scaled. Each AP's error-plus-noise
+covariance D_l = sum_i p_i rtilde_il + sigma^2 I depends only on its own
+statistics, so the AP can whiten its signal with C_l^-1 (D_l = C_l C_l^H, its
+Cholesky factor) at no front-haul cost. estimation_statistics folds C_l^-1 and
+sqrt(p_k) into the MMSE filters once per drop, so mmse_estimate yields
+sqrt(p_k) C_l^-1 hhat_kl with no per-block work: D_l = I, and the UE powers
+sit in the estimates. LMMSE is equivariant under an invertible map of the
+observation, so every SINR is unchanged. D_l is formed here and nowhere else:
+the stripe and lmmse_l4 take the scaled estimates alone, and mr_l2, which
+combines with the estimates themselves, maps them back with C_l.
 
 The per-block functions take either one generator, for one block, or a
 sequence of generators, one stream per block; the per-block arrays then
@@ -111,7 +111,7 @@ def simulate_pilot_phase(
 class EstimationStatistics:
     """Setup-constant MMSE quantities per drop, in each AP's whitened coordinates."""
 
-    filters: np.ndarray           # (..., K, L, N, N), C_l^-1 hhat_kl = filters[k, l] @ z_{t_k, l}
+    filters: np.ndarray           # (..., K, L, N, N) maps z_{t_k, l} to sqrt(p_k) C_l^-1 hhat_kl
     rtilde: np.ndarray            # (..., K, L, N, N) error covariance of hhat_kl
     whitener: np.ndarray          # (..., L, N, N) C_l, lower triangular, D_l = C_l C_l^H
 
@@ -130,8 +130,8 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
     QR's complete Q would hold at most _QR_ELEMENTS entries.
 
     D_l = sum_i p_i rtilde_il + sigma^2 I is then PD: one Cholesky of every D_l
-    gives the whiteners C_l, and C_l^-1, formed once per (drop, AP), folds into
-    the filters with one product per (UE, AP).
+    gives the whiteners C_l; C_l^-1, formed once per (drop, AP) and scaled by
+    each UE's sqrt(p_k), folds into the filters with one product per (UE, AP).
     """
     tau_p, sigma2 = config.pilot_length, config.noise_power_w
     powers = config.ue_powers
@@ -160,7 +160,8 @@ def estimation_statistics(scenario: Scenario, config: SimulationConfig) -> Estim
     rtilde = rtilde.reshape(shape)
     load = (powers @ rtilde.reshape(*drops, K, L * N * N)).reshape(*drops, L, N, N)
     whitener = np.linalg.cholesky(load + sigma2 * np.eye(N))
-    filters = np.linalg.inv(whitener)[..., None, :, :, :] @ filters.reshape(shape)
+    scaled = np.sqrt(powers)[:, None, None, None] * np.linalg.inv(whitener)[..., None, :, :, :]
+    filters = scaled @ filters.reshape(shape)
     return EstimationStatistics(filters=filters, rtilde=rtilde, whitener=whitener)
 
 
@@ -206,7 +207,7 @@ def _pilot_group_statistics(F, a, sigma2):
 def mmse_estimate(
     scenario: Scenario, despread: np.ndarray, stats: EstimationStatistics,
 ) -> np.ndarray:
-    """Whitened MMSE channel estimates C_l^-1 hhat_kl, (..., K, L, N), from the despread signal."""
+    """Whitened, power-scaled MMSE estimates sqrt(p_k) C_l^-1 hhat_kl, (..., K, L, N)."""
     batch, K = despread.shape[:-3], scenario.num_ues
     # despread vector on each UE's own pilot, the leading axes flattened: (-1, K, L, N)
     pilots = np.broadcast_to(scenario.pilot_index, (*batch, K)).reshape(-1, K)

@@ -1,10 +1,10 @@
 """Spectral-efficiency metrics, front-haul accounting, and the run directory's files.
 
 The stripe and lmmse_l4 share one conditional SINR. Both apply unit-norm
-combiners to whitened estimates (see channel). In those coordinates each
-AP's error-plus-noise covariance D_l is the identity, so the
-error-plus-noise power of every soft estimate is 1 (for the stripe by its
-recursion, see stripe), and the SINR needs only the effective channels ghat.
+combiners to whitened, power-scaled estimates (see channel). In those
+coordinates each AP's error-plus-noise covariance D_l is the identity, so
+the error-plus-noise power of every soft estimate is 1 (for the stripe by
+its recursion, see stripe): the SINR needs only the effective channels ghat.
 """
 
 from __future__ import annotations
@@ -19,18 +19,18 @@ import numpy as np
 from .config import SimulationConfig, save_config
 
 
-def sinr_per_ue(ghat: np.ndarray, powers: np.ndarray) -> np.ndarray:
+def sinr_per_ue(ghat: np.ndarray) -> np.ndarray:
     """Conditional SINR (..., K) of every UE from ghat (..., K, K) [i, k].
 
-    ghat[i, k] is UE i's effective channel through UE k's unit-norm combiner
-    on whitened estimates (see channel). There each AP's error-plus-noise
-    covariance is the identity, so the error-plus-noise power in UE k's soft
-    estimate is 1: the stripe's forwarded iota_k, and lmmse_l4's
-    sum_l v_l^H D_l v_l = ||v||^2.
+    ghat[i, k] is UE i's effective channel, sqrt(p_i) included, through UE
+    k's unit-norm combiner on whitened, power-scaled estimates (see channel).
+    There each AP's error-plus-noise covariance is the identity, so the
+    error-plus-noise power in UE k's soft estimate is 1: the stripe's
+    forwarded iota_k, and lmmse_l4's sum_l v_l^H D_l v_l = ||v||^2.
     """
     gains = np.abs(ghat) ** 2
-    num = powers * np.diagonal(gains, axis1=-2, axis2=-1)
-    return num / (powers @ gains - num + 1.0)
+    num = np.diagonal(gains, axis1=-2, axis2=-1)
+    return num / (gains.sum(axis=-2) - num + 1.0)
 
 
 def spectral_efficiency(sinr_samples, tau_c: int, tau_p: int) -> np.ndarray | np.floating:

@@ -90,7 +90,7 @@ def draw_drops(config: SimulationConfig, setups: range) -> tuple[Scenario, Estim
 
 def draw_blocks(config: SimulationConfig, scenario: Scenario, stats: EstimationStatistics,
                 setups: range, blocks: range) -> tuple[np.ndarray, np.ndarray]:
-    """Channels and whitened estimates (B, D, K, L, N) of blocks of the drops of draw_drops."""
+    """Channels and whitened, power-scaled estimates (B, D, K, L, N) of draw_drops' drops."""
     rngs = [[rng_stream(config.rng_seed, s, 1, b) for s in setups] for b in blocks]
     h = draw_channels(scenario, rngs)
     return h, mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rngs), stats)
@@ -105,7 +105,6 @@ def simulate_setup(
     Returns scheme -> SE (D, K) for the D drops of setups, or raises ValueError on a NaN or inf.
     """
     scenario, stats = draw_drops(config, setups)
-    powers = config.ue_powers
     n_blocks = config.num_channel_realizations
 
     forward = {SCHEME_STRIPE: stripe.run_stripe, SCHEME_L4: baselines.centralized_lmmse_l4}
@@ -119,12 +118,12 @@ def simulate_setup(
         blocks = range(start, min(start + chunk, n_blocks))
         h, hhat = draw_blocks(config, scenario, stats, setups, blocks)
         for scheme, sinr in samples.items():
-            sinr[start:blocks.stop] = metrics.sinr_per_ue(forward[scheme](hhat, powers), powers)
+            sinr[start:blocks.stop] = metrics.sinr_per_ue(forward[scheme](hhat))
         if SCHEME_MR in schemes:
             mr_acc.update(hhat, h, stats.whitener)
 
     if SCHEME_MR in schemes:
-        samples[SCHEME_MR] = mr_acc.sinr(powers, config.noise_power_w)[None]
+        samples[SCHEME_MR] = mr_acc.sinr(config.ue_powers, config.noise_power_w)[None]
     se = {scheme: metrics.spectral_efficiency(samples[scheme], config.coherence_block,
                                                config.pilot_length) for scheme in schemes}
     for scheme, values in se.items():

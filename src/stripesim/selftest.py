@@ -68,9 +68,9 @@ def replay(combiners: Sequence[np.ndarray], inputs: np.ndarray) -> np.ndarray:
     Stage l maps x to inputs[..., l, :] V_a^H + conj(v_b) x from a zero
     start, with V = [V_a, v_b] its (..., K, N+1) combiners. The combiners act
     on whitened signals (see channel), so the inputs are whitened by each
-    AP's C_l^-1: the channel estimates give ghat, the true channels g, a
-    received signal (M = 1) the soft estimates and the receiver noise the
-    effective noise.
+    AP's C_l^-1: the whitened, power-scaled estimates give the power-scaled
+    ghat, the true channels g, a received signal (M = 1) the soft estimates
+    and the receiver noise the effective noise.
     """
     x = 0.0
     for l, V in enumerate(combiners):
@@ -88,9 +88,9 @@ def check_reconstruction(
                     _RECONSTRUCTION_TOL, "scaled residual")
 
 
-def check_monotone_stage_sinr(ghats: Sequence[np.ndarray], powers: np.ndarray) -> CheckResult:
+def check_monotone_stage_sinr(ghats: Sequence[np.ndarray]) -> CheckResult:
     """The per-stage effective SINR, from the ghat each AP forwards, must never decrease."""
-    sinr = [metrics.sinr_per_ue(ghat, powers) for ghat in ghats]
+    sinr = [metrics.sinr_per_ue(ghat) for ghat in ghats]
     drops = [(prev - cur) / np.maximum(prev, np.finfo(float).tiny)
              for prev, cur in zip(sinr, sinr[1:])]
     return _verdict("monotone_stage_sinr", drops, _SINR_DROP_TOL, "relative SINR drop")
@@ -111,8 +111,8 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     config = selftest_config(seed)
     scenario, stats = draw_drops(config, range(1))
     _, hhat = draw_blocks(config, scenario, stats, range(1), range(1))   # (1, 1, K, L, N)
-    combiners, ghats = zip(*stripe.stages(hhat, config.ue_powers))
+    combiners, ghats = zip(*stripe.stages(hhat))
     return [check_covariance_decomposition(scenario, stats, config),
             check_combiner_norms(combiners),
             check_reconstruction(combiners, ghats[-1], hhat),
-            check_monotone_stage_sinr(ghats, config.ue_powers)]
+            check_monotone_stage_sinr(ghats)]

@@ -15,10 +15,13 @@ the K x K error-variance recursion that the protocol forwards; run on
 original_chain, the stripe's combiners mapped back to the original
 coordinates, it is the reference for the unit error-plus-noise power the
 whitened stripe assumes. estimate is the pilot phase plus MMSE estimation
-that most tests run on one scenario, returning the (whitened) estimates
-with the estimation statistics; drop_block_estimates draws a
-real-geometry (blocks, drops, ...) batch as a run draws it, and unwhitened
-maps estimates back to the original coordinates. FEWER_ANTENNAS_THAN_UES is
+that most tests run on one scenario, returning the (whitened,
+power-scaled) estimates with the estimation statistics;
+drop_block_estimates draws a real-geometry (blocks, drops, ...) batch as a
+run draws it. unwhitened maps per-AP vectors back to the original
+coordinates, power_scaled puts each UE's sqrt(p) on hand-made estimates or
+ghat, and original_estimates undoes both for the oracles, which work in the
+original coordinates with the powers apart. FEWER_ANTENNAS_THAN_UES is
 the extreme-SNR L N < K drop two test modules run. mr_uatf_sinr is MR's
 use-and-then-forget bound in closed form, the reference for
 MrFusionAccumulator's Monte Carlo estimate. channel_covariances is how
@@ -169,6 +172,19 @@ def unwhitened(x, whitener):
     return (whitener[..., None, :, :, :] @ x[..., None])[..., 0]
 
 
+def power_scaled(x, powers, axis=-2):
+    """x with its UE axis scaled by sqrt(powers) (K,), as the package carries the
+    powers: in the estimates sqrt(p_k) C_l^-1 hhat_kl (UE axis -3) and in each
+    ghat[i, k] (UE axis -2). 1 / powers takes the scale off."""
+    return np.sqrt(powers).reshape(-1, *[1] * (-1 - axis)) * x
+
+
+def original_estimates(hhat, whitener, powers):
+    """The MMSE estimates hhat_kl (..., K, L, N) in the original coordinates, without
+    the sqrt(p_k) the whitened ones carry."""
+    return power_scaled(unwhitened(hhat, whitener), 1.0 / powers, axis=-3)
+
+
 def whitened(x, whitener):
     """C_l^-1 x_kl: per-AP vectors x (..., K, L, N) in the whitened coordinates."""
     return np.linalg.solve(whitener[..., None, :, :, :], x[..., None])[..., 0]
@@ -192,11 +208,12 @@ def original_chain(combiners, whitener):
     return out
 
 
-def unit_impairment_scale(ghat, ghat_whitened):
+def unit_impairment_scale(ghat, ghat_whitened, powers):
     """1 / c_k^2, (..., K), with c_k the ratio of UE k's whitened soft estimate to the
     original chain's: the original chain's error-plus-noise power when the whitened
-    one is 1. Read off the own effective channels ghat[k, k], which are never small."""
-    own = np.abs(np.diagonal(ghat, axis1=-2, axis2=-1)) ** 2
+    one is 1. Read off the own effective channels, which are never small: ghat[k, k]
+    of the original estimates, sqrt(p_k) ghat[k, k] of the power-scaled ones."""
+    own = powers * np.abs(np.diagonal(ghat, axis1=-2, axis2=-1)) ** 2
     return own / np.abs(np.diagonal(ghat_whitened, axis1=-2, axis2=-1)) ** 2
 
 
@@ -402,7 +419,6 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
     seed = config.rng_seed
     scenario = build_scenario(config, rng_stream(seed, setup_index, 0))
     stats = estimation_statistics(scenario, config)
-    powers = config.ue_powers
     n_blocks = config.num_channel_realizations
     stripe_sinr = np.empty((n_blocks, config.num_ues))
     l4_sinr = np.empty((n_blocks, config.num_ues))
@@ -411,11 +427,11 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
         rng = rng_stream(seed, setup_index, 1, b)
         h = draw_channels(scenario, rng)
         hhat, _ = estimate(scenario, h, config, rng, stats)
-        stripe_sinr[b] = metrics.sinr_per_ue(stripe.run_stripe(hhat, powers), powers)
-        l4_sinr[b] = metrics.sinr_per_ue(baselines.centralized_lmmse_l4(hhat, powers), powers)
+        stripe_sinr[b] = metrics.sinr_per_ue(stripe.run_stripe(hhat))
+        l4_sinr[b] = metrics.sinr_per_ue(baselines.centralized_lmmse_l4(hhat))
         mr.update(hhat[None], h[None], stats.whitener)
     tau_c, tau_p = config.coherence_block, config.pilot_length
     samples = {"stripe_nlmmse": stripe_sinr, "lmmse_l4": l4_sinr,
-               "mr_l2": mr.sinr(powers, config.noise_power_w)[None, :]}
+               "mr_l2": mr.sinr(config.ue_powers, config.noise_power_w)[None, :]}
     return {scheme: metrics.spectral_efficiency(samples[scheme], tau_c, tau_p)
             for scheme in schemes}

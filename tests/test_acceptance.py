@@ -14,7 +14,7 @@ import pytest
 
 from oracles import (
     angle_between, brute_force_combiner, build_augmented_moments, estimate, original_chain,
-    psi_stages, synthetic_config, synthetic_scenario, unit_impairment_scale, unwhitened,
+    original_estimates, psi_stages, synthetic_config, synthetic_scenario, unit_impairment_scale,
 )
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
@@ -119,12 +119,12 @@ def test_criterion_5_property_suite():
     # a handful of full blocks on the reference setup, as a run draws them,
     # stacked (3, 1, ...)
     _, hhat = draw_blocks(cfg, scenario, stats, range(1), range(3))
-    combiners, ghats = zip(*stages(hhat, powers))
+    combiners, ghats = zip(*stages(hhat))
 
     # unit combiner norms at every stage, and per-stage effective SINR
     # that never decreases along the stripe
     for check in (check_combiner_norms(combiners),
-                  check_monotone_stage_sinr(ghats, powers)):
+                  check_monotone_stage_sinr(ghats)):
         assert check.passed, check.detail
 
     # the estimates replayed through the combiners are the forwarded ghat
@@ -133,13 +133,13 @@ def test_criterion_5_property_suite():
     # in the original coordinates, the error variances from the direct
     # quadratic form, power-weighted, plus the noise are the whitened
     # pass's unit error-plus-noise power, block by block
-    original = unwhitened(hhat, stats.whitener)
+    original = original_estimates(hhat, stats.whitener, powers)
     chain = original_chain(combiners, stats.whitener)
     psi = psi_stages(chain, stats.rtilde)
     rtilde = stats.rtilde[0]
     for l in (1, cfg.num_aps - 1):
         ghat_prev = replay(chain[:l], original)
-        unit = unit_impairment_scale(replay(chain[:l + 1], original), ghats[l])
+        unit = unit_impairment_scale(replay(chain[:l + 1], original), ghats[l], powers)
         for b in range(3):
             aug = build_augmented_moments(original[b, 0, :, l], rtilde[:, l],
                                           ghat_prev[b, 0], psi[l - 1][b, 0])
@@ -153,11 +153,11 @@ def test_criterion_5_property_suite():
     t_rng = np.random.default_rng(DESK_SEED)
     t_sc = synthetic_scenario(t_rng, 2, 2, 2, tau_p=1)
     t_cfg = synthetic_config(t_rng, 2, 2, 2, tau_p=1)
-    t_p, t_s2 = t_cfg.ue_powers, t_cfg.noise_power_w
+    t_s2 = t_cfg.noise_power_w
     t_rngs = [t_rng] * 10000   # one chain over every block, one generator
     t_hhat, t_stats = estimate(t_sc, draw_channels(t_sc, t_rngs), t_cfg, t_rngs)
     noise = complex_normal(t_rng, (len(t_rngs), 1, 2, 2), std=np.sqrt(t_s2))
-    combiners, _ = zip(*stages(t_hhat, t_p))
+    combiners, _ = zip(*stages(t_hhat))
     emp = (np.abs(replay(combiners, noise)[:, 0]) ** 2).mean(axis=0)
     assert np.all(np.abs(emp - t_s2) / t_s2 < 0.03)
 
@@ -180,10 +180,10 @@ def test_criterion_6_oracle_equivalence():
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
         h = draw_channels(sc, rng)
         htilde, stats = estimate(sc, h, cfg, rng)
-        combiners, ghats = zip(*stages(htilde, powers))
+        combiners, ghats = zip(*stages(htilde))
         # the combiners and estimates in the original coordinates, where the
         # brute force minimizes the conditional MSE
-        hhat = unwhitened(htilde, stats.whitener)
+        hhat = original_estimates(htilde, stats.whitener, powers)
         chain = original_chain(combiners, stats.whitener)
 
         k = int(rng.integers(K))
@@ -207,8 +207,8 @@ def test_criterion_6_oracle_equivalence():
         assert angle < 1e-4
 
         # centralized processing dominates the stripe on the same inputs
-        l4 = metrics.sinr_per_ue(centralized_lmmse_l4(htilde, powers), powers)
-        stripe_sinr = metrics.sinr_per_ue(ghats[-1], powers)
+        l4 = metrics.sinr_per_ue(centralized_lmmse_l4(htilde))
+        stripe_sinr = metrics.sinr_per_ue(ghats[-1])
         assert np.all(l4 >= stripe_sinr * (1 - 1e-9))
     report("6 oracle equivalence",
            f"100 tiny instances: worst combiner angle {worst_angle:.2e} rad "

@@ -5,8 +5,8 @@ import pytest
 
 from oracles import (
     FEWER_ANTENNAS_THAN_UES, channel_covariances, complex_gaussian, dense_lmmse_l4,
-    drop_block_estimates, estimate, mr_uatf_sinr, synthetic_config, synthetic_scenario,
-    unwhitened,
+    drop_block_estimates, estimate, mr_uatf_sinr, original_estimates, power_scaled,
+    synthetic_config, synthetic_scenario,
 )
 from stripesim import metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
@@ -21,20 +21,19 @@ class TestCentralizedLmmse:
     def test_single_ap_equals_local_stripe_stage(self, rng):
         sc = synthetic_scenario(rng, 3, 1, 2, tau_p=2)
         cfg = synthetic_config(rng, 3, 1, 2, tau_p=2)
-        powers = cfg.ue_powers
         h = draw_channels(sc, rng)
         hhat, stats = estimate(sc, h, cfg, rng)
-        l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
-        local = metrics.sinr_per_ue(run_stripe(hhat, powers), powers)
+        l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat))
+        local = metrics.sinr_per_ue(run_stripe(hhat))
         assert np.allclose(l4, local, rtol=1e-9)
 
     def test_single_user_perfect_csi_matched_filter_bound(self, rng):
-        # K=1, rtilde=0, so D_l = sigma2 I and the estimates are whitened to
-        # h / sigma: SINR = (p / sigma2) * sum_l ||h_l||^2
+        # K=1, rtilde=0, so D_l = sigma2 I and the estimates are whitened and
+        # power-scaled to sqrt(p) h / sigma: SINR = (p / sigma2) * sum_l ||h_l||^2
         h = complex_gaussian(rng, (1, 3, 2))
         p, sigma2 = 1.7, 0.4
-        sinr = metrics.sinr_per_ue(centralized_lmmse_l4(h / np.sqrt(sigma2), np.array([p])),
-                                   np.array([p]))
+        hhat = power_scaled(h / np.sqrt(sigma2), np.array([p]), axis=-3)
+        sinr = metrics.sinr_per_ue(centralized_lmmse_l4(hhat))
         expect = p * np.sum(np.abs(h) ** 2) / sigma2
         assert sinr[0] == pytest.approx(expect, rel=1e-10)
 
@@ -50,7 +49,7 @@ class TestCentralizedLmmse:
         h = draw_channels(sc, rng)
         htilde, stats = estimate(sc, h, cfg, rng)
 
-        Hs = unwhitened(htilde, stats.whitener).reshape(K, L * N).T
+        Hs = original_estimates(htilde, stats.whitener, powers).reshape(K, L * N).T
         C = [block_diag(*[stats.rtilde[i, l] for l in range(L)]) for i in range(K)]
         B = sigma2 * np.eye(L * N, dtype=complex)
         for i in range(K):
@@ -64,19 +63,17 @@ class TestCentralizedLmmse:
                 den += powers[i] * (abs(v.conj() @ Hs[:, i]) ** 2
                                     + (v.conj() @ C[i] @ v).real)
             expect[k] = num / den
-        assert np.allclose(metrics.sinr_per_ue(centralized_lmmse_l4(htilde, powers), powers),
-                           expect, rtol=1e-10)
+        assert np.allclose(metrics.sinr_per_ue(centralized_lmmse_l4(htilde)), expect, rtol=1e-10)
 
     def test_dominates_stripe_per_realization(self, rng):
         for trial in range(20):
             K = int(rng.integers(1, 4))
             sc = synthetic_scenario(rng, K, 3, 2, tau_p=max(1, K - 1))
             cfg = synthetic_config(rng, K, 3, 2, tau_p=max(1, K - 1))
-            powers = cfg.ue_powers
             h = draw_channels(sc, rng)
             hhat, _ = estimate(sc, h, cfg, rng)
-            l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
-            stripe = metrics.sinr_per_ue(run_stripe(hhat, powers), powers)
+            l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat))
+            stripe = metrics.sinr_per_ue(run_stripe(hhat))
             assert np.all(l4 >= stripe * (1 - 1e-9))
 
 
@@ -88,8 +85,8 @@ class TestAgainstDenseReceiver:
     def assert_matches_dense_per_block(cfg, seed, num_drops=2, num_blocks=3, rtol=1e-9):
         htilde, stats = drop_block_estimates(cfg, seed, num_drops, num_blocks)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-        got = metrics.sinr_per_ue(centralized_lmmse_l4(htilde, powers), powers)
-        hhat = unwhitened(htilde, stats.whitener)
+        got = metrics.sinr_per_ue(centralized_lmmse_l4(htilde))
+        hhat = original_estimates(htilde, stats.whitener, powers)
         assert got.shape == (num_blocks, num_drops, cfg.num_ues)
         for b in range(num_blocks):
             for d in range(num_drops):
@@ -206,13 +203,12 @@ def test_l4_block_axis_matches_single_blocks(rng):
     K, L, N, B = 3, 4, 2, 4
     sc = synthetic_scenario(rng, K, L, N, tau_p=2)
     cfg = synthetic_config(rng, K, L, N, tau_p=2)
-    powers = cfg.ue_powers
     rngs = [np.random.default_rng([5, b]) for b in range(B)]
     h = draw_channels(sc, rngs)
     hhat, _ = estimate(sc, h, cfg, rngs)
-    batched = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
+    batched = metrics.sinr_per_ue(centralized_lmmse_l4(hhat))
     for b in range(B):
-        one = metrics.sinr_per_ue(centralized_lmmse_l4(hhat[b], powers), powers)
+        one = metrics.sinr_per_ue(centralized_lmmse_l4(hhat[b]))
         np.testing.assert_allclose(batched[b], one, rtol=1e-12)
 
 
@@ -222,7 +218,7 @@ def test_l4_forwards_the_one_stage_ghat():
     cfg = SimulationConfig()
     hhat, _ = drop_block_estimates(cfg, 9, num_drops=2, num_blocks=2)
     *batch, K, L, N = hhat.shape
-    (_, want), = stages(hhat.reshape(*batch, K, 1, L * N), cfg.ue_powers)
-    got = centralized_lmmse_l4(hhat, cfg.ue_powers)
+    (_, want), = stages(hhat.reshape(*batch, K, 1, L * N))
+    got = centralized_lmmse_l4(hhat)
     assert got.shape == (*batch, K, K)
     assert np.array_equal(got, want)

@@ -70,6 +70,12 @@ def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_change_sample_
     assert verdicts(parent, [0.5] * 10)[1] == "none"
 
 
+def test_fewer_than_ten_pairs_give_no_verdict():
+    # one pair the change wins: one parent sample has a quartile spread of 0
+    assert verdicts(PARENT[:1], [0.5]) == (None, None)
+    assert verdicts(PARENT[:9], [v - 0.1 for v in PARENT[:9]]) == (None, None)
+
+
 def test_within_the_bound_is_no_regression_and_no_bound_no_verdict():
     assert verdicts(PARENT, [1.1 * v for v in PARENT]) == (False, "none")
     assert verdicts(PARENT, [1.3 * v for v in PARENT], name="headline.wall_s") == (False, None)

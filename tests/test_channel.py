@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    channel_covariances, complex_gaussian, estimate, per_pilot_statistics,
-    pilot_covariances, random_psd, synthetic_config, synthetic_scenario, unwhitened,
+    channel_covariances, complex_gaussian, estimate, original_estimates, per_pilot_statistics,
+    pilot_covariances, power_scaled, random_psd, synthetic_config, synthetic_scenario, unwhitened,
 )
 from stripesim import channel, metrics
 from stripesim.baselines import MrFusionAccumulator, centralized_lmmse_l4
@@ -141,7 +141,8 @@ class TestOwnPilotStatistics:
         # own-pilot covariance and subtracts rhat from R, the package builds
         # rtilde as a Gram matrix without either: they agree to roundoff, on
         # the scale of R_kl for rtilde and of each filter's largest entry for
-        # filters, which the package whitens by C_l^-1 and C_l maps back.
+        # filters, which the package whitens by C_l^-1 and C_l maps back, and
+        # scales by sqrt(p_k), as the oracle's are here.
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=3, num_ues=K,
                       pilot_length=tau_p, correlation_model=model,
                       ue_power_w=(0.05, 0.1, 0.02, 0.07, 0.04, 0.09, 0.06)[:K])
@@ -149,6 +150,7 @@ class TestOwnPilotStatistics:
         sc = build_scenario(cfg, rngs)
         stats = estimation_statistics(sc, cfg)
         filters, rtilde = per_pilot_statistics(sc, cfg)
+        filters = power_scaled(filters, cfg.ue_powers, axis=-4)
         top = np.diagonal(channel_covariances(sc), axis1=-2, axis2=-1).real.max(axis=-1)
         assert np.all(np.abs(stats.rtilde - rtilde).max(axis=(-2, -1)) <= 1e-11 * top)
         top = np.abs(filters).max(axis=(-2, -1))
@@ -219,12 +221,11 @@ class TestClosedFormAndCopilots:
             angles, 0.3, [np.random.default_rng(b) for b in range(4)])
         check = check_covariance_decomposition(sc, stats, cfg)
         assert check.passed, check.detail
-        powers = cfg.ue_powers
         mr = MrFusionAccumulator()
         mr.update(hhat, h, stats.whitener)
-        for sinr in (metrics.sinr_per_ue(run_stripe(hhat, powers), powers),
-                     metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers),
-                     mr.sinr(powers, cfg.noise_power_w)[None]):
+        for sinr in (metrics.sinr_per_ue(run_stripe(hhat)),
+                     metrics.sinr_per_ue(centralized_lmmse_l4(hhat)),
+                     mr.sinr(cfg.ue_powers, cfg.noise_power_w)[None]):
             se = metrics.spectral_efficiency(sinr, cfg.coherence_block, cfg.pilot_length)
             assert np.all(np.isfinite(se)) and np.all(se > 0)
 
@@ -236,9 +237,8 @@ class TestClosedFormAndCopilots:
         rng = np.random.default_rng(seed)
         angles = rng.uniform(-1, 1, (2, 2))
         _, cfg, _, hhat, _ = rank_one_copilot_drop(angles, angular_std_dev, [rng, rng])
-        powers = cfg.ue_powers
-        for sinr in (metrics.sinr_per_ue(run_stripe(hhat, powers), powers),
-                     metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)):
+        for sinr in (metrics.sinr_per_ue(run_stripe(hhat)),
+                     metrics.sinr_per_ue(centralized_lmmse_l4(hhat))):
             se = metrics.spectral_efficiency(sinr, cfg.coherence_block, cfg.pilot_length)
             assert np.all(np.isfinite(se)) and np.all(se > 0)
 
@@ -267,7 +267,6 @@ class TestStackedDrops:
         # broadcast against them through the whole chain.
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=5,
                       pilot_length=2)
-        powers = cfg.ue_powers
         drops, blocks = range(3), range(2)
         sc = build_scenario(cfg, [rng_stream(4, s, 0) for s in drops])
         stats = estimation_statistics(sc, cfg)
@@ -276,8 +275,8 @@ class TestStackedDrops:
         z = simulate_pilot_phase(sc, h, cfg, rngs)
         hhat = mmse_estimate(sc, z, stats)
         assert hhat.shape == (2, 3, 5, 5, 2) and stats.whitener.shape == (3, 5, 2, 2)
-        final = run_stripe(hhat, powers)
-        l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
+        final = run_stripe(hhat)
+        l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat))
         mr = MrFusionAccumulator()
         mr.update(hhat, h, stats.whitener)
         for s in drops:
@@ -296,9 +295,8 @@ class TestStackedDrops:
             one_mr = MrFusionAccumulator()
             one_mr.update(one_hhat, one_h, one_stats.whitener)
             assert mr.count == one_mr.count == len(blocks)
-            pairs = [(final[:, s], run_stripe(one_hhat, powers)),
-                     (l4[:, s], metrics.sinr_per_ue(centralized_lmmse_l4(one_hhat, powers),
-                                                    powers)),
+            pairs = [(final[:, s], run_stripe(one_hhat)),
+                     (l4[:, s], metrics.sinr_per_ue(centralized_lmmse_l4(one_hhat))),
                      (mr.sum_mean[s], one_mr.sum_mean), (mr.sum_sq[s], one_mr.sum_sq),
                      (mr.sum_noise[s], one_mr.sum_noise)]
             for got, want in pairs:
@@ -326,7 +324,7 @@ class TestMmseEstimate:
                     assert np.linalg.eigvalsh(M).min() > -1e-10 * np.abs(M).max()
 
     def test_no_information_limit(self, rng):
-        # overwhelming noise: estimate ~ 0 and error covariance ~ R
+        # overwhelming noise: estimate ~ 0 (sqrt(p) times it ~ 0) and error covariance ~ R
         sc = synthetic_scenario(rng, 1, 1, 2, tau_p=1)
         cfg = synthetic_config(rng, 1, 1, 2, tau_p=1)
         R = channel_covariances(sc)[0, 0]
@@ -335,11 +333,13 @@ class TestMmseEstimate:
         h = draw_channels(sc, rng)
         hhat, stats = estimate(sc, h, cfg, rng)
         hhat = unwhitened(hhat, stats.whitener)
-        assert np.linalg.norm(hhat[0, 0]) < 1e-4 * np.linalg.norm(h[0, 0])
+        scale = np.sqrt(cfg.ue_powers[0]) * np.linalg.norm(h[0, 0])
+        assert np.linalg.norm(hhat[0, 0]) < 1e-4 * scale
         assert np.abs(stats.rtilde[0, 0] - R).max() < 1e-10 * np.abs(R).max()
 
     def test_isotropic_scalar_wiener_filter(self, rng):
-        # R = beta*I, no contamination: hhat is a scalar gain times z
+        # R = beta*I, no contamination: hhat is a scalar gain times z, and the
+        # package's sqrt(p) hhat sqrt(p) times that
         K, L, N, tau_p = 1, 2, 3, 1
         beta, p, sigma2 = 0.9, 1.4, 0.6
         sc = identity_cov_scenario(rng, K, L, N, beta, tau_p=tau_p)
@@ -352,7 +352,7 @@ class TestMmseEstimate:
         hhat = unwhitened(mmse_estimate(sc, z, stats), stats.whitener)
         gain = np.sqrt(p * tau_p) * beta / (tau_p * p * beta + sigma2)
         for l in range(L):
-            assert np.allclose(hhat[0, l], gain * z[l, 0], rtol=1e-10)
+            assert np.allclose(hhat[0, l], np.sqrt(p) * gain * z[l, 0], rtol=1e-10)
 
     def test_estimate_statistics_match_montecarlo(self, rng):
         # over many pairs: cov(hhat) ~ rhat and E{hhat htilde^H} ~ 0 (z < 4)
@@ -367,7 +367,7 @@ class TestMmseEstimate:
                       ue_power_w=1.2, noise_power_w=0.5)
         h = draw_channels(sc, rng)
         hhat, stats = estimate(sc, h, cfg, rng)
-        hhat = unwhitened(hhat, stats.whitener)
+        hhat = original_estimates(hhat, stats.whitener, cfg.ue_powers)
         hhat, htilde = hhat[0], (h - hhat)[0]
         rhat, rtilde = R - stats.rtilde[0, 0], stats.rtilde[0, 0]
 

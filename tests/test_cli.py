@@ -204,8 +204,8 @@ class TestRun:
         # output is written
         honest = stripe.run_stripe
 
-        def nan_for_ue_1(hhat, powers):
-            ghat = honest(hhat, powers)
+        def nan_for_ue_1(hhat):
+            ghat = honest(hhat)
             ghat[..., 1, 1] = np.nan
             return ghat
 
@@ -515,7 +515,7 @@ def selftest_checks(plant_nan):
     cfg = selftest_config()
     sc, stats = draw_drops(cfg, range(1))
     _, hhat = draw_blocks(cfg, sc, stats, range(1), range(1))
-    combiners, ghats = zip(*stripe.stages(hhat, cfg.ue_powers))
+    combiners, ghats = zip(*stripe.stages(hhat))
 
     def planted(array, index):
         out = array.copy()
@@ -526,8 +526,7 @@ def selftest_checks(plant_nan):
     checks = [
         check_combiner_norms(
             [*combiners[:2], planted(combiners[2], (0, 0, 1, 0)), *combiners[3:]]),
-        check_monotone_stage_sinr([ghats[0], planted(ghats[1], (0, 0, 0, 0)), *ghats[2:]],
-                                  cfg.ue_powers),
+        check_monotone_stage_sinr([ghats[0], planted(ghats[1], (0, 0, 0, 0)), *ghats[2:]]),
         check_covariance_decomposition(
             sc, replace(stats, rtilde=planted(stats.rtilde, (0, 1, 2, 0, 0))), cfg),
         check_reconstruction(combiners, planted(ghats[-1], (0, 0, 0, 0)), hhat),

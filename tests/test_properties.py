@@ -1,9 +1,10 @@
 """Invariants of the stripe pass and the centralized receiver on random networks.
 
 Each tiny example builds a drop of the real geometry and channel model (L
-2-4, N 1-3, K 1-5, tau_p 1..K, either correlation model) and runs a few
-coherence blocks through the estimation chain, the stripe and L4. Both run
-on whitened estimates, where every error-plus-noise power is 1: the
+2-4, N 1-3, K 1-5, tau_p 1..K, either correlation model, a power per UE
+over 1-100 mW) and runs a few coherence blocks through the estimation
+chain, the stripe and L4. Both run on whitened, power-scaled estimates,
+where every error-plus-noise power is 1: the
 stripe's per-stage SINR is checked against the oracles' K x K
 error-variance recursion in the original coordinates, and L4 against their
 dense LN x LN receiver there.
@@ -22,8 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    dense_lmmse_l4, drop_block_estimates, impaired_sinr, impairment, original_chain, psi_stages,
-    unwhitened,
+    dense_lmmse_l4, drop_block_estimates, impaired_sinr, impairment, original_chain,
+    original_estimates, psi_stages,
 )
 from stripesim import metrics
 from stripesim.baselines import centralized_lmmse_l4
@@ -36,21 +37,22 @@ BLOCKS = 3
 REL = 1e-9
 
 
+def log_uniform(low, high):
+    return st.floats(np.log10(low), np.log10(high)).map(lambda e: 10.0 ** e)
+
+
 @st.composite
 def tiny_configs(draw):
     num_ues = draw(st.integers(1, 5))
+    powers = draw(st.lists(log_uniform(1e-3, 0.1), min_size=num_ues, max_size=num_ues))
     return replace(
         SimulationConfig(),
         num_aps=draw(st.integers(2, 4)), antennas_per_ap=draw(st.integers(1, 3)),
-        num_ues=num_ues, pilot_length=draw(st.integers(1, num_ues)),
+        num_ues=num_ues, pilot_length=draw(st.integers(1, num_ues)), ue_power_w=tuple(powers),
         correlation_model=draw(st.sampled_from(CorrelationModel)),
         rng_seed=draw(st.integers(0, 2 ** 32 - 1)),
         num_setups=1, num_channel_realizations=BLOCKS,
     )
-
-
-def log_uniform(low, high):
-    return st.floats(np.log10(low), np.log10(high)).map(lambda e: 10.0 ** e)
 
 
 @st.composite
@@ -70,10 +72,10 @@ def valid_configs(draw):
 
 
 def simulate(cfg):
-    """Whitened estimates (BLOCKS, 1, ...) of setup 0 as a run draws them, their stats
-    (1, ...), and each stage's combiners and ghat."""
+    """Whitened, power-scaled estimates (BLOCKS, 1, ...) of setup 0 as a run draws them,
+    their stats (1, ...), and each stage's combiners and ghat."""
     hhat, stats = drop_block_estimates(cfg, cfg.rng_seed, num_drops=1, num_blocks=BLOCKS)
-    combiners, ghats = zip(*stages(hhat, cfg.ue_powers))
+    combiners, ghats = zip(*stages(hhat))
     return hhat, stats, combiners, ghats
 
 
@@ -89,7 +91,7 @@ def test_combiners_are_unit_norm(cfg):
 @given(tiny_configs())
 def test_stage_sinr_never_decreases(cfg):
     *_, ghats = simulate(cfg)
-    check = check_monotone_stage_sinr(ghats, cfg.ue_powers)
+    check = check_monotone_stage_sinr(ghats)
     assert check.passed, check.detail
 
 
@@ -106,17 +108,17 @@ def original_whiteners(stats, cfg):
 @given(tiny_configs())
 def test_whitened_stripe_equals_the_psi_recursion_in_original_coordinates(cfg):
     # the whitened pass assumes each soft estimate's error-plus-noise power
-    # is 1; in the original coordinates, with hhat = C_l htilde and the
-    # combiners mapped back, it is powers @ psi + sigma2 of the K x K
+    # is 1; in the original coordinates, with hhat = C_l htilde / sqrt(p) and
+    # the combiners mapped back, it is powers @ psi + sigma2 of the K x K
     # recursion, and the SINR each stage reaches is the same
     htilde, stats, combiners, ghats = simulate(cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
     whitener = original_whiteners(stats, cfg)
-    hhat = unwhitened(htilde, whitener)
+    hhat = original_estimates(htilde, whitener, powers)
     chain = original_chain(combiners, whitener)
     for l, psi in enumerate(psi_stages(chain, stats.rtilde)):
         ghat = replay(chain[:l + 1], hhat)
-        np.testing.assert_allclose(metrics.sinr_per_ue(ghats[l], powers),
+        np.testing.assert_allclose(metrics.sinr_per_ue(ghats[l]),
                                    impaired_sinr(ghat, powers @ psi + sigma2, powers),
                                    rtol=1e-10, atol=0)
 
@@ -125,9 +127,8 @@ def test_whitened_stripe_equals_the_psi_recursion_in_original_coordinates(cfg):
 @given(tiny_configs())
 def test_l4_at_least_stripe_per_ue_and_block(cfg):
     hhat, _, _, ghats = simulate(cfg)
-    powers = cfg.ue_powers
-    stripe = metrics.sinr_per_ue(ghats[-1], powers)
-    l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat, powers), powers)
+    stripe = metrics.sinr_per_ue(ghats[-1])
+    l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat))
     assert np.all(l4 >= stripe * (1.0 - REL))
 
 
@@ -136,8 +137,8 @@ def test_l4_at_least_stripe_per_ue_and_block(cfg):
 def test_l4_equals_the_dense_receiver(cfg):
     htilde, stats, _, _ = simulate(cfg)
     powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-    hhat = unwhitened(htilde, original_whiteners(stats, cfg))
-    np.testing.assert_allclose(metrics.sinr_per_ue(centralized_lmmse_l4(htilde, powers), powers),
+    hhat = original_estimates(htilde, original_whiteners(stats, cfg), powers)
+    np.testing.assert_allclose(metrics.sinr_per_ue(centralized_lmmse_l4(htilde)),
                                dense_lmmse_l4(hhat, stats.rtilde, powers, sigma2),
                                rtol=REL, atol=0)
 
@@ -156,7 +157,7 @@ def test_every_valid_config_runs(cfg):
     for scheme, se in simulate_setup(cfg, range(2), ALL_SCHEMES).items():
         assert np.all(np.isfinite(se)) and np.all(se >= 0), scheme
     hhat, stats = drop_block_estimates(cfg, cfg.rng_seed, num_drops=2, num_blocks=2)
-    combiners, _ = zip(*stages(hhat, cfg.ue_powers))
+    combiners, _ = zip(*stages(hhat))
     check = check_combiner_norms(combiners)
     assert check.passed, check.detail
     # PSD to roundoff on rtilde's own scale, not on R's

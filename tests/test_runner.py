@@ -10,12 +10,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import per_block_setup
+from oracles import per_block_setup, per_pilot_statistics, power_scaled, whitened
 from stripesim import baselines, channel, runner, stripe
 from stripesim.config import SimulationConfig
 from stripesim.runner import (
-    ALL_SCHEMES, SCHEME_STRIPE, config_fingerprint, drop_groups, rng_stream,
-    run_experiment, simulate_setup, worker_count,
+    ALL_SCHEMES, SCHEME_STRIPE, config_fingerprint, draw_blocks, draw_drops, drop_groups,
+    rng_stream, run_experiment, simulate_setup, worker_count,
 )
 
 
@@ -228,6 +228,23 @@ def test_chunked_setup_matches_per_block_reference(monkeypatch, chunk):
     for scheme in ALL_SCHEMES:
         np.testing.assert_allclose(got[scheme][0], ref[scheme], rtol=1e-12, atol=0,
                                    err_msg=scheme)
+
+
+def test_blocks_carry_each_estimate_scaled_by_the_root_of_its_power():
+    # 10, 40 and 90 mW, UEs 0 and 2 on one pilot: each whitened estimate
+    # comes out sqrt(p_k) times the textbook one, C_l^-1 hhat_kl, so a
+    # missing (1) or doubled (p_k) scale is off by a factor of 3 or more
+    cfg = mini_config(num_setups=1, pilot_length=2, ue_power_w=(0.01, 0.04, 0.09))
+    drops, blocks = range(1), range(2)
+    scenario, stats = draw_drops(cfg, drops)
+    _, hhat = draw_blocks(cfg, scenario, stats, drops, blocks)
+    rngs = [[rng_stream(cfg.rng_seed, s, 1, b) for s in drops] for b in blocks]
+    z = channel.simulate_pilot_phase(scenario, channel.draw_channels(scenario, rngs), cfg, rngs)
+    own = np.moveaxis(z[..., scenario.pilot_index[0], :], -2, -3)      # (B, 1, K, L, N)
+    filters, _ = per_pilot_statistics(scenario, cfg)
+    expect = power_scaled(whitened((filters @ own[..., None])[..., 0], stats.whitener),
+                          cfg.ue_powers, axis=-3)
+    np.testing.assert_allclose(hhat, expect, rtol=0, atol=1e-10 * np.abs(expect).max())
 
 
 def test_estimation_statistics_are_computed_once_per_drop_group(monkeypatch):

@@ -8,8 +8,8 @@ from dataclasses import replace
 from oracles import (
     FEWER_ANTENNAS_THAN_UES, angle_between, brute_force_combiner, build_augmented_moments,
     complex_gaussian, drop_block_estimates, estimate, first_ap_lmmse, impairment, original_chain,
-    psi_stages, random_psd, replayed_chain, synthetic_config, synthetic_scenario,
-    unit_impairment_scale, unwhitened, whitened,
+    original_estimates, power_scaled, psi_stages, random_psd, replayed_chain, synthetic_config,
+    synthetic_scenario, unit_impairment_scale, whitened,
 )
 from stripesim import baselines, metrics
 from stripesim.channel import complex_normal, draw_channels, herm
@@ -26,13 +26,14 @@ def original_stage(hhat, rtilde, ghat_prev, iota_prev, powers, sigma2):
     The local estimates hhat (K, N) are whitened by C, D = sum_i p_i
     rtilde_i + sigma2 I = C C^H, and UE k's side information ghat_prev[:, k]
     is divided by sqrt(iota_prev[k]), so that the error-plus-noise power
-    iota_prev[k] of its soft estimate becomes 1; the whitened combiner
-    [w_a, w_b] maps back to [C^-H w_a, w_b / sqrt(iota_prev[k])].
+    iota_prev[k] of its soft estimate becomes 1; both carry each UE's
+    sqrt(p), as the stage takes them. The whitened combiner [w_a, w_b] maps
+    back to [C^-H w_a, w_b / sqrt(iota_prev[k])].
     """
     C = np.linalg.cholesky(impairment(rtilde, powers, sigma2))
     scale = np.sqrt(iota_prev)
-    a_h, w = shared_solves(np.linalg.solve(C, hhat.T).T[:, None, :], powers)
-    W = combiner_stage(a_h[0], w[0], ghat_prev / scale, powers)
+    a_h, w = shared_solves(power_scaled(np.linalg.solve(C, hhat.T).T, powers)[:, None, :])
+    W = combiner_stage(a_h[0], w[0], power_scaled(ghat_prev, powers) / scale)
     V = np.concatenate([np.linalg.solve(C.conj().T, W[:, :-1].T).T, (W[:, -1] / scale)[:, None]],
                        axis=1)
     return V / np.linalg.norm(V, axis=1, keepdims=True)
@@ -55,7 +56,7 @@ def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True):
     """Full small pipeline on O(1) synthetic statistics.
 
     Returns every stage's combiners and forwarded ghat, AP 1..L, the
-    whitened estimates and their statistics. With payload, pay is (symbols
+    whitened, power-scaled estimates and their statistics. With payload, pay is (symbols
     (K,), noise (L, N)) of one uplink symbol.
     """
     sc = synthetic_scenario(rng, K, L, N, tau_p)
@@ -67,7 +68,7 @@ def random_run(rng, K=3, L=4, N=2, tau_p=2, payload=True):
     if payload:
         pay = (complex_normal(rng, (K,), std=np.sqrt(powers)),
                complex_normal(rng, (L, N), std=np.sqrt(sigma2)))
-    combiners, ghats = zip(*stages(hhat, powers))
+    combiners, ghats = zip(*stages(hhat))
     return combiners, ghats, hhat, stats, h, pay, powers, sigma2
 
 
@@ -236,13 +237,14 @@ class TestStageUpdate:
         # power-weighted sum plus the noise is the whitened pass's unit
         # error-plus-noise power there
         combiners, ghats, hhat, stats, h, pay, powers, sigma2 = random_run(rng)
-        hhat = unwhitened(hhat, stats.whitener)
+        hhat = original_estimates(hhat, stats.whitener, powers)
         chain = original_chain(combiners, stats.whitener)
         psi = psi_stages(chain, stats.rtilde)
         for l in range(len(ghats)):
             np.testing.assert_allclose(
                 powers @ psi[l] + sigma2,
-                unit_impairment_scale(replay(chain[:l + 1], hhat), ghats[l]), rtol=1e-12, atol=0)
+                unit_impairment_scale(replay(chain[:l + 1], hhat), ghats[l], powers),
+                rtol=1e-12, atol=0)
             if l == 0:
                 continue
             aug = build_augmented_moments(
@@ -285,11 +287,11 @@ class TestRunStripe:
     def test_single_ap_network_collapses_to_local_combining(self, rng):
         combiners, ghats, hhat, stats, h, pay, powers, sigma2 = random_run(
             rng, L=1, payload=False)
-        hhat = unwhitened(hhat, stats.whitener)
+        hhat = original_estimates(hhat, stats.whitener, powers)
         V = first_ap_lmmse(hhat[:, 0], stats.rtilde[:, 0], powers, sigma2)
         assert np.allclose(original_chain(combiners, stats.whitener)[0],
                            np.pad(V, ((0, 0), (0, 1))))
-        sinr = metrics.sinr_per_ue(ghats[-1], powers)
+        sinr = metrics.sinr_per_ue(ghats[-1])
         # against a direct evaluation of the single-AP conditional SINR
         for k in range(len(powers)):
             g = V[k].conj() @ hhat[:, 0].T
@@ -306,7 +308,7 @@ class TestRunStripe:
             combiners, ghats, hhat, stats, h, pay, powers, sigma2 = random_run(
                 rng, K=3, L=6, N=2, payload=False
             )
-            check = check_monotone_stage_sinr(ghats, powers)
+            check = check_monotone_stage_sinr(ghats)
             assert check.passed, check.detail
 
     def test_effective_noise_variance_stays_sigma2(self, rng):
@@ -314,13 +316,13 @@ class TestRunStripe:
         K, L, N, tau_p = 2, 2, 2, 1
         sc = synthetic_scenario(rng, K, L, N, tau_p)
         cfg = synthetic_config(rng, K, L, N, tau_p)
-        powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
+        sigma2 = cfg.noise_power_w
         n = 10000
         # one chain over n blocks, each drawn from the same generator
         rngs = [rng] * n
         hhat, stats = estimate(sc, draw_channels(sc, rngs), cfg, rngs)
         noise = complex_normal(rng, (n, 1, L, N), std=np.sqrt(sigma2))
-        combiners, _ = zip(*stages(hhat, powers))
+        combiners, _ = zip(*stages(hhat))
         emp = (np.abs(replay(combiners, noise)[:, 0]) ** 2).mean(axis=0)
         assert np.all(np.abs(emp - sigma2) / sigma2 < 0.03)
 
@@ -333,7 +335,7 @@ class TestRunStripe:
             config = replace(SimulationConfig(), antennas_per_ap=N, num_aps=L, num_ues=K,
                              coherence_block=tau_c, pilot_length=tau_p)
             hhat, _ = drop_block_estimates(config, 5, num_drops=1, num_blocks=1)
-            *_, (_, ghat) = stages(hhat, config.ue_powers)
+            *_, (_, ghat) = stages(hhat)
             assert np.iscomplexobj(ghat) and ghat.shape[-2:] == (K, K)
             forwarded = 2 * ghat[0, 0].size + K ** 2 + 2 * K * (tau_c - tau_p)
             assert metrics.fronthaul_load(config)["stripe"] == forwarded
@@ -342,13 +344,12 @@ class TestRunStripe:
         K, L, N, tau_p, B = 3, 4, 2, 2, 5
         sc = synthetic_scenario(rng, K, L, N, tau_p)
         cfg = synthetic_config(rng, K, L, N, tau_p)
-        powers = cfg.ue_powers
         rngs = [np.random.default_rng(b) for b in range(B)]
         h = draw_channels(sc, rngs)
         hhat, stats = estimate(sc, h, cfg, rngs)
-        combiners, ghats = zip(*stages(hhat, powers))
+        combiners, ghats = zip(*stages(hhat))
         for b in range(B):
-            combiners_one, ghats_one = zip(*stages(hhat[b], powers))
+            combiners_one, ghats_one = zip(*stages(hhat[b]))
             np.testing.assert_allclose(ghats[-1][b], ghats_one[-1], rtol=1e-12, atol=0)
             for V, V_one in zip(combiners, combiners_one, strict=True):
                 np.testing.assert_allclose(V[b], V_one, rtol=1e-12, atol=0)
@@ -360,7 +361,7 @@ class TestReplay:
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=4,
                       pilot_length=2)
         hhat, stats = drop_block_estimates(cfg, 8)
-        combiners, ghats = zip(*stages(hhat, cfg.ue_powers))
+        combiners, ghats = zip(*stages(hhat))
         assert ghats[-1].shape == (3, 2, 4, 4)
         np.testing.assert_allclose(replay(combiners, hhat), ghats[-1], rtol=1e-12, atol=0)
 
@@ -373,17 +374,16 @@ class TestStages:
 
     def test_run_stripe_is_the_last_stage(self):
         hhat, _ = drop_block_estimates(self.CFG, 11)
-        *_, (_, last) = stages(hhat, self.CFG.ue_powers)
-        final = run_stripe(hhat, self.CFG.ue_powers)
+        *_, (_, last) = stages(hhat)
+        final = run_stripe(hhat)
         assert final.shape == (3, 2, 4, 4)
         assert np.array_equal(final, last)
 
     @pytest.mark.parametrize("stop", [1, 3, 6])
     def test_stopping_after_an_ap_gives_the_full_pass_prefix(self, stop):
         hhat, _ = drop_block_estimates(self.CFG, 12)
-        args = hhat, self.CFG.ue_powers
-        full = list(stages(*args))
-        head = list(itertools.islice(stages(*args), stop))
+        full = list(stages(hhat))
+        head = list(itertools.islice(stages(hhat), stop))
         assert len(head) == stop
         for (V, ghat), (V_full, ghat_full) in zip(head, full[:stop], strict=True):
             assert np.array_equal(V, V_full)
@@ -399,7 +399,7 @@ class TestStages:
             return stage_update(combiners, hhat_l, *args)
 
         monkeypatch.setattr(stripe, "stage_update", counted)
-        steps = stages(hhat, self.CFG.ue_powers)
+        steps = stages(hhat)
         list(itertools.islice(steps, 2))
         assert len(calls) == 2
         for l, hhat_l in enumerate(calls):
@@ -420,10 +420,10 @@ class TestStages:
             return combiner_stage(*args)
 
         monkeypatch.setattr(stripe, "combiner_stage", counted)
-        run_stripe(hhat, cfg.ue_powers)
+        run_stripe(hhat)
         assert len(calls) == cfg.num_aps - 1
         calls.clear()
-        baselines.centralized_lmmse_l4(hhat, cfg.ue_powers)
+        baselines.centralized_lmmse_l4(hhat)
         assert calls == []
 
 
@@ -449,8 +449,8 @@ class TestZeroPrior:
         if one_ap:
             *batch, K, L, N = hhat.shape
             hhat = hhat.reshape(*batch, K, 1, L * N)
-        a_h, _ = shared_solves(hhat, cfg.ue_powers)
-        V, ghat = next(stages(hhat, cfg.ue_powers))
+        a_h, _ = shared_solves(hhat)
+        V, ghat = next(stages(hhat))
         expect = np.concatenate([a_h[0], np.zeros_like(a_h[0, ..., :1, :])], axis=-2)
         expect = (expect / np.linalg.norm(a_h[0], axis=-2, keepdims=True)).swapaxes(-1, -2)
         assert np.array_equal(V, expect)

@@ -22,7 +22,9 @@ pairs the change won, by the `better` direction BENCHMARK.json gives, and
 two verdicts: `gain_shown` (at least 9 of 10 pairs won and a median gain
 beyond the parent's quartile spread) and `regression` (`regressed`,
 `unresolved` or `none` against the metric's end-to-end bound in
-BENCHMARK.json; null where there is none, as for the headline run).
+BENCHMARK.json; null where there is none, as for the headline run). Below
+ten complete pairs both are null: a quartile spread of fewer samples says
+nothing (one sample's is 0).
 Standard library only; the BLAS thread variables are removed from the
 environment, as perfbench/run.py removes them.
 """
@@ -46,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MIN_PAIRS = 10   # complete pairs a verdict needs
 
 
 def git(*args: str) -> str:
@@ -162,16 +165,16 @@ def summarise(records: list[dict], better: dict, bounds: dict | None = None) -> 
 def verdicts(sides: dict, direction: str, wins: int, pairs: int, bound: float | None) -> dict:
     """Whether the change shows a gain, and whether it regressed, on one metric.
 
-    gain_shown: the change won at least 9 of 10 complete pairs (a tie is no
-    win) and its median beats the parent's by more than the parent's
-    quartile spread. regression (None without a bound): "regressed" when the
-    change's median is worse than the parent's by more than bound times the
-    parent's median; else "unresolved" when the parent's quartile spread
-    exceeds that much and not every change sample beats every parent sample;
-    else "none".
+    Both are None below MIN_PAIRS complete pairs. gain_shown: the change won
+    at least 9 of 10 complete pairs (a tie is no win) and its median beats
+    the parent's by more than the parent's quartile spread. regression (None
+    without a bound): "regressed" when the change's median is worse than the
+    parent's by more than bound times the parent's median; else "unresolved"
+    when the parent's quartile spread exceeds that much and not every change
+    sample beats every parent sample; else "none".
     """
-    if not pairs:
-        return {"gain_shown": False, "regression": None if bound is None else "unresolved"}
+    if pairs < MIN_PAIRS:
+        return {"gain_shown": None, "regression": None}
     parent, change = sides["parent"], sides["change"]
     sign = 1.0 if direction == "higher" else -1.0
     gain = sign * (change["median"] - parent["median"])     # > 0: the change is better
