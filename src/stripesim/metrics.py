@@ -33,16 +33,9 @@ def sinr_per_ue(ghat: np.ndarray) -> np.ndarray:
     return num / (gains.sum(axis=-2) - num + 1.0)
 
 
-def spectral_efficiency(sinr_samples, tau_c: int, tau_p: int) -> np.ndarray | np.floating:
-    """Pilot-overhead prelog times the average log2(1 + SINR) over samples.
-
-    The sample axis is the first one; a 1-D input yields a numpy scalar SE.
-    """
-    samples = np.asarray(sinr_samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("need at least one SINR sample")
-    prelog = 1.0 - tau_p / tau_c
-    return prelog * np.mean(np.log2(1.0 + samples), axis=0)
+def spectral_efficiency(rate, tau_c: int, tau_p: int) -> np.ndarray | float:
+    """Pilot-overhead prelog times an ergodic rate, E{log2(1 + SINR)} per UE."""
+    return (1.0 - tau_p / tau_c) * rate
 
 
 def fronthaul_load(config: SimulationConfig) -> dict:

@@ -101,30 +101,33 @@ def simulate_setup(
 ) -> dict[str, np.ndarray]:
     """Run consecutive drops end to end in one batched call chain.
 
-    The stripe and lmmse_l4 forward a ghat per block, scored here alike (metrics.sinr_per_ue).
+    The stripe and lmmse_l4 forward a ghat per block, scored here alike (metrics.sinr_per_ue)
+    into a running sum (D, K) of log2(1 + SINR), block after block in block order; over the
+    block count it is the ergodic rate, as log2(1 + its UatF SINR) is MR's.
     Returns scheme -> SE (D, K) for the D drops of setups, or raises ValueError on a NaN or inf.
     """
     scenario, stats = draw_drops(config, setups)
     n_blocks = config.num_channel_realizations
 
     forward = {SCHEME_STRIPE: stripe.run_stripe, SCHEME_L4: baselines.centralized_lmmse_l4}
-    # per-block SINR samples of the instantaneous schemes, (blocks, drops, K)
-    samples = {scheme: np.empty((n_blocks, len(setups), config.num_ues))
-               for scheme in schemes if scheme in forward}
+    totals = {scheme: np.zeros((len(setups), config.num_ues))
+              for scheme in schemes if scheme in forward}
     mr_acc = baselines.MrFusionAccumulator()
 
     chunk = blocks_per_chunk(config)
     for start in range(0, n_blocks, chunk):
         blocks = range(start, min(start + chunk, n_blocks))
         h, hhat = draw_blocks(config, scenario, stats, setups, blocks)
-        for scheme, sinr in samples.items():
-            sinr[start:blocks.stop] = metrics.sinr_per_ue(forward[scheme](hhat))
+        for scheme, total in totals.items():
+            for rate in np.log2(1.0 + metrics.sinr_per_ue(forward[scheme](hhat))):
+                total += rate
         if SCHEME_MR in schemes:
             mr_acc.update(hhat, h, stats.whitener)
 
+    rates = {scheme: total / n_blocks for scheme, total in totals.items()}
     if SCHEME_MR in schemes:
-        samples[SCHEME_MR] = mr_acc.sinr(config.ue_powers, config.noise_power_w)[None]
-    se = {scheme: metrics.spectral_efficiency(samples[scheme], config.coherence_block,
+        rates[SCHEME_MR] = np.log2(1.0 + mr_acc.sinr(config.ue_powers, config.noise_power_w))
+    se = {scheme: metrics.spectral_efficiency(rates[scheme], config.coherence_block,
                                                config.pilot_length) for scheme in schemes}
     for scheme, values in se.items():
         ue = np.flatnonzero(~np.isfinite(values).all(axis=0))

@@ -430,8 +430,8 @@ def per_block_setup(config, setup_index, schemes=ALL_SCHEMES):
         stripe_sinr[b] = metrics.sinr_per_ue(stripe.run_stripe(hhat))
         l4_sinr[b] = metrics.sinr_per_ue(baselines.centralized_lmmse_l4(hhat))
         mr.update(hhat[None], h[None], stats.whitener)
-    tau_c, tau_p = config.coherence_block, config.pilot_length
+    prelog = 1.0 - config.pilot_length / config.coherence_block
     samples = {"stripe_nlmmse": stripe_sinr, "lmmse_l4": l4_sinr,
                "mr_l2": mr.sinr(config.ue_powers, config.noise_power_w)[None, :]}
-    return {scheme: metrics.spectral_efficiency(samples[scheme], tau_c, tau_p)
+    return {scheme: prelog * np.mean(np.log2(1.0 + samples[scheme]), axis=0)
             for scheme in schemes}

@@ -182,7 +182,7 @@ class TestMrFusion:
             h, hhat = draw_blocks(cfg, scenario, stats, drops, range(start, start + chunk))
             acc.update(hhat, h, stats.whitener)
         powers, sigma2 = cfg.ue_powers, cfg.noise_power_w
-        got, expect = (metrics.spectral_efficiency(sinr, cfg.coherence_block, tau_p)
+        got, expect = (metrics.spectral_efficiency(np.log2(1.0 + sinr), cfg.coherence_block, tau_p)
                        for sinr in (acc.sinr(powers, sigma2), mr_uatf_sinr(scenario, cfg)))
         np.testing.assert_allclose(got, expect, rtol=0.05, atol=0)
 

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's pairing and summary, on made-up runs (no benchmark is run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -36,12 +37,14 @@ def test_wins_follow_the_better_direction_and_only_complete_pairs_count():
     assert (wall["better"], rate["better"]) == ("lower", "higher")
 
 
-def verdicts(parent, change, bound=0.24, name="w.wall_s"):
-    """The summary's two verdicts on made-up wall times (lower is better)."""
+def verdicts(parent, change, name="w.wall_s", bounds=None):
+    """The summary's two verdicts on made-up wall times (lower is better); by
+    default w.wall_s has a bound of 0.24 and no other metric has one."""
     runs = [{"pair": p + 1, "side": side, "result": result(**{name: v})}
             for side, values in (("parent", parent), ("change", change))
             for p, v in enumerate(values)]
-    entry = bench_pairs.summarise(runs, {"wall_s": "lower"}, {"w.wall_s": bound})[name]
+    entry = bench_pairs.summarise(runs, {"wall_s": "lower"},
+                                  bounds or {"w.wall_s": 0.24})[name]
     return entry["gain_shown"], entry["regression"]
 
 
@@ -78,4 +81,15 @@ def test_fewer_than_ten_pairs_give_no_verdict():
 
 def test_within_the_bound_is_no_regression_and_no_bound_no_verdict():
     assert verdicts(PARENT, [1.1 * v for v in PARENT]) == (False, "none")
-    assert verdicts(PARENT, [1.3 * v for v in PARENT], name="headline.wall_s") == (False, None)
+    assert verdicts(PARENT, [1.3 * v for v in PARENT], name="w.unbounded_s") == (False, None)
+
+
+def test_the_headline_wall_time_takes_the_benchmarks_wall_s_bound():
+    benchmark = json.loads((PATH.parent.parent / "BENCHMARK.json").read_text())
+    wall = next(m["bound"] for m in benchmark["end_to_end"] if m["name"] == "wall_s")
+    bounds = bench_pairs.end_to_end_bounds(benchmark)
+    assert bounds["headline.wall_s"] == wall
+    assert all(bounds[f"{w['name']}.wall_s"] == wall for w in benchmark["workloads"])
+    slower = [(1 + 1.25 * wall) * v for v in PARENT]
+    assert verdicts(PARENT, slower, "headline.wall_s", bounds) == (False, "regressed")
+    assert verdicts(PARENT, PARENT, "headline.wall_s", bounds) == (False, "none")

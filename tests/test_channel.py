@@ -223,10 +223,10 @@ class TestClosedFormAndCopilots:
         assert check.passed, check.detail
         mr = MrFusionAccumulator()
         mr.update(hhat, h, stats.whitener)
-        for sinr in (metrics.sinr_per_ue(run_stripe(hhat)),
-                     metrics.sinr_per_ue(centralized_lmmse_l4(hhat)),
-                     mr.sinr(cfg.ue_powers, cfg.noise_power_w)[None]):
-            se = metrics.spectral_efficiency(sinr, cfg.coherence_block, cfg.pilot_length)
+        for rate in (rate_over_blocks(metrics.sinr_per_ue(run_stripe(hhat))),
+                     rate_over_blocks(metrics.sinr_per_ue(centralized_lmmse_l4(hhat))),
+                     np.log2(1.0 + mr.sinr(cfg.ue_powers, cfg.noise_power_w))):
+            se = metrics.spectral_efficiency(rate, cfg.coherence_block, cfg.pilot_length)
             assert np.all(np.isfinite(se)) and np.all(se > 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -239,8 +239,14 @@ class TestClosedFormAndCopilots:
         _, cfg, _, hhat, _ = rank_one_copilot_drop(angles, angular_std_dev, [rng, rng])
         for sinr in (metrics.sinr_per_ue(run_stripe(hhat)),
                      metrics.sinr_per_ue(centralized_lmmse_l4(hhat))):
-            se = metrics.spectral_efficiency(sinr, cfg.coherence_block, cfg.pilot_length)
+            se = metrics.spectral_efficiency(rate_over_blocks(sinr), cfg.coherence_block,
+                                             cfg.pilot_length)
             assert np.all(np.isfinite(se)) and np.all(se > 0)
+
+
+def rate_over_blocks(sinr):
+    """log2(1 + SINR) averaged over the block axis, the first: the rate SE scores."""
+    return np.mean(np.log2(1.0 + sinr), axis=0)
 
 
 def rank_one_copilot_drop(angles, angular_std_dev, rngs):

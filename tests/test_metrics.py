@@ -79,26 +79,16 @@ class TestInstantaneousSinr:
 
 class TestSpectralEfficiency:
     def test_zero_prelog(self):
-        assert spectral_efficiency([1.0, 2.0], tau_c=20, tau_p=20) == 0.0
+        assert spectral_efficiency(np.array([1.0, 2.0]), tau_c=20, tau_p=20).tolist() == [0, 0]
 
-    def test_constant_unit_sinr(self):
-        # prelog 0.9 times log2(2)
-        assert spectral_efficiency([1.0] * 5, tau_c=200, tau_p=20) \
-            == pytest.approx(0.9)
+    def test_unit_rate(self):
+        # prelog 0.9 times one bit/s/Hz
+        assert spectral_efficiency(1.0, tau_c=200, tau_p=20) == pytest.approx(0.9)
 
-    def test_default_prelog_value(self):
-        assert 1 - 20 / 200 == pytest.approx(0.9)
-
-    def test_axis_semantics(self):
-        samples = np.array([[1.0, 3.0], [1.0, 3.0]])
-        out = spectral_efficiency(samples, tau_c=200, tau_p=20)
-        assert out.shape == (2,)
-        assert out[0] == pytest.approx(0.9)
-        assert out[1] == pytest.approx(0.9 * 2.0)
-
-    def test_needs_samples(self):
-        with pytest.raises(ValueError):
-            spectral_efficiency([], tau_c=200, tau_p=20)
+    def test_vector_rate(self):
+        out = spectral_efficiency(np.array([[1.0, 2.0], [0.5, 3.0]]), tau_c=200, tau_p=20)
+        assert out.shape == (2, 2)
+        np.testing.assert_allclose(out, [[0.9, 1.8], [0.45, 2.7]], rtol=1e-15)
 
 
 def network(N, L, K, tau_c, tau_p):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import per_block_setup, per_pilot_statistics, power_scaled, whitened
-from stripesim import baselines, channel, runner, stripe
+from stripesim import baselines, channel, metrics, runner, stripe
 from stripesim.config import SimulationConfig
 from stripesim.runner import (
     ALL_SCHEMES, SCHEME_STRIPE, config_fingerprint, draw_blocks, draw_drops, drop_groups,
@@ -228,6 +228,28 @@ def test_chunked_setup_matches_per_block_reference(monkeypatch, chunk):
     for scheme in ALL_SCHEMES:
         np.testing.assert_allclose(got[scheme][0], ref[scheme], rtol=1e-12, atol=0,
                                    err_msg=scheme)
+
+
+@pytest.mark.parametrize("scheme", ["stripe_nlmmse", "lmmse_l4"])
+def test_running_sums_add_the_blocks_in_block_order(monkeypatch, scheme):
+    # 20 blocks in chunks of 3, the last one of 2: each chunk's rates go on
+    # after the carried sum, as numpy's sum over the stacked block axis adds
+    # them, so the SE is that of every block's SINR at once, bit for bit
+    cfg = mini_config(num_aps=6, num_ues=4, num_channel_realizations=20)
+    K, L, N = cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap
+    monkeypatch.setattr(runner, "_CHUNK_ELEMENTS", 3 * L * N * (K + cfg.pilot_length))
+    assert runner.blocks_per_chunk(cfg) == 3
+    scored, real = [], metrics.sinr_per_ue
+
+    def recorded(ghat):
+        scored.append(real(ghat))
+        return scored[-1]
+
+    monkeypatch.setattr(metrics, "sinr_per_ue", recorded)
+    se = simulate_setup(cfg, range(1, 2), (scheme,))[scheme]
+    assert [len(sinr) for sinr in scored] == [3] * 6 + [2]
+    prelog = 1.0 - cfg.pilot_length / cfg.coherence_block
+    assert np.array_equal(se, prelog * np.mean(np.log2(1.0 + np.concatenate(scored)), axis=0))
 
 
 def test_blocks_carry_each_estimate_scaled_by_the_root_of_its_power():

@@ -22,9 +22,9 @@ pairs the change won, by the `better` direction BENCHMARK.json gives, and
 two verdicts: `gain_shown` (at least 9 of 10 pairs won and a median gain
 beyond the parent's quartile spread) and `regression` (`regressed`,
 `unresolved` or `none` against the metric's end-to-end bound in
-BENCHMARK.json; null where there is none, as for the headline run). Below
-ten complete pairs both are null: a quartile spread of fewer samples says
-nothing (one sample's is 0).
+BENCHMARK.json, which the headline run's wall time shares with every
+workload's; null where there is none). Below ten complete pairs both are
+null: a quartile spread of fewer samples says nothing (one sample's is 0).
 Standard library only; the BLAS thread variables are removed from the
 environment, as perfbench/run.py removes them.
 """
@@ -189,6 +189,14 @@ def verdicts(sides: dict, direction: str, wins: int, pairs: int, bound: float | 
     return {"gain_shown": shown, "regression": regression}
 
 
+def end_to_end_bounds(benchmark: dict) -> dict:
+    """workload.metric -> the metric's end-to-end bound in BENCHMARK.json, for every
+    workload and for the headline run (whose one metric is headline.wall_s)."""
+    return {f"{workload}.{m['name']}": m["bound"]
+            for workload in [*(w["name"] for w in benchmark["workloads"]), "headline"]
+            for m in benchmark["end_to_end"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
@@ -201,8 +209,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    bounds = {f"{w['name']}.{m['name']}": m["bound"]
-              for w in benchmark["workloads"] for m in benchmark["end_to_end"]}
+    bounds = end_to_end_bounds(benchmark)
     env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         tmp = Path(tmp)
