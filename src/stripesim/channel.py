@@ -1,12 +1,13 @@
 """Channel realizations, pilot phase, and per-AP MMSE channel estimation.
 
 Per coherence block a fresh correlated Rayleigh realization is drawn, the
-despread pilot signal is formed directly (the full pilot-length receive
-matrix is never materialized), and the linear MMSE estimate of each (UE, AP)
-is formed from the despread signal on that UE's own pilot. The filters and
-the error covariances depend only on the scenario, so they are computed once
-per drop group, and on a UE's pilot only through the UEs that share it. The
-(drop, pilot) groups of each size m take one of two routes, in AP slices:
+despread pilot signal is formed directly on each UE's own pilot (neither the
+full pilot-length receive matrix nor the signal on any other pilot is ever
+formed), and the linear MMSE estimate of each (UE, AP) is its filter times
+that signal. The filters and the error covariances depend only on the
+scenario, so they are computed once per drop group, and on a UE's pilot only
+through the UEs that share it. The (drop, pilot) groups of each size m take
+one of two routes, in AP slices:
 
 - A UE alone on its pilot (m = 1) has the closed form of the textbook MMSE
   estimator (Bjornson, Hoydis and Sanguinetti, Massive MIMO Networks, 2017,
@@ -89,29 +90,29 @@ def simulate_pilot_phase(
     scenario: Scenario, channels: np.ndarray, config: SimulationConfig,
     rngs: Rngs,
 ) -> np.ndarray:
-    """Despread pilot signal z per (AP, pilot), shape (..., L, tau_p, N).
+    """Despread pilot signal z_{t_k, l} on each UE's own pilot t_k, shape (..., K, L, N).
 
-    z_{t,l} = sum over UEs on pilot t of sqrt(p_k * tau_p) h_kl, plus white
-    noise of variance sigma^2 per antenna. The noise comes from the same
-    generator(s) as the channels, after them.
+    Row k is the sum over the UEs i on pilot t_k of sqrt(p_i * tau_p) h_il,
+    plus the white noise, of variance sigma^2 per antenna, on pilot t_k. The
+    noise of all tau_p pilots, used or not, is drawn as one (L, tau_p, N)
+    array from each generator, after the channels.
     """
     K, L, N = scenario.num_ues, scenario.num_aps, scenario.num_antennas
-    tau_p = config.pilot_length
-    # (..., tau_p, K): sqrt(p_k tau_p) at (t_k, k), zero elsewhere
-    amp = np.where(np.arange(tau_p)[:, None] == scenario.pilot_index[..., None, :],
+    tau_p, pilots, batch = config.pilot_length, scenario.pilot_index, channels.shape[:-3]
+    # (..., K, K): sqrt(p_i tau_p) at (k, i) if t_i = t_k, zero elsewhere
+    amp = np.where(pilots[..., :, None] == pilots[..., None, :],
                    np.sqrt(config.ue_powers * tau_p), 0.0)
-
-    batch = channels.shape[:-3]
-    z = amp @ channels.reshape(*batch, K, L * N)                    # (..., tau_p, L*N)
-    z = z.reshape(*batch, tau_p, L, N).swapaxes(-3, -2)
-    return z + complex_normal(rngs, (L, tau_p, N), std=np.sqrt(config.noise_power_w))
+    z = (amp @ channels.reshape(*batch, K, L * N)).reshape(channels.shape)
+    noise = complex_normal(rngs, (L, tau_p, N), std=np.sqrt(config.noise_power_w))
+    index = np.broadcast_to(pilots[..., None, None], (*batch, K, 1, 1))     # t_k per row
+    return z + np.take_along_axis(noise.swapaxes(-3, -2), index, axis=-3)
 
 
 @dataclass
 class EstimationStatistics:
     """Setup-constant MMSE quantities per drop, in each AP's whitened coordinates."""
 
-    filters: np.ndarray           # (..., K, L, N, N) maps z_{t_k, l} to sqrt(p_k) C_l^-1 hhat_kl
+    filters: np.ndarray           # (..., K, L, N, N) maps row k of z to sqrt(p_k) C_l^-1 hhat_kl
     rtilde: np.ndarray            # (..., K, L, N, N) error covariance of hhat_kl
     whitener: np.ndarray          # (..., L, N, N) C_l, lower triangular, D_l = C_l C_l^H
 
@@ -204,13 +205,6 @@ def _pilot_group_statistics(F, a, sigma2):
     return FW[..., N:] @ herm(FW[..., N:]), FW[..., :N]
 
 
-def mmse_estimate(
-    scenario: Scenario, despread: np.ndarray, stats: EstimationStatistics,
-) -> np.ndarray:
+def mmse_estimate(despread: np.ndarray, stats: EstimationStatistics) -> np.ndarray:
     """Whitened, power-scaled MMSE estimates sqrt(p_k) C_l^-1 hhat_kl, (..., K, L, N)."""
-    batch, K = despread.shape[:-3], scenario.num_ues
-    # despread vector on each UE's own pilot, the leading axes flattened: (-1, K, L, N)
-    pilots = np.broadcast_to(scenario.pilot_index, (*batch, K)).reshape(-1, K)
-    z = despread.reshape(-1, *despread.shape[-3:])
-    z_own = z[np.arange(len(z))[:, None], :, pilots]
-    return _per_matrix(stats.filters, z_own.reshape(*batch, *z_own.shape[1:]))
+    return _per_matrix(stats.filters, despread)

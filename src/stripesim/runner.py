@@ -34,8 +34,10 @@ SCHEME_L4 = "lmmse_l4"
 ALL_SCHEMES = (SCHEME_STRIPE, SCHEME_MR, SCHEME_L4)
 
 # Blocks run in chunks. Per block the batched call chain holds about
-# L*N*(K + tau_p) complex entries, whatever the schemes: the K*L*N channels
-# and estimates and the L*tau_p*N despread pilot signal. A chunk holds about
+# L*N*(K + tau_p) complex entries, whatever the schemes: K*L*N for each of
+# the channels, the despread pilot signal and the estimates, and L*tau_p*N
+# for the pilot noise, drawn on every pilot (another formula would change the
+# chunk and group sizes, and so the SE bits). A chunk holds about
 # _CHUNK_ELEMENTS. Drops with fewer blocks than a chunk are grouped: per drop
 # a group holds its constants, about L*N*N*(4K + tau_p) entries (the
 # covariance factors, the error covariances and the raw and whitened MMSE
@@ -93,7 +95,7 @@ def draw_blocks(config: SimulationConfig, scenario: Scenario, stats: EstimationS
     """Channels and whitened, power-scaled estimates (B, D, K, L, N) of draw_drops' drops."""
     rngs = [[rng_stream(config.rng_seed, s, 1, b) for s in setups] for b in blocks]
     h = draw_channels(scenario, rngs)
-    return h, mmse_estimate(scenario, simulate_pilot_phase(scenario, h, config, rngs), stats)
+    return h, mmse_estimate(simulate_pilot_phase(scenario, h, config, rngs), stats)
 
 
 def simulate_setup(

@@ -146,7 +146,7 @@ def estimate(scenario, h, config, rng, stats=None):
     if stats is None:
         stats = estimation_statistics(scenario, config)
     z = simulate_pilot_phase(scenario, h, config, rng)
-    return mmse_estimate(scenario, z, stats), stats
+    return mmse_estimate(z, stats), stats
 
 
 def drop_block_estimates(cfg, seed, num_drops=2, num_blocks=3):

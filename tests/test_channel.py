@@ -81,7 +81,7 @@ class TestPilotPhase:
         amp = np.sqrt(cfg.ue_powers * cfg.pilot_length)
         for k in range(2):
             for l in range(3):
-                assert np.allclose(z[l, sc.pilot_index[k]], amp[k] * h[k, l], rtol=1e-6)
+                assert np.allclose(z[k, l], amp[k] * h[k, l], rtol=1e-6)
 
     def test_contaminated_variance(self, rng):
         # two UEs on one pilot: per-antenna variance tau_p*p*(b1+b2) + sigma2
@@ -93,9 +93,40 @@ class TestPilotPhase:
                       ue_power_w=p, noise_power_w=sigma2)
         h = draw_channels(sc, rng)
         z = simulate_pilot_phase(sc, h, cfg, rng)
-        var = np.mean(np.abs(z[:, 0, :]) ** 2)
         expect = tau_p * p * (beta + beta) + sigma2
-        assert abs(var - expect) / expect < 0.05
+        for k in range(K):
+            var = np.mean(np.abs(z[k]) ** 2)
+            assert abs(var - expect) / expect < 0.05
+
+    @pytest.mark.parametrize("K, tau_p", [(7, 3), (3, 5)], ids=["reuse", "own_pilots"])
+    def test_each_row_is_its_copilot_sum_plus_the_noise_on_its_pilot(self, K, tau_p):
+        # 2 blocks x 3 drops. Each stream draws the channel normals and then
+        # the noise of all tau_p pilots, (L, tau_p, N), used or not: with
+        # K <= tau_p two pilots stay unused, and a draw of the used ones alone
+        # would give other noise. With K > tau_p the drops share their pilots
+        # out among different UEs.
+        cfg = replace(SimulationConfig(), num_aps=4, antennas_per_ap=2, num_ues=K,
+                      pilot_length=tau_p, ue_power_w=(0.05, 0.1, 0.02, 0.07, 0.04, 0.09, 0.06)[:K])
+        L, N, drops, blocks = 4, 2, range(3), range(2)
+        sc = build_scenario(cfg, [rng_stream(9, s, 0) for s in drops])
+        assert (len({tuple(p) for p in sc.pilot_index}) > 1) == (K > tau_p)
+        rngs = [[rng_stream(9, s, 1, b) for s in drops] for b in blocks]
+        h = draw_channels(sc, rngs)
+        z = simulate_pilot_phase(sc, h, cfg, rngs)
+        assert z.shape == (2, 3, K, L, N)
+        amp = np.sqrt(tau_p * cfg.ue_powers)
+        for b in blocks:
+            for s in drops:
+                stream = rng_stream(9, s, 1, b)
+                channel.complex_normal(stream, (K, L, N))
+                noise = channel.complex_normal(stream, (L, tau_p, N),
+                                               std=np.sqrt(cfg.noise_power_w))
+                pilots = sc.pilot_index[s]
+                expect = np.stack([
+                    np.einsum("i,iln->ln", amp * (pilots == pilots[k]), h[b, s])
+                    + noise[:, pilots[k]] for k in range(K)])
+                np.testing.assert_allclose(z[b, s], expect, rtol=0,
+                                           atol=1e-12 * np.abs(expect).max())
 
     def test_covariance_closed_form_isotropic(self, rng):
         K, L, N, tau_p = 3, 2, 2, 1
@@ -117,15 +148,15 @@ class TestPilotPhase:
                 assert np.linalg.eigvalsh(psi[l, t]).min() > 0
 
     def test_covariance_matches_despread_sampling(self, rng):
-        # the oracle's pilot covariance is the covariance of z itself
+        # the oracle's covariance of UE k's pilot is the covariance of z_k itself
         n, K, L, N, tau_p = 4000, 3, 2, 2, 2
         sc = synthetic_scenario(rng, K, L, N, tau_p)
         cfg = synthetic_config(rng, K, L, N, tau_p)
-        psi = pilot_covariances(sc, cfg)
+        psi = pilot_covariances(sc, cfg)[:, sc.pilot_index].swapaxes(0, 1)     # (K, L, N, N)
         rngs = [np.random.default_rng([7, b]) for b in range(n)]
         z = simulate_pilot_phase(sc, draw_channels(sc, rngs), cfg, rngs)
-        emp = np.einsum("bltm,bltn->ltmn", z, z.conj()) / n
-        diag = np.sqrt(np.einsum("ltmm->ltm", psi).real)
+        emp = np.einsum("bklm,bkln->klmn", z, z.conj()) / n
+        diag = np.sqrt(np.einsum("klmm->klm", psi).real)
         se = diag[..., :, None] * diag[..., None, :] / np.sqrt(n)
         assert np.all(np.abs(emp - psi) / se < 4.5)
 
@@ -268,7 +299,8 @@ def rank_one_copilot_drop(angles, angular_std_dev, rngs):
 
 class TestStackedDrops:
     def test_stacked_drops_equal_single_drops(self):
-        # K > tau_p: each drop has its own pilot permutation to gather with.
+        # K > tau_p: each drop has its own pilot permutation, for its co-pilot
+        # sums and the noise each UE reads.
         # Blocks lead, (B, D, ...), and the per-drop constants (D, ...)
         # broadcast against them through the whole chain.
         cfg = replace(SimulationConfig(), num_aps=5, antennas_per_ap=2, num_ues=5,
@@ -279,7 +311,7 @@ class TestStackedDrops:
         rngs = [[rng_stream(4, s, 1, b) for s in drops] for b in blocks]
         h = draw_channels(sc, rngs)
         z = simulate_pilot_phase(sc, h, cfg, rngs)
-        hhat = mmse_estimate(sc, z, stats)
+        hhat = mmse_estimate(z, stats)
         assert hhat.shape == (2, 3, 5, 5, 2) and stats.whitener.shape == (3, 5, 2, 2)
         final = run_stripe(hhat)
         l4 = metrics.sinr_per_ue(centralized_lmmse_l4(hhat))
@@ -293,7 +325,7 @@ class TestStackedDrops:
             one_rngs = [rng_stream(4, s, 1, b) for b in blocks]
             one_h = draw_channels(one, one_rngs)
             one_z = simulate_pilot_phase(one, one_h, cfg, one_rngs)
-            one_hhat = mmse_estimate(one, one_z, one_stats)
+            one_hhat = mmse_estimate(one_z, one_stats)
             assert np.array_equal(h[:, s], one_h)
             assert np.array_equal(z[:, s], one_z)
             assert np.array_equal(hhat[:, s], one_hhat)
@@ -355,10 +387,10 @@ class TestMmseEstimate:
         h = draw_channels(sc, rng)
         z = simulate_pilot_phase(sc, h, cfg, rng)
         stats = estimation_statistics(sc, cfg)
-        hhat = unwhitened(mmse_estimate(sc, z, stats), stats.whitener)
+        hhat = unwhitened(mmse_estimate(z, stats), stats.whitener)
         gain = np.sqrt(p * tau_p) * beta / (tau_p * p * beta + sigma2)
         for l in range(L):
-            assert np.allclose(hhat[0, l], np.sqrt(p) * gain * z[l, 0], rtol=1e-10)
+            assert np.allclose(hhat[0, l], np.sqrt(p) * gain * z[0, l], rtol=1e-10)
 
     def test_estimate_statistics_match_montecarlo(self, rng):
         # over many pairs: cov(hhat) ~ rhat and E{hhat htilde^H} ~ 0 (z < 4)

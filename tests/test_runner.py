@@ -262,9 +262,8 @@ def test_blocks_carry_each_estimate_scaled_by_the_root_of_its_power():
     _, hhat = draw_blocks(cfg, scenario, stats, drops, blocks)
     rngs = [[rng_stream(cfg.rng_seed, s, 1, b) for s in drops] for b in blocks]
     z = channel.simulate_pilot_phase(scenario, channel.draw_channels(scenario, rngs), cfg, rngs)
-    own = np.moveaxis(z[..., scenario.pilot_index[0], :], -2, -3)      # (B, 1, K, L, N)
-    filters, _ = per_pilot_statistics(scenario, cfg)
-    expect = power_scaled(whitened((filters @ own[..., None])[..., 0], stats.whitener),
+    filters, _ = per_pilot_statistics(scenario, cfg)                   # z is (B, 1, K, L, N)
+    expect = power_scaled(whitened((filters @ z[..., None])[..., 0], stats.whitener),
                           cfg.ue_powers, axis=-3)
     np.testing.assert_allclose(hhat, expect, rtol=0, atol=1e-10 * np.abs(expect).max())
 
